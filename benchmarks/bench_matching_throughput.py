@@ -1,4 +1,4 @@
-"""Pairwise-matching throughput: the profile-cache hot path.
+"""Pairwise-matching throughput: the profile-store hot path.
 
 Measures the matching layer's prepare-once/score-many optimisation on the
 synthetic companies benchmark, in two sections:
@@ -9,26 +9,24 @@ synthetic companies benchmark, in two sections:
   - ``seed``: the historical extractor, re-deriving every normalisation per
     pair with the untrimmed Levenshtein DP (replicated here verbatim as the
     frozen "before" baseline),
-  - ``per_pair``: the current extractor without a profile store (what
-    ``--no-profile-cache`` pays per pair),
+  - ``per_pair``: the current extractor without a profile store (building
+    both profiles on the spot for every pair),
   - ``store rows``: the profile store scored row at a time
     (``extract_batch_profiles_rows``, the per-pair oracle the columnar
     path is asserted bitwise-equal against),
-  - ``profile_store``: the columnar hot path — profiles prepared once per
-    record, features as array expressions over the packed columns (what
-    ``--profile-cache`` pays) — preparation time is included.
+  - ``profile_store``: the columnar hot path the engine runs — profiles
+    prepared once per record, features as array expressions over the
+    packed columns — preparation time is included.
 
 * **run_matching** — end-to-end ``PipelineRuntime.run_matching`` throughput
-  with the trained logistic matcher, profile-cache on/off × columnar
-  dispatch on/off × warm-pool on/off × workers × executor (columnar rows
-  only exist under the profile cache — the array route scores the store).
-  Every row's decisions are asserted **bitwise identical** to the serial
-  profile-cache-on columnar reference (same probabilities, same verdicts):
-  the cache, the dispatch route and the pool mode trade work for speed,
-  never output.  Each row records the effective ``cpu_count`` it ran
-  under, and parallel speedup assertions are skipped (and recorded as
-  skipped) when the box has fewer cores than workers — a 2-worker row on a
-  1-core runner measures engine overhead, not parallelism.
+  with the trained logistic matcher, workers × executor.  Every row's
+  decisions are asserted **bitwise identical** to ``matcher.decide`` on the
+  record pairs (same probabilities, same verdicts): the engine's single
+  route trades work for speed, never output.  Each row records the
+  effective ``cpu_count`` it ran under, and parallel speedup assertions are
+  skipped (and recorded as skipped) when the box has fewer cores than
+  workers — a 2-worker row on a 1-core runner measures engine overhead, not
+  parallelism.
 
 The candidate set is the real blocking output (token-overlap + id-overlap),
 topped up with sliding-window pairs until pairs/records >= 10 — the
@@ -82,8 +80,8 @@ from repro.text.tokenize import word_tokenize
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The serial run_matching throughput of the pre-profile-subsystem build
-#: (the first recorded BENCH_matching.json) — full runs pin the columnar
-#: route at >= 3x this floor.
+#: (the first recorded BENCH_matching.json) — full runs pin the engine's
+#: serial route at >= 3x this floor.
 _SEED_SERIAL_PAIRS_PER_S = 35_000.0
 
 
@@ -238,7 +236,7 @@ def build_candidates(dataset: Dataset, min_ratio: float) -> list[CandidatePair]:
 
     The blocking output is the realistic similarity distribution; the
     deterministic sliding-window top-up only widens the set so the bench
-    sits in the pairs >> records regime the profile cache targets.
+    sits in the pairs >> records regime the profile store targets.
     """
     blocking = CombinedBlocking([IdOverlapBlocking(), TokenOverlapBlocking(top_n=30)])
     candidates = blocking.candidate_pairs(dataset)
@@ -331,7 +329,7 @@ def measure_extraction(
         }
         for label, seconds in (
             ("seed (per-pair recompute)", seed_seconds),
-            ("current --no-profile-cache", per_pair_seconds),
+            ("current per-pair (no store)", per_pair_seconds),
             ("store rows (per-pair oracle)", rows_seconds),
             ("profile store (columnar, incl. prepare)", profile_seconds),
         )
@@ -354,85 +352,57 @@ def measure_run_matching(
     batch_size: int,
     repeats: int,
 ) -> list[dict[str, object]]:
-    """Throughput rows: profile-cache on/off × columnar dispatch on/off ×
-    warm-pool on/off × workers × executor.
+    """Throughput rows: workers × executor.
 
-    Asserts, for every configuration, that its decisions are bitwise
-    identical to the serial profile-cache-on columnar reference —
-    probabilities compared exactly, not approximately — and that the
-    columnar rows actually took the array route (a
-    :class:`~repro.matching.decisions.DecisionVector` came back).  Each row
+    Asserts, for every configuration, that a
+    :class:`~repro.matching.decisions.DecisionVector` came back and that its
+    decisions are bitwise identical to ``matcher.decide`` on the record
+    pairs — probabilities compared exactly, not approximately.  Each row
     records the effective ``cpu_count`` it ran under: a parallel row
     measured with fewer cores than workers documents overhead, not speedup,
     and the reference-number assertions skip it (``speedup_meaningful``).
     """
+    oracle = matcher.decide(
+        [(dataset.record(c.left_id), dataset.record(c.right_id)) for c in candidates]
+    )
     rows: list[dict[str, object]] = []
     baseline = None
-    reference = None
     cpus = effective_cpu_count()
     for workers in worker_counts:
         for executor in executors:
             if workers == 1 and executor != executors[0]:
                 continue  # serial runs don't touch a pool; one row is enough
-            for warm_pool in (True, False):
-                if workers == 1 and not warm_pool:
-                    continue  # no pool either way; one serial row is enough
-                for profile_cache in (True, False):
-                    # Columnar dispatch only exists inside the profiled
-                    # route (the array chunks score the profile store), so
-                    # cache-off rows carry a single, moot setting.
-                    columnar_modes = (True, False) if profile_cache else (False,)
-                    for columnar in columnar_modes:
-                        config = RuntimeConfig(
-                            workers=workers, batch_size=batch_size,
-                            executor=executor, profile_cache=profile_cache,
-                            columnar_dispatch=columnar, warm_pool=warm_pool,
-                        )
-                        runtime = PipelineRuntime(config)
-                        try:
-                            best = float("inf")
-                            decisions = None
-                            for _ in range(repeats):
-                                start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                                decisions = runtime.run_matching(
-                                    matcher, dataset, candidates
-                                )
-                                best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-                        finally:
-                            runtime.close()
-                        assert isinstance(decisions, DecisionVector) == (
-                            profile_cache and columnar
-                        ), "dispatch route does not match the configuration"
-                        if reference is None:
-                            reference = decisions
-                        assert decisions == reference, (
-                            f"decisions drifted at workers={workers}, "
-                            f"executor={executor}, warm_pool={warm_pool}, "
-                            f"profile_cache={profile_cache}, "
-                            f"columnar_dispatch={columnar}"
-                        )
-                        assert [d.probability for d in decisions] == [
-                            d.probability for d in reference
-                        ], "probabilities drifted from the serial reference"
-                        throughput = len(candidates) / best
-                        if baseline is None:
-                            baseline = throughput
-                        rows.append({
-                            "Workers": workers,
-                            "Executor": executor if workers > 1 else "serial",
-                            "Warm pool": "on" if warm_pool else "off",
-                            "Profile cache": "on" if profile_cache else "off",
-                            "Columnar": ("on" if columnar else "off")
-                            if profile_cache else "n/a",
-                            "Pairs / s": round(throughput, 1),
-                            "Speedup": round(throughput / baseline, 2),
-                            "cpu_count": cpus,
-                            "peak_rss_bytes": peak_rss_bytes(),
-                            # A 2-worker row on a 1-core box measures
-                            # overhead, not parallel speedup — consumers
-                            # must not gate on it.
-                            "speedup_meaningful": workers <= cpus,
-                        })
+            config = RuntimeConfig(
+                workers=workers, batch_size=batch_size, executor=executor
+            )
+            with PipelineRuntime(config) as runtime:
+                best = float("inf")
+                decisions = None
+                for _ in range(repeats):
+                    start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+                    decisions = runtime.run_matching(matcher, dataset, candidates)
+                    best = min(best, time.perf_counter() - start)  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
+            assert isinstance(decisions, DecisionVector)
+            assert decisions == oracle, (
+                f"decisions drifted at workers={workers}, executor={executor}"
+            )
+            assert [d.probability for d in decisions] == [
+                d.probability for d in oracle
+            ], "probabilities drifted from matcher.decide"
+            throughput = len(candidates) / best
+            if baseline is None:
+                baseline = throughput
+            rows.append({
+                "Workers": workers,
+                "Executor": executor if workers > 1 else "serial",
+                "Pairs / s": round(throughput, 1),
+                "Speedup": round(throughput / baseline, 2),
+                "cpu_count": cpus,
+                "peak_rss_bytes": peak_rss_bytes(),
+                # A 2-worker row on a 1-core box measures overhead, not
+                # parallel speedup — consumers must not gate on it.
+                "speedup_meaningful": workers <= cpus,
+            })
     return rows
 
 
@@ -449,7 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--executors", default="process,thread",
                         help="comma-separated subset of {process,thread}")
     parser.add_argument("--batch-size", type=positive_int, default=1024)
-    parser.add_argument("--repeats", type=positive_int, default=2,
+    parser.add_argument("--repeats", type=positive_int, default=5,
                         help="best-of repeats per point")
     parser.add_argument("--min-ratio", type=float, default=10.0,
                         help="minimum candidate pairs per record")
@@ -477,20 +447,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     print(format_table(extraction_rows, title="Feature extraction — single process"))
-    print(format_table(matching_rows, title="run_matching — warm pool / profile cache"))
+    print(format_table(matching_rows, title="run_matching — workers × executor"))
     print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed, "
-          f"{speedups['profile_store_vs_per_pair']:.2f}x vs --no-profile-cache")
-    print("determinism: every configuration == serial reference, bitwise — OK")
+          f"{speedups['profile_store_vs_per_pair']:.2f}x vs the per-pair extractor")
+    print("determinism: every configuration == matcher.decide, bitwise — OK")
 
     # Parallel speedup is only a meaningful claim when the box actually has
     # the cores: on cpu_count < workers the same rows measure pure engine
     # overhead and the assertion is recorded as skipped instead of failed.
     speedup_checks: list[dict[str, object]] = []
     for row in matching_rows:
-        if row["Workers"] == 1 or row["Warm pool"] != "on" or row["Profile cache"] != "on":
+        if row["Workers"] == 1:
             continue
-        if row["Columnar"] != "on":
-            continue  # one parallel check per workers × executor point
         check = {
             "workers": row["Workers"],
             "executor": row["Executor"],
@@ -501,30 +469,24 @@ def main(argv: Sequence[str] | None = None) -> int:
             check["status"] = "skipped (cpu_count < workers)"
             print(f"speedup assertion skipped: {row['Workers']} {row['Executor']} "
                   f"workers on {row['cpu_count']} core(s)")
+        elif row["Executor"] == "thread":
+            # Feature extraction is mostly pure Python: the GIL serialises
+            # thread workers, so a thread row documents overhead only.
+            check["status"] = "skipped (thread executor, GIL-bound)"
         elif args.quick:
             check["status"] = "skipped (quick run)"
         else:
             assert row["Speedup"] >= 1.0, (
-                f"warm-pool parallel matching lost to serial: "
+                f"parallel matching lost to serial: "
                 f"{row['Speedup']}x at workers={row['Workers']}, "
                 f"executor={row['Executor']} on {row['cpu_count']} core(s)"
             )
             check["status"] = "asserted >= 1.0x"
         speedup_checks.append(check)
 
-    def serial_row(columnar: str) -> dict[str, object]:
-        return next(
-            row for row in matching_rows
-            if row["Workers"] == 1 and row["Profile cache"] == "on"
-            and row["Columnar"] == columnar
-        )
-
-    route_speedup = (
-        serial_row("on")["Pairs / s"] / serial_row("off")["Pairs / s"]
+    serial_throughput = next(
+        row["Pairs / s"] for row in matching_rows if row["Workers"] == 1
     )
-    print(f"columnar dispatch: {route_speedup:.2f}x vs the serial object route "
-          f"({serial_row('on')['Pairs / s']:.0f} vs "
-          f"{serial_row('off')['Pairs / s']:.0f} pairs/s)")
 
     if not args.quick:
         assert ratio >= 10.0, f"candidate set too thin: pairs/records = {ratio:.1f}"
@@ -532,12 +494,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "profile-store extraction fell below the pinned 3x speedup: "
             f"{speedups['profile_store_vs_seed']:.2f}x"
         )
-        # The columnar-dispatch tentpole's floor: serial end-to-end
-        # run_matching at >= 3x the pre-profile-subsystem 35.0k pairs/s
-        # baseline (the first recorded BENCH_matching.json serial row).
-        serial_throughput = serial_row("on")["Pairs / s"]
+        # Serial end-to-end run_matching at >= 3x the pre-profile-subsystem
+        # 35.0k pairs/s baseline (the first recorded BENCH_matching.json
+        # serial row).
         assert serial_throughput >= 3.0 * _SEED_SERIAL_PAIRS_PER_S, (
-            "serial columnar run_matching fell below 3x the seed baseline: "
+            "serial run_matching fell below 3x the seed baseline: "
             f"{serial_throughput:.0f} pairs/s vs "
             f"{3.0 * _SEED_SERIAL_PAIRS_PER_S:.0f} required"
         )
@@ -564,10 +525,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "run_matching": {
             "rows": matching_rows,
             "parallel_speedup_checks": speedup_checks,
-            "columnar_vs_object_serial": round(route_speedup, 3),
+            "serial_pairs_per_s": serial_throughput,
             "seed_serial_pairs_per_s": _SEED_SERIAL_PAIRS_PER_S,
         },
-        "determinism": {"all_configs_equal_serial_bitwise": True},
+        "determinism": {"all_configs_equal_decide_bitwise": True},
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     filename = "BENCH_matching_quick.json" if args.quick else "BENCH_matching.json"

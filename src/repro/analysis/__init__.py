@@ -3,7 +3,7 @@
 An AST-based rule-plugin lint framework that mechanically enforces the
 invariants every subsystem of this repository is built on — byte-identical
 determinism, the flag-gated two-phase protocols
-(``shardable``/``delta_capable``/``profile_capable``), worker-pool payload
+(``shardable``/``delta_capable``), worker-pool payload
 picklability and lock coverage, and registry name resolution.  The golden
 suites prove these contracts *held on one run*; the linter proves the code
 cannot quietly stop honouring them.

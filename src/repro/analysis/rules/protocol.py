@@ -3,15 +3,10 @@
 The execution engine dispatches on *class-level capability flags*:
 ``shardable`` gates the two-phase blocking protocol
 (:meth:`~repro.blocking.base.Blocking.prepare` /
-:meth:`~repro.blocking.base.Blocking.candidates_for`), ``delta_capable``
+:meth:`~repro.blocking.base.Blocking.candidates_for`) and ``delta_capable``
 gates incremental index updates
-(:meth:`~repro.blocking.base.Blocking.delta_update`), and
-``profile_capable`` gates profiled inference
-(:meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` /
-``decide_profiled``), and ``columnar_capable`` gates vectorised phase-2
-scoring over the columnar profile store
-(:meth:`~repro.matching.base.PairwiseMatcher.score_profiled`).  A flag set
-without the methods fails at *fan-out time* deep inside a worker; methods
+(:meth:`~repro.blocking.base.Blocking.delta_update`).  A flag set without
+the methods fails at *fan-out time* deep inside a worker; methods
 implemented without the flag silently never run.  Both drifts are
 statically visible, so this rule catches them at lint time.
 
@@ -33,22 +28,6 @@ from repro.analysis.registry import register_rule
 PROTOCOL_METHODS: dict[str, tuple[str, ...]] = {
     "shardable": ("prepare", "candidates_for"),
     "delta_capable": ("delta_update",),
-    "profile_capable": ("prepare_profiles", "decide_profiled"),
-    "columnar_capable": ("score_profiled",),
-}
-
-#: Protocol methods with a working default implementation — overriding one
-#: still implies the flag (inverse check) but absence is never an error.
-OPTIONAL_PROTOCOL_METHODS: dict[str, str] = {
-    "decide_profiled_batches": "profile_capable",
-}
-
-#: flag -> the flag it presupposes: the dependent protocol only makes sense
-#: inside the base one (``score_profiled`` consumes the store
-#: ``prepare_profiles`` builds, so columnar scoring without the profiled
-#: protocol can never be dispatched by the engine).
-FLAG_REQUIRES: dict[str, str] = {
-    "columnar_capable": "profile_capable",
 }
 
 #: method -> flag, for the inverse (method-without-flag) check.
@@ -57,18 +36,12 @@ _METHOD_TO_FLAG: dict[str, str] = {
     for flag, methods in PROTOCOL_METHODS.items()
     for method in methods
 }
-_METHOD_TO_FLAG.update(OPTIONAL_PROTOCOL_METHODS)
 
 #: The inverse check only fires when a base-class name hints that the class
 #: actually participates in the protocol family — ``prepare`` is a common
 #: method name, and e.g. ``ProfileStore.prepare`` has nothing to do with the
-#: shardable protocol.
-_FLAG_BASE_HINTS: dict[str, tuple[str, ...]] = {
-    "shardable": ("Blocking",),
-    "delta_capable": ("Blocking",),
-    "profile_capable": ("Matcher",),
-    "columnar_capable": ("Matcher",),
-}
+#: shardable protocol.  Both protocols belong to the blocking family.
+_PROTOCOL_BASE_HINT = "Blocking"
 
 
 @dataclass
@@ -81,10 +54,9 @@ class ClassProtocolInfo:
     flags: dict[str, bool] = field(default_factory=dict)
     #: flag -> the assignment node (for finding positions).
     flag_nodes: dict[str, ast.stmt] = field(default_factory=dict)
-    #: Protocol methods with a real body defined directly in the class.
+    #: Protocol methods with a real body defined directly in the class
+    #: (stubs — docstring + raise / ``...`` — define, not implement).
     implemented: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    #: Protocol methods defined as stubs (docstring + raise / ``...``).
-    stubs: set[str] = field(default_factory=set)
     base_names: tuple[str, ...] = ()
 
 
@@ -137,11 +109,8 @@ def analyze_class(node: ast.ClassDef) -> ClassProtocolInfo:
                 info.flags[target.id] = value.value
                 info.flag_nodes[target.id] = stmt
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if stmt.name in _METHOD_TO_FLAG:
-                if _is_stub(stmt):
-                    info.stubs.add(stmt.name)
-                else:
-                    info.implemented[stmt.name] = stmt
+            if stmt.name in _METHOD_TO_FLAG and not _is_stub(stmt):
+                info.implemented[stmt.name] = stmt
     return info
 
 
@@ -151,16 +120,13 @@ class ProtocolConformanceRule(LintRule):
 
     name = "protocol-conformance"
     description = (
-        "a class setting shardable/delta_capable/profile_capable/"
-        "columnar_capable = True must implement the protocol's methods in "
-        "its body, and vice versa; columnar_capable additionally "
-        "presupposes profile_capable"
+        "a class setting shardable/delta_capable = True must implement the "
+        "protocol's methods in its body, and vice versa"
     )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         info = analyze_class(node)
         self._check_flags_have_methods(info)
-        self._check_flag_dependencies(info)
         self._check_methods_have_flags(info)
 
     def _check_flags_have_methods(self, info: ClassProtocolInfo) -> None:
@@ -180,35 +146,11 @@ class ProtocolConformanceRule(LintRule):
                     "static analysis; restate or suppress)",
                 )
 
-    def _check_flag_dependencies(self, info: ClassProtocolInfo) -> None:
-        for flag, required in FLAG_REQUIRES.items():
-            if info.flags.get(flag) is not True:
-                continue
-            if info.flags.get(required) is True:
-                continue
-            self.report(
-                info.flag_nodes[flag],
-                f"class {info.name} sets {flag} = True without "
-                f"{required} = True — the {flag} protocol only runs inside "
-                f"the {required} one (the engine dispatches "
-                f"{', '.join(m + '()' for m in PROTOCOL_METHODS[flag])} "
-                "against the prepared profile store); declare "
-                f"{required} = True in the class body (inherited flags are "
-                "invisible to static analysis; restate or suppress)",
-            )
-
     def _check_methods_have_flags(self, info: ClassProtocolInfo) -> None:
         for method, fn in info.implemented.items():
             flag = _METHOD_TO_FLAG[method]
             declared = info.flags.get(flag)
             if declared is True:
-                continue
-            if method in OPTIONAL_PROTOCOL_METHODS and any(
-                required in info.stubs for required in PROTOCOL_METHODS[flag]
-            ):
-                # The protocol-defining base class: the required methods are
-                # stubs and the optional method carries the default
-                # implementation (e.g. PairwiseMatcher.decide_profiled_batches).
                 continue
             if declared is False:
                 self.report(
@@ -218,8 +160,7 @@ class ProtocolConformanceRule(LintRule):
                     "the flag or drop the method",
                 )
                 continue
-            hints = _FLAG_BASE_HINTS[flag]
-            if any(hint in base for base in info.base_names for hint in hints):
+            if any(_PROTOCOL_BASE_HINT in base for base in info.base_names):
                 self.report(
                     fn,
                     f"class {info.name} implements the {flag}-protocol "

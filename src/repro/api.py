@@ -103,7 +103,7 @@ def build_pipeline(
     or a bare :class:`PipelineSpec` for full manual control.
 
     The returned pipeline owns its execution runtime: under a parallel
-    ``[pipeline.runtime]`` with the (default) warm pool, worker processes
+    ``[pipeline.runtime]``, worker processes
     persist across :meth:`~repro.core.pipeline.EntityGroupMatchingPipeline.run`
     calls — call ``pipeline.close()`` when done, or use the pipeline as a
     context manager.

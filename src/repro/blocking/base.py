@@ -87,8 +87,8 @@ class Blocking(ABC):
         """Phase 1 of the sharded protocol: build the chunk-shared state.
 
         Runs once, in the parent process; the returned object is shipped to
-        every worker (for process pools: once per worker, via the pool
-        initializer) and must be picklable.
+        every worker (for process pools: once per revision, via the worker
+        pool's epoch protocol) and must be picklable.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support record-sharded "

@@ -86,9 +86,6 @@ _RUNTIME_FLAG_KEYS = (
     "batch_size",
     "executor",
     "blocking_shards",
-    "profile_cache",
-    "columnar_dispatch",
-    "warm_pool",
     "trace",
 )
 
@@ -113,28 +110,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> N
                         default=None if overrides else 1,
                         help="record chunks candidate generation is sharded "
                              "into (1 = one task per blocking)")
-    parser.add_argument("--profile-cache", action=argparse.BooleanOptionalAction,
-                        default=None if overrides else True,
-                        help="score pairwise inference from per-record feature "
-                             "profiles prepared once per run (byte-identical "
-                             "output either way; --no-profile-cache forces the "
-                             "per-pair recompute path)")
-    parser.add_argument("--columnar-dispatch", action=argparse.BooleanOptionalAction,
-                        default=None if overrides else True,
-                        help="dispatch pairwise matching through the matcher's "
-                             "columnar score_profiled kernel, carrying "
-                             "probability arrays between stages and "
-                             "materialising decision objects lazily "
-                             "(byte-identical output either way; "
-                             "--no-columnar-dispatch forces the per-pair "
-                             "decision-object route)")
-    parser.add_argument("--warm-pool", action=argparse.BooleanOptionalAction,
-                        default=None if overrides else True,
-                        help="keep one persistent worker pool across pipeline "
-                             "stages and ingest batches, shipping shared state "
-                             "once per revision (byte-identical output either "
-                             "way; --no-warm-pool restores the pool-per-call "
-                             "engine)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="stream a structured run trace (spans + metrics, "
                              "JSON Lines) to this file; inspect it with "
@@ -346,9 +321,6 @@ def _command_match(args: argparse.Namespace) -> int:
                     batch_size=args.batch_size,
                     executor=args.executor,
                     blocking_shards=args.blocking_shards,
-                    profile_cache=args.profile_cache,
-                    columnar_dispatch=args.columnar_dispatch,
-                    warm_pool=args.warm_pool,
                     trace=args.trace,
                 ),
             ),

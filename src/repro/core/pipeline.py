@@ -63,9 +63,8 @@ class PipelineResult:
     #: Candidate pairs emitted by the blocking.
     candidates: list[CandidatePair]
     #: Full decisions (probability + verdict) for every candidate pair — a
-    #: ``list[MatchDecision]`` on the object routes, a lazy array-backed
-    #: :class:`~repro.matching.decisions.DecisionVector` under columnar
-    #: dispatch (element-wise identical; indexing materialises decisions).
+    #: lazy array-backed :class:`~repro.matching.decisions.DecisionVector`
+    #: (indexing materialises decisions).
     decisions: Sequence[MatchDecision]
     #: Positively predicted pairs (before any clean-up).
     positive_edges: list[Edge]

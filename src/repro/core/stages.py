@@ -57,9 +57,8 @@ class PipelineContext:
     profiler: StageProfiler
 
     candidates: list[CandidatePair] = field(default_factory=list)
-    #: ``list[MatchDecision]`` on the object routes, a lazy
-    #: :class:`~repro.matching.decisions.DecisionVector` under columnar
-    #: dispatch — element-wise identical either way.
+    #: A lazy :class:`~repro.matching.decisions.DecisionVector` from the
+    #: engine; stages inserted by callers may substitute any decision list.
     decisions: Sequence[MatchDecision] = field(default_factory=list)
     positive_edges: list[Edge] = field(default_factory=list)
     edge_blockings: dict[tuple[str, str], str] = field(default_factory=dict)

@@ -205,9 +205,9 @@ class IncrementalMatcher:
     def close(self) -> None:
         """Release the runtime's persistent worker pool.
 
-        The warm pool (and the shipped profile store) stays live *between*
-        :meth:`ingest` batches on purpose — that is the whole point of the
-        warm pool — so call this when done ingesting, or use the matcher as
+        The pool (and the shipped profile store) stays live *between*
+        :meth:`ingest` batches on purpose — that is what makes multi-batch
+        ingestion fast — so call this when done ingesting, or use the matcher as
         a context manager.  The matcher stays usable afterwards; the next
         parallel ingest respawns the pool.
         """
@@ -468,24 +468,20 @@ class IncrementalMatcher:
                     for candidate in new_pairs
                 ],
             )
-            # Columnar route: the scored DecisionVector's arrays are adopted
-            # directly — no decision objects are built on either side.
+            # The scored DecisionVector's arrays are adopted directly — no
+            # decision objects are built on either side.
             cache.extend(new_keys, scored)
         return cache.vector(keys)
 
     def _extend_profiles(self, new_pairs: Sequence[CandidatePair]):
         """Grow the persistent profile store to cover the pairs to score.
 
-        Returns the store to pass to the engine, or ``None`` when the
-        matcher runs unprofiled (the engine then resolves record pairs
-        directly).  Stores that cannot append (no ``add_records``) are not
-        persisted — the engine prepares a fresh per-call store instead.
+        Returns the profiles to pass to the engine.  Profiles that cannot
+        append (no ``add_records`` — e.g. the base matcher's id → record
+        mapping) are not persisted; each call prepares them afresh for the
+        records it references.
         """
         state = self.state
-        if not (
-            self.runtime.config.profile_cache and state.matcher.profile_capable
-        ):
-            return None
         referenced: dict[str, None] = {}
         for candidate in new_pairs:
             referenced.setdefault(candidate.left_id)

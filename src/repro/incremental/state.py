@@ -220,8 +220,8 @@ class MatchState:
                 "whole_part_pairs": self.whole_part_pairs,
             },
             _MATCHING_FILE: {
-                # ProfileStore.__getstate__ drops its transient similarity
-                # memo caches here, exactly like the worker-shipping path.
+                # ProfileStore pickles as its columnar arrays, exactly like
+                # the worker-shipping path.
                 "profiles": self.profiles,
                 "decisions": self.decisions,
             },

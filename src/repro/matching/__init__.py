@@ -17,7 +17,7 @@ serialised record pair, produce a Match / NoMatch probability.
   derivations computed once, pairs scored from profiles,
 * :mod:`repro.matching.decisions` — array-backed decision containers
   (:class:`DecisionVector` / :class:`DecisionCache`) for the engine's
-  columnar dispatch route and the incremental decision cache,
+  matching output and the incremental decision cache,
 * :mod:`repro.matching.logistic` — logistic-regression matcher,
 * :mod:`repro.matching.nn` — numpy neural-network building blocks,
 * :mod:`repro.matching.attention` — the Transformer-style cross-encoder

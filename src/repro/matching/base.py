@@ -4,6 +4,14 @@ Every matcher — neural, feature-based or heuristic — consumes *record pairs*
 and produces Match / NoMatch decisions with a probability.  The entity group
 matching pipeline only depends on this interface (Figure 1 explicitly
 supports "any matching method that produces pairwise matches").
+
+The execution engine scores every matcher through one two-phase route,
+:meth:`PairwiseMatcher.prepare_profiles` once per run and
+:meth:`PairwiseMatcher.score_profiled` per chunk of id pairs.  The base
+class implements both over plain records, so a matcher only has to supply
+:meth:`PairwiseMatcher.predict_proba`; feature-based matchers override the
+pair with a prepared :class:`~repro.matching.profiles.ProfileStore` and a
+vectorised scorer.
 """
 
 from __future__ import annotations
@@ -48,55 +56,39 @@ class MatchDecision:
 RecordPair = tuple[Record, Record]
 
 
-#: An unordered pair referenced by record id — the task payload of the
-#: profiled inference path (the records themselves live in the profile
-#: store, shipped to each worker once).
+#: An unordered pair referenced by record id — the task payload of pairwise
+#: inference (the records themselves live in the prepared profiles, shipped
+#: to each worker once).
 IdPair = tuple[str, str]
 
 
 class PairwiseMatcher(ABC):
     """Binary Match / NoMatch classifier over record pairs.
 
-    Besides the record-pair entry points, a matcher may opt into the
-    *profiled* two-phase protocol (``profile_capable = True``), the matching
+    Besides the record-pair entry points, every matcher implements the
+    two-phase protocol the execution engine dispatches through, the matching
     analogue of the blocking layer's shardable protocol:
 
-    1. :meth:`prepare_profiles` derives per-record state from the dataset
-       once (for the feature-based matchers: a
-       :class:`~repro.matching.profiles.ProfileStore`).  Runs in the parent
-       process; the result must be picklable.
-    2. :meth:`decide_profiled` scores chunks of bare ``(left_id, right_id)``
-       pairs against that state, embarrassingly parallel across chunks.
+    1. :meth:`prepare_profiles` derives per-record state once per run.  Runs
+       in the parent process; the result must be picklable.
+    2. :meth:`score_profiled` scores chunks of bare ``(left_id, right_id)``
+       pairs against that state into a float64 probability vector,
+       embarrassingly parallel across chunks.
 
-    The contract: for any chunking of the candidate list,
-    ``decide_profiled(prepare_profiles(dataset), ids)`` must equal
-    ``decide(pairs)`` on the corresponding record pairs **byte for byte**
-    (same probabilities, same verdicts) — profiles precompute record-local
-    work, they never change it.
-
-    Profiled matchers whose phase-2 scoring is vectorised over the columnar
-    :class:`~repro.matching.profiles.ProfileStore` additionally set
-    ``columnar_capable = True`` and implement :meth:`score_profiled`, the
-    array-in/array-out core :meth:`decide_profiled` is a thin wrapper over.
-    The execution engine's columnar dispatch route sends chunks straight to
-    :meth:`score_profiled` and wraps the probability arrays in a lazy
-    :class:`~repro.matching.decisions.DecisionVector` — which is why the
-    columnar protocol only exists *inside* the profiled one: the flag and
-    the method come as a pair, and ``columnar_capable = True`` presupposes
-    ``profile_capable = True``.  The protocol-conformance lint rule enforces
-    both couplings.
+    The defaults keep the records themselves as the "profiles" and call
+    :meth:`predict_proba` on each chunk's record pairs.  Matchers with
+    record-local precomputation override both (a
+    :class:`~repro.matching.profiles.ProfileStore` plus array expressions).
+    The contract: for every chunk,
+    ``score_profiled(prepare_profiles(records), ids)`` must equal
+    ``predict_proba(pairs)`` on that chunk's record pairs **byte for byte**
+    — profiles precompute record-local work, they never change it.
+    :meth:`decide` on record pairs is the oracle the engine is tested
+    against.
     """
 
     #: Decision threshold applied to the match probability.
     threshold: float = 0.5
-
-    #: Whether this matcher implements the profiled two-phase protocol.
-    profile_capable: bool = False
-
-    #: Whether phase 2 is vectorised over the columnar store:
-    #: ``score_profiled`` returns the probability vector as one float64
-    #: array, with no per-pair Python in the scoring loop.
-    columnar_capable: bool = False
 
     @abstractmethod
     def predict_proba(self, pairs: Sequence[RecordPair]) -> list[float]:
@@ -119,71 +111,30 @@ class PairwiseMatcher(ABC):
             for (left, right), probability in zip(pairs, probabilities)
         ]
 
-    def decide_batches(
-        self, batches: Sequence[Sequence[RecordPair]]
-    ) -> list[list[MatchDecision]]:
-        """Decide several batches of pairs through one batched entry point.
-
-        This is the inference path of the execution engine: each batch is
-        one (vectorised) :meth:`decide` call, so per-call overhead is
-        amortized over ``batch_size`` pairs while the *numeric batch shape
-        stays exactly the chunking the engine chose*.  That shape stability
-        is deliberate — BLAS reductions are not bitwise-reproducible across
-        matrix shapes, so flattening batches into one fused call can flip
-        borderline probabilities at the last ULP and break the engine's
-        serial/parallel determinism guarantee.  Matchers whose arithmetic
-        is shape-independent may override this with a fused implementation.
-        """
-        return [self.decide(batch) for batch in batches]
-
-    # -- profiled inference (opt-in) --------------------------------------------
+    # -- two-phase inference (the engine's route) ------------------------------
 
     def prepare_profiles(self, records: Iterable[Record]) -> Any:
-        """Phase 1 of the profiled protocol: per-record state, built once.
+        """Phase 1: per-record state, built once per run.
 
         Runs in the parent process; the returned object is shipped to every
-        worker (for process pools: once per worker, via the pool
-        initializer) and must be picklable.
+        process-pool worker (once per revision, via the worker pool's epoch
+        protocol) and must be picklable.  The default is an id → record
+        mapping, which :meth:`score_profiled` resolves pairs against.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support profiled inference "
-            "(profile_capable=False)"
-        )
-
-    def decide_profiled(
-        self, profiles: Any, id_pairs: Sequence[IdPair]
-    ) -> list[MatchDecision]:
-        """Phase 2: decisions for one chunk of id pairs, from profiles only."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support profiled inference "
-            "(profile_capable=False)"
-        )
+        return {record.record_id: record for record in records}
 
     def score_profiled(self, profiles: Any, id_pairs: Sequence[IdPair]) -> np.ndarray:
-        """Columnar phase 2: the probability vector for one chunk of id pairs.
+        """Phase 2: the probability vector for one chunk of id pairs.
 
         Returns a float64 array of length ``len(id_pairs)`` whose values are
-        bitwise those :meth:`decide_profiled` would attach to its decisions
-        — the columnar path changes where the arithmetic runs (array
-        expressions over the store's columns), never what it computes.
+        bitwise those :meth:`predict_proba` returns for the corresponding
+        record pairs.  The default resolves the pairs through the mapping
+        :meth:`prepare_profiles` built and calls :meth:`predict_proba` on
+        the whole chunk, so a vectorised matcher sees exactly the batch
+        shape the engine chose.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support columnar scoring "
-            "(columnar_capable=False)"
-        )
-
-    def decide_profiled_batches(
-        self, profiles: Any, batches: Sequence[Sequence[IdPair]]
-    ) -> list[list[MatchDecision]]:
-        """Batched entry point of the profiled path.
-
-        One :meth:`decide_profiled` call per batch, mirroring
-        :meth:`decide_batches` — the numeric batch shape a vectorised
-        matcher sees stays exactly the chunking the engine chose, which is
-        what keeps profiled and record-pair inference bit-identical at any
-        worker count.
-        """
-        return [self.decide_profiled(profiles, batch) for batch in batches]
+        pairs = [(profiles[left_id], profiles[right_id]) for left_id, right_id in id_pairs]
+        return np.asarray(self.predict_proba(pairs), dtype=np.float64)
 
     def score_pairs(self, pairs: Sequence[RecordPair]) -> list[ScoredPair]:
         """Return scored pairs without applying the threshold."""

@@ -1,12 +1,11 @@
-"""Array-backed decision containers for the columnar matching path.
+"""Array-backed decision containers for pairwise matching.
 
-The execution engine's columnar dispatch route (``columnar_dispatch`` on a
-:class:`~repro.runtime.config.RuntimeConfig`) keeps the matcher's
+The execution engine keeps every matcher's
 :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` output columnar
 all the way to the API boundary: chunk tasks return float64 probability
 arrays, and the engine wraps the concatenated result in a
-:class:`DecisionVector` — a lazy sequence that *behaves* like the
-``list[MatchDecision]`` the object route returns but only materialises
+:class:`DecisionVector` — a lazy sequence that *behaves* like a
+``list[MatchDecision]`` but only materialises
 :class:`~repro.matching.base.MatchDecision` objects where a consumer
 actually indexes or iterates.  Stage-internal consumers never do: the
 pre-cleanup stage reads the kept-edge mask straight off the probability
@@ -18,12 +17,11 @@ by the same parallel arrays instead of a dict of decision objects.  A delta
 ingest appends the newly scored arrays and gathers the candidate-order
 :class:`DecisionVector` by row index — no per-pair objects on either side.
 
-Bitwise contract (pinned by the golden columnar suite): a vector's
-materialised decisions equal the object route's byte for byte.  The
-argument is mechanical — ``decide_profiled`` builds each decision as
-``probability=float(scores[i])`` / ``is_match = probability >= threshold``
-from the very array ``score_profiled`` returns, and the vector applies the
-identical conversions lazily.
+Bitwise contract (pinned by the engine's oracle suite): a vector's
+materialised decisions equal ``matcher.decide`` on the record pairs byte
+for byte.  ``decide`` builds each decision as ``probability >= threshold``
+from ``predict_proba``; the vector applies ``float(probabilities[i])`` /
+``probabilities[i] >= threshold`` to bitwise the same values.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ class DecisionVector(Sequence):
     the boolean verdict mask; ``vector[i]`` / iteration materialise
     equivalent :class:`MatchDecision` objects on demand.  Equality compares
     element-wise against any other decision sequence (vector or list), so
-    golden suites can diff the columnar and object routes directly.
+    tests can diff the engine's output against ``matcher.decide`` directly.
     """
 
     __slots__ = ("pairs", "probabilities", "threshold", "_mask")
@@ -173,8 +171,8 @@ class DecisionCache:
     ) -> None:
         """Append newly scored decisions (aligned with their cache keys).
 
-        Accepts the columnar engine's :class:`DecisionVector` (arrays are
-        adopted directly) or a plain decision list from the object route.
+        Accepts the engine's :class:`DecisionVector` (arrays are adopted
+        directly) or a plain decision list (the v1-state migration path).
         """
         if isinstance(scored, DecisionVector):
             pairs = scored.pairs

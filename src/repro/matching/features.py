@@ -21,8 +21,8 @@ Since the columnar refactor the store path is vectorised: every
 Set-overlap features run as sorted-id intersection counts over the store's
 CSR columns, attribute agreements as interned-id equality, and the string
 similarities as batched kernels (:mod:`repro.text.batch_similarity`) over
-the *deduplicated* unique string pairs, gathered back per pair through the
-store's similarity memo caches.  The byte-identity contract carries over
+the *deduplicated* unique string pairs of each batch, gathered back per
+pair.  The byte-identity contract carries over
 from the row path: every column replays the same float64 operations on the
 same values as the scalar extraction (int→float divisions of exact counts,
 kernels bitwise-equal to their scalar forms), so the matrix is bitwise
@@ -86,13 +86,10 @@ def _unique_id_pairs(
     return (unique_keys >> 32), (unique_keys & 0xFFFFFFFF), inverse
 
 
-def _pack_missing_pairs(
-    strings: Sequence[str],
-    left_ids: np.ndarray,
-    right_ids: np.ndarray,
-    missing: list[int],
+def _pack_pairs(
+    strings: Sequence[str], left_ids: np.ndarray, right_ids: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Packed codepoint matrices + ids for the cache-missing unique pairs.
+    """Packed codepoint matrices + ids for unique interned-id string pairs.
 
     Each *distinct* string id is packed exactly once per side and gathered
     back per pair — on dense candidate sets (many pairs over few records)
@@ -101,10 +98,8 @@ def _pack_missing_pairs(
     touching characters, and the per-row interned ids themselves, which the
     bit-parallel kernels use to dedup their equality tables exactly.
     """
-    miss_left = left_ids[missing]
-    miss_right = right_ids[missing]
-    distinct_left, inverse_left = np.unique(miss_left, return_inverse=True)
-    distinct_right, inverse_right = np.unique(miss_right, return_inverse=True)
+    distinct_left, inverse_left = np.unique(left_ids, return_inverse=True)
+    distinct_right, inverse_right = np.unique(right_ids, return_inverse=True)
     left_codes, left_lengths = pack_codepoints(
         [strings[index] for index in distinct_left], fill=PAD_LEFT
     )
@@ -116,9 +111,9 @@ def _pack_missing_pairs(
         left_lengths[inverse_left],
         right_codes[inverse_right],
         right_lengths[inverse_right],
-        miss_left == miss_right,
-        miss_left,
-        miss_right,
+        left_ids == right_ids,
+        left_ids,
+        right_ids,
     )
 
 
@@ -137,16 +132,12 @@ def _pad_concat(first: np.ndarray, second: np.ndarray, fill: int) -> np.ndarray:
 
 
 def _concat_packed(first, second):
-    """Concatenate two ``_pack_missing_pairs`` results into one batch.
+    """Concatenate two ``_pack_pairs`` results into one batch.
 
     Extra padding columns cannot change any kernel value: the distinct
     left/right pad codes never compare equal and every kernel is bounded by
     the per-row lengths, which are carried through unchanged.
     """
-    if first is None:
-        return second
-    if second is None:
-        return first
     return (
         _pad_concat(first[0], second[0], PAD_LEFT),
         np.concatenate((first[1], second[1])),
@@ -164,110 +155,35 @@ def gather_pair_similarities(
     """Per-pair (name jw, name lev, name lcs, stripped jw) in one sweep.
 
     Semantically :func:`gather_name_similarities` +
-    :func:`gather_stripped_similarities` (same caches, same keys, same
-    values), but the two Jaro–Winkler kernel invocations are fused into one
-    packed batch over the union of cache-missing pairs — per-DP-step fixed
-    costs are paid once instead of twice on the extraction hot path.
+    :func:`gather_stripped_similarities` (same values), but the two
+    Jaro–Winkler kernel invocations are fused into one packed batch over
+    both sets of unique pairs — per-DP-step fixed costs are paid once
+    instead of twice on the extraction hot path.
     """
     strings = store.strings
-
     name_left, name_right, name_inverse = _unique_id_pairs(
         store.name_ids[left_rows], store.name_ids[right_rows]
     )
-    name_cache = store.name_similarity_cache
-    name_count = len(name_left)
-    name_keys = list(
-        zip(
-            [strings[i] for i in name_left.tolist()],
-            [strings[i] for i in name_right.tolist()],
-        )
-    )
-    name_jw = np.empty(name_count, dtype=np.float64)
-    name_lev = np.empty(name_count, dtype=np.float64)
-    name_lcs = np.empty(name_count, dtype=np.float64)
-    name_missing: list[int] = []
-    if name_cache:
-        for index, key in enumerate(name_keys):
-            sims = name_cache.get(key)
-            if sims is None:
-                name_missing.append(index)
-            else:
-                name_jw[index], name_lev[index], name_lcs[index] = sims
-    else:
-        name_missing = list(range(name_count))
-
     stripped_left, stripped_right, stripped_inverse = _unique_id_pairs(
         store.stripped_ids[left_rows], store.stripped_ids[right_rows]
     )
-    stripped_cache = store.stripped_similarity_cache
-    stripped_count = len(stripped_left)
-    stripped_keys = list(
-        zip(
-            [strings[i] for i in stripped_left.tolist()],
-            [strings[i] for i in stripped_right.tolist()],
-        )
+    name_packed = _pack_pairs(strings, name_left, name_right)
+    merged = _concat_packed(
+        name_packed, _pack_pairs(strings, stripped_left, stripped_right)
     )
-    stripped_jw = np.empty(stripped_count, dtype=np.float64)
-    stripped_missing: list[int] = []
-    if stripped_cache:
-        for index, key in enumerate(stripped_keys):
-            value = stripped_cache.get(key)
-            if value is None:
-                stripped_missing.append(index)
-            else:
-                stripped_jw[index] = value
-    else:
-        stripped_missing = list(range(stripped_count))
-
-    store.sim_cache_misses += len(name_missing) + len(stripped_missing)
-    store.sim_cache_hits += (name_count - len(name_missing)) + (
-        stripped_count - len(stripped_missing)
+    jaro_winkler = jaro_winkler_similarity_packed(
+        *merged[:5], a_ids=merged[5], b_ids=merged[6]
     )
-    if name_missing or stripped_missing:
-        name_packed = (
-            _pack_missing_pairs(strings, name_left, name_right, name_missing)
-            if name_missing
-            else None
-        )
-        stripped_packed = (
-            _pack_missing_pairs(
-                strings, stripped_left, stripped_right, stripped_missing
-            )
-            if stripped_missing
-            else None
-        )
-        merged = _concat_packed(name_packed, stripped_packed)
-        jw_new = jaro_winkler_similarity_packed(
-            *merged[:5], a_ids=merged[5], b_ids=merged[6]
-        )
-        if name_missing:
-            lev_new = levenshtein_similarity_packed(
-                *name_packed[:5], a_ids=name_packed[5], b_ids=name_packed[6]
-            )
-            lcs_new = longest_common_substring_similarity_packed(*name_packed[:5])
-            triples = list(
-                zip(
-                    jw_new[: len(name_missing)].tolist(),
-                    lev_new.tolist(),
-                    lcs_new.tolist(),
-                )
-            )
-            for slot, index in enumerate(name_missing):
-                values = triples[slot]
-                name_cache[name_keys[index]] = values
-                name_jw[index], name_lev[index], name_lcs[index] = values
-        if stripped_missing:
-            values_new = jw_new[len(name_missing) :].tolist()
-            for slot, index in enumerate(stripped_missing):
-                value = values_new[slot]
-                stripped_cache[stripped_keys[index]] = value
-                stripped_jw[index] = value
-
+    levenshtein = levenshtein_similarity_packed(
+        *name_packed[:5], a_ids=name_packed[5], b_ids=name_packed[6]
+    )
+    lcs = longest_common_substring_similarity_packed(*name_packed[:5])
+    name_count = len(name_left)
     return (
-        name_jw[name_inverse],
-        name_lev[name_inverse],
-        name_lcs[name_inverse],
-        stripped_jw[stripped_inverse],
+        jaro_winkler[:name_count][name_inverse],
+        levenshtein[name_inverse],
+        lcs[name_inverse],
+        jaro_winkler[name_count:][stripped_inverse],
     )
 
 
@@ -276,76 +192,34 @@ def gather_name_similarities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair (jaro_winkler, levenshtein, lcs) over normalised names.
 
-    Deduplicates the string pairs, serves hits from the store's
-    ``name_similarity_cache`` (same keys and values as the row path — the
-    caches are shared), computes misses with the batched kernels (bitwise
-    equal to the scalar functions) and memoises them back.
+    Deduplicates the string pairs and computes each distinct pair once with
+    the batched kernels (bitwise equal to the scalar functions).
     """
     unique_left, unique_right, inverse = _unique_id_pairs(
         store.name_ids[left_rows], store.name_ids[right_rows]
     )
-    strings = store.strings
-    cache = store.name_similarity_cache
-    count = len(unique_left)
-    jaro_winkler = np.empty(count, dtype=np.float64)
-    levenshtein = np.empty(count, dtype=np.float64)
-    lcs = np.empty(count, dtype=np.float64)
-    missing: list[int] = []
-    for index in range(count):
-        key = (strings[unique_left[index]], strings[unique_right[index]])
-        sims = cache.get(key)
-        if sims is None:
-            missing.append(index)
-        else:
-            jaro_winkler[index], levenshtein[index], lcs[index] = sims
-    store.sim_cache_misses += len(missing)
-    store.sim_cache_hits += count - len(missing)
-    if missing:
-        packed = _pack_missing_pairs(strings, unique_left, unique_right, missing)
-        jw_new = jaro_winkler_similarity_packed(
-            *packed[:5], a_ids=packed[5], b_ids=packed[6]
-        )
-        lev_new = levenshtein_similarity_packed(
-            *packed[:5], a_ids=packed[5], b_ids=packed[6]
-        )
-        lcs_new = longest_common_substring_similarity_packed(*packed[:5])
-        for slot, index in enumerate(missing):
-            values = (float(jw_new[slot]), float(lev_new[slot]), float(lcs_new[slot]))
-            cache[(strings[unique_left[index]], strings[unique_right[index]])] = values
-            jaro_winkler[index], levenshtein[index], lcs[index] = values
+    packed = _pack_pairs(store.strings, unique_left, unique_right)
+    jaro_winkler = jaro_winkler_similarity_packed(
+        *packed[:5], a_ids=packed[5], b_ids=packed[6]
+    )
+    levenshtein = levenshtein_similarity_packed(
+        *packed[:5], a_ids=packed[5], b_ids=packed[6]
+    )
+    lcs = longest_common_substring_similarity_packed(*packed[:5])
     return jaro_winkler[inverse], levenshtein[inverse], lcs[inverse]
 
 
 def gather_stripped_similarities(
     store: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
 ) -> np.ndarray:
-    """Per-pair Jaro–Winkler over corporate-term-stripped names (memoised)."""
+    """Per-pair Jaro–Winkler over corporate-term-stripped names."""
     unique_left, unique_right, inverse = _unique_id_pairs(
         store.stripped_ids[left_rows], store.stripped_ids[right_rows]
     )
-    strings = store.strings
-    cache = store.stripped_similarity_cache
-    count = len(unique_left)
-    similarities = np.empty(count, dtype=np.float64)
-    missing: list[int] = []
-    for index in range(count):
-        key = (strings[unique_left[index]], strings[unique_right[index]])
-        value = cache.get(key)
-        if value is None:
-            missing.append(index)
-        else:
-            similarities[index] = value
-    store.sim_cache_misses += len(missing)
-    store.sim_cache_hits += count - len(missing)
-    if missing:
-        packed = _pack_missing_pairs(strings, unique_left, unique_right, missing)
-        jw_new = jaro_winkler_similarity_packed(
-            *packed[:5], a_ids=packed[5], b_ids=packed[6]
-        )
-        for slot, index in enumerate(missing):
-            value = float(jw_new[slot])
-            cache[(strings[unique_left[index]], strings[unique_right[index]])] = value
-            similarities[index] = value
+    packed = _pack_pairs(store.strings, unique_left, unique_right)
+    similarities = jaro_winkler_similarity_packed(
+        *packed[:5], a_ids=packed[5], b_ids=packed[6]
+    )
     return similarities[inverse]
 
 
@@ -602,61 +476,25 @@ class PairFeatureExtractor:
         matrix = np.empty((len(id_pairs), self.num_features), dtype=np.float64)
         for row, (left_id, right_id) in enumerate(id_pairs):
             matrix[row] = self._pair_values(
-                profiles.get(left_id), profiles.get(right_id), store=profiles
+                profiles.get(left_id), profiles.get(right_id)
             )
         return matrix
 
     # -- scoring -------------------------------------------------------------------
 
     def _pair_values(
-        self,
-        left: RecordProfile,
-        right: RecordProfile,
-        store: ProfileStore | None = None,
+        self, left: RecordProfile, right: RecordProfile
     ) -> tuple[float, ...]:
         """The feature tuple for one profile pair.
 
         Every value is computed by the same similarity call on the same
         derived strings/sets as the historical per-pair extraction, keeping
         results byte-identical.
-
-        With a ``store``, the name-similarity block is memoised per distinct
-        string pair in the store's similarity caches — records repeating a
-        name across sources then pay the quadratic string comparisons once,
-        not once per candidate pair.  Memoisation of a pure function cannot
-        change a value.
         """
-        if store is None:
-            name_jw = jaro_winkler_similarity(left.name_norm, right.name_norm)
-            name_lev = levenshtein_similarity(left.name_norm, right.name_norm)
-            name_lcs = longest_common_substring_similarity(
-                left.name_norm, right.name_norm
-            )
-            stripped_jw = jaro_winkler_similarity(left.stripped_name, right.stripped_name)
-        else:
-            name_key = (left.name_norm, right.name_norm)
-            name_sims = store.name_similarity_cache.get(name_key)
-            if name_sims is None:
-                name_sims = (
-                    jaro_winkler_similarity(left.name_norm, right.name_norm),
-                    levenshtein_similarity(left.name_norm, right.name_norm),
-                    longest_common_substring_similarity(
-                        left.name_norm, right.name_norm
-                    ),
-                )
-                store.name_similarity_cache[name_key] = name_sims
-                store.sim_cache_misses += 1
-            else:
-                store.sim_cache_hits += 1
-            name_jw, name_lev, name_lcs = name_sims
-            stripped_key = (left.stripped_name, right.stripped_name)
-            stripped_jw = store.stripped_similarity_cache.get(stripped_key)
-            if stripped_jw is None:
-                stripped_jw = jaro_winkler_similarity(*stripped_key)
-                store.stripped_similarity_cache[stripped_key] = stripped_jw
-                store.sim_cache_misses += 1
-            else:
-                store.sim_cache_hits += 1
+        name_jw = jaro_winkler_similarity(left.name_norm, right.name_norm)
+        name_lev = levenshtein_similarity(left.name_norm, right.name_norm)
+        name_lcs = longest_common_substring_similarity(left.name_norm, right.name_norm)
+        stripped_jw = jaro_winkler_similarity(left.stripped_name, right.stripped_name)
         identifier_overlaps, identifier_conflicts, isin_overlap = (
             self._identifier_features(left, right)
         )

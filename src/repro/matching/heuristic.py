@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.datagen.identifiers import identifier_overlap
 from repro.datagen.records import CompanyRecord, Record, SecurityRecord
-from repro.matching.base import IdPair, MatchDecision, PairwiseMatcher, RecordPair
+from repro.matching.base import IdPair, PairwiseMatcher, RecordPair
 from repro.matching.features import gather_stripped_similarities
 from repro.matching.profiles import ProfileStore, record_name
 from repro.text.normalize import normalize_identifier, strip_corporate_terms
@@ -57,14 +57,6 @@ class IdOverlapMatcher(PairwiseMatcher):
 class ThresholdNameMatcher(PairwiseMatcher):
     """Match records whose names exceed a Jaro–Winkler similarity threshold."""
 
-    #: Stripped names are per-record state, so a profile store carries them —
-    #: pairs then only pay the Jaro–Winkler comparison.
-    profile_capable = True
-
-    #: Profiled scoring runs the batched Jaro–Winkler kernel over the
-    #: store's interned stripped-name ids — one array sweep per chunk.
-    columnar_capable = True
-
     def __init__(self, similarity_threshold: float = 0.92) -> None:
         if not 0.0 <= similarity_threshold <= 1.0:
             raise ValueError("similarity_threshold must be in [0, 1]")
@@ -86,7 +78,7 @@ class ThresholdNameMatcher(PairwiseMatcher):
     def _probability(self, similarity: float) -> float:
         return 1.0 if similarity >= self.similarity_threshold else similarity
 
-    # -- profiled inference -------------------------------------------------------
+    # -- two-phase inference (the engine's route) ---------------------------------
 
     def prepare_profiles(self, records: Iterable[Record]) -> ProfileStore:
         return ProfileStore.prepare(records)
@@ -94,26 +86,14 @@ class ThresholdNameMatcher(PairwiseMatcher):
     def score_profiled(
         self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
     ) -> np.ndarray:
-        # The store's stripped-name column is strip_corporate_terms applied
-        # to record_name, and the batched kernel is bitwise-equal to the
-        # scalar jaro_winkler_similarity — so this vector holds exactly the
-        # probabilities decide() computes on the record pairs.
+        # A prepared store carries the stripped names, so pairs only pay the
+        # Jaro–Winkler comparison.  The store's stripped-name column is
+        # strip_corporate_terms applied to record_name, and the batched
+        # kernel is bitwise-equal to the scalar jaro_winkler_similarity — so
+        # this vector holds exactly the probabilities decide() computes on
+        # the record pairs.
         if not id_pairs:
             return np.zeros(0, dtype=np.float64)
         left_rows, right_rows = profiles.row_indices(id_pairs)
         similarities = gather_stripped_similarities(profiles, left_rows, right_rows)
         return np.where(similarities >= self.similarity_threshold, 1.0, similarities)
-
-    def decide_profiled(
-        self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
-    ) -> list[MatchDecision]:
-        probabilities = self.score_profiled(profiles, id_pairs)
-        return [
-            MatchDecision(
-                left_id=left_id,
-                right_id=right_id,
-                probability=float(probability),
-                is_match=float(probability) >= self.threshold,
-            )
-            for (left_id, right_id), probability in zip(id_pairs, probabilities)
-        ]

@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.datagen.records import Record
-from repro.matching.base import IdPair, MatchDecision, RecordPair, TrainablePairwiseMatcher
+from repro.matching.base import IdPair, RecordPair, TrainablePairwiseMatcher
 from repro.matching.features import PairFeatureExtractor
 from repro.matching.profiles import ProfileStore
 
@@ -45,15 +45,6 @@ class LogisticTrainingHistory:
 
 class LogisticRegressionMatcher(TrainablePairwiseMatcher):
     """Binary logistic regression over pair similarity features."""
-
-    #: Features come from a :class:`PairFeatureExtractor`, which scores from
-    #: per-record profiles — so the execution engine may prepare a profile
-    #: store once and feed this matcher bare id pairs.
-    profile_capable = True
-
-    #: Profiled scoring is one feature-matrix extraction plus row-local
-    #: array arithmetic — no per-pair Python until decisions are built.
-    columnar_capable = True
 
     def __init__(
         self,
@@ -215,7 +206,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
     def _probabilities(self, scaled_features: np.ndarray) -> list[float]:
         return [float(p) for p in self._probability_vector(scaled_features)]
 
-    # -- profiled inference -------------------------------------------------------
+    # -- two-phase inference (the engine's route) ---------------------------------
 
     def prepare_profiles(self, records: Iterable[Record]) -> ProfileStore:
         """Profile every record once; pairs are then scored by id."""
@@ -226,10 +217,8 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
     ) -> np.ndarray:
         """Probability vector for id pairs resolved against a profile store.
 
-        The columnar phase-2 core: feature extraction, scaling and the
-        row-local logit reduction are all array expressions — the only
-        per-pair Python left in profiled inference is building the decision
-        objects.  Byte-identical to :meth:`predict_proba` on the
+        Feature extraction, scaling and the row-local logit reduction are
+        all array expressions — no per-pair Python.  Byte-identical to :meth:`predict_proba` on the
         corresponding record pairs: the feature matrix holds the same
         float64 values in the same shape, so scaling and the row-local
         reduction see identical inputs.
@@ -240,26 +229,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             return np.zeros(0, dtype=np.float64)
         features = self._scale(self.extractor.extract_batch_profiles(profiles, id_pairs))
         return self._probability_vector(features)
-
-    def predict_proba_profiled(
-        self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
-    ) -> list[float]:
-        """Match probabilities for id pairs, as plain floats."""
-        return [float(p) for p in self.score_profiled(profiles, id_pairs)]
-
-    def decide_profiled(
-        self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
-    ) -> list[MatchDecision]:
-        probabilities = self.predict_proba_profiled(profiles, id_pairs)
-        return [
-            MatchDecision(
-                left_id=left_id,
-                right_id=right_id,
-                probability=probability,
-                is_match=probability >= self.threshold,
-            )
-            for (left_id, right_id), probability in zip(id_pairs, probabilities)
-        ]
 
     # -- introspection -----------------------------------------------------------------
 

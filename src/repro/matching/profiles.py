@@ -21,7 +21,7 @@ over pairs; see :meth:`repro.matching.features.PairFeatureExtractor.extract_batc
 The store mirrors the two-phase protocol of the sharded blocking layer:
 ``prepare(dataset)`` runs once in the parent process, the (picklable) store
 ships to process-pool workers out of band — the pickled payload *is* the
-columnar arrays, shipped once per store revision under the warm pool's
+columnar arrays, shipped once per store revision under the worker pool's
 epoch protocol — and the per-chunk task payload shrinks to bare id pairs.
 :meth:`ProfileStore.add_records` appends rows to every column in place and
 bumps ``revision``, so incremental ingest grows the store instead of
@@ -335,7 +335,7 @@ class ProfileStore:
     read by row index from the per-chunk scoring tasks.  Stores only ever
     grow: :meth:`add_records` appends one row per newly ingested record to
     every column in place — existing rows are never mutated or replaced —
-    and bumps ``revision`` so the warm pool's epoch protocol re-ships the
+    and bumps ``revision`` so the worker pool's epoch protocol re-ships the
     store exactly once per growth step.
 
     Columns (all row-aligned; strings live once in the interned table):
@@ -353,16 +353,6 @@ class ProfileStore:
       (duplicates kept), so :meth:`get` can materialise an exact
       :class:`RecordProfile` back out of the columns.
 
-    Besides the columns, a store carries transient *similarity caches*:
-    records repeat names across data sources, so candidate sets compare the
-    same (normalised) string pair many times — typically only ~a third of
-    name comparisons are distinct.  The caches memoise the pure
-    string-similarity results per distinct string pair for the lifetime of
-    the store (one run).  Cached values are bitwise identical to fresh
-    computation (the functions are deterministic), so hits can never change
-    a result; concurrent threads may at worst recompute a value.  The
-    caches are dropped on pickling — each process-pool worker rebuilds its
-    own as it scores.
     """
 
     __slots__ = (
@@ -383,10 +373,6 @@ class ProfileStore:
         "description_token_seqs",
         "isin_sets",
         "revision",
-        "name_similarity_cache",
-        "stripped_similarity_cache",
-        "sim_cache_hits",
-        "sim_cache_misses",
         "_profile_cache",
     )
 
@@ -410,29 +396,16 @@ class ProfileStore:
         self.description_token_seqs = IdSetColumn()
         self.isin_sets = IdSetColumn()
         #: Content revision, bumped whenever :meth:`add_records` grows the
-        #: store.  The warm pool's epoch protocol compares it to decide
+        #: store.  The worker pool's epoch protocol compares it to decide
         #: whether an already-shipped store is still current — a store
         #: therefore ships once per revision, not once per matching call.
         self.revision = 0
-        self._reset_transient()
-        if profiles:
-            self._append_profiles(dict(profiles).items())
-
-    def _reset_transient(self) -> None:
-        #: (name_norm, name_norm) → (jaro_winkler, levenshtein, lcs) triples.
-        self.name_similarity_cache: dict[tuple[str, str], tuple[float, float, float]] = {}
-        #: (stripped_name, stripped_name) → jaro_winkler.
-        self.stripped_similarity_cache: dict[tuple[str, str], float] = {}
-        #: Similarity-memo accounting (transient, like the caches they
-        #: count): gather paths bulk-increment these; :meth:`memo_stats`
-        #: reads them.  Counting is unconditional — two int adds per *batch*
-        #: on the gather paths — so no recorder handle needs to reach here.
-        self.sim_cache_hits = 0
-        self.sim_cache_misses = 0
         #: record id → materialised :class:`RecordProfile`, filled lazily by
         #: :meth:`get` (profiles are views over the columns, reconstructed
         #: exactly; the columns are the source of truth).
         self._profile_cache: dict[str, RecordProfile] = {}
+        if profiles:
+            self._append_profiles(dict(profiles).items())
 
     # -- construction --------------------------------------------------------
 
@@ -450,10 +423,9 @@ class ProfileStore:
         each delta instead of being rebuilt per run.  Profiles are pure
         per-record derivations, so appending rows is trivially equivalent to
         a fresh :meth:`prepare` over the union — already-profiled records
-        are skipped (their profile could not change), the string-similarity
-        memo caches stay valid (they key on strings, not records), and the
-        interned table only ever gains entries, so existing column rows keep
-        their exact ids.
+        are skipped (their profile could not change), and the interned table
+        only ever gains entries, so existing column rows keep their exact
+        ids.
         """
         builder = _ProfileBuilder()
         staged: dict[str, RecordProfile] = {}
@@ -465,16 +437,6 @@ class ProfileStore:
         if added:
             self.revision += 1
         return added
-
-    def memo_stats(self) -> tuple[int, int]:
-        """``(hits, misses)`` of the similarity memo caches so far.
-
-        Counts distinct-pair lookups on the gather paths: a *miss* computed
-        a similarity fresh, a *hit* served it from the per-store memo.
-        Transient like the caches themselves — a shipped worker copy starts
-        back at zero.
-        """
-        return self.sim_cache_hits, self.sim_cache_misses
 
     def _intern(self, value: str) -> int:
         index = self._string_ids.get(value)
@@ -603,8 +565,7 @@ class ProfileStore:
 
     def __getstate__(self) -> dict[str, object]:
         # Ship the columnar arrays themselves — the epoch protocol publishes
-        # exactly these bytes once per revision; workers warm their own
-        # transient caches.
+        # exactly these bytes once per revision.
         return {
             "format": _COLUMNAR_PICKLE_FORMAT,
             "record_ids": self._record_ids,

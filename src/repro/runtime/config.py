@@ -2,7 +2,7 @@
 
 The runtime splits the data-parallel pipeline stages (candidate generation
 and pairwise inference) into chunks and fans them out over a
-:mod:`concurrent.futures` worker pool.  Both knobs matter independently:
+:mod:`concurrent.futures` worker pool.  The settings:
 
 * ``workers`` bounds the parallelism,
 * ``batch_size`` bounds the per-task granularity — large enough to amortize
@@ -11,17 +11,10 @@ and pairwise inference) into chunks and fans them out over a
 * ``blocking_shards`` splits candidate generation itself into record chunks
   (shared index built once, per-chunk scoring fanned out), so a single
   blocking scales beyond one core,
-* ``profile_cache`` lets profile-capable matchers score pairwise inference
-  from per-record feature profiles prepared once per run (and shipped to
-  workers once), instead of re-deriving record-local state for both sides
-  of every pair,
-* ``columnar_dispatch`` keeps profiled inference columnar end to end for
-  ``columnar_capable`` matchers: chunk tasks return probability arrays,
-  decision objects materialise lazily at the API boundary,
-* ``warm_pool`` keeps one persistent worker pool alive across stage calls,
-  pipeline runs and ingest batches, shipping shared payloads through the
-  epoch protocol (once per state revision) instead of re-spawning the pool
-  and re-pickling the payload per call.
+* ``trace`` streams a structured run trace (spans + metrics) to a file.
+
+There is one execution route per stage and no route-selecting knob: every
+setting here changes where or how fast work runs, never its result.
 """
 
 from __future__ import annotations
@@ -56,35 +49,6 @@ class RuntimeConfig:
     #: per-chunk results merge in record order, so the candidates are
     #: byte-identical to the serial run.
     blocking_shards: int = 1
-    #: Score pairwise inference from per-record feature profiles when the
-    #: matcher supports them (``profile_capable``): the profile store is
-    #: prepared once in the parent, shipped to process-pool workers via the
-    #: initializer path, and chunk tasks carry bare id pairs instead of
-    #: pickled record objects.  Output is byte-identical either way — this
-    #: knob trades memory for speed, never results.  Matchers without
-    #: profile support fall back to the record-pair path automatically.
-    profile_cache: bool = True
-    #: Dispatch pairwise inference through the matcher's columnar
-    #: ``score_profiled`` kernel when the matcher is ``columnar_capable``
-    #: (and the profiled route is active): chunk tasks return float64
-    #: probability arrays instead of per-pair decision objects, and the
-    #: engine hands back a lazy
-    #: :class:`~repro.matching.decisions.DecisionVector` that materialises
-    #: :class:`~repro.matching.base.MatchDecision` objects only where a
-    #: consumer indexes them.  Output is byte-identical either way — the
-    #: vector applies exactly the conversions ``decide_profiled`` applies
-    #: eagerly.  Non-columnar matchers fall back to the object route
-    #: automatically.
-    columnar_dispatch: bool = True
-    #: Keep one persistent worker pool per runtime, spawned lazily and
-    #: reused across stage calls, pipeline runs and incremental-ingest
-    #: batches; shared payloads (profile store + matcher, blocking shared
-    #: index) ship to process workers through the epoch protocol — pickled
-    #: once per state revision, cached worker-side — instead of riding the
-    #: pool initializer on every call.  ``False`` restores the historical
-    #: pool-per-call engine.  Results are byte-identical either way; this
-    #: knob trades resident worker processes for latency, never results.
-    warm_pool: bool = True
     #: Stream a structured run trace (spans + metrics, JSON Lines) to this
     #: path; ``None`` (the default) installs the no-op recorder and the
     #: engine does no observability work at all.  Like every other knob,
@@ -106,18 +70,6 @@ class RuntimeConfig:
         if self.blocking_shards < 1:
             raise ValueError(
                 f"blocking_shards must be a positive integer, got {self.blocking_shards}"
-            )
-        if not isinstance(self.profile_cache, bool):
-            raise ValueError(
-                f"profile_cache must be a boolean, got {self.profile_cache!r}"
-            )
-        if not isinstance(self.columnar_dispatch, bool):
-            raise ValueError(
-                f"columnar_dispatch must be a boolean, got {self.columnar_dispatch!r}"
-            )
-        if not isinstance(self.warm_pool, bool):
-            raise ValueError(
-                f"warm_pool must be a boolean, got {self.warm_pool!r}"
             )
         if self.trace is not None and not isinstance(self.trace, str):
             raise ValueError(

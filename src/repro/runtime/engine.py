@@ -15,32 +15,28 @@ data-parallel stages here:
   order first, record order second — before one global de-duplication, so
   first blocking wins on duplicates exactly like the serial
   :class:`~repro.blocking.combine.CombinedBlocking`,
-* **pairwise inference** — candidates are chunked into ``batch_size`` record
-  pairs; every chunk goes through the matcher's batched
-  :meth:`~repro.matching.base.PairwiseMatcher.decide_batches` entry point,
-  one call per chunk — in-process under the serial engine, one pool task
-  per chunk under the parallel engine.  When the matcher is profile-capable
-  and ``profile_cache`` is on (the default), the matcher's
+* **pairwise inference** — one route for every matcher: the matcher's
   :meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` runs once
-  here in the parent, the store ships to each worker out of band — via the
-  warm pool's epoch protocol (once per state revision) or, under
-  ``warm_pool=False``, via the per-call pool initializer — and the
-  per-chunk payload shrinks to bare id pairs: record objects are no longer
-  re-pickled per batch, and record-local feature derivations happen once
-  per record instead of once per pair side.  When the matcher is
-  additionally ``columnar_capable`` (and ``columnar_dispatch`` is on, the
-  default), chunk tasks run the matcher's vectorised ``score_profiled``
-  kernel and return bare float64 probability arrays — the engine
+  here in the parent over the records the candidates reference, matcher +
+  profiles ship to each worker out of band (the worker pool's epoch
+  protocol, once per state revision), the candidates are chunked into
+  ``batch_size`` bare id pairs, and every chunk goes through the matcher's
+  :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` — in-process
+  under the serial engine, one pool task per chunk under the parallel
+  engine.  Chunk tasks return float64 probability arrays; the engine
   concatenates them and hands back a lazy
   :class:`~repro.matching.decisions.DecisionVector`, so no per-pair
   decision object is built (or shipped) unless a consumer at the
-  pipeline/API/CLI boundary actually indexes one.
+  pipeline/API/CLI boundary actually indexes one.  Matchers without a
+  vectorised phase 2 inherit the base-class defaults (an id → record
+  mapping and ``predict_proba`` over the chunk's record pairs), so they
+  ride the same route.
 
 The runtime owns one persistent :class:`~repro.runtime.pool.WorkerPool`
-(via its scheduler) when ``warm_pool`` is on: spawned lazily on the first
-parallel stage, reused across stage calls, pipeline runs and incremental
-batches, released by :meth:`PipelineRuntime.close` (or the context-manager
-protocol) — after which the next parallel call simply respawns it.
+(via its scheduler): spawned lazily on the first parallel stage, reused
+across stage calls, pipeline runs and incremental batches, released by
+:meth:`PipelineRuntime.close` (or the context-manager protocol) — after
+which the next parallel call simply respawns it.
 
 Determinism guarantee: chunk results are merged in submission order, every
 matcher decision depends only on its own record pair, and the chunking — the
@@ -62,7 +58,7 @@ import numpy as np
 
 from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
 from repro.datagen.records import Dataset, Record
-from repro.matching.base import IdPair, MatchDecision, PairwiseMatcher, RecordPair
+from repro.matching.base import IdPair, PairwiseMatcher
 from repro.matching.decisions import DecisionVector
 from repro.obs.sinks import JsonlSink
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
@@ -71,43 +67,25 @@ from repro.runtime.profiler import StageProfiler
 from repro.runtime.scheduler import ChunkScheduler, chunked, even_spans
 
 
-def _decide_chunk(
-    matcher: PairwiseMatcher, pairs: list[RecordPair]
-) -> list[MatchDecision]:
-    """Worker task: one inference chunk (module-level for picklability).
-
-    Goes through :meth:`decide_batches` — the same matcher entry point the
-    serial engine uses — so a matcher that overrides the batched path
-    behaves identically under both engines.
-    """
-    return matcher.decide_batches([pairs])[0]
-
-
 @dataclass(frozen=True)
 class _MatchingPlan:
-    """Per-run shared state of the profiled inference path.
+    """Per-run shared state of pairwise inference.
 
-    The matcher and its prepared profile store ride to each process-pool
-    worker once via the initializer, so chunk tasks only carry id pairs.
+    The matcher and its prepared profiles ride to each process-pool worker
+    once per revision via the epoch protocol, so chunk tasks only carry id
+    pairs.
     """
 
     matcher: PairwiseMatcher
     profiles: Any
 
 
-def _decide_profiled_chunk(
-    plan: _MatchingPlan, id_pairs: list[tuple[str, str]]
-) -> list[MatchDecision]:
-    """Worker task: one profiled inference chunk (module-level, picklable)."""
-    return plan.matcher.decide_profiled_batches(plan.profiles, [id_pairs])[0]
-
-
 def _score_profiled_chunk(
     plan: _MatchingPlan, id_pairs: list[tuple[str, str]]
 ) -> np.ndarray:
-    """Worker task of the columnar dispatch route: one chunk's probability
-    vector, as a float64 array — no per-pair decision objects are built (or
-    pickled back) anywhere in the fan-out."""
+    """Worker task: one chunk's probability vector, as a float64 array — no
+    per-pair decision objects are built (or pickled back) anywhere in the
+    fan-out."""
     return plan.matcher.score_profiled(plan.profiles, id_pairs)
 
 
@@ -120,8 +98,7 @@ class _BlockingPlan:
     dataset's records (present when any task is sharded), ``dataset`` the
     full dataset (present only when some part runs unsharded).  Everything
     bulky rides here — shipped to process workers out of band (pickled once
-    per epoch under the warm pool, once per worker via the cold-pool
-    initializer) — so the per-task payload is just a pair of indexes.
+    per epoch) — so the per-task payload is just a pair of indexes.
     """
 
     parts: tuple[Blocking, ...]
@@ -237,7 +214,7 @@ class PipelineRuntime:
         self.close()
 
     def pool_stats(self) -> dict[str, int] | None:
-        """Snapshot of the warm pool's cost counters (``None`` if no pool).
+        """Snapshot of the worker pool's cost counters (``None`` if no pool).
 
         Exposes spawn/publish/fetch counts so benchmarks and tests can
         prove that pools spawn once and payloads ship once per revision.
@@ -352,145 +329,76 @@ class PipelineRuntime:
         profiler: StageProfiler | None = None,
         profiles: Any = None,
         id_pairs: Sequence[IdPair] | None = None,
-    ) -> Sequence[MatchDecision]:
+    ) -> DecisionVector:
         """Predict Match / NoMatch for every candidate, in candidate order.
 
-        Either way the scheduler runs one matcher call per ``batch_size``
-        chunk (in-process when serial, pooled when parallel), so the matcher
-        entry point, the call granularity and the numeric batch shapes are
-        identical at any worker count — which is what keeps serial and
-        parallel decisions bit-identical — and every run gets per-chunk
-        timings and pair counts.  The three routes differ only in what
-        rides where:
+        The matcher prepares its per-record profiles once, matcher +
+        profiles ship to each worker out of band, and the scheduler runs one
+        :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` call per
+        ``batch_size`` chunk of id pairs (in-process when serial, pooled
+        when parallel).  The matcher entry point, the call granularity and
+        the numeric batch shapes are therefore identical at any worker
+        count — which is what keeps serial and parallel decisions
+        bit-identical — and every run gets per-chunk timings and pair
+        counts.  The per-chunk float64 arrays are concatenated and returned
+        as a lazy :class:`~repro.matching.decisions.DecisionVector`, equal
+        element for element to ``matcher.decide`` on the record pairs.
 
-        * **columnar** (profiled route active, matcher ``columnar_capable``,
-          ``columnar_dispatch`` on) — chunk tasks run the matcher's
-          :meth:`~repro.matching.base.PairwiseMatcher.score_profiled` kernel
-          and return float64 probability arrays; the concatenated vector
-          comes back as a lazy
-          :class:`~repro.matching.decisions.DecisionVector` that
-          materialises decision objects only at the API boundary;
-        * **profiled** (``profile_cache`` on, matcher ``profile_capable``) —
-          the matcher prepares its per-record profiles once, matcher + store
-          ship to each worker out of band (epoch protocol or initializer),
-          chunk payloads are bare id pairs;
-        * **record pairs** (fallback) — chunk payloads are the record
-          objects themselves, resolved here in the parent.
+        ``profiles`` (optional) short-circuits the preparation step with an
+        already-built store — the incremental matcher's persistent
+        :class:`~repro.matching.profiles.ProfileStore` rides through here so
+        each delta reuses every prior profile.  It must cover every record
+        the candidates reference; output is byte-identical to in-run
+        preparation because profiles are pure per-record derivations.
 
-        The chunking — and therefore every numeric batch shape — is shared
-        by all three routes, which is what keeps their outputs byte-identical
-        (the columnar invariance suite pins this at every engine setting).
-
-        ``profiles`` (optional) short-circuits the preparation step of the
-        profiled route with an already-built store — the incremental
-        matcher's persistent :class:`~repro.matching.profiles.ProfileStore`
-        rides through here so each delta reuses every prior profile.  It
-        must cover every record the candidates reference; profiled output is
-        byte-identical to in-run preparation because profiles are pure
-        per-record derivations.
-
-        ``id_pairs`` (optional) short-circuits the id-pair extraction of the
-        profiled routes with a precomputed ``(left_id, right_id)`` list
-        aligned with ``candidates`` — callers that already hold bare id
-        pairs (incremental ingest) skip the per-candidate Python loop here.
+        ``id_pairs`` (optional) short-circuits the id-pair extraction with a
+        precomputed ``(left_id, right_id)`` list aligned with
+        ``candidates`` — callers that already hold bare id pairs
+        (incremental ingest) skip the per-candidate Python loop here.
         """
-        if not candidates:
-            return []
-        if self.config.profile_cache and matcher.profile_capable:
-            if profiles is None:
-                # Profile only the records the candidates reference: on a
-                # sparse candidate set (narrow blocking over a huge dataset)
-                # profiling the whole dataset would cost more than the cache
-                # saves.
-                referenced: dict[str, None] = {}
-                for candidate in candidates:
-                    referenced.setdefault(candidate.left_id)
-                    referenced.setdefault(candidate.right_id)
-                profiles = matcher.prepare_profiles(
-                    dataset.record(record_id) for record_id in referenced
-                )
-            if id_pairs is None:
-                id_pairs = [
-                    (candidate.left_id, candidate.right_id)
-                    for candidate in candidates
-                ]
-            elif len(id_pairs) != len(candidates):
-                raise ValueError(
-                    f"id_pairs must align with candidates: got {len(id_pairs)} "
-                    f"pairs for {len(candidates)} candidates"
-                )
-            plan = _MatchingPlan(matcher=matcher, profiles=profiles)
-            id_batches = chunked(id_pairs, self.config.batch_size)
-            columnar = self.config.columnar_dispatch and matcher.columnar_capable
-            # Similarity-memo accounting (trace only): delta the store's
-            # hit/miss counters around the stage.  In-process execution
-            # (serial, and threads — they share the store by reference) is
-            # fully counted; process-pool workers gather against their own
-            # shipped copies, which this parent-side delta cannot see.
-            memo_before = (
-                profiles.memo_stats()
-                if self.recorder.enabled and hasattr(profiles, "memo_stats")
-                else None
-            )
-            scored = self.scheduler.map_chunks(
-                _score_profiled_chunk if columnar else _decide_profiled_chunk,
-                id_batches,
-                stage="pairwise_matching",
-                profiler=profiler,
-                shared=plan,
-                # Epoch identity: the same matcher + the same store at the
-                # same revision means the already-published plan is current,
-                # so consecutive calls (incremental batches reusing the
-                # persistent store) skip re-pickling it.  Stores without a
-                # revision counter get a fresh sentinel per call — always
-                # republished, never stale.
-                shared_anchors=(matcher, profiles),
-                shared_version=getattr(profiles, "revision", object()),
-                items=len,
-            )
-            if memo_before is not None:
-                hits_before, misses_before = memo_before
-                hits_after, misses_after = profiles.memo_stats()
-                self.recorder.metrics.add(
-                    "profile_store.sim_memo.hits", hits_after - hits_before
-                )
-                self.recorder.metrics.add(
-                    "profile_store.sim_memo.misses", misses_after - misses_before
-                )
-            if columnar:
-                # Concatenating the per-chunk vectors copies values bitwise,
-                # so the vector holds exactly the probabilities the object
-                # route would attach chunk by chunk.
-                probabilities = (
-                    scored[0] if len(scored) == 1 else np.concatenate(scored)
-                )
-                return DecisionVector(
-                    pairs=id_pairs,
-                    probabilities=probabilities,
-                    threshold=matcher.threshold,
-                )
-            decided = scored
-        else:
-            pair_batches: list[list[RecordPair]] = [
-                [
-                    (dataset.record(candidate.left_id), dataset.record(candidate.right_id))
-                    for candidate in batch
-                ]
-                for batch in chunked(candidates, self.config.batch_size)
+        if id_pairs is None:
+            id_pairs = [
+                (candidate.left_id, candidate.right_id) for candidate in candidates
             ]
-            decided = self.scheduler.map_chunks(
-                _decide_chunk,
-                pair_batches,
-                stage="pairwise_matching",
-                profiler=profiler,
-                shared=matcher,
-                # The matcher itself is the payload: the same matcher object
-                # is current across calls (fitted models are not re-fit
-                # between runs in the built-in flows).
-                shared_anchors=(matcher,),
-                items=len,
+        elif len(id_pairs) != len(candidates):
+            raise ValueError(
+                f"id_pairs must align with candidates: got {len(id_pairs)} "
+                f"pairs for {len(candidates)} candidates"
             )
-        decisions: list[MatchDecision] = []
-        for batch in decided:
-            decisions.extend(batch)
-        return decisions
+        if not candidates:
+            return DecisionVector(
+                pairs=[], probabilities=np.zeros(0), threshold=matcher.threshold
+            )
+        if profiles is None:
+            # Profile only the records the candidates reference: on a sparse
+            # candidate set (narrow blocking over a huge dataset) profiling
+            # the whole dataset would cost more than it saves.
+            referenced: dict[str, None] = {}
+            for left_id, right_id in id_pairs:
+                referenced.setdefault(left_id)
+                referenced.setdefault(right_id)
+            profiles = matcher.prepare_profiles(
+                dataset.record(record_id) for record_id in referenced
+            )
+        scored = self.scheduler.map_chunks(
+            _score_profiled_chunk,
+            chunked(id_pairs, self.config.batch_size),
+            stage="pairwise_matching",
+            profiler=profiler,
+            shared=_MatchingPlan(matcher=matcher, profiles=profiles),
+            # Epoch identity: the same matcher + the same store at the same
+            # revision means the already-published plan is current, so
+            # consecutive calls (incremental batches reusing the persistent
+            # store) skip re-pickling it.  Profiles without a revision
+            # counter get a fresh sentinel per call — always republished,
+            # never stale.
+            shared_anchors=(matcher, profiles),
+            shared_version=getattr(profiles, "revision", object()),
+            items=len,
+        )
+        # Concatenating the per-chunk vectors copies values bitwise.
+        return DecisionVector(
+            pairs=id_pairs,
+            probabilities=scored[0] if len(scored) == 1 else np.concatenate(scored),
+            threshold=matcher.threshold,
+        )

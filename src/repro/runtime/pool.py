@@ -1,12 +1,10 @@
 """Persistent worker pools and the shared-state epoch protocol.
 
-Before this module existed the scheduler built a fresh
-:class:`~concurrent.futures.ProcessPoolExecutor` for every ``map_chunks``
-call and re-shipped the whole shared payload (profile store + matcher,
-blocking shared index) through the pool initializer each time.  On the
-profiled matching hot path that fixed cost — pool spawn plus payload
-pickling — swamped the actual work, and 2-worker parallel runs lost to the
-serial engine.  :class:`WorkerPool` inverts the cost structure:
+A pool spawned per ``map_chunks`` call, with the whole shared payload
+(profile store + matcher, blocking shared index) re-shipped each time, pays
+a fixed cost — pool spawn plus payload pickling — that swamps the actual
+matching work.  :class:`WorkerPool`, the scheduler's only pooled mode,
+inverts that cost structure:
 
 * **the pool is persistent** — spawned lazily on first use, sized once from
   ``RuntimeConfig.workers`` (excess slots idle harmlessly), and reused
@@ -93,7 +91,7 @@ class PoolStats:
     ``publish_reuses`` counts :meth:`WorkerPool.publish` calls answered by
     the current epoch without re-pickling, and ``fetches`` counts
     worker-side payload loads reported back through task results.  The
-    benchmarks snapshot these between ingest batches to prove the warm pool
+    benchmarks snapshot these between ingest batches to prove the pool
     pays pool-start and pickling costs once, not per call.
     """
 
@@ -196,7 +194,6 @@ class WorkerPool:
                         "pool.spawn",
                         executor=self.kind,
                         workers=self.workers,
-                        mode="warm",
                     )
                     self.recorder.metrics.add("pool.spawns")
                 self._refresh_finalizer()

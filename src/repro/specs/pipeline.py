@@ -150,9 +150,6 @@ class RuntimeSpec:
     batch_size: int = 2048
     executor: str = "process"
     blocking_shards: int = 1
-    profile_cache: bool = True
-    columnar_dispatch: bool = True
-    warm_pool: bool = True
     trace: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -165,12 +162,6 @@ class RuntimeSpec:
             data["executor"] = self.executor
         if self.blocking_shards != 1:
             data["blocking_shards"] = self.blocking_shards
-        if not self.profile_cache:
-            data["profile_cache"] = False
-        if not self.columnar_dispatch:
-            data["columnar_dispatch"] = False
-        if not self.warm_pool:
-            data["warm_pool"] = False
         if self.trace is not None:
             data["trace"] = self.trace
         return data
@@ -185,9 +176,6 @@ class RuntimeSpec:
                 "batch_size",
                 "executor",
                 "blocking_shards",
-                "profile_cache",
-                "columnar_dispatch",
-                "warm_pool",
                 "trace",
             },
             key,
@@ -209,15 +197,6 @@ class RuntimeSpec:
             blocking_shards=_expect_int(
                 table.get("blocking_shards", 1), f"{key}.blocking_shards", minimum=1
             ),
-            profile_cache=_expect_bool(
-                table.get("profile_cache", True), f"{key}.profile_cache"
-            ),
-            columnar_dispatch=_expect_bool(
-                table.get("columnar_dispatch", True), f"{key}.columnar_dispatch"
-            ),
-            warm_pool=_expect_bool(
-                table.get("warm_pool", True), f"{key}.warm_pool"
-            ),
             trace=trace,
         )
 
@@ -229,9 +208,6 @@ class RuntimeSpec:
             batch_size=self.batch_size,
             executor=self.executor,
             blocking_shards=self.blocking_shards,
-            profile_cache=self.profile_cache,
-            columnar_dispatch=self.columnar_dispatch,
-            warm_pool=self.warm_pool,
             trace=self.trace,
         )
 

@@ -83,88 +83,33 @@ class TestBlockingFlags:
                     )
 
 
-class TestMatcherFlags:
-    def test_profile_capable_matchers_override_the_profile_methods(self):
-        from repro.matching.base import PairwiseMatcher
-
+class TestMatchers:
+    def test_matchers_declare_no_capability_flags(self):
+        # Matchers have one engine route and no flag-gated protocol: the
+        # linter's flags belong to the blocking family only.
         classes = matcher_classes()
         assert classes  # discovery through the registry must find matchers
         for cls in classes:
-            if inspect.isabstract(cls):
-                continue
-            runtime = bool(getattr(cls, "profile_capable", False))
-            if runtime:
-                for method in PROTOCOL_METHODS["profile_capable"]:
-                    assert getattr(cls, method) is not getattr(
-                        PairwiseMatcher, method
-                    ), (
-                        f"{cls.__name__}: profile_capable=True but {method}() "
-                        "is the base-class stub"
-                    )
-
-    def test_declared_matcher_flags_match_runtime(self):
-        for cls in matcher_classes():
-            declared = info_for(cls).flags.get("profile_capable")
-            if declared is not None:
-                assert declared == bool(getattr(cls, "profile_capable", False)), (
-                    f"{cls.__name__}: body declares profile_capable={declared} "
-                    "but the runtime flag disagrees"
-                )
-
-    def test_profile_capable_is_restated_where_true(self):
-        # The linter demands restatement; verify every capable class complies.
-        capable = [
-            cls
-            for cls in matcher_classes()
-            if bool(getattr(cls, "profile_capable", False))
-        ]
-        assert capable  # the repo ships profiled matchers
-        for cls in capable:
-            assert info_for(cls).flags.get("profile_capable") is True, (
-                f"{cls.__name__} relies on an inherited profile_capable flag "
-                "the linter cannot see"
+            assert not info_for(cls).flags, (
+                f"{cls.__name__} declares protocol flags the engine ignores"
             )
 
-
-class TestColumnarFlags:
-    def test_columnar_matchers_override_score_profiled(self):
+    def test_two_phase_methods_are_overridden_together(self):
+        # score_profiled consumes what prepare_profiles builds, so a matcher
+        # overrides both (its own profile store) or neither (the base-class
+        # id -> record adapter) — never just one side of the pair.
         from repro.matching.base import PairwiseMatcher
 
-        columnar = [
-            cls
-            for cls in matcher_classes()
-            if bool(getattr(cls, "columnar_capable", False))
-        ]
-        assert columnar  # the repo ships columnar matchers
-        for cls in columnar:
-            for method in PROTOCOL_METHODS["columnar_capable"]:
-                assert getattr(cls, method) is not getattr(PairwiseMatcher, method), (
-                    f"{cls.__name__}: columnar_capable=True but {method}() "
-                    "is the base-class stub"
-                )
-            assert info_for(cls).flags.get("columnar_capable") is True, (
-                f"{cls.__name__} relies on an inherited columnar_capable flag "
-                "the linter cannot see"
+        overriding = []
+        for cls in matcher_classes():
+            prepared = cls.prepare_profiles is not PairwiseMatcher.prepare_profiles
+            scored = cls.score_profiled is not PairwiseMatcher.score_profiled
+            assert prepared == scored, (
+                f"{cls.__name__} overrides only one of prepare_profiles() / "
+                "score_profiled()"
             )
-
-    def test_columnar_implies_profiled(self):
-        # score_profiled consumes the profile store prepare_profiles builds,
-        # so the columnar protocol only makes sense inside the profiled one.
-        for cls in matcher_classes():
-            if bool(getattr(cls, "columnar_capable", False)):
-                assert bool(getattr(cls, "profile_capable", False)), (
-                    f"{cls.__name__}: columnar_capable=True requires "
-                    "profile_capable=True"
-                )
-
-    def test_declared_columnar_flags_match_runtime(self):
-        for cls in matcher_classes():
-            declared = info_for(cls).flags.get("columnar_capable")
-            if declared is not None:
-                assert declared == bool(getattr(cls, "columnar_capable", False)), (
-                    f"{cls.__name__}: body declares columnar_capable={declared} "
-                    "but the runtime flag disagrees"
-                )
+            overriding.append(prepared)
+        assert any(overriding) and not all(overriding)  # both kinds ship
 
 
 class TestCleanupsResolve:

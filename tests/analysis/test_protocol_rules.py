@@ -36,93 +36,6 @@ class TestFlagWithoutMethods:
         assert len(findings) == 1
         assert "delta_update" in findings[0].message
 
-    def test_profile_capable_without_methods_is_caught(self):
-        source = "class M:\n    profile_capable = True\n"
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert len(findings) == 1
-        assert "prepare_profiles" in findings[0].message
-
-    def test_columnar_capable_without_score_profiled_is_caught(self):
-        source = (
-            "class M:\n"
-            "    profile_capable = True\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def prepare_profiles(self, records):\n"
-            "        return {}\n"
-            "\n"
-            "    def decide_profiled(self, profiles, id_pairs):\n"
-            "        return []\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert len(findings) == 1
-        assert "score_profiled" in findings[0].message
-
-    def test_columnar_without_profile_capable_is_caught(self):
-        # The dependency check: columnar scoring consumes the profile store,
-        # so the flag presupposes the profiled protocol — even with
-        # score_profiled fully implemented.
-        source = (
-            "class M:\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert len(findings) == 1
-        assert "profile_capable" in findings[0].message
-        assert findings[0].line == 2  # reported at the columnar flag
-
-    def test_columnar_with_profile_capable_false_is_caught(self):
-        source = (
-            "class M:\n"
-            "    profile_capable = False\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert any("profile_capable = True" in f.message for f in findings)
-
-    def test_columnar_dependency_suppression_silences(self):
-        source = (
-            "class M:\n"
-            "    columnar_capable = True  # repro-lint: disable=protocol-conformance -- inherited profiled protocol\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        assert findings_of(source, module="repro.matching.fixture") == []
-
-    def test_columnar_protocol_complete_is_clean(self):
-        source = (
-            "class M:\n"
-            "    profile_capable = True\n"
-            "    columnar_capable = True\n"
-            "\n"
-            "    def prepare_profiles(self, records):\n"
-            "        return {}\n"
-            "\n"
-            "    def decide_profiled(self, profiles, id_pairs):\n"
-            "        return []\n"
-            "\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        assert findings_of(source, module="repro.matching.fixture") == []
-
-    def test_score_profiled_without_flag_on_a_matcher_base_warns(self):
-        source = (
-            "class M(PairwiseMatcher):\n"
-            "    def score_profiled(self, profiles, id_pairs):\n"
-            "        return profiles.score(id_pairs)\n"
-        )
-        findings = findings_of(source, module="repro.matching.fixture")
-        assert len(findings) == 1
-        assert "columnar_capable" in findings[0].message
-
     def test_complete_protocol_is_clean(self):
         source = (
             "class Sharded:\n"
@@ -195,20 +108,15 @@ class TestMethodsWithoutFlag:
         )
         assert findings_of(source) == []
 
-    def test_default_implementation_on_the_defining_base_is_exempt(self):
-        # Mirrors PairwiseMatcher: the required methods are stubs, the
-        # optional batch method carries a real default body.
+    def test_matcher_two_phase_methods_are_not_a_flagged_protocol(self):
+        # Every matcher rides the engine's one matching route through the
+        # base-class defaults, so overriding them needs no capability flag.
         source = (
-            "class Matcher:\n"
-            "    profile_capable = False\n"
-            "\n"
+            "class M(PairwiseMatcher):\n"
             "    def prepare_profiles(self, records):\n"
-            "        raise NotImplementedError\n"
+            "        return {}\n"
             "\n"
-            "    def decide_profiled(self, left, right):\n"
-            "        raise NotImplementedError\n"
-            "\n"
-            "    def decide_profiled_batches(self, pairs):\n"
-            "        return [self.decide_profiled(a, b) for a, b in pairs]\n"
+            "    def score_profiled(self, profiles, id_pairs):\n"
+            "        return profiles.score(id_pairs)\n"
         )
         assert findings_of(source, module="repro.matching.fixture") == []

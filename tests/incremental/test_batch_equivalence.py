@@ -10,7 +10,13 @@ off.
 
 import pytest
 
+from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
+from repro.core.cleanup import CleanupConfig
+from repro.core.pipeline import EntityGroupMatchingPipeline
+from repro.core.precleanup import PreCleanupConfig
 from repro.incremental import IncrementalMatcher
+from repro.matching import IdOverlapMatcher, ThresholdNameMatcher
+from repro.matching.decisions import DecisionCache, DecisionVector
 from repro.runtime import RuntimeConfig
 
 RUNTIMES = [
@@ -70,51 +76,11 @@ class TestPartitionInvariance:
         assert_equals_batch(matcher, batch_result)
 
 
-#: The warm-pool sweep axes: executor flavour × pool mode.  ``serial`` never
-#: spawns a pool, so warm/cold is a no-op there — included to pin exactly
-#: that.
-WARM_SWEEP = [
-    pytest.param(RuntimeConfig(batch_size=64, warm_pool=warm), id=f"serial-{mode}")
-    for warm, mode in ((True, "warm"), (False, "cold"))
-] + [
-    pytest.param(
-        RuntimeConfig(
-            workers=2, batch_size=64, executor=executor,
-            blocking_shards=4, warm_pool=warm,
-        ),
-        id=f"{executor}-{mode}",
-    )
-    for executor in ("thread", "process")
-    for warm, mode in ((True, "warm"), (False, "cold"))
-]
-
-
-@pytest.mark.parametrize("runtime", WARM_SWEEP)
-@pytest.mark.parametrize("num_batches", [1, 2, 7])
-class TestWarmPoolInvariance:
-    def test_pool_mode_is_invisible_in_the_artefacts(
-        self, golden_setup, pipeline_factory, batch_result, runtime, num_batches
-    ):
-        """Warm-pool {on,off} × executor × partition → byte-identical output.
-
-        The persistent pool and the epoch protocol only change *where* work
-        runs and *how* shared state travels — candidates, decisions and
-        groups must match the one-shot batch run exactly in every mode.
-        """
-        companies, _ = golden_setup
-        batches = partition_records(companies.records, num_batches)
-        matcher = ingest_in_batches(pipeline_factory, batches, runtime)
-        try:
-            assert_equals_batch(matcher, batch_result)
-        finally:
-            matcher.close()
-
-
-class TestWarmPoolAcrossBatches:
+class TestPoolAcrossBatches:
     def test_one_pool_and_one_store_ship_per_revision(
         self, golden_setup, pipeline_factory, batch_result
     ):
-        """The warm pool's cost structure across a multi-batch ingest.
+        """The worker pool's cost structure across a multi-batch ingest.
 
         The pool spawns once for the whole ingest sequence, and the
         persistent profile store is re-shipped only when a batch actually
@@ -143,6 +109,95 @@ class TestWarmPoolAcrossBatches:
             assert_equals_batch(matcher, batch_result)
         finally:
             matcher.close()
+
+
+class TestDecisionCache:
+    def test_decisions_are_served_as_a_vector(
+        self, golden_setup, pipeline_factory, batch_result
+    ):
+        # The incremental API boundary stays lazy: decisions() gathers a
+        # DecisionVector off the array-backed cache.
+        companies, _ = golden_setup
+        matcher = ingest_in_batches(pipeline_factory, partition_records(companies.records, 2))
+        assert isinstance(matcher.state.decisions, DecisionCache)
+        decisions = matcher.decisions()
+        assert isinstance(decisions, DecisionVector)
+        assert decisions == batch_result.decisions
+
+
+@pytest.fixture(scope="module")
+def id_overlap_factory():
+    """A pipeline whose matcher has no profile store of its own: it scores
+    through the base-class id -> record adapter."""
+
+    def make(runtime=None):
+        return EntityGroupMatchingPipeline(
+            matcher=IdOverlapMatcher(),
+            blocking=CombinedBlocking(
+                [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
+            ),
+            cleanup_config=CleanupConfig.for_num_sources(4),
+            pre_cleanup_config=PreCleanupConfig(max_component_size=30),
+            runtime=runtime,
+        )
+
+    return make
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+@pytest.mark.parametrize("num_batches", [1, 2, 7])
+def test_default_adapter_matcher_matches_the_batch_run(
+    golden_setup, id_overlap_factory, runtime, num_batches
+):
+    companies, _ = golden_setup
+    batch = id_overlap_factory().run(companies)
+    assert batch.positive_edges  # the heuristic actually matches something
+    matcher = ingest_in_batches(
+        id_overlap_factory, partition_records(companies.records, num_batches), runtime
+    )
+    try:
+        # The adapter's mapping has no add_records, so nothing is persisted.
+        assert matcher.state.profiles is None
+        assert_equals_batch(matcher, batch)
+    finally:
+        matcher.close()
+
+
+@pytest.fixture(scope="module")
+def threshold_factory():
+    """A pipeline whose matcher keeps its own profile store, grown in place
+    by each ingest."""
+
+    def make(runtime=None):
+        return EntityGroupMatchingPipeline(
+            matcher=ThresholdNameMatcher(similarity_threshold=0.9),
+            blocking=CombinedBlocking(
+                [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
+            ),
+            cleanup_config=CleanupConfig.for_num_sources(4),
+            pre_cleanup_config=PreCleanupConfig(max_component_size=30),
+            runtime=runtime,
+        )
+
+    return make
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+@pytest.mark.parametrize("num_batches", [1, 2, 7])
+def test_threshold_matcher_matches_the_batch_run(
+    golden_setup, threshold_factory, runtime, num_batches
+):
+    companies, _ = golden_setup
+    batch = threshold_factory().run(companies)
+    assert batch.positive_edges
+    batches = partition_records(companies.records, num_batches)
+    matcher = ingest_in_batches(threshold_factory, batches, runtime)
+    try:
+        store = matcher.state.profiles
+        assert store is not None and store.revision == len(batches) - 1
+        assert_equals_batch(matcher, batch)
+    finally:
+        matcher.close()
 
 
 class TestRecordAtATime:

@@ -97,13 +97,6 @@ class TestIngestMetrics:
         assert gauges["ingest.num_records"] == reports[-1].num_records == 172
         assert gauges["ingest.num_candidates"] == reports[-1].num_candidates == 272
 
-    def test_sim_memo_delta_is_counted_in_process(self, traced_two_batch_ingest):
-        # The persistent profile store's similarity memo: parent-side delta
-        # accounting sees in-process gathers (serial engine here).
-        recorder, _ = traced_two_batch_ingest
-        counters = recorder.metrics.counters()
-        assert counters["profile_store.sim_memo.misses"] > 0
-
     def test_untraced_ingest_records_nothing(self, golden_setup, pipeline_factory):
         companies, _ = golden_setup
         matcher = IncrementalMatcher.from_pipeline(

@@ -1,9 +1,8 @@
 """On-disk state format: manifest versioning and payload round-trips.
 
-Includes the satellite coverage for the :class:`ProfileStore` disk
-round-trip: profiles must come back bitwise identical through the state
-serialisation, with the transient similarity memos dropped and rewarmed
-exactly like the existing pickling (worker-shipping) path.
+Includes the :class:`ProfileStore` disk round-trip: profiles must come back
+bitwise identical through the state serialisation, exactly like the
+pickling (worker-shipping) path.
 """
 
 import json
@@ -21,6 +20,7 @@ from repro.incremental import (
 from repro.incremental.state import MANIFEST_FILE
 from repro.matching.decisions import DecisionCache
 from repro.matching.profiles import ProfileStore
+from repro.runtime import RuntimeConfig
 
 
 def _columnar_payload_bytes(store: ProfileStore) -> bytes:
@@ -247,6 +247,31 @@ class TestFormatMigration:
         )
         assert isinstance(payload["decisions"], DecisionCache)
 
+    def test_stale_runtime_fields_open_and_ingest_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # A state saved before the legacy route switches were removed
+        # pickles a RuntimeConfig carrying them.  Unpickling a frozen
+        # dataclass restores its __dict__ wholesale, so the stale entries
+        # ride along harmlessly: nothing reads them, and equality, replace()
+        # and every later save look at the declared fields only.
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(companies.records[:90])
+        stale = {"profile_cache": False, "columnar_dispatch": False, "warm_pool": False}
+        for key, value in stale.items():
+            object.__setattr__(matcher.state.runtime_config, key, value)
+        state_dir = matcher.save(tmp_path / "state")
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        config = reloaded.state.runtime_config
+        assert config == RuntimeConfig()
+        assert {key: config.__dict__[key] for key in stale} == stale
+        reloaded.ingest(companies.records[90:])
+        assert_equals_batch(reloaded, batch_result)
+
     def test_cache_pickle_round_trip_rebuilds_the_index(self, saved_state):
         matcher, _ = saved_state
         cache = matcher.state.decisions
@@ -259,18 +284,16 @@ class TestFormatMigration:
 
 
 class TestProfileStoreRoundTrip:
-    def test_profiles_survive_bitwise_and_memos_rewarm(self, saved_state):
+    def test_profiles_survive_bitwise(self, saved_state):
         matcher, state_dir = saved_state
         store = matcher.state.profiles
         assert isinstance(store, ProfileStore)
-        # Warm the in-memory similarity memos so the drop is observable.
         from repro.matching.features import PairFeatureExtractor
 
         extractor = PairFeatureExtractor()
         candidates = matcher.candidates()[:20]
         id_pairs = [(c.left_id, c.right_id) for c in candidates]
         direct = extractor.extract_batch_profiles(store, id_pairs)
-        assert store.name_similarity_cache, "memo should be warm now"
 
         matcher.save(state_dir)
         reloaded = IncrementalMatcher.load(state_dir).state.profiles
@@ -281,24 +304,16 @@ class TestProfileStoreRoundTrip:
             reloaded.get(record_id) == store.get(record_id)
             for record_id in store.record_ids
         )
-        # Memos are dropped on serialisation (like the pickling path) ...
-        assert reloaded.name_similarity_cache == {}
-        assert reloaded.stripped_similarity_cache == {}
-        # ... and rewarm to the same values, with identical feature output.
-        # (The original cache is a superset: ingest itself warmed it.)
         rescored = extractor.extract_batch_profiles(reloaded, id_pairs)
         assert rescored.tobytes() == direct.tobytes()
-        assert reloaded.name_similarity_cache
-        assert reloaded.name_similarity_cache.items() <= store.name_similarity_cache.items()
 
     def test_state_serialisation_matches_plain_pickling(self, saved_state):
         # The state path must behave exactly like pickling the store (the
-        # worker-shipping path): same profiles, dropped memos.
+        # worker-shipping path).
         matcher, _ = saved_state
         store = matcher.state.profiles
         repickled = pickle.loads(pickle.dumps(store))
         assert _columnar_payload_bytes(repickled) == _columnar_payload_bytes(store)
-        assert repickled.name_similarity_cache == {}
 
     def test_store_grows_across_reload_and_further_ingest(
         self, golden_setup, saved_state

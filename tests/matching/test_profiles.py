@@ -251,16 +251,15 @@ class TestColumnarBatchEquivalence:
 
     ``extract_batch_profiles`` must be byte-for-byte the matrix
     ``extract_batch_profiles_rows`` produces — over randomized record
-    mixes, duplicated pairs (the memo/dedup path), repeated extraction
-    (warm caches), and a pickled clone of the store (the worker-shipping
-    path, which drops the memos).
+    mixes, duplicated pairs (the dedup path), repeated extraction, and a
+    pickled clone of the store (the worker-shipping path).
     """
 
     extractor = PairFeatureExtractor()
 
     @given(st.lists(any_record, min_size=1, max_size=10), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_columnar_equals_rows_warm_and_pickled(self, records, data):
+    def test_columnar_equals_rows_repeated_and_pickled(self, records, data):
         import pickle
 
         store = ProfileStore.prepare(records)
@@ -274,16 +273,15 @@ class TestColumnarBatchEquivalence:
             )
         )
         id_pairs = [(ids[i], ids[j]) for i, j in index_pairs]
-        id_pairs += id_pairs[:3]  # duplicates exercise the dedup/memo path
+        id_pairs += id_pairs[:3]  # duplicates exercise the dedup path
 
         reference = self.extractor.extract_batch_profiles_rows(store, id_pairs)
-        cold = self.extractor.extract_batch_profiles(store, id_pairs)
-        warm = self.extractor.extract_batch_profiles(store, id_pairs)
-        assert cold.tobytes() == reference.tobytes()
-        assert warm.tobytes() == reference.tobytes()
+        first = self.extractor.extract_batch_profiles(store, id_pairs)
+        again = self.extractor.extract_batch_profiles(store, id_pairs)
+        assert first.tobytes() == reference.tobytes()
+        assert again.tobytes() == reference.tobytes()
 
         clone = pickle.loads(pickle.dumps(store))
-        assert clone.name_similarity_cache == {}  # memos are transient
         rescored = self.extractor.extract_batch_profiles(clone, id_pairs)
         assert rescored.tobytes() == reference.tobytes()
 

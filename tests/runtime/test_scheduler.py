@@ -1,11 +1,12 @@
 """Unit tests for the execution engine: config, chunking, scheduling,
-profiling, the batched matcher path and blocking partitioning."""
+profiling and blocking partitioning."""
+
+import dataclasses
 
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
 from repro.datagen import figure2_dataset
-from repro.matching import IdOverlapMatcher, ThresholdNameMatcher
 from repro.runtime import (
     ChunkScheduler,
     PipelineRuntime,
@@ -39,6 +40,29 @@ class TestRuntimeConfig:
     def test_rejects_unknown_executor(self):
         with pytest.raises(ValueError, match="executor must be one of"):
             RuntimeConfig(executor="coroutine")
+
+    def test_has_exactly_five_settings(self):
+        assert [field.name for field in dataclasses.fields(RuntimeConfig)] == [
+            "workers", "batch_size", "executor", "blocking_shards", "trace",
+        ]
+
+    @pytest.mark.parametrize("knob", ["profile_cache", "columnar_dispatch", "warm_pool"])
+    def test_removed_route_knobs_are_not_settings(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            RuntimeConfig(**{knob: False})
+
+    def test_rejects_non_string_trace(self):
+        with pytest.raises(ValueError, match="trace must be a path string or None"):
+            RuntimeConfig(trace=3)
+
+    def test_serial_spelling_equals_the_default_engine(self):
+        assert RuntimeConfig.serial() == RuntimeConfig()
+        assert RuntimeConfig.serial(batch_size=64) == RuntimeConfig(batch_size=64)
+
+    def test_is_frozen(self):
+        config = RuntimeConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.workers = 4  # type: ignore[misc]
 
 
 class TestChunked:
@@ -130,25 +154,6 @@ class TestStageProfiler:
         # still sort.
         assert "big/chunk0000" in timings and "big/chunk1000" in timings
         assert "big/chunk000" not in timings
-
-
-class TestDecideBatches:
-    def test_matches_per_batch_decisions(self):
-        companies, _ = figure2_dataset()
-        records = companies.records
-        pairs = [(records[i], records[j])
-                 for i in range(len(records)) for j in range(i + 1, len(records))]
-        matcher = ThresholdNameMatcher(similarity_threshold=0.85)
-        batches = chunked(pairs, 7)
-        fused = matcher.decide_batches(batches)
-        assert [len(batch) for batch in fused] == [len(batch) for batch in batches]
-        for batch, decided in zip(batches, fused):
-            assert decided == matcher.decide(batch)
-
-    def test_empty_batches(self):
-        matcher = IdOverlapMatcher()
-        assert matcher.decide_batches([]) == []
-        assert matcher.decide_batches([[]]) == [[]]
 
 
 class TestBlockingPartition:

@@ -33,13 +33,9 @@ def workload():
 ENGINE_CONFIGS = [
     pytest.param(RuntimeConfig(batch_size=64), id="serial"),
     pytest.param(RuntimeConfig(workers=2, executor="thread", batch_size=64),
-                 id="thread-warm"),
-    pytest.param(RuntimeConfig(workers=2, executor="thread", batch_size=64,
-                               warm_pool=False), id="thread-cold"),
+                 id="thread"),
     pytest.param(RuntimeConfig(workers=2, executor="process", batch_size=64),
-                 id="process-warm"),
-    pytest.param(RuntimeConfig(workers=2, executor="process", batch_size=64,
-                               warm_pool=False), id="process-cold"),
+                 id="process"),
 ]
 
 
@@ -68,7 +64,7 @@ class TestChunkSpans:
         # Worker-measured endpoints are real intervals on the shared clock.
         assert all(c.end >= c.start for c in chunks)
 
-    def test_warm_process_chunks_carry_fetch_attribute(self, workload):
+    def test_process_chunks_carry_fetch_attribute(self, workload):
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
         config = RuntimeConfig(workers=2, executor="process", batch_size=64)
@@ -85,20 +81,20 @@ class TestChunkSpans:
                 runtime.run_matching(matcher, dataset, candidates,
                                      profiler=profiler, profiles=profiles)
         first, second = recorder.trace().find("pairwise_matching", kind="stage")
-        cold_chunks = [c for c in first.children if c.kind == "chunk"]
-        warm_chunks = [c for c in second.children if c.kind == "chunk"]
-        assert all(isinstance(c.attributes["fetched"], bool) for c in cold_chunks)
+        first_chunks = [c for c in first.children if c.kind == "chunk"]
+        second_chunks = [c for c in second.children if c.kind == "chunk"]
+        assert all(isinstance(c.attributes["fetched"], bool) for c in first_chunks)
         # Each worker fetches at most once per epoch; with two workers the
         # first call shows <= 2 fetches, the second call none at all.
-        assert sum(c.attributes["fetched"] for c in cold_chunks) <= 2
-        assert sum(c.attributes["fetched"] for c in warm_chunks) == 0
+        assert sum(c.attributes["fetched"] for c in first_chunks) <= 2
+        assert sum(c.attributes["fetched"] for c in second_chunks) == 0
         counters = recorder.metrics.counters()
-        total = len(cold_chunks) + len(warm_chunks)
+        total = len(first_chunks) + len(second_chunks)
         assert counters["pool.payload.hits"] + counters["pool.payload.misses"] == total
 
 
 class TestPoolEvents:
-    def test_warm_pool_spawn_and_publish_events(self, workload):
+    def test_pool_spawn_and_publish_events(self, workload):
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
         config = RuntimeConfig(workers=2, executor="process", batch_size=64)
@@ -113,8 +109,7 @@ class TestPoolEvents:
                                      profiler=profiler, profiles=profiles)
         trace = recorder.trace()
         (spawn,) = trace.find("pool.spawn")
-        assert spawn.attributes == {"executor": "process", "workers": 2,
-                                    "mode": "warm"}
+        assert spawn.attributes == {"executor": "process", "workers": 2}
         (publish,) = trace.find("pool.publish")
         assert publish.attributes["slot"] == "pairwise_matching"
         assert publish.attributes["payload_bytes"] > 0
@@ -126,20 +121,6 @@ class TestPoolEvents:
         assert counters["pool.publishes"] == 1
         assert counters["pool.publish_reuses"] == 1
         assert counters["pool.publish_bytes"] == publish.attributes["payload_bytes"]
-
-    def test_cold_pool_spawns_per_call(self, workload):
-        dataset, matcher, candidates = workload
-        recorder = TraceRecorder()
-        config = RuntimeConfig(workers=2, executor="thread", batch_size=64,
-                               warm_pool=False)
-        with PipelineRuntime(config, recorder=recorder) as runtime:
-            runtime.run_matching(matcher, dataset, candidates)
-            runtime.run_matching(matcher, dataset, candidates)
-        trace = recorder.trace()
-        spawns = trace.find("pool.spawn")
-        assert len(spawns) == 2
-        assert all(s.attributes["mode"] == "cold" for s in spawns)
-        assert trace.counters["pool.spawns"] == 2
 
 
 class TestTracedEqualsUntraced:

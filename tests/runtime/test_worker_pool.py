@@ -1,23 +1,24 @@
 """The persistent worker pool and the shared-state epoch protocol.
 
-Covers the three bugfix contracts of the warm-pool engine:
+Covers the three contracts of the pooled engine:
 
 * **failure semantics** — a chunk task that raises mid-batch surfaces the
   *original* exception (first by submission order), cancels the remaining
   work, and leaves the pool disposed-but-usable — under thread and process
-  executors, warm and cold,
-* **sizing** — a warm pool is sized once from ``RuntimeConfig.workers`` and
+  executors,
+* **sizing** — a pool is sized once from ``RuntimeConfig.workers`` and
   is never rebuilt because a call carries fewer (or more) chunks than there
   are slots,
 * **staleness** — consecutive ``run_matching`` calls with *different*
-  profile stores on the same warm pool must score from the new store
+  profile stores on the same pool must score from the new store
   (epoch bump), while an unchanged store is reused without re-shipping.
 """
 
 import pytest
 
 from repro.datagen import GenerationConfig, generate_benchmark
-from repro.matching import LogisticRegressionMatcher
+from repro.matching import LogisticRegressionMatcher, ThresholdNameMatcher
+from repro.matching.base import PairwiseMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.runtime import (
     ChunkScheduler,
@@ -39,43 +40,52 @@ def explode_on_negative(chunk):
     return [value * 2 for value in chunk]
 
 
+class NameLengthMatcher(PairwiseMatcher):
+    """Module-level (picklable) matcher on the base-class record adapter:
+    scores from record content, so stale records would show."""
+
+    def predict_proba(self, pairs):
+        return [
+            1.0 / (1.0 + abs(len(left.name) - len(right.name))) for left, right in pairs
+        ]
+
+
 def shared_explode_on_negative(shared, chunk):
-    """Shared-payload variant, exercising the epoch/initializer path."""
+    """Shared-payload variant, exercising the epoch path."""
     assert shared == "payload"
     return explode_on_negative(chunk)
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
-@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 class TestFailureSemantics:
-    def config(self, executor, warm):
-        return RuntimeConfig(workers=2, executor=executor, warm_pool=warm)
+    def config(self, executor):
+        return RuntimeConfig(workers=2, executor=executor)
 
-    def test_reraises_the_original_worker_exception(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_reraises_the_original_worker_exception(self, executor):
+        scheduler = ChunkScheduler(self.config(executor))
         chunks = [[1, 2], [3, -4], [5, 6], [7, 8]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[3, -4\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_reraises_with_a_shared_payload(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_reraises_with_a_shared_payload(self, executor):
+        scheduler = ChunkScheduler(self.config(executor))
         chunks = [[1, 2], [-3], [5, 6]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-3\]"):
             scheduler.map_chunks(shared_explode_on_negative, chunks, shared="payload")
         scheduler.close()
 
-    def test_first_failure_by_submission_order_wins(self, executor, warm):
+    def test_first_failure_by_submission_order_wins(self, executor):
         # Two poisoned chunks: whichever *finishes* first must not decide —
         # the earliest submitted failure is the one re-raised.
-        scheduler = ChunkScheduler(self.config(executor, warm))
+        scheduler = ChunkScheduler(self.config(executor))
         chunks = [[1], [-2], [3], [-4]]
         with pytest.raises(ChunkExploded, match=r"poisoned chunk: \[-2\]"):
             scheduler.map_chunks(explode_on_negative, chunks)
         scheduler.close()
 
-    def test_pool_is_usable_after_a_failure(self, executor, warm):
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_pool_is_usable_after_a_failure(self, executor):
+        scheduler = ChunkScheduler(self.config(executor))
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1], [2]])
         # The next call must succeed on a fresh (respawned) pool.
@@ -84,10 +94,8 @@ class TestFailureSemantics:
         assert [v for chunk in results for v in chunk] == [v * 2 for v in range(20)]
         scheduler.close()
 
-    def test_failure_disposes_the_warm_executor(self, executor, warm):
-        if not warm:
-            pytest.skip("cold pools are per-call by construction")
-        scheduler = ChunkScheduler(self.config(executor, warm))
+    def test_failure_disposes_the_executor(self, executor):
+        scheduler = ChunkScheduler(self.config(executor))
         with pytest.raises(ChunkExploded):
             scheduler.map_chunks(explode_on_negative, [[1], [-1]])
         pool = scheduler.pool
@@ -124,6 +132,30 @@ class TestWarmPoolSizing:
         assert scheduler.map_chunks(explode_on_negative, [[1, 2]]) == [[2, 4]]
         assert scheduler.pool is None
         scheduler.close()
+
+    def test_process_pool_survives_chunk_count_changes(self):
+        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="process"))
+        try:
+            executors = []
+            for num_chunks in (2, 5, 3):
+                chunks = [[index] for index in range(num_chunks)]
+                results = scheduler.map_chunks(explode_on_negative, chunks)
+                assert results == [[2 * index] for index in range(num_chunks)]
+                executors.append(scheduler.pool.executor)
+            assert all(executor is executors[0] for executor in executors)
+            assert scheduler.pool.stats.spawns == 1
+        finally:
+            scheduler.close()
+
+    def test_process_pool_close_is_not_terminal(self):
+        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="process"))
+        try:
+            scheduler.map_chunks(explode_on_negative, [[1], [2]])
+            scheduler.close()
+            assert scheduler.pool is None
+            assert scheduler.map_chunks(explode_on_negative, [[3], [4]]) == [[6], [8]]
+        finally:
+            scheduler.close()
 
     def test_close_is_idempotent_and_not_terminal(self):
         scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="thread"))
@@ -271,6 +303,45 @@ class TestProfileStoreStaleness:
             assert stats["spawns"] == 1
             assert stats["publishes"] == 1  # shipped once ...
             assert stats["publish_reuses"] == 1  # ... reused on call two
+        finally:
+            runtime.close()
+
+    def test_threshold_matcher_scores_from_the_new_store(self, matching_setup):
+        _, dataset_a, dataset_b, candidates_a, candidates_b = matching_setup
+        matcher = ThresholdNameMatcher(similarity_threshold=0.9)
+        serial_a = self._serial_decisions(matcher, dataset_a, candidates_a)
+        serial_b = self._serial_decisions(matcher, dataset_b, candidates_b)
+        assert serial_a != serial_b
+        runtime = PipelineRuntime(
+            RuntimeConfig(workers=2, executor="process", batch_size=16)
+        )
+        try:
+            assert runtime.run_matching(matcher, dataset_a, candidates_a) == serial_a
+            assert runtime.run_matching(matcher, dataset_b, candidates_b) == serial_b
+            assert runtime.pool_stats()["publishes"] == 2
+        finally:
+            runtime.close()
+
+    def test_default_adapter_records_are_republished_per_call(self, matching_setup):
+        # The base adapter's id -> record mapping has no revision counter, so
+        # every call publishes afresh: same ids with new content never score
+        # against the previous call's records.
+        _, dataset_a, dataset_b, candidates_a, candidates_b = matching_setup
+        matcher = NameLengthMatcher()
+        serial_a = self._serial_decisions(matcher, dataset_a, candidates_a)
+        serial_b = self._serial_decisions(matcher, dataset_b, candidates_b)
+        assert serial_a != serial_b
+        runtime = PipelineRuntime(
+            RuntimeConfig(workers=2, executor="process", batch_size=16)
+        )
+        try:
+            assert runtime.run_matching(matcher, dataset_a, candidates_a) == serial_a
+            assert runtime.run_matching(matcher, dataset_b, candidates_b) == serial_b
+            assert runtime.run_matching(matcher, dataset_a, candidates_a) == serial_a
+            stats = runtime.pool_stats()
+            assert stats["spawns"] == 1
+            assert stats["publishes"] == 3
+            assert stats["publish_reuses"] == 0
         finally:
             runtime.close()
 

@@ -37,8 +37,7 @@ def full_pipeline_spec() -> PipelineSpec:
         cleanup=CleanupSpec(strategy="gralmatch", gamma=20, mu=4),
         pre_cleanup=PreCleanupSpec(enabled=True, max_component_size=30),
         runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread",
-                            blocking_shards=3, profile_cache=False,
-                            warm_pool=False),
+                            blocking_shards=3),
         state=StateSpec(dir="state/companies", autosave=False),
     )
 
@@ -160,10 +159,6 @@ class TestValidationErrorsNameTheKey:
             ("[pipeline.runtime]\nworkers = -1\n", "pipeline.runtime.workers"),
             ("[pipeline.runtime]\nblocking_shards = 0\n", "pipeline.runtime.blocking_shards"),
             ('[pipeline.runtime]\nblocking_shards = "all"\n', "pipeline.runtime.blocking_shards"),
-            ('[pipeline.runtime]\nprofile_cache = "yes"\n', "pipeline.runtime.profile_cache"),
-            ("[pipeline.runtime]\nprofile_cache = 1\n", "pipeline.runtime.profile_cache"),
-            ('[pipeline.runtime]\nwarm_pool = "yes"\n', "pipeline.runtime.warm_pool"),
-            ("[pipeline.runtime]\nwarm_pool = 0\n", "pipeline.runtime.warm_pool"),
             ("[pipeline.state]\ndir = 5\n", "pipeline.state.dir"),
             ('[pipeline.state]\nautosave = "yes"\n', "pipeline.state.autosave"),
             ('[pipeline.state]\ndirectory = "x"\n', "pipeline.state.directory"),
@@ -174,6 +169,19 @@ class TestValidationErrorsNameTheKey:
             ExperimentSpec.from_toml(document)
         assert str(excinfo.value).startswith(key + ":")
         assert excinfo.value.key == key
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    @pytest.mark.parametrize(
+        "removed", ["profile_cache", "columnar_dispatch", "warm_pool"]
+    )
+    def test_removed_runtime_keys_are_named(self, removed, value):
+        # These settings selected legacy execution routes that no longer
+        # exist; a spec still setting one fails loudly instead of running
+        # with the setting silently dropped.
+        document = f"[pipeline.runtime]\n{removed} = {value}\n"
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec.from_toml(document)
+        assert excinfo.value.key == f"pipeline.runtime.{removed}"
 
     def test_second_blocking_entry_is_indexed(self):
         document = (
@@ -209,8 +217,7 @@ class TestBuildPipelineEquivalence:
             cleanup_config=CleanupConfig(gamma=20, mu=4),
             pre_cleanup_config=PreCleanupConfig(enabled=True, max_component_size=30),
             runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread",
-                                  blocking_shards=3, profile_cache=False,
-                                  warm_pool=False),
+                                  blocking_shards=3),
         )
         spec = full_pipeline_spec()
         text = getattr(spec, f"to_{fmt}")()

@@ -31,22 +31,17 @@ class TestParser:
         assert args.batch_size == 2048
         assert args.executor == "process"
         assert args.blocking_shards == 1
-        assert args.profile_cache is True
-        assert args.warm_pool is True
 
     def test_match_runtime_flags(self):
         args = build_parser().parse_args([
             "match", "data.csv", "--workers", "4",
             "--batch-size", "512", "--executor", "thread",
-            "--blocking-shards", "8", "--no-profile-cache",
-            "--no-warm-pool",
+            "--blocking-shards", "8",
         ])
         assert args.workers == 4
         assert args.batch_size == 512
         assert args.executor == "thread"
         assert args.blocking_shards == 8
-        assert args.profile_cache is False
-        assert args.warm_pool is False
 
     def test_run_runtime_flags_default_to_unset(self):
         # `run` must distinguish "not passed" from any concrete value so the
@@ -56,22 +51,17 @@ class TestParser:
         assert args.batch_size is None
         assert args.executor is None
         assert args.blocking_shards is None
-        assert args.profile_cache is None
-        assert args.warm_pool is None
 
     def test_run_accepts_runtime_flags(self):
         args = build_parser().parse_args([
             "run", "config.toml", "--workers", "3",
             "--batch-size", "128", "--executor", "thread",
-            "--blocking-shards", "4", "--profile-cache",
-            "--warm-pool",
+            "--blocking-shards", "4",
         ])
         assert args.workers == 3
         assert args.batch_size == 128
         assert args.executor == "thread"
         assert args.blocking_shards == 4
-        assert args.profile_cache is True
-        assert args.warm_pool is True
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"),
@@ -322,35 +312,20 @@ class TestRunRuntimeOverrides:
         assert runtime.batch_size == 32
         assert runtime.executor == "thread"
 
-    def test_profile_cache_flag_beats_spec_value(self, tmp_path):
-        from repro.api import load_spec
-        from repro.cli import _apply_runtime_overrides
-
+    @pytest.mark.parametrize("flag", [
+        "--profile-cache", "--no-profile-cache",
+        "--columnar-dispatch", "--no-columnar-dispatch",
+        "--warm-pool", "--no-warm-pool",
+    ])
+    def test_removed_runtime_flags_exit_2(self, tmp_path, flag, capsys):
+        # The engine has one matching route and one pool mode; the flags
+        # that used to select a legacy route are gone, not silently ignored.
         config = tmp_path / "experiment.toml"
-        config.write_text(self.SPEC + "profile_cache = false\n")
-        # No flag: the spec file's opt-out survives.
-        args = build_parser().parse_args(["run", str(config)])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.profile_cache is False
-        # Explicit flag: CLI beats spec.
-        args = build_parser().parse_args(["run", str(config), "--profile-cache"])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.profile_cache is True
-
-    def test_warm_pool_flag_beats_spec_value(self, tmp_path):
-        from repro.api import load_spec
-        from repro.cli import _apply_runtime_overrides
-
-        config = tmp_path / "experiment.toml"
-        config.write_text(self.SPEC + "warm_pool = false\n")
-        # No flag: the spec file's opt-out survives.
-        args = build_parser().parse_args(["run", str(config)])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.warm_pool is False
-        # Explicit flag: CLI beats spec.
-        args = build_parser().parse_args(["run", str(config), "--warm-pool"])
-        runtime = _apply_runtime_overrides(load_spec(config), args).pipeline.runtime
-        assert runtime.warm_pool is True
+        config.write_text(self.SPEC)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(config), flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_sharded_run_reproduces_plain_run(self, tmp_path, capsys):
         benchmark = generate_benchmark(
