@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.cleanup import CleanupConfig, CleanupReport, gralmatch_cleanup
+from repro.core.cleanup import CleanupConfig, CleanupReport, clean_graph
 from repro.graphs.betweenness import max_betweenness_edge
 from repro.graphs.bridges import bridges
 from repro.graphs.components import connected_components
@@ -39,13 +39,12 @@ def bridge_removal_cleanup(
     they are exactly the "single false positive joining two groups" pattern
     of Figure 4 and cost O(n + m) to find.  Components that are still too
     large afterwards (false positives forming parallel paths) are handled by
-    the regular GraLMatch clean-up.
+    the regular GraLMatch clean-up, run on the same graph, so a record the
+    bridge pass isolates comes back as a singleton component.
     """
     config = config or CleanupConfig()
     graph = Graph(edges)
-    report = CleanupReport()
     components = connected_components(graph)
-    report.initial_largest_component = len(components[0]) if components else 0
 
     removed_bridges = set()
     for component in components:
@@ -56,14 +55,9 @@ def bridge_removal_cleanup(
             removed_bridges.add(edge)
     graph.remove_edges(removed_bridges)
 
-    remaining_components, fallback_report = gralmatch_cleanup(
-        [tuple(edge) for edge in graph.edges()], config
-    )
-
-    report.removed_edges = removed_bridges | fallback_report.removed_edges
-    report.mincut_removals = fallback_report.mincut_removals
-    report.betweenness_removals = fallback_report.betweenness_removals
-    report.final_largest_component = fallback_report.final_largest_component
+    remaining_components, report = clean_graph(graph, config)
+    report.initial_largest_component = len(components[0]) if components else 0
+    report.removed_edges |= removed_bridges
     return remaining_components, report
 
 

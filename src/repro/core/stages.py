@@ -212,6 +212,13 @@ class GraphCleanupStage(PipelineStage):
         context.components, context.cleanup_report = cleanup(
             context.kept_edges, self.config
         )
+        report = context.cleanup_report
+        metrics = context.profiler.recorder.metrics
+        metrics.add("cleanup.mincut_removals", report.mincut_removals)
+        metrics.add("cleanup.betweenness_removals", report.betweenness_removals)
+        metrics.add("cleanup.edges_removed", report.num_removed)
+        metrics.gauge("cleanup.initial_largest_component", report.initial_largest_component)
+        metrics.gauge("cleanup.final_largest_component", report.final_largest_component)
 
 
 class GroupingStage(PipelineStage):

@@ -11,15 +11,16 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.graphs.graph import Graph, Node
-from repro.graphs.union_find import union_find_components
+from repro.graphs.union_find import component_order, union_find_components
 
 
 def connected_components(graph: Graph) -> list[set[Node]]:
     """Return the connected components of ``graph`` as a list of node sets.
 
     Components are computed with a disjoint-set forest (path compression +
-    union by rank), which the clean-up hot paths recompute after every
-    edge-removal round; :func:`bfs_connected_components` is the original
+    union by rank): once over the whole match graph before the clean-up,
+    then inside each piece an Algorithm 1 removal cuts (never over the
+    whole graph again); :func:`bfs_connected_components` is the original
     breadth-first implementation, kept as the independent reference the
     property-based tests cross-check against.  The result is sorted by
     decreasing size, then by the smallest representation of a member node,
@@ -43,7 +44,7 @@ def bfs_connected_components(graph: Graph) -> list[set[Node]]:
         component = _bfs_component(graph, start)
         seen.update(component)
         components.append(component)
-    components.sort(key=lambda comp: (-len(comp), min(repr(n) for n in comp)))
+    components.sort(key=component_order)
     return components
 
 
@@ -67,17 +68,13 @@ def component_of(graph: Graph, node: Node) -> set[Node]:
 
 
 def largest_component(graph: Graph) -> set[Node]:
-    """Return the largest connected component (empty set for empty graphs)."""
-    best: set[Node] = set()
-    seen: set[Node] = set()
-    for start in graph.nodes():
-        if start in seen:
-            continue
-        component = _bfs_component(graph, start)
-        seen.update(component)
-        if len(component) > len(best):
-            best = component
-    return best
+    """Return the largest connected component (empty set for empty graphs).
+
+    Ties go to the component :func:`connected_components` lists first, the
+    one holding the smallest member repr.
+    """
+    components = connected_components(graph)
+    return components[0] if components else set()
 
 
 def components_from_edges(edges: Iterable[tuple[Node, Node]]) -> list[set[Node]]:

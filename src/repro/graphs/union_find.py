@@ -1,8 +1,9 @@
 """Disjoint-set union (union-find) over hashable nodes.
 
 Connected components are the hottest graph primitive in the pipeline: they
-are recomputed for the pre-cleanup sizing rule, for the transitive closure,
-and after every edge-removal round of Algorithm 1.  A disjoint-set forest
+are computed for the pre-cleanup sizing rule, for the transitive closure,
+once over the whole match graph before Algorithm 1, and inside the one
+piece an Algorithm 1 removal just cut.  A disjoint-set forest
 with path compression and union by rank answers the same question in
 near-linear time — O(m α(n)) over m edges — without materialising adjacency
 sets or re-walking the graph per component, unlike the BFS sweep it
@@ -16,6 +17,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.graphs.graph import Node
+
+
+def component_order(component: set[Node]) -> tuple[int, str]:
+    """Sort key of the canonical component order: decreasing size, then
+    the smallest member repr."""
+    return -len(component), min(repr(node) for node in component)
 
 
 class DisjointSet:
@@ -96,7 +103,7 @@ class DisjointSet:
         for node in self._parent:
             by_root.setdefault(self.find(node), set()).add(node)
         components = list(by_root.values())  # repro-lint: disable=unordered-iteration -- sorted on the next line
-        components.sort(key=lambda comp: (-len(comp), min(repr(n) for n in comp)))
+        components.sort(key=component_order)
         return components
 
 

@@ -43,7 +43,7 @@ from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
-from repro.core.cleanup import CleanupConfig, CleanupReport
+from repro.core.cleanup import CleanupConfig, CleanupReport, merge_component_cleanups
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import apply_pre_cleanup, groups_from_components
@@ -536,26 +536,21 @@ class IncrementalMatcher:
         """
         state = self.state
         cleanup_fn = CLEANUPS.get(state.cleanup_strategy)
-        aggregate = CleanupReport()
         if not kept:
             state.cleanup_memo = {}
             state.kept_edges = set()
             state.kept_dsu = DisjointSet()
-            return [], aggregate
+            return [], CleanupReport()
 
         dsu, components = self._kept_components(kept, report)
         report.components_total = len(components)
-        aggregate.initial_largest_component = len(components[0])
 
         if not getattr(cleanup_fn, "component_local", False):
             # Unknown strategy: no locality guarantee, no memo — re-clean
             # the whole graph (correct, just not delta-proportional).
             state.cleanup_memo = {}
-            final_components, aggregate = cleanup_fn(
-                list(kept), state.cleanup_config
-            )
             report.components_recleaned = len(components)
-            return final_components, aggregate
+            return cleanup_fn(list(kept), state.cleanup_config)
 
         edges_by_root: dict[Any, list[Edge]] = {}
         for edge in kept:
@@ -563,7 +558,7 @@ class IncrementalMatcher:
 
         memo = state.cleanup_memo
         next_memo: dict[frozenset, ComponentCleanup] = {}
-        final_components: list[frozenset[str]] = []
+        cleaned: list[ComponentCleanup] = []
         for component in components:
             root = dsu.find(next(iter(component)))
             component_edges = edges_by_root.get(root, [])
@@ -585,17 +580,13 @@ class IncrementalMatcher:
             else:
                 report.components_reused += 1
             next_memo[key] = cached
-            final_components.extend(cached.subcomponents)
-            aggregate.removed_edges.update(cached.removed_edges)
-            aggregate.mincut_removals += cached.mincut_removals
-            aggregate.betweenness_removals += cached.betweenness_removals
+            cleaned.append(cached)
         state.cleanup_memo = next_memo
 
-        # Global ordering: exactly connected_components' comparator, so the
-        # spliced output is indistinguishable from a full-graph clean-up.
-        final_sets = [set(sub) for sub in final_components]
-        final_sets.sort(key=lambda comp: (-len(comp), min(repr(n) for n in comp)))
-        aggregate.final_largest_component = (
-            len(final_sets[0]) if final_sets else 0
+        # Global ordering and totals through the batch clean-up's own
+        # helper, so the spliced output is indistinguishable from a
+        # full-graph clean-up.
+        return merge_component_cleanups(
+            ((entry.subcomponents, entry) for entry in cleaned),
+            initial_largest_component=len(components[0]),
         )
-        return final_sets, aggregate

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.cleanup import CleanupConfig
+from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
 from repro.core.cleanup_variants import adaptive_cleanup, bridge_removal_cleanup
 from repro.graphs.graph import canonical_edge
 
@@ -52,6 +52,19 @@ class TestBridgeRemovalCleanup:
         components, report = bridge_removal_cleanup([], CleanupConfig())
         assert components == []
         assert report.num_removed == 0
+
+    def test_records_isolated_by_the_bridge_pass_stay_as_singletons(self):
+        # A 5-clique plus a pendant record joined by a bridge: removing the
+        # bridge isolates "p", which must come back as its own component,
+        # exactly as under Algorithm 1.
+        edges = clique_edges([f"a{i}" for i in range(5)]) + [("a4", "p")]
+        config = CleanupConfig(gamma=25, mu=5)
+        components, report = bridge_removal_cleanup(edges, config)
+        expected, _ = gralmatch_cleanup(edges, config)
+        assert components == expected == [{f"a{i}" for i in range(5)}, {"p"}]
+        assert report.removed_edges == {("a4", "p")}
+        assert report.initial_largest_component == 6
+        assert report.final_largest_component == 5
 
 
 class TestAdaptiveCleanup:

@@ -62,6 +62,12 @@ class TestLargestComponent:
         g = Graph([(1, 2), (3, 4), (4, 5), (5, 6)])
         assert largest_component(g) == {3, 4, 5, 6}
 
+    def test_tie_goes_to_the_first_of_connected_components(self):
+        # {b, c} is inserted first, but {a, d} holds the smaller member.
+        g = Graph([("b", "c"), ("a", "d")])
+        assert largest_component(g) == {"a", "d"}
+        assert largest_component(g) == connected_components(g)[0]
+
 
 @st.composite
 def random_edge_lists(draw):

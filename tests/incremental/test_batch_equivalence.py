@@ -200,6 +200,46 @@ def test_threshold_matcher_matches_the_batch_run(
         matcher.close()
 
 
+@pytest.fixture(scope="module")
+def bridge_removal_factory(golden_setup):
+    """The golden pipeline under the component-local ``bridge_removal``
+    strategy, with gamma low enough that its Algorithm 1 fallback cuts."""
+    _, matcher = golden_setup
+
+    def make(runtime=None):
+        return EntityGroupMatchingPipeline(
+            matcher=matcher,
+            blocking=CombinedBlocking(
+                [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
+            ),
+            cleanup_config=CleanupConfig(gamma=6, mu=4),
+            pre_cleanup_config=PreCleanupConfig(max_component_size=30),
+            runtime=runtime,
+            cleanup_strategy="bridge_removal",
+        )
+
+    return make
+
+
+@pytest.mark.parametrize("num_batches", [1, 2, 7])
+def test_bridge_removal_strategy_matches_the_batch_run(
+    golden_setup, bridge_removal_factory, num_batches
+):
+    companies, _ = golden_setup
+    batch = bridge_removal_factory().run(companies)
+    report = batch.cleanup_report
+    assert report.mincut_removals > 0 and report.betweenness_removals > 0
+    # Bridges are the removals neither phase of the fallback counts.
+    assert report.num_removed > report.mincut_removals + report.betweenness_removals
+    matcher = ingest_in_batches(
+        bridge_removal_factory, partition_records(companies.records, num_batches)
+    )
+    assert_equals_batch(matcher, batch)
+    assert matcher.state.cleanup_report == report
+    if num_batches > 1:
+        assert matcher.last_report.components_reused > 0
+
+
 class TestRecordAtATime:
     def test_single_record_tail_matches_the_batch_run(
         self, golden_setup, pipeline_factory, batch_result

@@ -6,7 +6,9 @@ changes what the engine computes.
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
+from repro.core.cleanup import CleanupConfig
 from repro.core.pipeline import EntityGroupMatchingPipeline
+from repro.core.precleanup import PreCleanupConfig
 from repro.datagen import GenerationConfig, figure2_dataset, generate_benchmark
 from repro.matching import IdOverlapMatcher, LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
@@ -163,6 +165,77 @@ class TestTracedEqualsUntraced:
         (run_span,) = trace.find("pipeline.run", kind="run")
         stage_names = [s.name for s in run_span.children if s.kind == "stage"]
         assert "pairwise_matching" in stage_names
+
+
+@pytest.fixture(scope="module")
+def golden_run():
+    """Runs the golden pipeline (seed 42, 50 entities, 4 sources) with or
+    without a trace recorder."""
+    benchmark = generate_benchmark(
+        GenerationConfig(num_entities=50, num_sources=4, seed=42,
+                         acquisition_rate=0.05, merger_rate=0.05)
+    )
+    companies = benchmark.companies
+    pairs = build_labeled_pairs(companies, negative_ratio=3, seed=0)
+    record_pairs, labels = as_record_pairs(pairs)
+    matcher = LogisticRegressionMatcher(num_iterations=120).fit(record_pairs, labels)
+
+    def run(cleanup_config, recorder=None):
+        pipeline = EntityGroupMatchingPipeline(
+            matcher=matcher,
+            blocking=CombinedBlocking([IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]),
+            cleanup_config=cleanup_config,
+            pre_cleanup_config=PreCleanupConfig(max_component_size=30),
+            runtime=PipelineRuntime(RuntimeConfig(), recorder=recorder),
+        )
+        return pipeline.run(companies)
+
+    return run
+
+
+class TestCleanupCounters:
+    @pytest.mark.parametrize(
+        ("gamma", "counters", "gauges"),
+        [
+            pytest.param(
+                20,
+                {"mincut_removals": 0, "betweenness_removals": 9, "edges_removed": 9},
+                {"initial_largest_component": 7.0, "final_largest_component": 4.0},
+                id="golden",
+            ),
+            pytest.param(
+                6,
+                {"mincut_removals": 3, "betweenness_removals": 8, "edges_removed": 11},
+                {"initial_largest_component": 7.0, "final_largest_component": 4.0},
+                id="gamma6",
+            ),
+        ],
+    )
+    def test_cleanup_stage_records_its_removals(self, golden_run, gamma, counters, gauges):
+        config = CleanupConfig(gamma=gamma, mu=4)
+        recorder = TraceRecorder()
+        traced = golden_run(config, recorder)
+        metrics = recorder.metrics
+        assert {
+            name.removeprefix("cleanup."): value
+            for name, value in metrics.counters().items()
+            if name.startswith("cleanup.")
+        } == counters
+        assert {
+            name.removeprefix("cleanup."): value
+            for name, value in metrics.gauges().items()
+            if name.startswith("cleanup.")
+        } == gauges
+        report = traced.cleanup_report
+        assert counters == {
+            "mincut_removals": report.mincut_removals,
+            "betweenness_removals": report.betweenness_removals,
+            "edges_removed": report.num_removed,
+        }
+        # Recording only observes: the untraced run is byte-identical.
+        plain = golden_run(config)
+        assert traced.groups.groups == plain.groups.groups
+        assert traced.cleanup_report == plain.cleanup_report
 
 
 class TestRuntimeRecorderWiring:
