@@ -4,19 +4,17 @@ Measures the matching layer's prepare-once/score-many optimisation on the
 synthetic companies benchmark, in two sections:
 
 * **feature extraction** (single process) — pairs/second of the logistic
-  matcher's feature extraction through three implementations:
+  matcher's feature extraction through two implementations:
 
   - ``seed``: the historical extractor, re-deriving every normalisation per
     pair with the untrimmed Levenshtein DP (replicated here verbatim as the
-    frozen "before" baseline),
-  - ``per_pair``: the current extractor without a profile store (building
-    both profiles on the spot for every pair),
-  - ``store rows``: the profile store scored row at a time
-    (``extract_batch_profiles_rows``, the per-pair oracle the columnar
-    path is asserted bitwise-equal against),
-  - ``profile_store``: the columnar hot path the engine runs — profiles
-    prepared once per record, features as array expressions over the
-    packed columns — preparation time is included.
+    frozen "before" baseline and per-pair oracle),
+  - ``profile_store``: the library's one feature path — profiles prepared
+    once per record, features as array expressions over the packed
+    columns — preparation time is included.
+
+  Both matrices, and the record-pair ``extract_batch`` that fitting uses,
+  are asserted bitwise equal before any timing counts.
 
 * **run_matching** — end-to-end ``PipelineRuntime.run_matching`` throughput
   with the trained logistic matcher, workers × executor.  Every row's
@@ -124,7 +122,7 @@ def _seed_lcs_similarity(a: str, b: str) -> float:
     return longest_common_substring(a, b) / min(len(a), len(b))
 
 
-class SeedPairFeatureExtractor(PairFeatureExtractor):
+class SeedPairFeatureExtractor:
     """The extractor as it stood before the profile subsystem landed.
 
     Re-derives every record-local value for both sides of every pair and
@@ -271,7 +269,7 @@ def train_matcher(dataset: Dataset) -> LogisticRegressionMatcher:
 def measure_extraction(
     dataset: Dataset, candidates: Sequence[CandidatePair], repeats: int
 ) -> tuple[list[dict[str, object]], dict[str, float]]:
-    """Pairs/second of the three extraction implementations, plus speedups."""
+    """Pairs/second of the seed and columnar extraction, plus the speedup."""
     record_pairs = [
         (dataset.record(c.left_id), dataset.record(c.right_id)) for c in candidates
     ]
@@ -290,15 +288,6 @@ def measure_extraction(
     seed_seconds, seed_matrix = best_of(
         lambda: np.stack([seed_extractor.extract(left, right) for left, right in record_pairs])
     )
-    per_pair_seconds, per_pair_matrix = best_of(
-        lambda: current.extract_batch(record_pairs)
-    )
-
-    def profiled_rows() -> np.ndarray:
-        # The row-at-a-time store oracle: same profile store, per-pair
-        # Python scoring — the "before" of the columnar refactor.
-        store = ProfileStore.prepare(dataset.records)
-        return current.extract_batch_profiles_rows(store, id_pairs)
 
     def profiled() -> np.ndarray:
         # Preparation is part of the measured cost: the speedup must hold
@@ -306,14 +295,14 @@ def measure_extraction(
         store = ProfileStore.prepare(dataset.records)
         return current.extract_batch_profiles(store, id_pairs)
 
-    rows_seconds, rows_matrix = best_of(profiled_rows)
     profile_seconds, profile_matrix = best_of(profiled)
 
-    # All implementations must agree bitwise before any timing counts.
-    assert np.array_equal(seed_matrix, per_pair_matrix), "per-pair features drifted from seed"
-    assert np.array_equal(seed_matrix, rows_matrix), "store row path drifted from seed"
-    assert np.array_equal(rows_matrix, profile_matrix), (
-        "columnar extraction drifted from the per-pair store oracle"
+    # Both implementations must agree bitwise before any timing counts.
+    assert np.array_equal(seed_matrix, profile_matrix), (
+        "columnar extraction drifted from the seed extractor"
+    )
+    assert np.array_equal(seed_matrix, current.extract_batch(record_pairs)), (
+        "record-pair extract_batch drifted from the seed extractor"
     )
 
     num_pairs = len(candidates)
@@ -329,18 +318,10 @@ def measure_extraction(
         }
         for label, seconds in (
             ("seed (per-pair recompute)", seed_seconds),
-            ("current per-pair (no store)", per_pair_seconds),
-            ("store rows (per-pair oracle)", rows_seconds),
             ("profile store (columnar, incl. prepare)", profile_seconds),
         )
     ]
-    speedups = {
-        "profile_store_vs_seed": seed_seconds / profile_seconds,
-        "profile_store_vs_per_pair": per_pair_seconds / profile_seconds,
-        "per_pair_vs_seed": seed_seconds / per_pair_seconds,
-        "columnar_vs_store_rows": rows_seconds / profile_seconds,
-    }
-    return rows, speedups
+    return rows, {"profile_store_vs_seed": seed_seconds / profile_seconds}
 
 
 def measure_run_matching(
@@ -448,8 +429,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     print(format_table(extraction_rows, title="Feature extraction — single process"))
     print(format_table(matching_rows, title="run_matching — workers × executor"))
-    print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed, "
-          f"{speedups['profile_store_vs_per_pair']:.2f}x vs the per-pair extractor")
+    print(f"profile store speedup: {speedups['profile_store_vs_seed']:.2f}x vs seed")
     print("determinism: every configuration == matcher.decide, bitwise — OK")
 
     # Parallel speedup is only a meaningful claim when the box actually has

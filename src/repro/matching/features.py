@@ -1,35 +1,31 @@
 """Similarity features for the classical (feature-based) matcher.
 
-The feature extractor turns a record pair into a fixed-length numpy vector
-of string / set / identifier similarities.  It powers the
-:class:`~repro.matching.logistic.LogisticRegressionMatcher`, which plays the
-role of a strong non-neural baseline and is also much faster than the
+The feature extractor turns record pairs into a matrix with one fixed-length
+float64 row of string / set / identifier similarities per pair.  It powers
+the :class:`~repro.matching.logistic.LogisticRegressionMatcher`, which plays
+the role of a strong non-neural baseline and is also much faster than the
 attention model — handy for large candidate sets.
 
-Extraction is factored through per-record feature profiles
-(:mod:`repro.matching.profiles`): all record-local derivations (text
-normalisation, tokenisation, identifier canonicalisation) live in
-:func:`~repro.matching.profiles.build_profile`, and the pair features score
-two profiles.  :meth:`PairFeatureExtractor.extract` builds both profiles on
-the spot (the classic pairwise-recompute behaviour, byte for byte), while
-:meth:`PairFeatureExtractor.extract_batch_profiles` scores id pairs against
-a prepared :class:`~repro.matching.profiles.ProfileStore` — the
-prepare-once/score-many hot path of the execution engine.
+There is one feature implementation,
+:meth:`PairFeatureExtractor.extract_batch_profiles`.  It scores id pairs
+against a prepared :class:`~repro.matching.profiles.ProfileStore`, which
+holds every record-local derivation (text normalisation, tokenisation,
+identifier canonicalisation) once per record, and computes each
+``FEATURE_NAMES`` column as array ops over row-index pairs.  Set-overlap
+features run as sorted-id intersection counts over the store's CSR columns,
+attribute agreements as interned-id equality, and the string similarities as
+batched kernels (:mod:`repro.text.batch_similarity`) over the
+*deduplicated* unique string pairs of each batch, gathered back per pair.
+:meth:`PairFeatureExtractor.extract_batch` is the record-pair entry point
+(fitting, record-pair inference): it profiles the pairs' records into a
+store and runs the same code.
 
-Since the columnar refactor the store path is vectorised: every
-``FEATURE_NAMES`` column is computed as array ops over row-index pairs.
-Set-overlap features run as sorted-id intersection counts over the store's
-CSR columns, attribute agreements as interned-id equality, and the string
-similarities as batched kernels (:mod:`repro.text.batch_similarity`) over
-the *deduplicated* unique string pairs of each batch, gathered back per
-pair.  The byte-identity contract carries over
-from the row path: every column replays the same float64 operations on the
-same values as the scalar extraction (int→float divisions of exact counts,
-kernels bitwise-equal to their scalar forms), so the matrix is bitwise
-identical to :meth:`PairFeatureExtractor.extract_batch_profiles_rows` — the
-retained per-pair reference implementation — which is itself bitwise
-identical to per-pair recompute.  Hypothesis-pinned in
-``tests/matching/test_profiles.py``.
+Every column replays the same float64 operations on the same values as
+scoring each pair from its two records (int→float divisions of exact
+counts, kernels bitwise-equal to their scalar forms), so the matrix is
+bitwise identical to per-pair recomputation.  The per-pair oracle
+``reference_extract`` lives in ``tests/matching/test_profiles.py``, whose
+hypothesis suites pin the equivalence.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     IdSetColumn,
     ProfileStore,
-    RecordProfile,
-    build_profile,
     sorted_intersection_counts,
 )
 from repro.text.batch_similarity import (
@@ -57,16 +51,18 @@ from repro.text.batch_similarity import (
     longest_common_substring_similarity_packed,
     pack_codepoints,
 )
-from repro.text.similarity import (
-    jaccard_similarity,
-    jaro_winkler_similarity,
-    levenshtein_similarity,
-    longest_common_substring_similarity,
-    overlap_coefficient,
-)
 
 _COMPANY_CODE = KIND_NAMES.index(KIND_COMPANY)
 _SECURITY_CODE = KIND_NAMES.index(KIND_SECURITY)
+
+#: Pairs per :meth:`PairFeatureExtractor.extract_batch_profiles` call inside
+#: :meth:`PairFeatureExtractor.extract_batch`.  The batch similarity kernels
+#: allocate temporaries that grow with pairs × string width²: one call over
+#: a 5k-pair training set peaks at ~29 MB of traced memory and lifted the
+#: ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB (2-core
+#: VM), while 512-pair slices peak at ~4.4 MB.  Every feature is row-local,
+#: so slicing cannot change a value.
+EXTRACT_BATCH_SLICE = 512
 
 
 # -- columnar building blocks -------------------------------------------------
@@ -154,11 +150,9 @@ def gather_pair_similarities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair (name jw, name lev, name lcs, stripped jw) in one sweep.
 
-    Semantically :func:`gather_name_similarities` +
-    :func:`gather_stripped_similarities` (same values), but the two
-    Jaro–Winkler kernel invocations are fused into one packed batch over
-    both sets of unique pairs — per-DP-step fixed costs are paid once
-    instead of twice on the extraction hot path.
+    The name and stripped-name Jaro–Winkler kernel invocations are fused
+    into one packed batch over both sets of unique pairs — per-DP-step fixed
+    costs are paid once instead of twice on the extraction hot path.
     """
     strings = store.strings
     name_left, name_right, name_inverse = _unique_id_pairs(
@@ -185,28 +179,6 @@ def gather_pair_similarities(
         lcs[name_inverse],
         jaro_winkler[name_count:][stripped_inverse],
     )
-
-
-def gather_name_similarities(
-    store: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (jaro_winkler, levenshtein, lcs) over normalised names.
-
-    Deduplicates the string pairs and computes each distinct pair once with
-    the batched kernels (bitwise equal to the scalar functions).
-    """
-    unique_left, unique_right, inverse = _unique_id_pairs(
-        store.name_ids[left_rows], store.name_ids[right_rows]
-    )
-    packed = _pack_pairs(store.strings, unique_left, unique_right)
-    jaro_winkler = jaro_winkler_similarity_packed(
-        *packed[:5], a_ids=packed[5], b_ids=packed[6]
-    )
-    levenshtein = levenshtein_similarity_packed(
-        *packed[:5], a_ids=packed[5], b_ids=packed[6]
-    )
-    lcs = longest_common_substring_similarity_packed(*packed[:5])
-    return jaro_winkler[inverse], levenshtein[inverse], lcs[inverse]
 
 
 def gather_stripped_similarities(
@@ -258,7 +230,7 @@ def _set_features(
 
 
 class PairFeatureExtractor:
-    """Extract a numeric feature vector from a record pair.
+    """Extract one numeric feature vector per record pair.
 
     The feature set is intentionally generic: a block of name similarities, a
     block of auxiliary-attribute agreements and a block of identifier
@@ -296,38 +268,30 @@ class PairFeatureExtractor:
     def num_features(self) -> int:
         return len(self.FEATURE_NAMES)
 
-    # -- profiles ---------------------------------------------------------------
-
-    def prepare(self, records) -> ProfileStore:
-        """Profile every record once (see :meth:`ProfileStore.prepare`)."""
-        return ProfileStore.prepare(records)
-
-    # -- single pair -----------------------------------------------------------
-
-    def extract(self, left: Record, right: Record) -> np.ndarray:
-        """Return the feature vector for one pair (profiles built on the spot)."""
-        return np.asarray(
-            self._pair_values(build_profile(left), build_profile(right)),
-            dtype=np.float64,
-        )
-
-    def extract_profiled(self, left: RecordProfile, right: RecordProfile) -> np.ndarray:
-        """Feature vector for one pair of precomputed profiles."""
-        return np.asarray(self._pair_values(left, right), dtype=np.float64)
-
     def extract_batch(self, pairs: Sequence[tuple[Record, Record]]) -> np.ndarray:
         """Feature matrix (num_pairs, num_features) for a record-pair sequence.
 
-        Rows go through :meth:`extract`, so a subclass that overrides the
-        per-pair extraction changes the batched path too; the matrix is
-        preallocated and filled row by row (less allocator churn than
-        stacking per-pair arrays).
+        Profiles the distinct records of the pairs once into a
+        :class:`~repro.matching.profiles.ProfileStore`, then scores the id
+        pairs with :meth:`extract_batch_profiles` in
+        :data:`EXTRACT_BATCH_SLICE`-pair slices.  The store keys profiles by
+        record id, so two different records sharing an id in one call raise
+        ``ValueError`` (equal copies are fine).
         """
-        if not pairs:
-            return np.zeros((0, self.num_features), dtype=np.float64)
-        matrix = np.empty((len(pairs), self.num_features), dtype=np.float64)
-        for row, (left, right) in enumerate(pairs):
-            matrix[row] = self.extract(left, right)
+        records: dict[str, Record] = {}
+        for pair in pairs:
+            for record in pair:
+                known = records.setdefault(record.record_id, record)
+                if known is not record and known != record:
+                    raise ValueError(
+                        f"two different records share the id {record.record_id!r}"
+                    )
+        store = ProfileStore.prepare(records.values())
+        id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
+        matrix = np.empty((len(id_pairs), self.num_features), dtype=np.float64)
+        for start in range(0, len(id_pairs), EXTRACT_BATCH_SLICE):
+            stop = start + EXTRACT_BATCH_SLICE
+            matrix[start:stop] = self.extract_batch_profiles(store, id_pairs[start:stop])
         return matrix
 
     def extract_batch_profiles(
@@ -335,13 +299,14 @@ class PairFeatureExtractor:
     ) -> np.ndarray:
         """Feature matrix for id pairs, vectorised over the columnar store.
 
-        The hot path of the execution engine's profiled inference: each
-        feature column is one array expression over the row-index pairs, and
-        only the deduplicated distinct string pairs touch Python-level
-        string code (inside the batched kernels).  Bitwise identical to
-        :meth:`extract_batch_profiles_rows` — dtype float64 throughout, the
-        same left-to-right scalar operations per value — which the golden
-        suites and a hypothesis test pin.
+        The one feature implementation, used by the execution engine and,
+        through :meth:`extract_batch`, by fitting: each feature column is one
+        array expression over the row-index pairs, and only the deduplicated
+        distinct string pairs touch Python-level string code (inside the
+        batched kernels).  Bitwise identical to scoring each pair from its
+        two records — dtype float64 throughout, the same left-to-right
+        scalar operations per value — which the golden suites and a
+        hypothesis test pin.
         """
         if not id_pairs:
             return np.zeros((0, self.num_features), dtype=np.float64)
@@ -360,7 +325,7 @@ class PairFeatureExtractor:
         description_shared, description_left, description_right = _set_features(
             profiles.description_token_sets, left_rows, right_rows
         )
-        # Gated on both token sets nonempty (matching the row path), else 0.
+        # Gated on both token sets nonempty, else 0.
         description_jaccard = np.zeros(len(left_rows), dtype=np.float64)
         both_described = (description_left > 0) & (description_right > 0)
         description_union = (
@@ -419,8 +384,8 @@ class PairFeatureExtractor:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Columnar (overlap count, conflict count, ISIN overlap flag).
 
-        Same-kind gating mirrors :meth:`_identifier_features`: securities
-        compare field-aligned identifier ids (0 == missing skips the field),
+        Only same-kind pairs compare identifiers: securities compare
+        field-aligned identifier ids (0 == missing skips the field),
         companies intersect their ISIN id sets; mixed pairs stay neutral.
         """
         count = len(left_rows)
@@ -458,105 +423,5 @@ class PairFeatureExtractor:
                 (sizes_left > 0) & (sizes_right > 0) & (shared == 0)
             ).astype(np.int64)
             isin_overlap[company_pairs] = (shared > 0).astype(np.float64)
-
-        return overlaps, conflicts, isin_overlap
-
-    def extract_batch_profiles_rows(
-        self, profiles: ProfileStore, id_pairs: Sequence[tuple[str, str]]
-    ) -> np.ndarray:
-        """Row-at-a-time reference implementation of the store path.
-
-        Scores each pair through :meth:`_pair_values` on materialised
-        profiles — the pre-columnar hot path, kept as the bitwise oracle the
-        vectorised :meth:`extract_batch_profiles` is benched and tested
-        against.
-        """
-        if not id_pairs:
-            return np.zeros((0, self.num_features), dtype=np.float64)
-        matrix = np.empty((len(id_pairs), self.num_features), dtype=np.float64)
-        for row, (left_id, right_id) in enumerate(id_pairs):
-            matrix[row] = self._pair_values(
-                profiles.get(left_id), profiles.get(right_id)
-            )
-        return matrix
-
-    # -- scoring -------------------------------------------------------------------
-
-    def _pair_values(
-        self, left: RecordProfile, right: RecordProfile
-    ) -> tuple[float, ...]:
-        """The feature tuple for one profile pair.
-
-        Every value is computed by the same similarity call on the same
-        derived strings/sets as the historical per-pair extraction, keeping
-        results byte-identical.
-        """
-        name_jw = jaro_winkler_similarity(left.name_norm, right.name_norm)
-        name_lev = levenshtein_similarity(left.name_norm, right.name_norm)
-        name_lcs = longest_common_substring_similarity(left.name_norm, right.name_norm)
-        stripped_jw = jaro_winkler_similarity(left.stripped_name, right.stripped_name)
-        identifier_overlaps, identifier_conflicts, isin_overlap = (
-            self._identifier_features(left, right)
-        )
-        return (
-            name_jw,
-            name_lev,
-            jaccard_similarity(left.name_token_set, right.name_token_set),
-            overlap_coefficient(left.name_token_set, right.name_token_set),
-            name_lcs,
-            stripped_jw,
-            jaccard_similarity(left.stripped_token_set, right.stripped_token_set),
-            jaccard_similarity(left.description_token_set, right.description_token_set)
-            if left.description_token_set and right.description_token_set
-            else 0.0,
-            1.0 if left.has_description and right.has_description else 0.0,
-            self._equality_feature(left.city, right.city),
-            self._equality_feature(left.region, right.region),
-            self._equality_feature(left.country_code, right.country_code),
-            self._equality_feature(left.industry, right.industry),
-            self._equality_feature(left.security_type, right.security_type),
-            float(identifier_overlaps),
-            float(identifier_conflicts),
-            isin_overlap,
-            self._equality_feature(left.ticker, right.ticker),
-            1.0 if left.source == right.source else 0.0,
-        )
-
-    # -- helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def _equality_feature(left_value: str, right_value: str) -> float:
-        """1 if both present and equal (normalised), 0.5 if either missing."""
-        if not left_value or not right_value:
-            return 0.5
-        return 1.0 if left_value == right_value else 0.0
-
-    @staticmethod
-    def _identifier_features(
-        left: RecordProfile, right: RecordProfile
-    ) -> tuple[int, int, float]:
-        """(overlap count, conflict count, company-ISIN overlap flag)."""
-        overlaps = 0
-        conflicts = 0
-        isin_overlap = 0.0
-
-        if left.kind == KIND_SECURITY and right.kind == KIND_SECURITY:
-            for left_value, right_value in zip(
-                left.security_identifiers, right.security_identifiers
-            ):
-                if not left_value or not right_value:
-                    continue
-                if left_value == right_value:
-                    overlaps += 1
-                else:
-                    conflicts += 1
-            isin_overlap = 1.0 if overlaps else 0.0
-
-        if left.kind == KIND_COMPANY and right.kind == KIND_COMPANY:
-            shared = left.isin_set & right.isin_set
-            overlaps = len(shared)
-            if left.isin_set and right.isin_set and not shared:
-                conflicts = 1
-            isin_overlap = 1.0 if shared else 0.0
 
         return overlaps, conflicts, isin_overlap

@@ -35,6 +35,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _targets(
+    pairs: Sequence[RecordPair], labels: Sequence[int], pairs_name: str, labels_name: str
+) -> np.ndarray:
+    """Labels as float targets, after checking they fit the pairs and are 0/1."""
+    if len(pairs) != len(labels):
+        raise ValueError(
+            f"{pairs_name} and {labels_name} must have the same length "
+            f"({len(pairs)} vs {len(labels)})"
+        )
+    targets = np.asarray(labels, dtype=np.float64)
+    if set(np.unique(targets)) - {0.0, 1.0}:
+        raise ValueError(f"{labels_name} must be 0 or 1")
+    return targets
+
+
 @dataclass
 class LogisticTrainingHistory:
     """Loss trajectory of one fit, useful for tests and diagnostics."""
@@ -85,24 +100,28 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         validation_pairs: Sequence[RecordPair] | None = None,
         validation_labels: Sequence[int] | None = None,
     ) -> "LogisticRegressionMatcher":
-        if len(pairs) != len(labels):
-            raise ValueError("pairs and labels must have the same length")
-        if not pairs:
+        """Fit on labelled pairs; validation pairs only record a loss history.
+
+        Validation input is checked like the training set (equal lengths,
+        labels 0 or 1); an empty validation set counts as absent.
+        """
+        targets = _targets(pairs, labels, "pairs", "labels")
+        if not len(targets):
             raise ValueError("cannot fit on an empty training set")
+        validation_targets = _targets(
+            () if validation_pairs is None else validation_pairs,
+            () if validation_labels is None else validation_labels,
+            "validation_pairs",
+            "validation_labels",
+        )
 
         features = self.extractor.extract_batch(pairs)
-        targets = np.asarray(labels, dtype=np.float64)
-        if set(np.unique(targets)) - {0.0, 1.0}:
-            raise ValueError("labels must be 0 or 1")
-
         self._fit_scaler(features)
         features = self._scale(features)
 
         validation_features = None
-        validation_targets = None
-        if validation_pairs is not None and validation_labels is not None:
+        if len(validation_targets):
             validation_features = self._scale(self.extractor.extract_batch(validation_pairs))
-            validation_targets = np.asarray(validation_labels, dtype=np.float64)
 
         rng = np.random.default_rng(self.seed)
         num_features = features.shape[1]
@@ -124,7 +143,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             self.history.train_loss.append(
                 self._loss(probabilities, targets, sample_weights, weights)
             )
-            if validation_features is not None and validation_targets is not None:
+            if validation_features is not None:
                 validation_probabilities = _sigmoid(validation_features @ weights + bias)
                 self.history.validation_loss.append(
                     self._loss(
@@ -210,7 +229,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
 
     def prepare_profiles(self, records: Iterable[Record]) -> ProfileStore:
         """Profile every record once; pairs are then scored by id."""
-        return self.extractor.prepare(records)
+        return ProfileStore.prepare(records)
 
     def score_profiled(
         self, profiles: ProfileStore, id_pairs: Sequence[IdPair]
@@ -218,10 +237,12 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         """Probability vector for id pairs resolved against a profile store.
 
         Feature extraction, scaling and the row-local logit reduction are
-        all array expressions — no per-pair Python.  Byte-identical to :meth:`predict_proba` on the
-        corresponding record pairs: the feature matrix holds the same
-        float64 values in the same shape, so scaling and the row-local
-        reduction see identical inputs.
+        all array expressions — no per-pair Python.  Byte-identical to
+        :meth:`predict_proba` on the corresponding record pairs: both run
+        :meth:`~repro.matching.features.PairFeatureExtractor.extract_batch_profiles`
+        (``predict_proba`` through ``extract_batch``, which profiles the
+        pairs' records first), every feature is row-local, and so is the
+        logit reduction.
         """
         if self._weights is None:
             raise RuntimeError("matcher must be fitted before predicting")

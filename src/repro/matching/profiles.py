@@ -11,12 +11,12 @@ Since the columnar refactor the store is laid out **struct-of-arrays**: the
 profile fields live in contiguous numpy columns indexed by row (record id →
 row index via :meth:`ProfileStore.row_indices`), every string is interned
 once into a shared table (``id 0`` is the empty string, so "missing" is a
-plain integer comparison), and ragged per-record collections — token sets,
-company ISIN sets, description token sequences — are CSR-packed
-:class:`IdSetColumn` buffers of interned ids.  Feature extraction then runs
-as array ops over row-index pairs (set overlaps via sorted-id intersection
-counts, attribute agreement via integer equality) instead of a Python loop
-over pairs; see :meth:`repro.matching.features.PairFeatureExtractor.extract_batch_profiles`.
+plain integer comparison), and ragged per-record collections — token sets
+and company ISIN sets — are CSR-packed :class:`IdSetColumn` buffers of
+interned ids.  Feature extraction then runs as array ops over row-index
+pairs (set overlaps via sorted-id intersection counts, attribute agreement
+via integer equality) instead of a Python loop over pairs; see
+:meth:`repro.matching.features.PairFeatureExtractor.extract_batch_profiles`.
 
 The store mirrors the two-phase protocol of the sharded blocking layer:
 ``prepare(dataset)`` runs once in the parent process, the (picklable) store
@@ -267,9 +267,6 @@ class IdSetColumn:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def row(self, row: int) -> np.ndarray:
-        return self.values[self.offsets[row] : self.offsets[row + 1]]
-
     def lengths(self, rows: np.ndarray) -> np.ndarray:
         """Row sizes for an array of row indices."""
         return self.offsets[rows + 1] - self.offsets[rows]
@@ -348,11 +345,7 @@ class ProfileStore:
       security identifiers (all-0 rows for non-securities),
     * ``name_token_sets`` / ``stripped_token_sets`` /
       ``description_token_sets`` / ``isin_sets`` — sorted-id
-      :class:`IdSetColumn` sets,
-    * ``description_token_seqs`` — the *ordered* description token ids
-      (duplicates kept), so :meth:`get` can materialise an exact
-      :class:`RecordProfile` back out of the columns.
-
+      :class:`IdSetColumn` sets.
     """
 
     __slots__ = (
@@ -370,10 +363,8 @@ class ProfileStore:
         "name_token_sets",
         "stripped_token_sets",
         "description_token_sets",
-        "description_token_seqs",
         "isin_sets",
         "revision",
-        "_profile_cache",
     )
 
     def __init__(self, profiles: Mapping[str, RecordProfile] = ()) -> None:
@@ -393,17 +384,12 @@ class ProfileStore:
         self.name_token_sets = IdSetColumn()
         self.stripped_token_sets = IdSetColumn()
         self.description_token_sets = IdSetColumn()
-        self.description_token_seqs = IdSetColumn()
         self.isin_sets = IdSetColumn()
         #: Content revision, bumped whenever :meth:`add_records` grows the
         #: store.  The worker pool's epoch protocol compares it to decide
         #: whether an already-shipped store is still current — a store
         #: therefore ships once per revision, not once per matching call.
         self.revision = 0
-        #: record id → materialised :class:`RecordProfile`, filled lazily by
-        #: :meth:`get` (profiles are views over the columns, reconstructed
-        #: exactly; the columns are the source of truth).
-        self._profile_cache: dict[str, RecordProfile] = {}
         if profiles:
             self._append_profiles(dict(profiles).items())
 
@@ -470,7 +456,6 @@ class ProfileStore:
         name_sets: list[list[int]] = []
         stripped_sets: list[list[int]] = []
         description_sets: list[list[int]] = []
-        description_seqs: list[list[int]] = []
         isin_rows: list[list[int]] = []
         no_identifiers = [0] * len(SECURITY_ID_FIELDS)
         intern = self._intern
@@ -480,7 +465,6 @@ class ProfileStore:
         # interning it again would walk the same deterministic order to the
         # same ids (the table already contains them), so reuse is exact.
         token_set_memo: dict[tuple[str, ...], list[int]] = {}
-        description_memo: dict[tuple[str, ...], tuple[list[int], list[int]]] = {}
 
         for record_id, profile in items:  # repro-lint: disable=unordered-iteration -- dict insertion order == record order, the interning contract
             self._row_of[record_id] = len(self._record_ids)
@@ -500,13 +484,11 @@ class ProfileStore:
                 stripped_set = intern_set(profile.stripped_tokens)
                 token_set_memo[profile.stripped_tokens] = stripped_set
             stripped_sets.append(stripped_set)
-            description = description_memo.get(profile.description_tokens)
-            if description is None:
-                sequence = [intern(token) for token in profile.description_tokens]
-                description = (sequence, sorted(set(sequence)))
-                description_memo[profile.description_tokens] = description
-            description_seqs.append(description[0])
-            description_sets.append(description[1])
+            description_set = token_set_memo.get(profile.description_tokens)
+            if description_set is None:
+                description_set = intern_set(profile.description_tokens)
+                token_set_memo[profile.description_tokens] = description_set
+            description_sets.append(description_set)
             attr_rows.append(
                 [intern(getattr(profile, attr)) for attr in EQUALITY_ATTRIBUTES]
             )
@@ -557,7 +539,6 @@ class ProfileStore:
         self.name_token_sets.extend(name_sets)
         self.stripped_token_sets.extend(stripped_sets)
         self.description_token_sets.extend(description_sets)
-        self.description_token_seqs.extend(description_seqs)
         self.isin_sets.extend(isin_rows)
         return added
 
@@ -586,14 +567,12 @@ class ProfileStore:
                 self.description_token_sets.values,
                 self.description_token_sets.offsets,
             ),
-            "description_token_seqs": (
-                self.description_token_seqs.values,
-                self.description_token_seqs.offsets,
-            ),
             "isin_sets": (self.isin_sets.values, self.isin_sets.offsets),
         }
 
     def __setstate__(self, state: dict) -> None:
+        # Payloads pickled by earlier versions also carry an ordered
+        # "description_token_seqs" column; nothing reads it, so it is ignored.
         if isinstance(state, dict) and state.get("format") == _COLUMNAR_PICKLE_FORMAT:
             self.__init__()
             self._record_ids = list(state["record_ids"])
@@ -612,7 +591,6 @@ class ProfileStore:
             self.name_token_sets = IdSetColumn(*state["name_token_sets"])
             self.stripped_token_sets = IdSetColumn(*state["stripped_token_sets"])
             self.description_token_sets = IdSetColumn(*state["description_token_sets"])
-            self.description_token_seqs = IdSetColumn(*state["description_token_seqs"])
             self.isin_sets = IdSetColumn(*state["isin_sets"])
         else:
             # Legacy payload: a {record_id: RecordProfile} dict written
@@ -626,7 +604,7 @@ class ProfileStore:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(left rows, right rows) for a sequence of record-id pairs.
 
-        Raises ``KeyError`` for unknown ids, like :meth:`get`.
+        Raises ``KeyError`` for unknown ids.
         """
         row_of = self._row_of
         flat = np.fromiter(
@@ -649,62 +627,6 @@ class ProfileStore:
     def record_ids(self) -> Sequence[str]:
         """Record ids in row order (read-only view by convention)."""
         return self._record_ids
-
-    def get(self, record_id: str) -> RecordProfile:
-        """Materialise one record's :class:`RecordProfile` from its row.
-
-        Every field is re-derived from the columns through the same pure
-        transformations :func:`build_profile` used to create them, so the
-        result is equal to the originally built profile; materialisations
-        are memoised per store lifetime.
-        """
-        profile = self._profile_cache.get(record_id)
-        if profile is None:
-            profile = self._materialize(self._row_of[record_id])
-            self._profile_cache[record_id] = profile
-        return profile
-
-    def _materialize(self, row: int) -> RecordProfile:
-        strings = self._strings
-        name_norm = strings[self.name_ids[row]]
-        name_tokens = tuple(name_norm.split())
-        stripped_name = strings[self.stripped_ids[row]]
-        stripped_tokens = tuple(stripped_name.split())
-        description_tokens = tuple(
-            strings[index] for index in self.description_token_seqs.row(row)
-        )
-        kind = KIND_NAMES[self.kind_codes[row]]
-        if kind == KIND_SECURITY:
-            security_identifiers = tuple(
-                strings[index] for index in self.identifier_ids[row]
-            )
-        else:
-            security_identifiers = ()
-        attrs = [strings[index] for index in self.attr_ids[row]]
-        return RecordProfile(
-            record_id=self._record_ids[row],
-            source=strings[self.source_ids[row]],
-            kind=kind,
-            name_norm=name_norm,
-            name_tokens=name_tokens,
-            name_token_set=frozenset(name_tokens),
-            stripped_name=stripped_name,
-            stripped_tokens=stripped_tokens,
-            stripped_token_set=frozenset(stripped_tokens),
-            has_description=bool(self.has_description[row]),
-            description_tokens=description_tokens,
-            description_token_set=frozenset(description_tokens),
-            city=attrs[0],
-            region=attrs[1],
-            country_code=attrs[2],
-            industry=attrs[3],
-            security_type=attrs[4],
-            ticker=attrs[5],
-            security_identifiers=security_identifiers,
-            isin_set=frozenset(
-                strings[index] for index in self.isin_sets.row(row)
-            ),
-        )
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._row_of

@@ -298,12 +298,8 @@ class TestProfileStoreRoundTrip:
         matcher.save(state_dir)
         reloaded = IncrementalMatcher.load(state_dir).state.profiles
 
-        # Bitwise-identical columnar payload and identical materialised profiles.
+        # Bitwise-identical columnar payload (every column).
         assert _columnar_payload_bytes(reloaded) == _columnar_payload_bytes(store)
-        assert all(
-            reloaded.get(record_id) == store.get(record_id)
-            for record_id in store.record_ids
-        )
         rescored = extractor.extract_batch_profiles(reloaded, id_pairs)
         assert rescored.tobytes() == direct.tobytes()
 

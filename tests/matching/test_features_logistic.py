@@ -1,5 +1,7 @@
 """Tests for the feature extractor and the logistic-regression matcher."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,17 @@ class TestFeatureExtractor:
     extractor = PairFeatureExtractor()
 
     def test_vector_length_matches_names(self):
-        vector = self.extractor.extract(company("a", "Acme"), company("b", "Acme"))
+        vector = self.extractor.extract_batch([(company("a", "Acme"), company("b", "Acme"))])[0]
         assert vector.shape == (self.extractor.num_features,)
         assert len(self.extractor.feature_names()) == self.extractor.num_features
 
     def test_identical_names_score_high(self):
-        same = self.extractor.extract(company("a", "Acme Corp"), company("b", "Acme Corp"))
-        different = self.extractor.extract(company("a", "Acme Corp"), company("b", "Zenith Bank"))
+        same = self.extractor.extract_batch(
+            [(company("a", "Acme Corp"), company("b", "Acme Corp"))]
+        )[0]
+        different = self.extractor.extract_batch(
+            [(company("a", "Acme Corp"), company("b", "Zenith Bank"))]
+        )[0]
         names = self.extractor.feature_names()
         jw = names.index("name_jaro_winkler")
         assert same[jw] > different[jw]
@@ -39,22 +45,22 @@ class TestFeatureExtractor:
                                name="Zen stock", isin="CH0038863350")
         names = self.extractor.feature_names()
         overlap_index = names.index("identifier_overlap_count")
-        assert self.extractor.extract(left, right)[overlap_index] == 1.0
-        assert self.extractor.extract(left, other)[overlap_index] == 0.0
+        assert self.extractor.extract_batch([(left, right)])[0][overlap_index] == 1.0
+        assert self.extractor.extract_batch([(left, other)])[0][overlap_index] == 0.0
 
     def test_company_isin_overlap_feature(self):
         left = company("a", "Acme", security_isins=("US0378331005",))
         right = company("b", "Acme Inc", security_isins=("US0378331005", "CH0038863350"))
         names = self.extractor.feature_names()
         isin_index = names.index("isin_overlap")
-        assert self.extractor.extract(left, right)[isin_index] == 1.0
+        assert self.extractor.extract_batch([(left, right)])[0][isin_index] == 1.0
 
     def test_missing_attributes_are_neutral(self):
         left = company("a", "Acme", city=None)
         right = company("b", "Acme", city="Zurich")
         names = self.extractor.feature_names()
         city_index = names.index("city_match")
-        assert self.extractor.extract(left, right)[city_index] == 0.5
+        assert self.extractor.extract_batch([(left, right)])[0][city_index] == 0.5
 
     def test_batch_shape(self):
         pairs = [(company("a", "Acme"), company("b", "Acme"))] * 3
@@ -63,6 +69,18 @@ class TestFeatureExtractor:
 
     def test_empty_batch(self):
         assert self.extractor.extract_batch([]).shape == (0, self.extractor.num_features)
+
+    def test_different_records_sharing_an_id_raise(self):
+        left = company("a", "Acme")
+        with pytest.raises(ValueError, match="'b'"):
+            self.extractor.extract_batch(
+                [(left, company("b", "Acme")), (left, company("b", "Zenith"))]
+            )
+        # Equal copies of one record are fine.
+        matrix = self.extractor.extract_batch(
+            [(left, company("b", "Acme")), (company("a", "Acme"), company("b", "Acme"))]
+        )
+        assert matrix[0].tobytes() == matrix[1].tobytes()
 
     def test_values_are_finite(self, companies):
         pairs = build_labeled_pairs(companies, negative_ratio=1, seed=0)[:50]
@@ -115,6 +133,48 @@ class TestLogisticRegressionMatcher:
         matcher = LogisticRegressionMatcher(num_iterations=100).fit(record_pairs, labels)
         probabilities = matcher.predict_proba(record_pairs[:40])
         assert all(0.0 <= p <= 1.0 for p in probabilities)
+
+    @pytest.fixture
+    def split_pairs(self, companies):
+        """(train pairs, train labels, validation pairs, validation labels)."""
+        record_pairs, labels = as_record_pairs(
+            build_labeled_pairs(companies, negative_ratio=2, seed=2)
+        )
+        return record_pairs[:-60], labels[:-60], record_pairs[-60:], labels[-60:]
+
+    def test_fit_rejects_a_single_validation_label(self, split_pairs):
+        pairs, labels, validation_pairs, _ = split_pairs
+        with pytest.raises(ValueError, match=r"validation_labels must have .*\(60 vs 1\)"):
+            LogisticRegressionMatcher(num_iterations=5).fit(
+                pairs, labels, validation_pairs=validation_pairs, validation_labels=[1]
+            )
+
+    def test_fit_rejects_validation_length_mismatch(self, split_pairs):
+        pairs, labels, validation_pairs, validation_labels = split_pairs
+        with pytest.raises(ValueError, match=r"same length \(60 vs 50\)"):
+            LogisticRegressionMatcher(num_iterations=5).fit(
+                pairs, labels,
+                validation_pairs=validation_pairs, validation_labels=validation_labels[:50],
+            )
+
+    def test_fit_rejects_bad_validation_labels(self, split_pairs):
+        pairs, labels, validation_pairs, _ = split_pairs
+        with pytest.raises(ValueError, match="validation_labels must be 0 or 1"):
+            LogisticRegressionMatcher(num_iterations=5).fit(
+                pairs, labels, validation_pairs=validation_pairs, validation_labels=[7] * 60
+            )
+
+    def test_fit_treats_empty_validation_as_absent(self, split_pairs):
+        pairs, labels, _, _ = split_pairs
+        without = LogisticRegressionMatcher(num_iterations=20).fit(pairs, labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = LogisticRegressionMatcher(num_iterations=20).fit(
+                pairs, labels, validation_pairs=[], validation_labels=[]
+            )
+        assert empty.history.validation_loss == []
+        assert empty.history == without.history
+        assert empty._weights.tobytes() == without._weights.tobytes()
 
     def test_history_recorded_with_validation(self, companies):
         pairs = build_labeled_pairs(companies, negative_ratio=2, seed=2)

@@ -1,12 +1,14 @@
 """Per-record feature profiles: equivalence with direct pairwise extraction.
 
-The profile subsystem's contract is that scoring a pair from two
-:class:`~repro.matching.profiles.RecordProfile` objects is **byte identical**
-to re-deriving everything from the records, for every record shape the
-extractor supports.  The reference implementation below is the historical
-pairwise-recompute extractor, kept verbatim as the oracle; hypothesis
-drives randomised company / security / product records (including missing
-attributes, token-less names and mixed-kind pairs) against it.
+The profile subsystem's contract is that scoring a pair from a
+:class:`~repro.matching.profiles.ProfileStore` — the one feature path, used
+by the engine and, through ``extract_batch``, by fitting — is **byte
+identical** to re-deriving everything from the records, for every record
+shape the extractor supports.  The reference implementation below is the
+historical pairwise-recompute extractor, kept verbatim as the oracle;
+hypothesis drives randomised company / security / product records
+(including missing attributes, token-less names and mixed-kind pairs)
+against it.
 """
 
 import numpy as np
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, ProductRecord, Record, SecurityRecord
-from repro.matching.features import PairFeatureExtractor
+from repro.matching.features import EXTRACT_BATCH_SLICE, PairFeatureExtractor
+from repro.matching.logistic import LogisticRegressionMatcher
+from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import (
     KIND_COMPANY,
     KIND_OTHER,
@@ -128,6 +132,14 @@ def reference_extract(left: Record, right: Record) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def reference_matrix(pairs) -> np.ndarray:
+    """:func:`reference_extract` rows stacked into one feature matrix."""
+    matrix = np.empty((len(pairs), len(PairFeatureExtractor.FEATURE_NAMES)))
+    for row, (left, right) in enumerate(pairs):
+        matrix[row] = reference_extract(left, right)
+    return matrix
+
+
 # -- record strategies --------------------------------------------------------
 
 # Deliberately nasty text: unicode accents, punctuation-only names that
@@ -222,10 +234,7 @@ class TestProfileEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_profiled_extraction_equals_reference(self, left, right):
         expected = reference_extract(left, right)
-        via_extract = self.extractor.extract(left, right)
-        via_profiles = self.extractor.extract_profiled(
-            build_profile(left), build_profile(right)
-        )
+        via_extract = self.extractor.extract_batch([(left, right)])[0]
         store = ProfileStore.prepare([left, right])
         via_store = self.extractor.extract_batch_profiles(
             store, [(left.record_id, right.record_id)]
@@ -233,7 +242,6 @@ class TestProfileEquivalence:
         # Bitwise equality, not approx: profiles precompute, they never
         # change a single float.
         assert np.array_equal(expected, via_extract)
-        assert np.array_equal(expected, via_profiles)
         assert np.array_equal(expected, via_store)
 
     @given(st.lists(st.tuples(any_record, any_record), max_size=8))
@@ -246,13 +254,60 @@ class TestProfileEquivalence:
             assert np.array_equal(row, reference_extract(left, right))
 
 
-class TestColumnarBatchEquivalence:
-    """The vectorised store path against the per-pair row oracle.
+class _ReferenceExtractor(PairFeatureExtractor):
+    """Scores record pairs with the per-pair oracle instead of the store."""
 
-    ``extract_batch_profiles`` must be byte-for-byte the matrix
-    ``extract_batch_profiles_rows`` produces — over randomized record
-    mixes, duplicated pairs (the dedup path), repeated extraction, and a
-    pickled clone of the store (the worker-shipping path).
+    def extract_batch(self, pairs) -> np.ndarray:
+        return reference_matrix(pairs)
+
+
+class TestSingleFeaturePath:
+    """Fitting and record-pair extraction run the columnar store path."""
+
+    def test_fit_equals_fit_on_the_reference_features(self, companies):
+        record_pairs, labels = as_record_pairs(
+            build_labeled_pairs(companies, negative_ratio=3, seed=0)
+        )
+        split = int(len(record_pairs) * 0.8)
+        columnar, reference = (
+            LogisticRegressionMatcher(extractor=extractor).fit(
+                record_pairs[:split],
+                labels[:split],
+                validation_pairs=record_pairs[split:],
+                validation_labels=labels[split:],
+            )
+            for extractor in (None, _ReferenceExtractor())
+        )
+        assert type(columnar.extractor) is PairFeatureExtractor
+        for attribute in ("_weights", "_feature_means", "_feature_scales"):
+            assert getattr(columnar, attribute).tobytes() == getattr(
+                reference, attribute
+            ).tobytes()
+        assert np.float64(columnar._bias).tobytes() == np.float64(reference._bias).tobytes()
+        assert columnar.history == reference.history
+        assert len(columnar.history.validation_loss) == columnar.num_iterations
+
+    def test_extract_batch_across_slice_boundaries(self, companies, securities):
+        records = companies.records + securities.records
+        count = 2 * EXTRACT_BATCH_SLICE + 76
+        assert count >= 1100 and count % EXTRACT_BATCH_SLICE
+        pairs = [
+            (records[index % len(records)], records[(7 * index + 1) % len(records)])
+            for index in range(count)
+        ]
+        matrix = PairFeatureExtractor().extract_batch(pairs)
+        assert matrix.shape == (count, PairFeatureExtractor().num_features)
+        for row, (left, right) in zip(matrix, pairs):
+            assert row.tobytes() == reference_extract(left, right).tobytes()
+
+
+class TestColumnarBatchEquivalence:
+    """The vectorised store path against the per-pair oracle.
+
+    ``extract_batch_profiles`` must be byte-for-byte the matrix of
+    :func:`reference_extract` rows — over randomized record mixes,
+    duplicated pairs (the dedup path), repeated extraction, and a pickled
+    clone of the store (the worker-shipping path).
     """
 
     extractor = PairFeatureExtractor()
@@ -275,7 +330,8 @@ class TestColumnarBatchEquivalence:
         id_pairs = [(ids[i], ids[j]) for i, j in index_pairs]
         id_pairs += id_pairs[:3]  # duplicates exercise the dedup path
 
-        reference = self.extractor.extract_batch_profiles_rows(store, id_pairs)
+        by_id = dict(zip(ids, records))
+        reference = reference_matrix([(by_id[left], by_id[right]) for left, right in id_pairs])
         first = self.extractor.extract_batch_profiles(store, id_pairs)
         again = self.extractor.extract_batch_profiles(store, id_pairs)
         assert first.tobytes() == reference.tobytes()
@@ -292,7 +348,7 @@ class TestColumnarBatchEquivalence:
         matrix = self.extractor.extract_batch_profiles(store, [])
         assert matrix.shape == (0, self.extractor.num_features)
         assert matrix.dtype == np.float64
-        rows = self.extractor.extract_batch_profiles_rows(store, [])
+        rows = self.extractor.extract_batch([])
         assert rows.shape == matrix.shape
 
     def test_empty_store_roundtrip(self):
@@ -341,7 +397,7 @@ class TestProfileEdgeCases:
             record_id="s", source="S2", entity_id="e", name="Acme stock",
             isin="US0378331005",
         )
-        vector = self.extractor.extract(company, security)
+        vector = self.extractor.extract_batch([(company, security)])[0]
         names = self.extractor.feature_names()
         assert vector[names.index("identifier_overlap_count")] == 0.0
         assert vector[names.index("identifier_conflict_count")] == 0.0
@@ -375,12 +431,12 @@ class TestProfileStore:
         store = ProfileStore.prepare(records)
         assert len(store) == 5
         assert all(record.record_id in store for record in records)
-        assert store.get("r3").name_norm == "acme 3"
+        assert store.string_at(store.name_ids[store.record_ids.index("r3")]) == "acme 3"
 
     def test_missing_record_raises(self):
         store = ProfileStore.prepare([])
         with pytest.raises(KeyError):
-            store.get("nope")
+            store.row_indices([("nope", "nope")])
 
     def test_store_is_picklable(self):
         import pickle
@@ -394,5 +450,34 @@ class TestProfileStore:
         store = ProfileStore.prepare(records)
         clone = pickle.loads(pickle.dumps(store))
         assert len(clone) == len(store)
-        assert clone.get("s1") == store.get("s1")
-        assert clone.get("c1") == store.get("c1")
+        assert pickle.dumps(clone.__getstate__()) == pickle.dumps(store.__getstate__())
+
+    def test_payload_with_description_token_seqs_loads_and_scores_bitwise(
+        self, companies
+    ):
+        # Earlier versions also pickled the ordered description token ids.
+        import pickle
+
+        records = companies.records[:60]
+        store = ProfileStore.prepare(records)
+        string_ids = {value: index for index, value in enumerate(store.strings)}
+        sequences = [
+            [string_ids[token] for token in word_tokenize(_attribute(record, "description"))]
+            for record in records
+        ]
+        assert any(sequences)
+        payload = store.__getstate__()
+        payload["description_token_seqs"] = (
+            np.asarray([index for sequence in sequences for index in sequence], dtype=np.int32),
+            np.concatenate(([0], np.cumsum([len(sequence) for sequence in sequences]))),
+        )
+        legacy = ProfileStore.__new__(ProfileStore)
+        legacy.__setstate__(payload)
+
+        id_pairs = [(left.record_id, right.record_id) for left, right in zip(records, records[7:])]
+        extractor = PairFeatureExtractor()
+        assert (
+            extractor.extract_batch_profiles(legacy, id_pairs).tobytes()
+            == extractor.extract_batch_profiles(store, id_pairs).tobytes()
+        )
+        assert pickle.dumps(legacy.__getstate__()) == pickle.dumps(store.__getstate__())
