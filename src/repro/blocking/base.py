@@ -67,6 +67,12 @@ class Blocking(ABC):
     tags.  Shardable blockings therefore implement ``candidate_pairs`` *in
     terms of* the two-phase form, and each blocking owns the rule that
     assigns a pair to exactly one chunk (see the individual blockings).
+
+    Incremental ingestion needs the same emission split per record:
+    :meth:`owned_candidates` returns each record's own ``candidates_for``
+    output in one call, so a blocking that scores many records at once
+    (token overlap's array scorer) can spread its per-call work over a whole
+    span of records instead of being asked one record at a time.
     """
 
     #: Name recorded on every emitted candidate pair.
@@ -109,6 +115,24 @@ class Blocking(ABC):
             f"{type(self).__name__} does not support record-sharded "
             "candidate generation (shardable=False)"
         )
+
+    def owned_candidates(
+        self, shared: Any, records: Sequence[Record]
+    ) -> list[tuple[CandidatePair, ...]]:
+        """Each record's owned candidate pairs, aligned with ``records``.
+
+        Entry ``i`` must equal ``tuple(candidates_for(shared,
+        [records[i]]))``: single-record chunks are a valid chunking under
+        the shardable contract, so each entry is exactly that record's slice
+        of the serial emission stream.  The incremental matcher splices
+        these per-record lists into its stored record → candidates map.
+        (A flat ``candidates_for`` list cannot be split back per record in
+        general: an identifier-overlap pair need not contain its owner.)
+
+        The default asks :meth:`candidates_for` one record at a time;
+        blockings that can score a whole span at once override it.
+        """
+        return [tuple(self.candidates_for(shared, (record,))) for record in records]
 
     def delta_update(
         self, shared: Any, dataset: Dataset, new_records: Sequence[Record]

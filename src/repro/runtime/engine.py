@@ -143,16 +143,15 @@ def _delta_blocking_task(
 ) -> list[tuple[CandidatePair, ...]]:
     """Worker task: per-record owned candidate lists for one record span.
 
-    Single-record chunks are a valid chunking under the shardable contract,
-    so each record's ``candidates_for`` output is exactly its slice of the
-    serial emission stream — which is what lets the incremental matcher
-    splice rescored records into a stored per-record candidate map.
+    One :meth:`~repro.blocking.base.Blocking.owned_candidates` call per
+    span: each entry is exactly that record's slice of the serial emission
+    stream — which is what lets the incremental matcher splice rescored
+    records into a stored per-record candidate map — and a blocking that
+    scores set-at-a-time (token overlap) pays its per-call set-up once per
+    span rather than once per record.
     """
     start, stop = span
-    return [
-        tuple(plan.part.candidates_for(plan.state, (record,)))
-        for record in plan.records[start:stop]
-    ]
+    return plan.part.owned_candidates(plan.state, plan.records[start:stop])
 
 
 def _owned_candidate_count(owned: list[tuple[CandidatePair, ...]]) -> int:
@@ -296,9 +295,10 @@ class PipelineRuntime:
         record's owned candidate pairs — one tuple per record, aligned with
         ``records``.  Spans of records fan out over the pool exactly like
         sharded candidate generation (``blocking_shards`` tasks, shared
-        state shipped out of band), and per-record outputs are sliced
-        worker-side so the parent can splice them into a persistent
-        record → candidates map.
+        state shipped out of band); each task makes one
+        :meth:`~repro.blocking.base.Blocking.owned_candidates` call, so
+        per-record outputs come back already split and the parent can
+        splice them into a persistent record → candidates map.
         """
         if not records:
             return []
