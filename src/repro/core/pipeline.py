@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from typing import Any
 
 from repro.blocking.base import Blocking, CandidatePair
 from repro.core.cleanup import CleanupConfig, CleanupReport
@@ -184,7 +185,7 @@ class EntityGroupMatchingPipeline:
 
     # -- the run ------------------------------------------------------------
 
-    def run(self, dataset: Dataset) -> PipelineResult:
+    def run(self, dataset: Dataset, profiles: Any = None) -> PipelineResult:
         """Run the stage sequence on ``dataset`` and return all artefacts.
 
         Candidate generation and pairwise inference are delegated to the
@@ -192,10 +193,24 @@ class EntityGroupMatchingPipeline:
         batches and optionally parallelises them; the graph stages operate
         on the global match graph and stay single-pass.  Serial and parallel
         engines produce identical results.
+
+        ``profiles`` (optional) is the matcher's ``prepare_profiles`` state
+        for ``dataset`` when the caller already holds it — the experiment
+        passes the store fine-tuning built — and the matching stage scores
+        with it instead of profiling the candidates' records again.  It
+        must hold every record of ``dataset`` (``ValueError`` names the
+        first one it lacks); results equal a run without it, because
+        profiles are pure per-record derivations.
         """
+        if profiles is not None:
+            for record in dataset:
+                if record.record_id not in profiles:
+                    raise ValueError(
+                        f"profiles do not hold dataset record {record.record_id!r}"
+                    )
         profiler = self.runtime.profiler()
         context = PipelineContext(
-            dataset=dataset, runtime=self.runtime, profiler=profiler
+            dataset=dataset, runtime=self.runtime, profiler=profiler, profiles=profiles
         )
         with profiler.recorder.span(
             "pipeline.run", kind="run", records=len(dataset)

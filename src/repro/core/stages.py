@@ -47,14 +47,18 @@ from repro.runtime import PipelineRuntime, StageProfiler
 class PipelineContext:
     """Everything the stages share during one pipeline run.
 
-    Early fields are inputs (dataset, runtime, profiler); the rest are
-    artefacts produced by successive stages.  Custom stages may stash
-    additional state in :attr:`extras` without subclassing the context.
+    Early fields are inputs (dataset, runtime, profiler, and optionally the
+    matcher's prepared profiles for the dataset); the rest are artefacts
+    produced by successive stages.  Custom stages may stash additional
+    state in :attr:`extras` without subclassing the context.
     """
 
     dataset: Dataset
     runtime: PipelineRuntime
     profiler: StageProfiler
+    #: ``prepare_profiles`` state covering the dataset, or ``None`` to let
+    #: the matching stage prepare its own.
+    profiles: Any = None
 
     candidates: list[CandidatePair] = field(default_factory=list)
     #: A lazy :class:`~repro.matching.decisions.DecisionVector` from the
@@ -117,7 +121,11 @@ class MatchingStage(PipelineStage):
 
     def run(self, context: PipelineContext) -> None:
         context.decisions = context.runtime.run_matching(
-            self.matcher, context.dataset, context.candidates, context.profiler
+            self.matcher,
+            context.dataset,
+            context.candidates,
+            context.profiler,
+            profiles=context.profiles,
         )
 
 

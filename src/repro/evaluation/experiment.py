@@ -34,8 +34,9 @@ from repro.core.pipeline import EntityGroupMatchingPipeline, PipelineResult
 from repro.core.precleanup import PreCleanupConfig
 from repro.datagen.records import Dataset
 from repro.evaluation.splits import DatasetSplits, split_dataset
+from repro.matching.base import PairwiseMatcher
 from repro.matching.models import ModelSpec, resolve_model_spec
-from repro.matching.training import FineTuner
+from repro.matching.training import FineTuner, FineTuneResult
 from repro.runtime import RuntimeConfig
 from repro.specs.pipeline import (
     BLOCKING_RECIPES,
@@ -200,11 +201,17 @@ class EntityGroupMatchingExperiment:
     # -- the run -----------------------------------------------------------------------
 
     def run(self, model: str | ModelSpec | None = None) -> ExperimentResult:
-        """Fine-tune the model and run the end-to-end matching."""
+        """Fine-tune the model and run the end-to-end matching.
+
+        The store fine-tuning profiled the dataset into rides into the
+        pipeline run, so the matching stage scores against it instead of
+        profiling the records again.
+        """
         spec = resolve_model_spec(model or self.config.model)
-        pipeline = self._assemble_pipeline(spec)
+        fine_tuned = self._fine_tune(spec)
+        pipeline = self._pipeline_around(fine_tuned.matcher)
         try:
-            result = pipeline.run(self.dataset)
+            result = pipeline.run(self.dataset, profiles=fine_tuned.profiles)
         finally:
             # The pipeline (and its warm worker pool) lives for this one
             # run; closing is lazy-respawn-safe even for shared runtimes.
@@ -224,22 +231,25 @@ class EntityGroupMatchingExperiment:
         initialised from a training corpus produce groups byte-identical to
         ``run()`` on that corpus.
         """
-        return self._assemble_pipeline(resolve_model_spec(model or self.config.model))
+        spec = resolve_model_spec(model or self.config.model)
+        return self._pipeline_around(self._fine_tune(spec).matcher)
 
-    def _assemble_pipeline(self, spec: ModelSpec) -> EntityGroupMatchingPipeline:
+    def _fine_tune(self, spec: ModelSpec) -> FineTuneResult:
         tuner = FineTuner(
             negative_ratio=self.config.negative_ratio,
             num_epochs=self.config.num_epochs,
             seed=self.config.seed,
         )
-        fine_tuned = tuner.fine_tune(
+        return tuner.fine_tune(
             spec,
             self.dataset,
             train_entities=self.splits.train_entities,
             validation_entities=self.splits.validation_entities,
         )
+
+    def _pipeline_around(self, matcher: PairwiseMatcher) -> EntityGroupMatchingPipeline:
         return EntityGroupMatchingPipeline(
-            matcher=fine_tuned.matcher,
+            matcher=matcher,
             blocking=self.build_blocking(),
             cleanup_config=self.build_cleanup_config(),
             pre_cleanup_config=self.build_pre_cleanup_config(),

@@ -146,7 +146,13 @@ class PairwiseMatcher(ABC):
 
 
 class TrainablePairwiseMatcher(PairwiseMatcher):
-    """A matcher that is fine-tuned on labelled pairs before use."""
+    """A matcher that is fine-tuned on labelled pairs before use.
+
+    :meth:`fit_profiled` is the fitting twin of :meth:`score_profiled`: it
+    trains on id pairs against the state :meth:`prepare_profiles` built, so
+    a caller that profiles its corpus once can fit on it and then score
+    with the same state.
+    """
 
     @abstractmethod
     def fit(
@@ -157,3 +163,32 @@ class TrainablePairwiseMatcher(PairwiseMatcher):
         validation_labels: Sequence[int] | None = None,
     ) -> "TrainablePairwiseMatcher":
         """Train on labelled pairs (1 = match, 0 = non-match)."""
+
+    def fit_profiled(
+        self,
+        profiles: Any,
+        id_pairs: Sequence[IdPair],
+        labels: Sequence[int],
+        validation_id_pairs: Sequence[IdPair] | None = None,
+        validation_labels: Sequence[int] | None = None,
+    ) -> "TrainablePairwiseMatcher":
+        """Train on labelled id pairs against :meth:`prepare_profiles` state.
+
+        Must fit exactly what :meth:`fit` fits on the corresponding record
+        pairs.  The default resolves the ids through the id → record
+        mapping the base :meth:`prepare_profiles` returns and calls
+        :meth:`fit`; a matcher that overrides :meth:`prepare_profiles`
+        overrides this too.
+        """
+
+        def resolve(pairs: Sequence[IdPair]) -> list[RecordPair]:
+            return [(profiles[left_id], profiles[right_id]) for left_id, right_id in pairs]
+
+        return self.fit(
+            resolve(id_pairs),
+            labels,
+            validation_pairs=(
+                None if validation_id_pairs is None else resolve(validation_id_pairs)
+            ),
+            validation_labels=validation_labels,
+        )

@@ -15,10 +15,13 @@ identifier canonicalisation) once per record, and computes each
 features run as sorted-id intersection counts over the store's CSR columns,
 attribute agreements as interned-id equality, and the string similarities as
 batched kernels (:mod:`repro.text.batch_similarity`) over the
-*deduplicated* unique string pairs of each batch, gathered back per pair.
-:meth:`PairFeatureExtractor.extract_batch` is the record-pair entry point
-(fitting, record-pair inference): it profiles the pairs' records into a
-store and runs the same code.
+*deduplicated* unique string pairs of each batch, gathered back per pair;
+the kernels read padded codepoint rows gathered from the store's
+``codepoints`` column, where each interned string was packed once.
+:meth:`PairFeatureExtractor.extract_sliced` runs it over any number of
+pairs in bounded-memory slices — fitting calls it on a prepared store —
+and :meth:`PairFeatureExtractor.extract_batch`, the record-pair entry point,
+profiles the pairs' records into a store and calls it.
 
 Every column replays the same float64 operations on the same values as
 scoring each pair from its two records (int→float divisions of exact
@@ -41,6 +44,7 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     IdSetColumn,
     ProfileStore,
+    distinct_records,
     sorted_intersection_counts,
 )
 from repro.text.batch_similarity import (
@@ -49,19 +53,21 @@ from repro.text.batch_similarity import (
     jaro_winkler_similarity_packed,
     levenshtein_similarity_packed,
     longest_common_substring_similarity_packed,
-    pack_codepoints,
 )
 
 _COMPANY_CODE = KIND_NAMES.index(KIND_COMPANY)
 _SECURITY_CODE = KIND_NAMES.index(KIND_SECURITY)
 
-#: Pairs per :meth:`PairFeatureExtractor.extract_batch_profiles` call inside
-#: :meth:`PairFeatureExtractor.extract_batch`.  The batch similarity kernels
-#: allocate temporaries that grow with pairs × string width²: one call over
-#: a 5k-pair training set peaks at ~29 MB of traced memory and lifted the
-#: ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB (2-core
-#: VM), while 512-pair slices peak at ~4.4 MB.  Every feature is row-local,
-#: so slicing cannot change a value.
+#: Pairs per slice in :meth:`PairFeatureExtractor.extract_sliced`.  The
+#: batch similarity kernels' temporaries grow with the slice: padded
+#: codepoint matrices and DP rows with pairs × string width, and the
+#: bit-parallel equality tables with distinct patterns × alphabet × width.
+#: One call over a 5k-pair training set peaks at ~29 MB of traced memory and
+#: lifted the ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB
+#: (2-core VM).  Fitting's extraction of a ~1k-record corpus's ~5k training
+#: and ~1.7k validation pairs, in 512-pair slices in name-length order,
+#: peaks at 3.3–3.5 MB.
+#: Every feature is row-local, so slicing cannot change a value.
 EXTRACT_BATCH_SLICE = 512
 
 
@@ -83,30 +89,24 @@ def _unique_id_pairs(
 
 
 def _pack_pairs(
-    strings: Sequence[str], left_ids: np.ndarray, right_ids: np.ndarray
+    codepoints: IdSetColumn, left_ids: np.ndarray, right_ids: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Packed codepoint matrices + ids for unique interned-id string pairs.
+    """Packed codepoint matrices + ids for interned-id string pairs.
 
-    Each *distinct* string id is packed exactly once per side and gathered
-    back per pair — on dense candidate sets (many pairs over few records)
-    that cuts the Python-level packing work by another order of magnitude.
-    Also returns the pair-equality mask, decided on interned ids without
-    touching characters, and the per-row interned ids themselves, which the
+    Gathers each pair's two padded rows from a store's ``codepoints``
+    column — the same codes, fill, lengths and width as packing the strings
+    afresh — so no string is packed again per batch.  Also returns the
+    pair-equality mask, decided on interned ids without touching
+    characters, and the per-row interned ids themselves, which the
     bit-parallel kernels use to dedup their equality tables exactly.
     """
-    distinct_left, inverse_left = np.unique(left_ids, return_inverse=True)
-    distinct_right, inverse_right = np.unique(right_ids, return_inverse=True)
-    left_codes, left_lengths = pack_codepoints(
-        [strings[index] for index in distinct_left], fill=PAD_LEFT
-    )
-    right_codes, right_lengths = pack_codepoints(
-        [strings[index] for index in distinct_right], fill=PAD_RIGHT
-    )
+    left_codes, left_lengths = codepoints.padded_rows(left_ids, PAD_LEFT)
+    right_codes, right_lengths = codepoints.padded_rows(right_ids, PAD_RIGHT)
     return (
-        left_codes[inverse_left],
-        left_lengths[inverse_left],
-        right_codes[inverse_right],
-        right_lengths[inverse_right],
+        left_codes,
+        left_lengths,
+        right_codes,
+        right_lengths,
         left_ids == right_ids,
         left_ids,
         right_ids,
@@ -154,16 +154,15 @@ def gather_pair_similarities(
     into one packed batch over both sets of unique pairs — per-DP-step fixed
     costs are paid once instead of twice on the extraction hot path.
     """
-    strings = store.strings
     name_left, name_right, name_inverse = _unique_id_pairs(
         store.name_ids[left_rows], store.name_ids[right_rows]
     )
     stripped_left, stripped_right, stripped_inverse = _unique_id_pairs(
         store.stripped_ids[left_rows], store.stripped_ids[right_rows]
     )
-    name_packed = _pack_pairs(strings, name_left, name_right)
+    name_packed = _pack_pairs(store.codepoints, name_left, name_right)
     merged = _concat_packed(
-        name_packed, _pack_pairs(strings, stripped_left, stripped_right)
+        name_packed, _pack_pairs(store.codepoints, stripped_left, stripped_right)
     )
     jaro_winkler = jaro_winkler_similarity_packed(
         *merged[:5], a_ids=merged[5], b_ids=merged[6]
@@ -188,7 +187,7 @@ def gather_stripped_similarities(
     unique_left, unique_right, inverse = _unique_id_pairs(
         store.stripped_ids[left_rows], store.stripped_ids[right_rows]
     )
-    packed = _pack_pairs(store.strings, unique_left, unique_right)
+    packed = _pack_pairs(store.codepoints, unique_left, unique_right)
     similarities = jaro_winkler_similarity_packed(
         *packed[:5], a_ids=packed[5], b_ids=packed[6]
     )
@@ -272,26 +271,42 @@ class PairFeatureExtractor:
         """Feature matrix (num_pairs, num_features) for a record-pair sequence.
 
         Profiles the distinct records of the pairs once into a
-        :class:`~repro.matching.profiles.ProfileStore`, then scores the id
-        pairs with :meth:`extract_batch_profiles` in
-        :data:`EXTRACT_BATCH_SLICE`-pair slices.  The store keys profiles by
+        :class:`~repro.matching.profiles.ProfileStore` and scores the id
+        pairs with :meth:`extract_sliced`.  The store keys profiles by
         record id, so two different records sharing an id in one call raise
         ``ValueError`` (equal copies are fine).
         """
-        records: dict[str, Record] = {}
-        for pair in pairs:
-            for record in pair:
-                known = records.setdefault(record.record_id, record)
-                if known is not record and known != record:
-                    raise ValueError(
-                        f"two different records share the id {record.record_id!r}"
-                    )
-        store = ProfileStore.prepare(records.values())
-        id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
-        matrix = np.empty((len(id_pairs), self.num_features), dtype=np.float64)
-        for start in range(0, len(id_pairs), EXTRACT_BATCH_SLICE):
-            stop = start + EXTRACT_BATCH_SLICE
-            matrix[start:stop] = self.extract_batch_profiles(store, id_pairs[start:stop])
+        store = ProfileStore.prepare(distinct_records(pairs))
+        return self.extract_sliced(
+            store, [(left.record_id, right.record_id) for left, right in pairs]
+        )
+
+    def extract_sliced(
+        self, profiles: ProfileStore, id_pairs: Sequence[tuple[str, str]]
+    ) -> np.ndarray:
+        """Feature matrix for any number of id pairs, in bounded slices.
+
+        The one slicing loop, shared by :meth:`extract_batch` and fitting on
+        a prepared store.  Pairs are taken in order of the longer of their
+        two names (a stable sort), :data:`EXTRACT_BATCH_SLICE` at a time,
+        so a slice of short names stops its DP loops at its own longest
+        name rather than the batch's; each slice's rows are written back
+        to their pairs' positions.  Every feature is row-local, so the
+        matrix is bitwise the one :meth:`extract_batch_profiles` returns
+        for all pairs at once.
+        """
+        left_rows, right_rows = profiles.row_indices(id_pairs)
+        name_lengths = profiles.codepoints.lengths(profiles.name_ids)
+        order = np.argsort(
+            np.maximum(name_lengths[left_rows], name_lengths[right_rows]),
+            kind="stable",
+        )
+        matrix = np.empty((len(order), self.num_features), dtype=np.float64)
+        for start in range(0, len(order), EXTRACT_BATCH_SLICE):
+            positions = order[start : start + EXTRACT_BATCH_SLICE]
+            matrix[positions] = self._extract_rows(
+                profiles, left_rows[positions], right_rows[positions]
+            )
         return matrix
 
     def extract_batch_profiles(
@@ -300,18 +315,22 @@ class PairFeatureExtractor:
         """Feature matrix for id pairs, vectorised over the columnar store.
 
         The one feature implementation, used by the execution engine and,
-        through :meth:`extract_batch`, by fitting: each feature column is one
-        array expression over the row-index pairs, and only the deduplicated
-        distinct string pairs touch Python-level string code (inside the
-        batched kernels).  Bitwise identical to scoring each pair from its
-        two records — dtype float64 throughout, the same left-to-right
-        scalar operations per value — which the golden suites and a
-        hypothesis test pin.
+        through :meth:`extract_sliced`, by fitting: each feature column is
+        one array expression over the row-index pairs, and only the
+        deduplicated distinct string pairs reach the batched kernels.
+        Bitwise identical to scoring each pair from its two records — dtype
+        float64 throughout, the same left-to-right scalar operations per
+        value — which the golden suites and a hypothesis test pin.
         """
         if not id_pairs:
             return np.zeros((0, self.num_features), dtype=np.float64)
         left_rows, right_rows = profiles.row_indices(id_pairs)
+        return self._extract_rows(profiles, left_rows, right_rows)
 
+    def _extract_rows(
+        self, profiles: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
+    ) -> np.ndarray:
+        """The feature matrix over row-index pairs of ``profiles``."""
         name_jw, name_lev, name_lcs, stripped_jw = gather_pair_similarities(
             profiles, left_rows, right_rows
         )

@@ -14,6 +14,7 @@ feature dimensionality is tiny, so nothing fancier is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
@@ -22,21 +23,23 @@ import numpy as np
 from repro.datagen.records import Record
 from repro.matching.base import IdPair, RecordPair, TrainablePairwiseMatcher
 from repro.matching.features import PairFeatureExtractor
-from repro.matching.profiles import ProfileStore
+from repro.matching.profiles import ProfileStore, distinct_records
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function, elementwise.
+
+    ``exp`` only ever sees ``-|z|``, so it cannot overflow; each branch is
+    the quotient the sign of ``z`` makes stable.  ``minimum(z, -z)`` rather
+    than ``-abs(z)``: it is the same number, but it keeps a NaN's sign bit,
+    so the result is bitwise the masked two-branch form's on every input.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _targets(
-    pairs: Sequence[RecordPair], labels: Sequence[int], pairs_name: str, labels_name: str
+    pairs: Sequence[object], labels: Sequence[int], pairs_name: str, labels_name: str
 ) -> np.ndarray:
     """Labels as float targets, after checking they fit the pairs and are 0/1."""
     if len(pairs) != len(labels):
@@ -71,12 +74,16 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         class_weighted: bool = True,
         seed: int = 0,
     ) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate!r}")
+        if isinstance(num_iterations, bool) or not isinstance(num_iterations, int):
+            raise ValueError(f"num_iterations must be an int, got {num_iterations!r}")
         if num_iterations < 1:
-            raise ValueError("num_iterations must be at least 1")
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
+            raise ValueError(f"num_iterations must be at least 1, got {num_iterations!r}")
+        if not (math.isfinite(l2) and l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {l2!r}")
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
         self.learning_rate = learning_rate
         self.num_iterations = num_iterations
         self.l2 = l2
@@ -100,28 +107,76 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         validation_pairs: Sequence[RecordPair] | None = None,
         validation_labels: Sequence[int] | None = None,
     ) -> "LogisticRegressionMatcher":
-        """Fit on labelled pairs; validation pairs only record a loss history.
+        """Fit on labelled record pairs; see :meth:`fit_profiled`.
 
+        Profiles the distinct records of the training and validation pairs
+        into one store — two different records sharing an id raise
+        ``ValueError`` — and fits on their id pairs against it.
+        """
+        validation_pairs = () if validation_pairs is None else validation_pairs
+        store = self.prepare_profiles(distinct_records([*pairs, *validation_pairs]))
+        return self.fit_profiled(
+            store,
+            [(left.record_id, right.record_id) for left, right in pairs],
+            labels,
+            [(left.record_id, right.record_id) for left, right in validation_pairs],
+            validation_labels,
+        )
+
+    def fit_profiled(
+        self,
+        profiles: ProfileStore,
+        id_pairs: Sequence[IdPair],
+        labels: Sequence[int],
+        validation_id_pairs: Sequence[IdPair] | None = None,
+        validation_labels: Sequence[int] | None = None,
+    ) -> "LogisticRegressionMatcher":
+        """Fit on labelled id pairs against a prepared store.
+
+        Features come from
+        :meth:`~repro.matching.features.PairFeatureExtractor.extract_sliced`
+        on ``profiles``, which may hold more records than the pairs use
+        (the experiment passes its corpus store, which the matching stage
+        then reuses).  Validation pairs only record a loss history.
         Validation input is checked like the training set (equal lengths,
         labels 0 or 1); an empty validation set counts as absent.
         """
-        targets = _targets(pairs, labels, "pairs", "labels")
+        targets = _targets(id_pairs, labels, "pairs", "labels")
         if not len(targets):
             raise ValueError("cannot fit on an empty training set")
         validation_targets = _targets(
-            () if validation_pairs is None else validation_pairs,
+            () if validation_id_pairs is None else validation_id_pairs,
             () if validation_labels is None else validation_labels,
             "validation_pairs",
             "validation_labels",
         )
-
-        features = self.extractor.extract_batch(pairs)
-        self._fit_scaler(features)
-        features = self._scale(features)
-
+        features = self.extractor.extract_sliced(profiles, id_pairs)
         validation_features = None
         if len(validation_targets):
-            validation_features = self._scale(self.extractor.extract_batch(validation_pairs))
+            validation_features = self.extractor.extract_sliced(
+                profiles, validation_id_pairs
+            )
+        return self._fit_matrix(
+            features, targets, validation_features, validation_targets
+        )
+
+    def _fit_matrix(
+        self,
+        features: np.ndarray,
+        targets: np.ndarray,
+        validation_features: np.ndarray | None,
+        validation_targets: np.ndarray,
+    ) -> "LogisticRegressionMatcher":
+        """Fit the scaler, then run full-batch gradient descent.
+
+        The loop's arithmetic — the three matrix products, their shapes and
+        the update order — is pinned bitwise by the ``reference_fit`` oracle
+        in ``tests/matching/test_logistic_oracle.py``.
+        """
+        self._fit_scaler(features)
+        features = self._scale(features)
+        if validation_features is not None:
+            validation_features = self._scale(validation_features)
 
         rng = np.random.default_rng(self.seed)
         num_features = features.shape[1]
@@ -129,6 +184,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         bias = 0.0
 
         sample_weights = self._sample_weights(targets)
+        validation_weights = np.ones_like(validation_targets)
         self.history = LogisticTrainingHistory()
 
         for _ in range(self.num_iterations):
@@ -149,7 +205,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
                     self._loss(
                         validation_probabilities,
                         validation_targets,
-                        np.ones_like(validation_targets),
+                        validation_weights,
                         weights,
                     )
                 )
@@ -177,10 +233,12 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         sample_weights: np.ndarray,
         weights: np.ndarray,
     ) -> float:
+        # Targets are exactly 0.0 or 1.0 (``_targets`` checks), so the log of
+        # the selected term is bitwise t·log(p+ε) + (1−t)·log(1−p+ε), signed
+        # zeros included, at one log per pair instead of two.
         eps = 1e-12
-        cross_entropy = -(
-            targets * np.log(probabilities + eps)
-            + (1.0 - targets) * np.log(1.0 - probabilities + eps)
+        cross_entropy = -np.log(
+            np.where(targets == 1.0, probabilities + eps, 1.0 - probabilities + eps)
         )
         return float(
             (cross_entropy * sample_weights).mean() + 0.5 * self.l2 * (weights @ weights)

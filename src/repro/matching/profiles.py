@@ -131,6 +131,27 @@ def record_name(record: Record) -> str:
     return ""
 
 
+def distinct_records(pairs: Iterable[Sequence[Record]]) -> list[Record]:
+    """The distinct records of record pairs, in order of first appearance.
+
+    A store keys profiles by record id, so two different records sharing
+    an id raise ``ValueError``; equal copies are fine.
+    """
+    seen: dict[str, Record] = {}
+    distinct: list[Record] = []
+    for pair in pairs:
+        for record in pair:
+            known = seen.get(record.record_id)
+            if known is None:
+                seen[record.record_id] = record
+                distinct.append(record)
+            elif known is not record and known != record:
+                raise ValueError(
+                    f"two different records share the id {record.record_id!r}"
+                )
+    return distinct
+
+
 def _attribute_of(record: Record, attribute: str) -> str:
     value = getattr(record, attribute, None)
     return str(value) if value else ""
@@ -250,12 +271,14 @@ def build_profile(record: Record) -> RecordProfile:
 
 
 class IdSetColumn:
-    """Ragged rows of interned string ids in one contiguous CSR buffer.
+    """Ragged int32 rows in one contiguous CSR buffer.
 
-    ``values`` holds every row's ids back to back; ``offsets[row]`` /
-    ``offsets[row + 1]`` delimit one row.  Set-valued rows store their ids
-    sorted ascending, which is what lets pairwise set overlaps run as
-    sorted-id intersection counts without touching the strings.
+    ``values`` holds every row's entries back to back; ``offsets[row]`` /
+    ``offsets[row + 1]`` delimit one row.  The set columns hold interned
+    string ids, sorted ascending per row, which is what lets pairwise set
+    overlaps run as sorted-id intersection counts without touching the
+    strings; the store's ``codepoints`` column holds one string's
+    codepoints per row.
     """
 
     __slots__ = ("values", "offsets")
@@ -277,12 +300,28 @@ class IdSetColumn:
             return
         lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
         flat = [value for row in rows for value in row]
-        self.values = np.concatenate(
-            [self.values, np.asarray(flat, dtype=np.int32)]
-        )
+        self.extend_flat(np.asarray(flat, dtype=np.int32), lengths)
+
+    def extend_flat(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Append rows given as one flat int32 buffer plus per-row lengths."""
+        self.values = np.concatenate([self.values, values])
         self.offsets = np.concatenate(
             [self.offsets, self.offsets[-1] + np.cumsum(lengths)]
         )
+
+    def padded_rows(self, rows: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(len(rows), width)`` int32 matrix of the rows + their lengths.
+
+        ``width`` is the longest selected row (at least 1) and positions
+        past a row's length hold ``fill``.
+        """
+        lengths = self.lengths(rows)
+        width = max(int(lengths.max()) if len(rows) else 0, 1)
+        positions = np.arange(width, dtype=np.int64)
+        inside = positions < lengths[:, None]
+        matrix = np.full((len(rows), width), fill, dtype=np.int32)
+        matrix[inside] = self.values[(self.offsets[rows][:, None] + positions)[inside]]
+        return matrix, lengths
 
 
 _SENTINEL = np.iinfo(np.int32).max
@@ -346,6 +385,14 @@ class ProfileStore:
     * ``name_token_sets`` / ``stripped_token_sets`` /
       ``description_token_sets`` / ``isin_sets`` — sorted-id
       :class:`IdSetColumn` sets.
+
+    One column is indexed by interned string id instead of by row:
+    ``codepoints`` holds each interned string's int32 codepoints (row ``i``
+    is ``strings[i]``), packed once when the string is interned, so the
+    similarity kernels gather padded rows from it instead of packing every
+    string again per batch.  It is derived from the string table: never
+    pickled, rebuilt on load, and built eagerly — scoring only reads it, so
+    thread-pool chunks can share a store.
     """
 
     __slots__ = (
@@ -364,6 +411,7 @@ class ProfileStore:
         "stripped_token_sets",
         "description_token_sets",
         "isin_sets",
+        "codepoints",
         "revision",
     )
 
@@ -385,6 +433,7 @@ class ProfileStore:
         self.stripped_token_sets = IdSetColumn()
         self.description_token_sets = IdSetColumn()
         self.isin_sets = IdSetColumn()
+        self.codepoints = IdSetColumn()
         #: Content revision, bumped whenever :meth:`add_records` grows the
         #: store.  The worker pool's epoch protocol compares it to decide
         #: whether an already-shipped store is still current — a store
@@ -392,6 +441,7 @@ class ProfileStore:
         self.revision = 0
         if profiles:
             self._append_profiles(dict(profiles).items())
+        self._pack_new_strings()
 
     # -- construction --------------------------------------------------------
 
@@ -540,13 +590,34 @@ class ProfileStore:
         self.stripped_token_sets.extend(stripped_sets)
         self.description_token_sets.extend(description_sets)
         self.isin_sets.extend(isin_rows)
+        self._pack_new_strings()
         return added
+
+    def _pack_new_strings(self) -> None:
+        """Append the ``codepoints`` rows of strings interned since the last call.
+
+        One UTF-32 encode of the new strings back to back: its code units
+        are each string's codepoints, string after string.  Every interned
+        string is packed, tokens and attributes included, so
+        ``surrogatepass`` keeps a lone surrogate in text the kernels never
+        compare from failing the profiling step.
+        """
+        new = self._strings[len(self.codepoints):]
+        if not new:
+            return
+        codes = np.frombuffer(
+            "".join(new).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+        ).astype(np.int32)
+        self.codepoints.extend_flat(
+            codes, np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+        )
 
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, object]:
         # Ship the columnar arrays themselves — the epoch protocol publishes
-        # exactly these bytes once per revision.
+        # exactly these bytes once per revision.  The derived ``codepoints``
+        # column stays out: it is rebuilt from the string table on load.
         return {
             "format": _COLUMNAR_PICKLE_FORMAT,
             "record_ids": self._record_ids,
@@ -592,6 +663,8 @@ class ProfileStore:
             self.stripped_token_sets = IdSetColumn(*state["stripped_token_sets"])
             self.description_token_sets = IdSetColumn(*state["description_token_sets"])
             self.isin_sets = IdSetColumn(*state["isin_sets"])
+            self.codepoints = IdSetColumn()
+            self._pack_new_strings()
         else:
             # Legacy payload: a {record_id: RecordProfile} dict written
             # before the columnar layout; rebuild the columns from it.

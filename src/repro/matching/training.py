@@ -17,17 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import Any
 
 from repro.datagen.records import Dataset
-from repro.matching.base import PairwiseMatcher, TrainablePairwiseMatcher
+from repro.matching.base import IdPair, PairwiseMatcher, TrainablePairwiseMatcher
 from repro.matching.models import ModelSpec, build_matcher, resolve_model_spec
 from repro.obs import clock
 from repro.matching.pairs import (
     LabeledPair,
     PairSampler,
-    as_record_pairs,
     filter_easy_pairs,
 )
+
+
+def _id_pairs_and_labels(pairs: Sequence[LabeledPair]) -> tuple[list[IdPair], list[int]]:
+    return (
+        [(pair.left.record_id, pair.right.record_id) for pair in pairs],
+        [pair.label for pair in pairs],
+    )
 
 
 @dataclass
@@ -39,6 +46,10 @@ class FineTuneResult:
     num_training_pairs: int
     num_validation_pairs: int
     training_seconds: float
+    #: The matcher's ``prepare_profiles`` state for the whole dataset, which
+    #: fitting used; a pipeline run on that dataset can reuse it.  ``None``
+    #: for a matcher that is not trainable.
+    profiles: Any = None
 
     @property
     def name(self) -> str:
@@ -91,7 +102,14 @@ class FineTuner:
         validation_entities: Sequence[str],
         attributes: Sequence[str] | None = None,
     ) -> FineTuneResult:
-        """Fine-tune ``spec`` on the given train / validation entity splits."""
+        """Fine-tune ``spec`` on the given train / validation entity splits.
+
+        A trainable matcher profiles the whole dataset once
+        (``prepare_profiles``) and fits on the sampled pairs' ids through
+        ``fit_profiled``; the profiling counts towards ``training_seconds``.
+        The result carries that state as ``profiles``, so the pipeline run
+        that follows can score with it instead of profiling again.
+        """
         spec = resolve_model_spec(spec)
         if attributes is None:
             attributes = self._infer_attributes(dataset)
@@ -104,13 +122,16 @@ class FineTuner:
         validation_pairs = self.build_pairs(dataset, validation_entities, spec)
 
         start = clock.now()
+        profiles = None
         if isinstance(matcher, TrainablePairwiseMatcher):
-            record_pairs, labels = as_record_pairs(train_pairs)
-            validation_record_pairs, validation_labels = as_record_pairs(validation_pairs)
-            matcher.fit(
-                record_pairs,
+            profiles = matcher.prepare_profiles(dataset)
+            id_pairs, labels = _id_pairs_and_labels(train_pairs)
+            validation_id_pairs, validation_labels = _id_pairs_and_labels(validation_pairs)
+            matcher.fit_profiled(
+                profiles,
+                id_pairs,
                 labels,
-                validation_pairs=validation_record_pairs,
+                validation_id_pairs=validation_id_pairs,
                 validation_labels=validation_labels,
             )
         elapsed = clock.now() - start
@@ -121,6 +142,7 @@ class FineTuner:
             num_training_pairs=len(train_pairs),
             num_validation_pairs=len(validation_pairs),
             training_seconds=elapsed,
+            profiles=profiles,
         )
 
     @staticmethod

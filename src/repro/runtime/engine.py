@@ -345,9 +345,10 @@ class PipelineRuntime:
         element for element to ``matcher.decide`` on the record pairs.
 
         ``profiles`` (optional) short-circuits the preparation step with an
-        already-built store — the incremental matcher's persistent
-        :class:`~repro.matching.profiles.ProfileStore` rides through here so
-        each delta reuses every prior profile.  It must cover every record
+        already-built store — the experiment's corpus store from
+        fine-tuning rides through here, and so does the incremental
+        matcher's persistent :class:`~repro.matching.profiles.ProfileStore`,
+        so each delta reuses every prior profile.  It must cover every record
         the candidates reference; output is byte-identical to in-run
         preparation because profiles are pure per-record derivations.
 

@@ -135,3 +135,33 @@ class TestPipelineOnGeneratedData:
         # Identifier matching on securities is the easy benchmark heuristic:
         # precision must be high (only drift-contaminated ids are wrong).
         assert post.precision > 0.9
+
+
+class TestPreparedProfiles:
+    @pytest.fixture(scope="class")
+    def fitted(self, pipeline_benchmark):
+        companies = pipeline_benchmark.companies
+        pairs, labels = as_record_pairs(build_labeled_pairs(companies, negative_ratio=2, seed=0))
+        return LogisticRegressionMatcher(num_iterations=50).fit(pairs, labels)
+
+    def test_a_store_missing_a_record_is_rejected_by_name(self, pipeline_benchmark, fitted):
+        companies = pipeline_benchmark.companies
+        missing = companies.records[17]
+        store = fitted.prepare_profiles(
+            record for record in companies if record is not missing
+        )
+        pipeline = EntityGroupMatchingPipeline(matcher=fitted, blocking=default_blocking())
+        with pytest.raises(ValueError, match=repr(missing.record_id)):
+            pipeline.run(companies, profiles=store)
+
+    def test_a_corpus_store_gives_the_same_run(self, pipeline_benchmark, fitted):
+        companies = pipeline_benchmark.companies
+        pipeline = EntityGroupMatchingPipeline(matcher=fitted, blocking=default_blocking())
+        without = pipeline.run(companies)
+        with_store = pipeline.run(companies, profiles=fitted.prepare_profiles(companies))
+        assert (
+            with_store.decisions.probabilities.tobytes()
+            == without.decisions.probabilities.tobytes()
+        )
+        assert with_store.groups.groups == without.groups.groups
+

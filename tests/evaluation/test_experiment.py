@@ -138,3 +138,52 @@ class TestEntityGroupMatchingExperiment:
         )
         assert company_experiment.build_pre_cleanup_config().enabled
         assert not security_experiment.build_pre_cleanup_config().enabled
+
+
+class TestOneStorePerExperiment:
+    """Fine-tuning profiles the corpus once; the matching stage reuses it."""
+
+    def test_run_equals_a_pipeline_that_prepares_its_own_store(
+        self, experiment_benchmark, monkeypatch
+    ):
+        from repro.core.pipeline import EntityGroupMatchingPipeline
+        from repro.matching.profiles import ProfileStore
+
+        companies = experiment_benchmark.companies
+        config = ExperimentConfig(
+            model="logistic", dataset_kind="companies", negative_ratio=3,
+            num_epochs=1, seed=0,
+        )
+        own = EntityGroupMatchingExperiment(companies, config).build_pipeline()
+        with own:
+            expected = own.run(companies)
+
+        prepared: list[ProfileStore] = []
+        original_prepare = ProfileStore.prepare.__func__
+
+        def counting_prepare(cls, records):
+            store = original_prepare(cls, records)
+            prepared.append(store)
+            return store
+
+        passed: list[object] = []
+        original_run = EntityGroupMatchingPipeline.run
+
+        def recording_run(self, dataset, profiles=None):
+            passed.append(profiles)
+            return original_run(self, dataset, profiles=profiles)
+
+        monkeypatch.setattr(ProfileStore, "prepare", classmethod(counting_prepare))
+        monkeypatch.setattr(EntityGroupMatchingPipeline, "run", recording_run)
+        result = EntityGroupMatchingExperiment(companies, config).run()
+
+        # One store for the whole experiment: fitting's, covering the corpus,
+        # handed to the pipeline run.
+        assert len(prepared) == 1 and passed == prepared
+        assert len(prepared[0]) == len(companies)
+        got = result.pipeline_result
+        assert got.decisions.pairs == expected.decisions.pairs
+        assert got.decisions.probabilities.tobytes() == expected.decisions.probabilities.tobytes()
+        assert got.groups.groups == expected.groups.groups
+        assert got.pre_cleanup_groups.groups == expected.pre_cleanup_groups.groups
+

@@ -91,12 +91,30 @@ class TestFeatureExtractor:
 
 class TestLogisticRegressionMatcher:
     def test_validation_of_hyperparameters(self):
-        with pytest.raises(ValueError):
-            LogisticRegressionMatcher(learning_rate=0)
-        with pytest.raises(ValueError):
-            LogisticRegressionMatcher(num_iterations=0)
-        with pytest.raises(ValueError):
-            LogisticRegressionMatcher(l2=-1)
+        for name, value in (
+            ("learning_rate", 0),
+            ("learning_rate", -0.5),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("num_iterations", 0),
+            ("num_iterations", 2.5),
+            ("num_iterations", 3.0),
+            ("num_iterations", True),
+            ("l2", -1),
+            ("l2", float("nan")),
+            ("l2", float("inf")),
+            ("threshold", float("nan")),
+            ("threshold", 1.5),
+            ("threshold", -0.1),
+        ):
+            with pytest.raises(ValueError, match=name):
+                LogisticRegressionMatcher(**{name: value})
+
+    def test_boundary_hyperparameters_are_accepted(self):
+        for threshold in (0.0, 1.0):
+            assert LogisticRegressionMatcher(threshold=threshold).threshold == threshold
+        matcher = LogisticRegressionMatcher(learning_rate=1e-9, num_iterations=1, l2=0.0)
+        assert (matcher.learning_rate, matcher.num_iterations, matcher.l2) == (1e-9, 1, 0.0)
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -118,6 +118,36 @@ class TestFineTuner:
         tuner = FineTuner(negative_ratio=1, num_epochs=1)
         result = tuner.fine_tune("id-overlap", securities, entities[:10], entities[10:15])
         assert isinstance(result.matcher, IdOverlapMatcher)
+        assert result.profiles is None
+
+    def test_fine_tune_returns_the_corpus_store_it_fitted_on(self, companies):
+        from repro.matching.profiles import ProfileStore
+
+        entities = sorted(companies.entity_groups())
+        tuner = FineTuner(negative_ratio=2, num_epochs=1, seed=0)
+        result = tuner.fine_tune("logistic", companies, entities[:40], entities[40:55])
+        assert isinstance(result.profiles, ProfileStore)
+        assert list(result.profiles.record_ids) == [record.record_id for record in companies]
+
+    def test_base_fit_profiled_resolves_ids_and_calls_fit(self, companies):
+        from repro.matching.base import TrainablePairwiseMatcher
+
+        class Recording(TrainablePairwiseMatcher):
+            def fit(self, pairs, labels, validation_pairs=None, validation_labels=None):
+                self.seen = (pairs, labels, validation_pairs, validation_labels)
+                return self
+
+            def predict_proba(self, pairs):
+                return [0.5] * len(pairs)
+
+        matcher = Recording()
+        profiles = matcher.prepare_profiles(companies)
+        first, second, third = companies.records[:3]
+        pairs = [(first.record_id, second.record_id)]
+        assert matcher.fit_profiled(profiles, pairs, [1]) is matcher
+        assert matcher.seen == ([(first, second)], [1], None, None)
+        matcher.fit_profiled(profiles, pairs, [1], [(third.record_id, first.record_id)], [0])
+        assert matcher.seen == ([(first, second)], [1], [(third, first)], [0])
 
     def test_reduced_training_uses_fewer_pairs(self, securities):
         entities = sorted(securities.entity_groups())

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, ProductRecord, Record, SecurityRecord
-from repro.matching.features import EXTRACT_BATCH_SLICE, PairFeatureExtractor
+from repro.matching.features import EXTRACT_BATCH_SLICE, PairFeatureExtractor, _pack_pairs
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import (
@@ -27,7 +27,9 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     ProfileStore,
     build_profile,
+    distinct_records,
 )
+from repro.text.batch_similarity import PAD_LEFT, PAD_RIGHT, pack_codepoints
 from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
 from repro.text.similarity import (
     jaccard_similarity,
@@ -255,10 +257,21 @@ class TestProfileEquivalence:
 
 
 class _ReferenceExtractor(PairFeatureExtractor):
-    """Scores record pairs with the per-pair oracle instead of the store."""
+    """Scores id pairs with the per-pair oracle instead of the store.
 
-    def extract_batch(self, pairs) -> np.ndarray:
-        return reference_matrix(pairs)
+    Overrides :meth:`~PairFeatureExtractor.extract_sliced`, the method
+    fitting calls, and resolves the ids through the records it was given.
+    """
+
+    def __init__(self, records) -> None:
+        self.by_id = {record.record_id: record for record in records}
+        self.calls = 0
+
+    def extract_sliced(self, profiles, id_pairs) -> np.ndarray:
+        self.calls += 1
+        return reference_matrix(
+            [(self.by_id[left], self.by_id[right]) for left, right in id_pairs]
+        )
 
 
 class TestSingleFeaturePath:
@@ -269,6 +282,7 @@ class TestSingleFeaturePath:
             build_labeled_pairs(companies, negative_ratio=3, seed=0)
         )
         split = int(len(record_pairs) * 0.8)
+        oracle = _ReferenceExtractor(companies.records)
         columnar, reference = (
             LogisticRegressionMatcher(extractor=extractor).fit(
                 record_pairs[:split],
@@ -276,9 +290,11 @@ class TestSingleFeaturePath:
                 validation_pairs=record_pairs[split:],
                 validation_labels=labels[split:],
             )
-            for extractor in (None, _ReferenceExtractor())
+            for extractor in (None, oracle)
         )
         assert type(columnar.extractor) is PairFeatureExtractor
+        # Training and validation features both came from the oracle.
+        assert oracle.calls == 2
         for attribute in ("_weights", "_feature_means", "_feature_scales"):
             assert getattr(columnar, attribute).tobytes() == getattr(
                 reference, attribute
@@ -299,6 +315,222 @@ class TestSingleFeaturePath:
         assert matrix.shape == (count, PairFeatureExtractor().num_features)
         for row, (left, right) in zip(matrix, pairs):
             assert row.tobytes() == reference_extract(left, right).tobytes()
+
+
+    def test_fit_profiled_on_a_corpus_store_equals_fit(self, companies):
+        first_records = {record.record_id for record in companies.records[:200]}
+        labelled = [
+            pair
+            for pair in build_labeled_pairs(companies, negative_ratio=3, seed=4)
+            if {pair.left.record_id, pair.right.record_id} <= first_records
+        ]
+        record_pairs, labels = as_record_pairs(labelled)
+        id_pairs = [(left.record_id, right.record_id) for left, right in record_pairs]
+        split = int(len(record_pairs) * 0.8)
+        via_records = LogisticRegressionMatcher().fit(
+            record_pairs[:split],
+            labels[:split],
+            validation_pairs=record_pairs[split:],
+            validation_labels=labels[split:],
+        )
+        profiled = LogisticRegressionMatcher()
+        # The corpus store holds every record, in dataset order — not just
+        # the pairs' records in pair order.
+        store = profiled.prepare_profiles(companies)
+        assert len(store) == len(companies) > len(
+            {record_id for pair in id_pairs for record_id in pair}
+        )
+        profiled.fit_profiled(
+            store, id_pairs[:split], labels[:split], id_pairs[split:], labels[split:]
+        )
+        for attribute in ("_weights", "_feature_means", "_feature_scales"):
+            assert getattr(profiled, attribute).tobytes() == getattr(
+                via_records, attribute
+            ).tobytes()
+        assert np.float64(profiled._bias).tobytes() == np.float64(via_records._bias).tobytes()
+        assert profiled.history == via_records.history
+        assert (
+            profiled.score_profiled(store, id_pairs).tobytes()
+            == np.asarray(via_records.predict_proba(record_pairs)).tobytes()
+        )
+
+    def test_fit_rejects_records_sharing_an_id_across_training_and_validation(
+        self, companies
+    ):
+        record_pairs, labels = as_record_pairs(
+            build_labeled_pairs(companies, negative_ratio=1, seed=0)
+        )
+        left, right = record_pairs[-1]
+        impostor = CompanyRecord(
+            record_id=left.record_id, source=left.source, entity_id="x", name="Impostor"
+        )
+        with pytest.raises(ValueError, match=repr(left.record_id)):
+            LogisticRegressionMatcher(num_iterations=2).fit(
+                record_pairs[:-1],
+                labels[:-1],
+                validation_pairs=[(impostor, right)],
+                validation_labels=[0],
+            )
+
+
+def _mixed_length_pairs(records, count: int, seed: int):
+    """Pairs whose names are short, long (past 63 codepoints) and mixed."""
+    rng = np.random.default_rng(seed)
+    long_records = [
+        CompanyRecord(
+            record_id=f"long{index}",
+            source="S9",
+            entity_id="e",
+            name=f"{records[index].name} " * (3 + index % 4) + "𝔘nion Holdings",
+        )
+        for index in range(40)
+    ]
+    pool = list(records) + long_records
+    return [
+        (pool[int(left)], pool[int(right)])
+        for left, right in rng.integers(0, len(pool), size=(count, 2))
+    ]
+
+
+class TestNameLengthOrder:
+    """Slices are taken in name-length order; rows land where their pairs are."""
+
+    def test_shuffled_pairs_give_the_same_rows(self, companies):
+        count = 3 * EXTRACT_BATCH_SLICE + 17
+        pairs = _mixed_length_pairs(companies.records, count, seed=1)
+        lengths = [max(len(left.name), len(right.name)) for left, right in pairs]
+        assert min(lengths) < 20 and max(lengths) > 63
+        extractor = PairFeatureExtractor()
+        matrix = extractor.extract_batch(pairs)
+        permutation = np.random.default_rng(2).permutation(count)
+        shuffled = extractor.extract_batch([pairs[index] for index in permutation])
+        for row, index in enumerate(permutation):
+            assert shuffled[row].tobytes() == matrix[index].tobytes()
+        for row in (0, EXTRACT_BATCH_SLICE - 1, EXTRACT_BATCH_SLICE, count - 1):
+            left, right = pairs[row]
+            assert matrix[row].tobytes() == reference_extract(left, right).tobytes()
+
+    def test_sliced_equals_one_unsliced_call(self, companies):
+        pairs = _mixed_length_pairs(companies.records, 2 * EXTRACT_BATCH_SLICE + 5, seed=3)
+        extractor = PairFeatureExtractor()
+        store = ProfileStore.prepare(distinct_records(pairs))
+        id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
+        assert (
+            extractor.extract_sliced(store, id_pairs).tobytes()
+            == extractor.extract_batch_profiles(store, id_pairs).tobytes()
+        )
+
+    def test_empty(self):
+        store = ProfileStore.prepare([])
+        assert PairFeatureExtractor().extract_sliced(store, []).shape == (
+            0,
+            PairFeatureExtractor().num_features,
+        )
+
+
+#: The keys of the pickled store payload — the derived ``codepoints``
+#: column is not one of them.
+PAYLOAD_KEYS = {
+    "format", "record_ids", "strings", "kind_codes", "source_ids", "name_ids",
+    "stripped_ids", "has_description", "attr_ids", "identifier_ids",
+    "name_token_sets", "stripped_token_sets", "description_token_sets", "isin_sets",
+}
+
+
+def _assert_packs_like_pack_codepoints(store: ProfileStore) -> None:
+    """``_pack_pairs`` on every string id, both sides, equals fresh packing."""
+    ids = np.arange(len(store.strings), dtype=np.int64)
+    for left_ids, right_ids in (
+        (ids, ids[::-1].copy()),
+        (ids[:1], ids[:1]),
+        (ids[1:2], ids[:1]),
+    ):
+        packed = _pack_pairs(store.codepoints, left_ids, right_ids)
+        left_codes, left_lengths = pack_codepoints(
+            [store.strings[index] for index in left_ids], fill=PAD_LEFT
+        )
+        right_codes, right_lengths = pack_codepoints(
+            [store.strings[index] for index in right_ids], fill=PAD_RIGHT
+        )
+        expected = (left_codes, left_lengths, right_codes, right_lengths)
+        for got, want in zip(packed[:4], expected):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert packed[4].tobytes() == (left_ids == right_ids).tobytes()
+
+
+class TestPackedCodepoints:
+    """The store packs each interned string once; gathers equal fresh packing."""
+
+    @staticmethod
+    def records():
+        return [
+            # Names and attributes are normalised to ASCII; the source is
+            # interned as given, so it carries the non-BMP codepoints.
+            CompanyRecord(record_id="a", source="S𝔘𝔫𝔦", entity_id="e", name="Acme Inc",
+                          city="Zürich", description="Makes 🚀 parts"),
+            CompanyRecord(record_id="b", source="S2", entity_id="e", name="!!!"),
+            CompanyRecord(record_id="c", source="S1", entity_id="e",
+                          name="International Business Machines Corporation of New York " * 2),
+            SecurityRecord(record_id="d", source="S3", entity_id="e", name="Acme stock",
+                           isin="US0378331005", ticker="ACM"),
+        ]
+
+    def test_pack_pairs_equals_pack_codepoints(self):
+        store = ProfileStore.prepare(self.records())
+        assert store.strings[0] == "" and store.codepoints.lengths(np.array([0]))[0] == 0
+        assert max(len(value) for value in store.strings) > 63
+        assert any(ord(char) > 0xFFFF for value in store.strings for char in value)
+        assert len(store.codepoints) == len(store.strings)
+        _assert_packs_like_pack_codepoints(store)
+
+    def test_a_lone_surrogate_in_an_interned_string_packs_by_codepoint(self):
+        # The source is interned as given and never compared by the kernels;
+        # packing it must not fail the profiling step.
+        store = ProfileStore.prepare(
+            [CompanyRecord(record_id="a", source="S\ud800x", entity_id="e", name="Acme")]
+        )
+        source_id = np.asarray(store.source_ids[:1], dtype=np.int64)
+        codes, lengths = store.codepoints.padded_rows(source_id, PAD_LEFT)
+        assert codes.tolist() == [[ord("S"), 0xD800, ord("x")]] and lengths.tolist() == [3]
+
+    def test_empty_id_arrays_pack_to_width_one(self):
+        store = ProfileStore.prepare([])
+        none = np.zeros(0, dtype=np.int64)
+        packed = _pack_pairs(store.codepoints, none, none)
+        assert packed[0].shape == pack_codepoints([], fill=PAD_LEFT)[0].shape == (0, 1)
+
+    def test_a_grown_store_packs_the_new_strings(self):
+        first, *rest = self.records()
+        store = ProfileStore.prepare([first])
+        before = len(store.codepoints)
+        assert store.add_records(rest) == len(rest)
+        assert len(store.codepoints) == len(store.strings) > before
+        _assert_packs_like_pack_codepoints(store)
+        fresh = ProfileStore.prepare(self.records())
+        assert store.codepoints.values.tobytes() == fresh.codepoints.values.tobytes()
+        assert store.codepoints.offsets.tobytes() == fresh.codepoints.offsets.tobytes()
+
+    def test_pickle_round_trip_rebuilds_the_column_outside_the_payload(self):
+        import pickle
+
+        store = ProfileStore.prepare(self.records())
+        payload = store.__getstate__()
+        assert set(payload) == PAYLOAD_KEYS
+        clone = pickle.loads(pickle.dumps(store))
+        assert pickle.dumps(clone.__getstate__()) == pickle.dumps(payload)
+        assert clone.codepoints.values.tobytes() == store.codepoints.values.tobytes()
+        assert clone.codepoints.offsets.tobytes() == store.codepoints.offsets.tobytes()
+        _assert_packs_like_pack_codepoints(clone)
+
+    def test_legacy_profile_dict_payload_builds_the_column(self):
+        records = self.records()
+        legacy = ProfileStore.__new__(ProfileStore)
+        legacy.__setstate__({record.record_id: build_profile(record) for record in records})
+        fresh = ProfileStore.prepare(records)
+        assert legacy.codepoints.values.tobytes() == fresh.codepoints.values.tobytes()
+        _assert_packs_like_pack_codepoints(legacy)
 
 
 class TestColumnarBatchEquivalence:
