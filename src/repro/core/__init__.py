@@ -25,7 +25,7 @@ from repro.core.metrics import (
     group_matching_scores,
     pairwise_scores,
 )
-from repro.core.pipeline import EntityGroupMatchingPipeline, PipelineResult, StageScores
+from repro.core.pipeline import EntityGroupMatchingPipeline, PipelineResult
 from repro.core.precleanup import pre_cleanup
 from repro.core.stages import (
     BlockingStage,
@@ -57,7 +57,6 @@ __all__ = [
     "cluster_purity",
     "EntityGroupMatchingPipeline",
     "PipelineResult",
-    "StageScores",
     "pre_cleanup",
     "transitive_closure_edges",
     "transitive_matches",

@@ -31,7 +31,6 @@ from typing import Any
 from repro.blocking.base import Blocking, CandidatePair
 from repro.core.cleanup import CleanupConfig, CleanupReport
 from repro.core.groups import EntityGroups
-from repro.core.metrics import GroupMatchingScores, PairwiseScores
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import (
     BlockingStage,
@@ -46,15 +45,6 @@ from repro.datagen.records import Dataset
 from repro.graphs.graph import Edge
 from repro.matching.base import MatchDecision, PairwiseMatcher
 from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
-
-
-@dataclass(frozen=True)
-class StageScores:
-    """The three evaluation stages of Section 5.3.2 for one run."""
-
-    pairwise: PairwiseScores
-    pre_cleanup: GroupMatchingScores
-    post_cleanup: GroupMatchingScores
 
 
 @dataclass

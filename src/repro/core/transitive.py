@@ -17,11 +17,6 @@ from repro.graphs.components import connected_components
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
 
-def prediction_graph(edges: Iterable[tuple[str, str]]) -> Graph:
-    """Build the match graph from predicted match pairs."""
-    return Graph(edges)
-
-
 def transitive_closure_edges(edges: Iterable[tuple[str, str]]) -> set[Edge]:
     """All edges of the complete graphs spanned by the connected components.
 

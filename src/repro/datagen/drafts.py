@@ -64,10 +64,5 @@ class CompanyGroupDraft:
     def sources(self) -> list[str]:
         return sorted(self.company_records)
 
-    def record_count(self) -> int:
-        company = len(self.company_records)
-        securities = sum(len(security.records) for security in self.securities)
-        return company + securities
-
     def mark(self, artifact_name: str) -> None:
         self.applied_artifacts.append(artifact_name)

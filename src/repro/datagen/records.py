@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import Any, ClassVar
 
 from repro.graphs.graph import canonical_edge
@@ -241,8 +241,3 @@ def pair_key(left: Record | str, right: Record | str) -> MatchPair:
     left_id = left if isinstance(left, str) else left.record_id
     right_id = right if isinstance(right, str) else right.record_id
     return canonical_edge(left_id, right_id)  # type: ignore[return-value]
-
-
-def records_to_attribute_rows(records: Sequence[Record]) -> list[dict[str, Any]]:
-    """Convenience for serialisers: list of full dictionaries."""
-    return [record.to_dict() for record in records]

@@ -15,7 +15,6 @@ Everything here is implemented from scratch on top of a small adjacency-list
 
 from repro.graphs.graph import Graph
 from repro.graphs.components import (
-    bfs_connected_components,
     connected_components,
     component_of,
     largest_component,
@@ -23,14 +22,13 @@ from repro.graphs.components import (
 from repro.graphs.union_find import DisjointSet, union_find_components
 from repro.graphs.betweenness import edge_betweenness_centrality
 from repro.graphs.maxflow import max_flow, minimum_st_edge_cut
-from repro.graphs.mincut import minimum_edge_cut, stoer_wagner_min_cut
+from repro.graphs.mincut import minimum_edge_cut
 from repro.graphs.validation import is_complete, is_connected, density
 
 __all__ = [
     "Graph",
     "DisjointSet",
     "union_find_components",
-    "bfs_connected_components",
     "connected_components",
     "component_of",
     "largest_component",
@@ -38,7 +36,6 @@ __all__ = [
     "max_flow",
     "minimum_st_edge_cut",
     "minimum_edge_cut",
-    "stoer_wagner_min_cut",
     "is_complete",
     "is_connected",
     "density",

@@ -11,7 +11,7 @@ from collections import deque
 from collections.abc import Iterable
 
 from repro.graphs.graph import Graph, Node
-from repro.graphs.union_find import component_order, union_find_components
+from repro.graphs.union_find import union_find_components
 
 
 def connected_components(graph: Graph) -> list[set[Node]]:
@@ -20,32 +20,13 @@ def connected_components(graph: Graph) -> list[set[Node]]:
     Components are computed with a disjoint-set forest (path compression +
     union by rank): once over the whole match graph before the clean-up,
     then inside each piece an Algorithm 1 removal cuts (never over the
-    whole graph again); :func:`bfs_connected_components` is the original
-    breadth-first implementation, kept as the independent reference the
-    property-based tests cross-check against.  The result is sorted by
-    decreasing size, then by the smallest representation of a member node,
-    so output is deterministic.
+    whole graph again); the property-based tests cross-check them against
+    networkx.  The result is sorted by decreasing size, then by the
+    smallest representation of a member node
+    (:func:`~repro.graphs.union_find.component_order`), so output is
+    deterministic.
     """
     return union_find_components(graph.edges(), graph.nodes())
-
-
-def bfs_connected_components(graph: Graph) -> list[set[Node]]:
-    """Reference implementation of :func:`connected_components` via BFS.
-
-    Iterative breadth-first search, so very large components (the
-    problematic case GraLMatch is designed for) do not overflow the
-    recursion limit.  Ordering is identical to the union-find version.
-    """
-    seen: set[Node] = set()
-    components: list[set[Node]] = []
-    for start in graph.nodes():
-        if start in seen:
-            continue
-        component = _bfs_component(graph, start)
-        seen.update(component)
-        components.append(component)
-    components.sort(key=component_order)
-    return components
 
 
 def _bfs_component(graph: Graph, start: Node) -> set[Node]:

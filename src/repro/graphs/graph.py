@@ -214,17 +214,6 @@ class Graph:
                     sub.add_edge(node, neighbour, **attrs)
         return sub
 
-    def to_networkx(self):  # pragma: no cover - convenience bridge
-        """Convert to a :class:`networkx.Graph` (used for visual inspection)."""
-        import networkx as nx
-
-        nxg = nx.Graph()
-        for node in self._adj:
-            nxg.add_node(node, **self._node_attrs.get(node, {}))
-        for u, v in self.edges():
-            nxg.add_edge(u, v, **self._edge_attrs.get(canonical_edge(u, v), {}))
-        return nxg
-
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> "Graph":
         return cls(edges)

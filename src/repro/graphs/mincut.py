@@ -6,20 +6,17 @@ Removing a minimum edge cut is guaranteed to split the component, unlike
 removing the highest-betweenness edge, which is why the paper uses it for
 the coarse first phase.
 
-Two implementations are provided:
-
-* :func:`minimum_edge_cut` — Menger-style reduction to minimum s-t cuts
-  (fix an arbitrary node ``s`` and take the best cut against every other
-  node; correct because any global cut separates ``s`` from someone), which
-  also yields the cut *edges* required by the clean-up.
-* :func:`stoer_wagner_min_cut` — the Stoer–Wagner minimum cut value, used by
-  the tests as an independent cross-check of the cut cardinality.
+:func:`minimum_edge_cut` is a Menger-style reduction to minimum s-t cuts
+(fix an arbitrary node ``s`` and take the best cut against every other
+node; correct because any global cut separates ``s`` from someone), which
+also yields the cut *edges* required by the clean-up.  The tests check the
+cut's size against two networkx minimum-cut algorithms.
 """
 
 from __future__ import annotations
 
 from repro.graphs.components import connected_components
-from repro.graphs.graph import Edge, Graph, Node, sorted_nodes
+from repro.graphs.graph import Edge, Graph, sorted_nodes
 from repro.graphs.maxflow import _ResidualNetwork
 
 
@@ -65,75 +62,3 @@ def minimum_edge_cut(graph: Graph) -> set[Edge]:
         # disconnects it.
         return set()
     return best_cut
-
-
-def stoer_wagner_min_cut(graph: Graph) -> int:
-    """Return the value (cardinality) of a global minimum edge cut.
-
-    Implementation of the Stoer–Wagner algorithm on unit edge weights with
-    simple O(n^2) minimum-cut-phase selection, sufficient for the component
-    sizes seen during clean-up.  Used as an independent check of
-    :func:`minimum_edge_cut`.
-    """
-    nodes = graph.nodes()
-    if len(nodes) < 2:
-        raise ValueError("minimum cut requires at least two nodes")
-
-    # Weighted adjacency between "super-nodes" (merged vertex sets).
-    weights: dict[Node, dict[Node, float]] = {n: {} for n in nodes}
-    for u, v in graph.edges():
-        weights[u][v] = weights[u].get(v, 0.0) + 1.0
-        weights[v][u] = weights[v].get(u, 0.0) + 1.0
-
-    active = list(nodes)
-    best = float("inf")
-
-    while len(active) > 1:
-        cut_value, s, t = _minimum_cut_phase(weights, active)
-        best = min(best, cut_value)
-        _merge_nodes(weights, active, s, t)
-
-    return int(best)
-
-
-def _minimum_cut_phase(
-    weights: dict[Node, dict[Node, float]], active: list[Node]
-) -> tuple[float, Node, Node]:
-    """One maximum-adjacency-search phase; returns (cut-of-the-phase, s, t)."""
-    start = active[0]
-    in_a = {start}
-    order = [start]
-    connectivity: dict[Node, float] = {
-        node: weights[start].get(node, 0.0) for node in active if node != start
-    }
-
-    while len(order) < len(active):
-        next_node = max(
-            (node for node in active if node not in in_a),
-            key=lambda node: (connectivity.get(node, 0.0), repr(node)),
-        )
-        in_a.add(next_node)
-        order.append(next_node)
-        for neighbour, weight in weights[next_node].items():  # repro-lint: disable=unordered-iteration -- adjacency dicts built in sorted-edge order; insertion order is deterministic
-            if neighbour not in in_a and neighbour in connectivity:
-                connectivity[neighbour] += weight
-
-    t = order[-1]
-    s = order[-2]
-    cut_of_phase = sum(weights[t].values())  # repro-lint: disable=unordered-iteration -- deterministic insertion order (sorted-edge construction)
-    return cut_of_phase, s, t
-
-
-def _merge_nodes(
-    weights: dict[Node, dict[Node, float]], active: list[Node], s: Node, t: Node
-) -> None:
-    """Merge node ``t`` into ``s`` (contracting the edge between them)."""
-    for neighbour, weight in list(weights[t].items()):  # repro-lint: disable=unordered-iteration -- deterministic insertion order (sorted-edge construction)
-        if neighbour == s:
-            continue
-        weights[s][neighbour] = weights[s].get(neighbour, 0.0) + weight
-        weights[neighbour][s] = weights[neighbour].get(s, 0.0) + weight
-    for neighbour in list(weights[t]):
-        weights[neighbour].pop(t, None)
-    weights.pop(t, None)
-    active.remove(t)

@@ -7,9 +7,8 @@ piece an Algorithm 1 removal just cut.  A disjoint-set forest
 with path compression and union by rank answers the same question in
 near-linear time — O(m α(n)) over m edges — without materialising adjacency
 sets or re-walking the graph per component, unlike the BFS sweep it
-replaces on hot paths (which remains available as
-:func:`repro.graphs.components.bfs_connected_components` and is used by the
-property-based tests as the reference implementation).
+replaced.  The property-based tests cross-check the components and their
+order against networkx's BFS components sorted by :func:`component_order`.
 """
 
 from __future__ import annotations

@@ -82,11 +82,6 @@ class IngestReport:
     dsu_rebuilt: bool = False
     timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def delta_proportional(self) -> bool:
-        """Convenience: did the expensive stages stay on the delta path?"""
-        return not self.dsu_rebuilt and self.components_reused > 0
-
 
 def _component_cleanup(
     cleanup_fn, edges: list[Edge], config: CleanupConfig

@@ -16,8 +16,9 @@ transactional: a new payload directory is fully written first, then the
 manifest is atomically renamed into place (the single commit point), then
 superseded payload directories are removed — a crash at any instant leaves
 the manifest pointing at one complete, consistent payload set.  Loading
-verifies the format version and raises :class:`MatchStateError` with the
-offending path on any mismatch.
+reads exactly one format version, :data:`STATE_FORMAT_VERSION`, and raises
+:class:`MatchStateError` naming the offending path on any other version, a
+missing file or a payload that fails to unpickle.
 """
 
 from __future__ import annotations
@@ -42,13 +43,10 @@ from repro.runtime import RuntimeConfig
 
 #: Format marker written to (and demanded from) every state manifest.
 STATE_FORMAT = "repro-match-state"
-#: Bump when the on-disk layout changes incompatibly.  Version 2 stores the
-#: decision cache as an array-backed :class:`DecisionCache` instead of a
-#: per-pair dict of :class:`~repro.matching.base.MatchDecision` objects.
+#: The one on-disk layout this build writes and reads; bump when it changes
+#: incompatibly.  Version 2 stores the decision cache as an array-backed
+#: :class:`DecisionCache`.
 STATE_FORMAT_VERSION = 2
-#: Versions :meth:`MatchState.load` accepts; older ones are migrated in
-#: memory on load (the next save writes the current format).
-SUPPORTED_STATE_VERSIONS = (1, STATE_FORMAT_VERSION)
 
 #: Manifest file name; its presence marks a completely written state.
 MANIFEST_FILE = "manifest.json"
@@ -276,16 +274,18 @@ class MatchState:
                 raise MatchStateError(
                     f"match state at {state_dir} is incomplete: missing {file_name}"
                 )
-            with path.open("rb") as handle:
-                payloads[file_name] = pickle.load(handle)
+            try:
+                with path.open("rb") as handle:
+                    payloads[file_name] = pickle.load(handle)
+            # Unpickling runs the payload classes' own restore code, so a
+            # damaged file can fail with any exception type.
+            except Exception as error:
+                raise MatchStateError(
+                    f"match state at {state_dir} has an unreadable payload "
+                    f"{path.relative_to(state_dir)}: {type(error).__name__}: {error}"
+                ) from error
         components = payloads[_COMPONENTS_FILE]
         graph = payloads[_GRAPH_FILE]
-        decisions = payloads[_MATCHING_FILE]["decisions"]
-        if isinstance(decisions, dict):
-            # Format v1 stored a per-pair dict of MatchDecision objects;
-            # migrate to the array-backed cache (insertion order == scoring
-            # order becomes row order, so gathers stay batch-identical).
-            decisions = DecisionCache.from_decisions(decisions)
         state = cls(
             name=payloads[_RECORDS_FILE]["name"],
             matcher=components["matcher"],
@@ -299,7 +299,7 @@ class MatchState:
             owned_pairs=payloads[_BLOCKING_FILE]["owned_pairs"],
             whole_part_pairs=payloads[_BLOCKING_FILE]["whole_part_pairs"],
             profiles=payloads[_MATCHING_FILE]["profiles"],
-            decisions=decisions,
+            decisions=payloads[_MATCHING_FILE]["decisions"],
             kept_edges=graph["kept_edges"],
             kept_dsu=graph["kept_dsu"],
             cleanup_memo=graph["cleanup_memo"],
@@ -346,9 +346,9 @@ def read_manifest(state_dir: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("format_version")
-    if version not in SUPPORTED_STATE_VERSIONS:
+    if version != STATE_FORMAT_VERSION:
         raise MatchStateError(
             f"match state at {state_dir} has format version {version!r}; "
-            f"this build reads versions {list(SUPPORTED_STATE_VERSIONS)}"
+            f"this build reads version {STATE_FORMAT_VERSION}"
         )
     return manifest

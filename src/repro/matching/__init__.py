@@ -12,9 +12,9 @@ serialised record pair, produce a Match / NoMatch probability.
   sampling (the 5:1 scheme of Section 5.1.3),
 * :mod:`repro.matching.features` — similarity features for the classical
   baseline,
-* :mod:`repro.matching.profiles` — per-record feature profiles
-  (:class:`RecordProfile` / :class:`ProfileStore`): record-local
-  derivations computed once, pairs scored from profiles,
+* :mod:`repro.matching.profiles` — the columnar :class:`ProfileStore`:
+  record-local derivations computed once per record, pairs scored from
+  its columns,
 * :mod:`repro.matching.decisions` — array-backed decision containers
   (:class:`DecisionVector` / :class:`DecisionCache`) for the engine's
   matching output and the incremental decision cache,
@@ -34,7 +34,7 @@ from repro.matching.base import MatchDecision, PairwiseMatcher, ScoredPair
 from repro.matching.decisions import DecisionCache, DecisionVector
 from repro.matching.pairs import LabeledPair, PairSampler, build_labeled_pairs
 from repro.matching.features import PairFeatureExtractor
-from repro.matching.profiles import ProfileStore, RecordProfile, build_profile
+from repro.matching.profiles import ProfileStore
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.attention import TransformerPairClassifier
 from repro.matching.heuristic import IdOverlapMatcher, ThresholdNameMatcher
@@ -52,8 +52,6 @@ __all__ = [
     "build_labeled_pairs",
     "PairFeatureExtractor",
     "ProfileStore",
-    "RecordProfile",
-    "build_profile",
     "LogisticRegressionMatcher",
     "TransformerPairClassifier",
     "IdOverlapMatcher",

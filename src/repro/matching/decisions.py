@@ -12,10 +12,11 @@ pre-cleanup stage reads the kept-edge mask straight off the probability
 array via :meth:`DecisionVector.positive_pairs`.
 
 :class:`DecisionCache` is the incremental counterpart: the persistent
-store of every decision ever scored, keyed by canonical id pair but backed
-by the same parallel arrays instead of a dict of decision objects.  A delta
-ingest appends the newly scored arrays and gathers the candidate-order
-:class:`DecisionVector` by row index — no per-pair objects on either side.
+store of every decision ever scored, keyed by canonical id pair and backed
+by the same parallel arrays.  A delta ingest appends the arrays of the
+newly scored :class:`DecisionVector` and gathers the candidate-order
+vector by row index — no per-pair objects on either side, and none on
+disk: state format v2 pickles the arrays.
 
 Bitwise contract (pinned by the engine's oracle suite): a vector's
 materialised decisions equal ``matcher.decide`` on the record pairs byte
@@ -122,10 +123,9 @@ class DecisionCache:
 
     Keyed on the canonical id pair (:attr:`CandidatePair.key`); each row
     keeps the pair in as-scored orientation plus its probability and
-    verdict, so :meth:`vector` serves back exactly the decisions the dict
-    of :class:`MatchDecision` objects used to hold — gathered by numpy row
-    indexing instead of per-pair object lookups.  Pickles as the parallel
-    arrays; the key index is rebuilt on load.
+    verdict, so :meth:`vector` serves back exactly the decisions scored —
+    gathered by numpy row indexing instead of per-pair object lookups.
+    Pickles as the parallel arrays; the key index is rebuilt on load.
     """
 
     def __init__(self) -> None:
@@ -164,57 +164,17 @@ class DecisionCache:
 
     # -- growing -------------------------------------------------------------
 
-    def extend(
-        self,
-        keys: Sequence[IdPair],
-        scored: DecisionVector | Sequence[MatchDecision],
-    ) -> None:
-        """Append newly scored decisions (aligned with their cache keys).
-
-        Accepts the engine's :class:`DecisionVector` (arrays are adopted
-        directly) or a plain decision list (the v1-state migration path).
-        """
-        if isinstance(scored, DecisionVector):
-            pairs = scored.pairs
-            probabilities = scored.probabilities
-            mask = scored.is_match_mask
-        else:
-            pairs = [(decision.left_id, decision.right_id) for decision in scored]
-            probabilities = np.fromiter(
-                (decision.probability for decision in scored),
-                dtype=np.float64,
-                count=len(scored),
-            )
-            mask = np.fromiter(
-                (decision.is_match for decision in scored),
-                dtype=bool,
-                count=len(scored),
-            )
-        if len(keys) != len(pairs):
-            raise ValueError(f"{len(keys)} keys for {len(pairs)} scored decisions")
+    def extend(self, keys: Sequence[IdPair], scored: DecisionVector) -> None:
+        """Append newly scored decisions (aligned with their cache keys);
+        the vector's arrays are adopted directly."""
+        if len(keys) != len(scored.pairs):
+            raise ValueError(f"{len(keys)} keys for {len(scored.pairs)} scored decisions")
         base = len(self._pairs)
         for offset, key in enumerate(keys):
             self._index[key] = base + offset
-        self._pairs.extend(pairs)
-        self._probabilities = np.concatenate([self._probabilities, probabilities])
-        self._is_match = np.concatenate([self._is_match, np.asarray(mask, dtype=bool)])
-
-    # -- dict-format migration -----------------------------------------------
-
-    @classmethod
-    def from_decisions(
-        cls, decisions: dict[IdPair, MatchDecision]
-    ) -> "DecisionCache":
-        """Migrate a v1 per-pair dict of decision objects (insertion order —
-        i.e. scoring order — becomes row order)."""
-        cache = cls()
-        cache.extend(list(decisions.keys()), list(decisions.values()))  # repro-lint: disable=unordered-iteration -- dict insertion order is the v1 scoring order
-        return cache
-
-    def to_decisions(self) -> dict[IdPair, MatchDecision]:
-        """The v1 dict form (for round-trip tests and inspection)."""
-        vector = self.vector(list(self._index.keys()))  # repro-lint: disable=unordered-iteration -- index insertion order is row order
-        return dict(zip(self._index.keys(), vector))
+        self._pairs.extend(scored.pairs)
+        self._probabilities = np.concatenate([self._probabilities, scored.probabilities])
+        self._is_match = np.concatenate([self._is_match, scored.is_match_mask])
 
     # -- pickling ------------------------------------------------------------
 

@@ -4,10 +4,10 @@ Pairwise matching evaluates far more candidate *pairs* than there are
 *records* — every record appears in many pairs, yet the feature extractor
 used to re-run text normalisation, tokenisation, corporate-term stripping
 and identifier canonicalisation for both sides of every single pair.  A
-:class:`RecordProfile` factors that record-local work out; a
-:class:`ProfileStore` holds one profile per record.
+:class:`ProfileStore` does that record-local work once per record and
+writes the results straight into its columns.
 
-Since the columnar refactor the store is laid out **struct-of-arrays**: the
+The store is laid out **struct-of-arrays**: the
 profile fields live in contiguous numpy columns indexed by row (record id →
 row index via :meth:`ProfileStore.row_indices`), every string is interned
 once into a shared table (``id 0`` is the empty string, so "missing" is a
@@ -37,8 +37,7 @@ golden runtime suite and a hypothesis equivalence test pin this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,9 +46,9 @@ from repro.datagen.records import CompanyRecord, Record, SecurityRecord
 from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
 from repro.text.tokenize import word_tokenize
 
-#: Record-kind discriminators stored on a profile.  Identifier features only
-#: fire for same-kind pairs, mirroring the ``isinstance`` checks of the
-#: direct extraction path.
+#: Record-kind discriminators, one per row in ``kind_codes``.  Identifier
+#: features only fire for same-kind pairs, mirroring the ``isinstance``
+#: checks of the direct extraction path.
 KIND_COMPANY = "company"
 KIND_SECURITY = "security"
 KIND_OTHER = "other"
@@ -69,52 +68,9 @@ EQUALITY_ATTRIBUTES: tuple[str, ...] = (
     "ticker",
 )
 
-#: Marker keying the columnar pickle payload; pickles written before the
-#: columnar refactor carry a plain ``{record_id: RecordProfile}`` dict
-#: instead and are rebuilt column by column on load.
+#: Marker keying the columnar pickle payload; :meth:`ProfileStore.__setstate__`
+#: refuses a payload without it.
 _COLUMNAR_PICKLE_FORMAT = "profile-store-columnar-v1"
-
-
-@dataclass(frozen=True, slots=True)
-class RecordProfile:
-    """Everything record-local the pair features derive from one record.
-
-    Token collections are stored both in order (tuples, for consumers that
-    care about sequence) and as frozensets (for the set-based similarity
-    measures, which then skip per-comparison ``set()`` construction).
-    Frozen + slotted keeps profiles compact, hashable and picklable.
-    """
-
-    record_id: str
-    source: str
-    kind: str
-
-    name_norm: str
-    name_tokens: tuple[str, ...]
-    name_token_set: frozenset[str]
-
-    stripped_name: str
-    stripped_tokens: tuple[str, ...]
-    stripped_token_set: frozenset[str]
-
-    has_description: bool
-    description_tokens: tuple[str, ...]
-    description_token_set: frozenset[str]
-
-    #: Normalised auxiliary attributes, in :data:`EQUALITY_ATTRIBUTES` order.
-    city: str
-    region: str
-    country_code: str
-    industry: str
-    security_type: str
-    ticker: str
-
-    #: Normalised security identifiers in ``SECURITY_ID_FIELDS`` order
-    #: (empty string where the record has none); ``()`` for non-securities.
-    security_identifiers: tuple[str, ...]
-    #: Normalised, non-empty associated-security ISINs; empty for
-    #: non-companies.
-    isin_set: frozenset[str]
 
 
 def record_name(record: Record) -> str:
@@ -137,18 +93,20 @@ def distinct_records(pairs: Iterable[Sequence[Record]]) -> list[Record]:
     A store keys profiles by record id, so two different records sharing
     an id raise ``ValueError``; equal copies are fine.
     """
+    return _distinct(record for pair in pairs for record in pair)
+
+
+def _distinct(records: Iterable[Record]) -> list[Record]:
+    """:func:`distinct_records` over a flat record iterable."""
     seen: dict[str, Record] = {}
     distinct: list[Record] = []
-    for pair in pairs:
-        for record in pair:
-            known = seen.get(record.record_id)
-            if known is None:
-                seen[record.record_id] = record
-                distinct.append(record)
-            elif known is not record and known != record:
-                raise ValueError(
-                    f"two different records share the id {record.record_id!r}"
-                )
+    for record in records:
+        known = seen.get(record.record_id)
+        if known is None:
+            seen[record.record_id] = record
+            distinct.append(record)
+        elif known is not record and known != record:
+            raise ValueError(f"two different records share the id {record.record_id!r}")
     return distinct
 
 
@@ -158,116 +116,71 @@ def _attribute_of(record: Record, attribute: str) -> str:
 
 
 class _ProfileBuilder:
-    """Builds profiles with per-batch memo caches on the *raw* strings.
+    """Derives records' interned column values, memoised per raw string.
 
     Records repeat names, descriptions and attribute values across data
-    sources, so a batch re-normalises the same raw string many times.  The
-    builder memoises each pure derivation per distinct input for the
-    lifetime of one ``prepare``/``add_records`` call; memoising a pure
-    function cannot change a value, so the profiles are bitwise identical
-    to unmemoised construction.
+    sources, so one ``prepare``/``add_records`` call derives the same raw
+    string many times.  The builder memoises each derivation per distinct
+    raw string for the lifetime of the call.  A memo hit skips only
+    interning strings the table already holds, which changes nothing, so
+    the rows and the table equal those of unmemoised derivation.  Every
+    value is the unmodified output of the same normalisation call the
+    pairwise-recompute path makes.
     """
 
-    __slots__ = ("_names", "_texts", "_descriptions", "_identifiers")
+    __slots__ = ("_intern", "_names", "_descriptions", "_texts", "_identifiers")
 
-    def __init__(self) -> None:
-        #: raw name -> (name_norm, name_tokens, stripped_name, stripped_tokens)
-        self._names: dict[str, tuple[str, tuple[str, ...], str, tuple[str, ...]]] = {}
-        #: raw attribute value -> normalize_text(value)
-        self._texts: dict[str, str] = {}
-        #: raw description -> ordered token tuple
-        self._descriptions: dict[str, tuple[str, ...]] = {}
+    def __init__(self, intern: Callable[[str], int]) -> None:
+        self._intern = intern
+        #: raw name -> (name id, stripped id, name token ids, stripped token ids)
+        self._names: dict[str, tuple[int, int, list[int], list[int]]] = {}
+        #: raw description -> description token ids
+        self._descriptions: dict[str, list[int]] = {}
+        #: raw attribute value -> id of normalize_text(value)
+        self._texts: dict[str, int] = {}
         #: raw identifier -> normalize_identifier(value)
         self._identifiers: dict[str, str] = {}
 
-    def _name_forms(self, name: str) -> tuple[str, tuple[str, ...], str, tuple[str, ...]]:
-        forms = self._names.get(name)
-        if forms is None:
+    def _token_ids(self, tokens: Iterable[str]) -> list[int]:
+        """Sorted unique interned ids of an *ordered* token sequence.
+
+        Interning walks the sequence order (never a set), so the table
+        layout is a pure function of record order.
+        """
+        return sorted({self._intern(token) for token in tokens})
+
+    def name(self, name: str) -> tuple[int, int, list[int], list[int]]:
+        ids = self._names.get(name)
+        if ids is None:
             name_norm = normalize_text(name)
             stripped = strip_corporate_terms(name)
-            forms = (name_norm, tuple(name_norm.split()), stripped, tuple(stripped.split()))
-            self._names[name] = forms
-        return forms
+            ids = self._names[name] = (
+                self._intern(name_norm),
+                self._intern(stripped),
+                self._token_ids(name_norm.split()),
+                self._token_ids(stripped.split()),
+            )
+        return ids
 
-    def _text(self, value: str) -> str:
-        normalized = self._texts.get(value)
-        if normalized is None:
-            normalized = normalize_text(value)
-            self._texts[value] = normalized
-        return normalized
+    def description(self, description: str) -> list[int]:
+        ids = self._descriptions.get(description)
+        if ids is None:
+            ids = self._descriptions[description] = self._token_ids(
+                word_tokenize(description)
+            )
+        return ids
 
-    def _description_tokens(self, description: str) -> tuple[str, ...]:
-        tokens = self._descriptions.get(description)
-        if tokens is None:
-            tokens = tuple(word_tokenize(description))
-            self._descriptions[description] = tokens
-        return tokens
+    def text(self, value: str) -> int:
+        index = self._texts.get(value)
+        if index is None:
+            index = self._texts[value] = self._intern(normalize_text(value))
+        return index
 
-    def _identifier(self, value: str) -> str:
+    def identifier(self, value: str) -> str:
         normalized = self._identifiers.get(value)
         if normalized is None:
-            normalized = normalize_identifier(value)
-            self._identifiers[value] = normalized
+            normalized = self._identifiers[value] = normalize_identifier(value)
         return normalized
-
-    def build(self, record: Record) -> RecordProfile:
-        """Compute one record's feature profile.
-
-        Every stored value is the unmodified output of the same call the
-        pairwise-recompute path makes, which is what keeps profile-based
-        extraction byte-identical to direct extraction.
-        """
-        name = record_name(record)
-        name_norm, name_tokens, stripped_name, stripped_tokens = self._name_forms(name)
-
-        description = _attribute_of(record, "description")
-        description_tokens = self._description_tokens(description)
-
-        if isinstance(record, SecurityRecord):
-            kind = KIND_SECURITY
-            security_identifiers = tuple(
-                self._identifier(_attribute_of(record, field))
-                for field in SECURITY_ID_FIELDS
-            )
-            isin_set: frozenset[str] = frozenset()
-        elif isinstance(record, CompanyRecord):
-            kind = KIND_COMPANY
-            security_identifiers = ()
-            isins = {self._identifier(str(value) if value else "") for value in record.security_isins}
-            isins.discard("")
-            isin_set = frozenset(isins)
-        else:
-            kind = KIND_OTHER
-            security_identifiers = ()
-            isin_set = frozenset()
-
-        return RecordProfile(
-            record_id=record.record_id,
-            source=record.source,
-            kind=kind,
-            name_norm=name_norm,
-            name_tokens=name_tokens,
-            name_token_set=frozenset(name_tokens),
-            stripped_name=stripped_name,
-            stripped_tokens=stripped_tokens,
-            stripped_token_set=frozenset(stripped_tokens),
-            has_description=bool(description),
-            description_tokens=description_tokens,
-            description_token_set=frozenset(description_tokens),
-            city=self._text(_attribute_of(record, "city")),
-            region=self._text(_attribute_of(record, "region")),
-            country_code=self._text(_attribute_of(record, "country_code")),
-            industry=self._text(_attribute_of(record, "industry")),
-            security_type=self._text(_attribute_of(record, "security_type")),
-            ticker=self._text(_attribute_of(record, "ticker")),
-            security_identifiers=security_identifiers,
-            isin_set=isin_set,
-        )
-
-
-def build_profile(record: Record) -> RecordProfile:
-    """Compute one record's feature profile (see :class:`_ProfileBuilder`)."""
-    return _ProfileBuilder().build(record)
 
 
 class IdSetColumn:
@@ -415,7 +328,7 @@ class ProfileStore:
         "revision",
     )
 
-    def __init__(self, profiles: Mapping[str, RecordProfile] = ()) -> None:
+    def __init__(self) -> None:
         self._row_of: dict[str, int] = {}
         self._record_ids: list[str] = []
         #: Interned string table; index 0 is the empty string, so a missing
@@ -439,8 +352,6 @@ class ProfileStore:
         #: whether an already-shipped store is still current — a store
         #: therefore ships once per revision, not once per matching call.
         self.revision = 0
-        if profiles:
-            self._append_profiles(dict(profiles).items())
         self._pack_new_strings()
 
     # -- construction --------------------------------------------------------
@@ -448,28 +359,28 @@ class ProfileStore:
     @classmethod
     def prepare(cls, records: Iterable[Record]) -> "ProfileStore":
         """Profile every record once.  Accepts any record iterable — a
-        :class:`~repro.datagen.records.Dataset` iterates its records."""
-        builder = _ProfileBuilder()
-        return cls({record.record_id: builder.build(record) for record in records})
+        :class:`~repro.datagen.records.Dataset` iterates its records.
+
+        Two different records sharing an id raise ``ValueError``; equal
+        copies are profiled once.
+        """
+        store = cls()
+        store._append_records(records)
+        return store
 
     def add_records(self, records: Iterable[Record]) -> int:
         """Profile records not yet in the store; returns how many were added.
 
         The incremental-ingestion append path: a persistent store grows with
         each delta instead of being rebuilt per run.  Profiles are pure
-        per-record derivations, so appending rows is trivially equivalent to
-        a fresh :meth:`prepare` over the union — already-profiled records
-        are skipped (their profile could not change), and the interned table
-        only ever gains entries, so existing column rows keep their exact
-        ids.
+        per-record derivations, so appending rows is equivalent to a fresh
+        :meth:`prepare` over the union — a record whose id is already
+        stored is skipped (its profile could not change), and the interned
+        table only ever gains entries, so existing column rows keep their
+        exact ids.  Among the new records, ids follow :meth:`prepare`'s
+        rule.
         """
-        builder = _ProfileBuilder()
-        staged: dict[str, RecordProfile] = {}
-        for record in records:
-            if record.record_id in self._row_of or record.record_id in staged:
-                continue
-            staged[record.record_id] = builder.build(record)
-        added = self._append_profiles(staged.items())
+        added = self._append_records(records)
         if added:
             self.revision += 1
         return added
@@ -482,20 +393,18 @@ class ProfileStore:
             self._strings.append(value)
         return index
 
-    def _intern_set(self, tokens: Sequence[str]) -> list[int]:
-        """Sorted unique interned ids of an *ordered* token sequence.
+    def _append_records(self, records: Iterable[Record]) -> int:
+        """Write one row per new record to every column, in record order.
 
-        Interning walks the deterministic sequence order (never a set), so
-        the table layout — and therefore every pickled column — is a pure
-        function of record order.
+        Each record interns its strings in one fixed order: source, name,
+        stripped name, the name, stripped-name and description token sets,
+        the attributes, the security identifiers, then the sorted company
+        ISINs.  The table, and with it every pickled column, is therefore a
+        pure function of record order.
         """
-        ids = {self._intern(token) for token in tokens}
-        return sorted(ids)
-
-    def _append_profiles(
-        self, items: Iterable[tuple[str, RecordProfile]]
-    ) -> int:
-        """Pack profiles into new column rows (callers pre-filter duplicates)."""
+        new = _distinct(record for record in records if record.record_id not in self._row_of)
+        if not new:
+            return 0
         kind_codes: list[int] = []
         source_ids: list[int] = []
         name_ids: list[int] = []
@@ -509,52 +418,47 @@ class ProfileStore:
         isin_rows: list[list[int]] = []
         no_identifiers = [0] * len(SECURITY_ID_FIELDS)
         intern = self._intern
-        intern_set = self._intern_set
-        # Per-batch memo for the token-derived id rows: records share names
-        # and descriptions across sources, so the same token tuple repeats;
-        # interning it again would walk the same deterministic order to the
-        # same ids (the table already contains them), so reuse is exact.
-        token_set_memo: dict[tuple[str, ...], list[int]] = {}
+        builder = _ProfileBuilder(intern)
 
-        for record_id, profile in items:  # repro-lint: disable=unordered-iteration -- dict insertion order == record order, the interning contract
-            self._row_of[record_id] = len(self._record_ids)
-            self._record_ids.append(record_id)
-            kind_codes.append(_KIND_CODES[profile.kind])
-            source_ids.append(intern(profile.source))
-            name_ids.append(intern(profile.name_norm))
-            stripped_ids.append(intern(profile.stripped_name))
-            has_description.append(profile.has_description)
-            name_set = token_set_memo.get(profile.name_tokens)
-            if name_set is None:
-                name_set = intern_set(profile.name_tokens)
-                token_set_memo[profile.name_tokens] = name_set
+        for record in new:
+            self._row_of[record.record_id] = len(self._record_ids)
+            self._record_ids.append(record.record_id)
+            source_ids.append(intern(record.source))
+            name_id, stripped_id, name_set, stripped_set = builder.name(record_name(record))
+            name_ids.append(name_id)
+            stripped_ids.append(stripped_id)
             name_sets.append(name_set)
-            stripped_set = token_set_memo.get(profile.stripped_tokens)
-            if stripped_set is None:
-                stripped_set = intern_set(profile.stripped_tokens)
-                token_set_memo[profile.stripped_tokens] = stripped_set
             stripped_sets.append(stripped_set)
-            description_set = token_set_memo.get(profile.description_tokens)
-            if description_set is None:
-                description_set = intern_set(profile.description_tokens)
-                token_set_memo[profile.description_tokens] = description_set
-            description_sets.append(description_set)
+            description = _attribute_of(record, "description")
+            has_description.append(bool(description))
+            description_sets.append(builder.description(description))
             attr_rows.append(
-                [intern(getattr(profile, attr)) for attr in EQUALITY_ATTRIBUTES]
+                [builder.text(_attribute_of(record, attr)) for attr in EQUALITY_ATTRIBUTES]
             )
-            if profile.security_identifiers:
-                identifier_rows.append(
-                    [intern(value) for value in profile.security_identifiers]
-                )
+            identifiers = no_identifiers
+            isins: set[str] = set()
+            if isinstance(record, SecurityRecord):
+                kind = KIND_SECURITY
+                identifiers = [
+                    intern(builder.identifier(_attribute_of(record, field)))
+                    for field in SECURITY_ID_FIELDS
+                ]
+            elif isinstance(record, CompanyRecord):
+                kind = KIND_COMPANY
+                isins = {
+                    builder.identifier(str(value) if value else "")
+                    for value in record.security_isins
+                }
+                isins.discard("")
             else:
-                identifier_rows.append(no_identifiers)
-            # Sorted for deterministic interning: isin_set is a frozenset,
-            # whose iteration order would leak PYTHONHASHSEED into the table.
-            isin_rows.append([intern(value) for value in sorted(profile.isin_set)])
+                kind = KIND_OTHER
+            kind_codes.append(_KIND_CODES[kind])
+            identifier_rows.append(identifiers)
+            # Sorted for deterministic interning: a set's iteration order
+            # would leak PYTHONHASHSEED into the table.
+            isin_rows.append([intern(value) for value in sorted(isins)])
 
-        added = len(kind_codes)
-        if not added:
-            return 0
+        added = len(new)
         self.kind_codes = np.concatenate(
             [self.kind_codes, np.asarray(kind_codes, dtype=np.int8)]
         )
@@ -644,31 +548,28 @@ class ProfileStore:
     def __setstate__(self, state: dict) -> None:
         # Payloads pickled by earlier versions also carry an ordered
         # "description_token_seqs" column; nothing reads it, so it is ignored.
-        if isinstance(state, dict) and state.get("format") == _COLUMNAR_PICKLE_FORMAT:
-            self.__init__()
-            self._record_ids = list(state["record_ids"])
-            self._row_of = {
-                record_id: row for row, record_id in enumerate(self._record_ids)
-            }
-            self._strings = list(state["strings"])
-            self._string_ids = {value: idx for idx, value in enumerate(self._strings)}
-            self.kind_codes = state["kind_codes"]
-            self.source_ids = state["source_ids"]
-            self.name_ids = state["name_ids"]
-            self.stripped_ids = state["stripped_ids"]
-            self.has_description = state["has_description"]
-            self.attr_ids = state["attr_ids"]
-            self.identifier_ids = state["identifier_ids"]
-            self.name_token_sets = IdSetColumn(*state["name_token_sets"])
-            self.stripped_token_sets = IdSetColumn(*state["stripped_token_sets"])
-            self.description_token_sets = IdSetColumn(*state["description_token_sets"])
-            self.isin_sets = IdSetColumn(*state["isin_sets"])
-            self.codepoints = IdSetColumn()
-            self._pack_new_strings()
-        else:
-            # Legacy payload: a {record_id: RecordProfile} dict written
-            # before the columnar layout; rebuild the columns from it.
-            self.__init__(state)
+        if not isinstance(state, dict) or state.get("format") != _COLUMNAR_PICKLE_FORMAT:
+            raise ValueError(
+                f"not a ProfileStore payload: the {_COLUMNAR_PICKLE_FORMAT!r} "
+                "format marker is missing"
+            )
+        self.__init__()
+        self._record_ids = list(state["record_ids"])
+        self._row_of = {record_id: row for row, record_id in enumerate(self._record_ids)}
+        self._strings = list(state["strings"])
+        self._string_ids = {value: idx for idx, value in enumerate(self._strings)}
+        self.kind_codes = state["kind_codes"]
+        self.source_ids = state["source_ids"]
+        self.name_ids = state["name_ids"]
+        self.stripped_ids = state["stripped_ids"]
+        self.has_description = state["has_description"]
+        self.attr_ids = state["attr_ids"]
+        self.identifier_ids = state["identifier_ids"]
+        self.name_token_sets = IdSetColumn(*state["name_token_sets"])
+        self.stripped_token_sets = IdSetColumn(*state["stripped_token_sets"])
+        self.description_token_sets = IdSetColumn(*state["description_token_sets"])
+        self.isin_sets = IdSetColumn(*state["isin_sets"])
+        self._pack_new_strings()
 
     # -- row access ----------------------------------------------------------
 

@@ -323,11 +323,6 @@ class WorkerPool:
                     self.recorder.metrics.add("pool.publish_bytes", payload_bytes)
             return published
 
-    def current_epoch(self, slot: str) -> PublishedEpoch | None:
-        """The epoch currently published under ``slot`` (if any)."""
-        with self._lock:
-            return self._epochs.get(slot)
-
     def record_fetches(self, count: int) -> None:
         """Fold worker-reported payload fetches into the statistics."""
         with self._lock:

@@ -321,20 +321,6 @@ class PipelineSpec:
         data = loads_toml(text)
         return cls.from_dict(data.get("pipeline", data), "pipeline")
 
-    # -- recipes ------------------------------------------------------------
-
-    @classmethod
-    def for_kind(cls, kind: str, **overrides: Any) -> "PipelineSpec":
-        """The Table 2 pipeline for a dataset kind (companies/securities/products)."""
-        try:
-            recipe = BLOCKING_RECIPES[kind]
-        except KeyError:
-            raise SpecValidationError(
-                "pipeline.blocking",
-                f"unknown dataset kind {kind!r}; known: {sorted(BLOCKING_RECIPES)}",
-            ) from None
-        return cls(blocking=recipe, **overrides)
-
     # -- builders -----------------------------------------------------------
 
     def build_blocking(self, extra_params: Mapping[str, Mapping[str, Any]] | None = None):

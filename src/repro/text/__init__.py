@@ -11,7 +11,8 @@ plain Python + numpy:
   trainable :class:`~repro.text.tokenize.Vocabulary`,
 * :mod:`repro.text.similarity` — classic string similarity measures,
 * :mod:`repro.text.batch_similarity` — the same measures as batched numpy
-  kernels over deduplicated pair lists (bitwise-equal to the scalar forms),
+  kernels over packed codepoint matrices (bitwise-equal to the scalar
+  forms),
 * :mod:`repro.text.vectorize` — TF-IDF and hashing vectorisers,
 * :mod:`repro.text.serialize` — record-pair serialisation schemes (plain and
   DITTO-style ``[COL]/[VAL]`` encoding) with token budgets.
@@ -34,11 +35,6 @@ from repro.text.similarity import (
     levenshtein_similarity,
     longest_common_substring,
     overlap_coefficient,
-)
-from repro.text.batch_similarity import (
-    jaro_winkler_similarity_batch,
-    levenshtein_similarity_batch,
-    longest_common_substring_similarity_batch,
 )
 from repro.text.vectorize import HashingVectorizer, TfidfVectorizer
 from repro.text.serialize import (
@@ -64,9 +60,6 @@ __all__ = [
     "levenshtein_similarity",
     "longest_common_substring",
     "overlap_coefficient",
-    "jaro_winkler_similarity_batch",
-    "levenshtein_similarity_batch",
-    "longest_common_substring_similarity_batch",
     "HashingVectorizer",
     "TfidfVectorizer",
     "PLAIN_SCHEME",

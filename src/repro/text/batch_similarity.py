@@ -3,8 +3,8 @@
 The columnar matching hot path (:mod:`repro.matching.features`) reduces a
 candidate batch to its *distinct* string pairs and scores them all at once.
 These kernels are the array counterparts of the scalar functions in
-:mod:`repro.text.similarity`: each takes parallel sequences of left/right
-strings and returns one float64 value per pair.
+:mod:`repro.text.similarity`: each takes a batch of packed left/right
+strings and returns one value per pair.
 
 The contract — pinned by a hypothesis suite
 (``tests/text/test_batch_similarity.py``) — is **bitwise equality** with
@@ -36,15 +36,16 @@ scalar orientation.  LCS puts the shorter string on the sequential axis
 sequential-axis length so each step runs on a dense prefix of still-active
 rows instead of masking the full batch.
 
-Each ``*_packed`` kernel consumes pre-packed codepoint matrices (see
-:func:`pack_codepoints`), so a caller holding interned strings — the
-columnar :class:`~repro.matching.profiles.ProfileStore` — can pack each
-distinct string once per batch instead of once per pair.
+Each ``*_packed`` kernel consumes pre-packed codepoint matrices: one
+int32 row per string, padded past its length with :data:`PAD_LEFT` on the
+left side and :data:`PAD_RIGHT` on the right, plus the lengths.  The
+library gathers those rows from the
+:class:`~repro.matching.profiles.ProfileStore` ``codepoints`` column,
+which packs each interned string once; the tests' string-list wrappers
+pack per call.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -52,53 +53,6 @@ import numpy as np
 #: are non-negative, and the two sides must never compare equal on padding.
 PAD_LEFT = -1
 PAD_RIGHT = -2
-
-
-def pack_codepoints(
-    strings: Sequence[str], width: int | None = None, fill: int = PAD_LEFT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack strings into an ``(n, width)`` int32 codepoint matrix + lengths.
-
-    Padding uses ``fill`` (negative, so it never equals a real codepoint).
-    ``width`` defaults to the longest string; ``width=0`` still yields a
-    well-formed ``(n, 1)`` matrix so downstream reductions stay simple.
-    """
-    lengths = np.fromiter(
-        (len(s) for s in strings), dtype=np.int64, count=len(strings)
-    )
-    if width is None:
-        width = int(lengths.max()) if len(strings) else 0
-    width = max(width, 1)
-    codes = np.full((len(strings), width), fill, dtype=np.int32)
-    for i, s in enumerate(strings):
-        if s:
-            codes[i, : len(s)] = np.frombuffer(
-                s.encode("utf-32-le"), dtype=np.uint32
-            ).astype(np.int32)
-    return codes, lengths
-
-
-def _pack_pairs(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    if len(lefts) != len(rights):
-        raise ValueError("lefts and rights must have the same length")
-    a_codes, a_lengths = pack_codepoints(lefts, fill=PAD_LEFT)
-    b_codes, b_lengths = pack_codepoints(rights, fill=PAD_RIGHT)
-    return a_codes, a_lengths, b_codes, b_lengths
-
-
-def _equal_and_empty(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(lefts)
-    equal = np.fromiter(
-        (a == b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
-    )
-    either_empty = np.fromiter(
-        (not a or not b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
-    )
-    return equal, either_empty
 
 
 def _common_prefix_lengths(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
@@ -372,17 +326,6 @@ def _levenshtein_wide(
     return tilted[np.arange(n), pattern_lengths].astype(np.int64) + pattern_lengths
 
 
-def levenshtein_distance_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
-    """Edit distances for parallel string sequences (int64, exact)."""
-    if len(lefts) != len(rights):
-        raise ValueError("lefts and rights must have the same length")
-    if not len(lefts):
-        return np.zeros(0, dtype=np.int64)
-    return levenshtein_distance_packed(*_pack_pairs(lefts, rights))
-
-
 def levenshtein_similarity_packed(
     a_codes: np.ndarray,
     a_lengths: np.ndarray,
@@ -414,16 +357,6 @@ def levenshtein_similarity_packed(
         # Same ops as the scalar `1.0 - distance / longest`.
         out[todo] = 1.0 - distances.astype(np.float64) / longest.astype(np.float64)
     return out
-
-
-def levenshtein_similarity_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
-    """Batched :func:`~repro.text.similarity.levenshtein_similarity`."""
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return levenshtein_similarity_packed(*_pack_pairs(lefts, rights), equal)
 
 
 # -- longest common substring ------------------------------------------------
@@ -481,17 +414,6 @@ def longest_common_substring_packed(
     return best
 
 
-def longest_common_substring_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
-    """Longest common contiguous substring lengths (int64, exact)."""
-    if len(lefts) != len(rights):
-        raise ValueError("lefts and rights must have the same length")
-    if not len(lefts):
-        return np.zeros(0, dtype=np.int64)
-    return longest_common_substring_packed(*_pack_pairs(lefts, rights))
-
-
 def longest_common_substring_similarity_packed(
     a_codes: np.ndarray,
     a_lengths: np.ndarray,
@@ -512,18 +434,6 @@ def longest_common_substring_similarity_packed(
         shortest = np.minimum(a_lengths[todo], b_lengths[todo])
         out[todo] = lcs.astype(np.float64) / shortest.astype(np.float64)
     return out
-
-
-def longest_common_substring_similarity_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
-    """Batched :func:`~repro.text.similarity.longest_common_substring_similarity`."""
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return longest_common_substring_similarity_packed(
-        *_pack_pairs(lefts, rights), equal
-    )
 
 
 # -- Jaro / Jaro-Winkler -----------------------------------------------------
@@ -676,17 +586,3 @@ def jaro_winkler_similarity_packed(
         )
         out[todo] = jaro + prefix.astype(np.float64) * prefix_weight * (1.0 - jaro)
     return out
-
-
-def jaro_winkler_similarity_batch(
-    lefts: Sequence[str], rights: Sequence[str], prefix_weight: float = 0.1
-) -> np.ndarray:
-    """Batched :func:`~repro.text.similarity.jaro_winkler_similarity`."""
-    if not 0.0 <= prefix_weight <= 0.25:
-        raise ValueError("prefix_weight must be in [0, 0.25]")
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return jaro_winkler_similarity_packed(
-        *_pack_pairs(lefts, rights), equal, prefix_weight=prefix_weight
-    )

@@ -11,7 +11,6 @@ from repro.graphs import (
     max_flow,
     minimum_edge_cut,
     minimum_st_edge_cut,
-    stoer_wagner_min_cut,
 )
 from repro.graphs.graph import canonical_edge
 
@@ -104,21 +103,6 @@ class TestGlobalMinimumEdgeCut:
         assert minimum_edge_cut(g) == set()
 
 
-class TestStoerWagner:
-    def test_bridge_graph_value(self):
-        assert stoer_wagner_min_cut(two_cliques_with_bridge()) == 1
-
-    def test_cycle_value(self):
-        g = Graph([(1, 2), (2, 3), (3, 4), (4, 1)])
-        assert stoer_wagner_min_cut(g) == 2
-
-    def test_requires_two_nodes(self):
-        g = Graph()
-        g.add_node("only")
-        with pytest.raises(ValueError):
-            stoer_wagner_min_cut(g)
-
-
 @st.composite
 def connected_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=10))
@@ -149,7 +133,8 @@ class TestMinCutProperties:
     @settings(max_examples=40, deadline=None)
     def test_cut_value_matches_stoer_wagner(self, edges):
         g = Graph(edges)
-        assert len(minimum_edge_cut(g)) == stoer_wagner_min_cut(g)
+        cut_value, _ = nx.stoer_wagner(nx.Graph(edges))
+        assert len(minimum_edge_cut(g)) == cut_value
 
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)

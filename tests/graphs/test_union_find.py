@@ -1,8 +1,9 @@
 """Union-find correctness: unit behaviour plus property-based equivalence
-with the BFS reference implementation of connected components."""
+with networkx's BFS connected components in the canonical component order."""
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from repro.graphs import (
     DisjointSet,
     Graph,
-    bfs_connected_components,
     connected_components,
     union_find_components,
 )
+from repro.graphs.union_find import component_order
 
 nodes = st.integers(min_value=0, max_value=30).map(lambda i: f"n{i:02d}")
 edges = st.lists(
@@ -65,16 +66,24 @@ class TestDisjointSet:
         assert dsu.components() == [{"d", "e", "f"}, {"b", "c"}, {"z"}]
 
 
+def networkx_components(graph: Graph) -> list[set]:
+    """networkx's BFS components, sorted into the canonical order."""
+    reference = nx.Graph()
+    reference.add_nodes_from(graph.nodes())
+    reference.add_edges_from(graph.edges())
+    return sorted(nx.connected_components(reference), key=component_order)
+
+
 class TestUnionFindEqualsBfs:
-    """The satellite property: on random edge sets, union-find must equal
-    the BFS reference exactly — same partition, same deterministic order."""
+    """On random edge sets, union-find must equal networkx's BFS components
+    exactly — same partition, same deterministic order."""
 
     @given(edges=edges)
     @settings(max_examples=200, deadline=None)
     def test_same_components_same_order(self, edges):
         graph = Graph(edges)
         assert union_find_components(graph.edges(), graph.nodes()) == (
-            bfs_connected_components(graph)
+            networkx_components(graph)
         )
 
     @given(edges=edges, isolated=st.sets(nodes, max_size=10))
@@ -84,7 +93,7 @@ class TestUnionFindEqualsBfs:
         for node in isolated:
             graph.add_node(node)
         assert union_find_components(graph.edges(), graph.nodes()) == (
-            bfs_connected_components(graph)
+            networkx_components(graph)
         )
 
     def test_connected_components_uses_union_find_result(self):
@@ -93,11 +102,11 @@ class TestUnionFindEqualsBfs:
         for _ in range(300):
             u, v = rng.sample(range(80), 2)
             graph.add_edge(f"r{u}", f"r{v}")
-        assert connected_components(graph) == bfs_connected_components(graph)
+        assert connected_components(graph) == networkx_components(graph)
 
     def test_mixed_node_types_fall_back_to_repr_ordering(self):
         graph = Graph([(1, "a"), ("b", 2.5)])
-        assert connected_components(graph) == bfs_connected_components(graph)
+        assert connected_components(graph) == networkx_components(graph)
 
 
 class TestIncrementalGrowthEqualsRebuild:

@@ -8,6 +8,7 @@ full dataset.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.cli import main
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.io import write_dataset_csv
 from repro.datagen.records import Dataset
+from repro.incremental import read_manifest
+from tests.incremental.test_state_io import corrupt_payload
 
 CONFIG_TOML = """
 [experiment]
@@ -172,3 +175,36 @@ class TestStateSpecDir:
             "ingest", str(paths["batch1"]), "--config", str(config),
         ]) == 0
         assert (state_dir / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def pristine_state(workspace):
+    """A state holding the first batch, for tests that damage a copy."""
+    root, config, paths = workspace
+    state = root / "pristine-state"
+    assert main([
+        "ingest", str(paths["batch1"]),
+        "--state", str(state), "--config", str(config),
+        "--train-dataset", str(paths["full"]),
+    ]) == 0
+    return state
+
+
+class TestCorruptState:
+    @pytest.mark.parametrize(
+        ("file_name", "keep"),
+        [("matching_state.pkl", 0.5), ("graph_state.pkl", 0.0)],
+        ids=["truncated", "empty"],
+    )
+    def test_corrupt_payload_exits_2_naming_the_file(
+        self, workspace, pristine_state, tmp_path, capsys, file_name, keep
+    ):
+        _, _, paths = workspace
+        state = shutil.copytree(pristine_state, tmp_path / "state")
+        payload_dir = read_manifest(state)["payload_dir"]
+        corrupt_payload(state / payload_dir / file_name, keep)
+        capsys.readouterr()
+        assert main(["ingest", str(paths["batch2"]), "--state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: match state at {state}")
+        assert f"{payload_dir}/{file_name}" in err

@@ -7,6 +7,7 @@ pickling (worker-shipping) path.
 
 import json
 import pickle
+import re
 
 import pytest
 
@@ -18,9 +19,24 @@ from repro.incremental import (
     read_manifest,
 )
 from repro.incremental.state import MANIFEST_FILE
-from repro.matching.decisions import DecisionCache
 from repro.matching.profiles import ProfileStore
 from repro.runtime import RuntimeConfig
+
+
+def corrupt_payload(path, keep: float) -> None:
+    """Cut a payload file to the leading ``keep`` share of its bytes."""
+    data = path.read_bytes()
+    path.write_bytes(data[: int(len(data) * keep)])
+
+
+class _UnmarkedStore:
+    """Pickles as a ProfileStore whose payload lacks the format marker."""
+
+    def __init__(self, state: dict) -> None:
+        self.state = state
+
+    def __reduce__(self):
+        return ProfileStore.__new__, (ProfileStore,), self.state
 
 
 def _columnar_payload_bytes(store: ProfileStore) -> bytes:
@@ -89,6 +105,29 @@ class TestManifest:
         _, state_dir = saved_state
         shutil.rmtree(state_dir / "rev1")
         with pytest.raises(MatchStateError, match="missing payload directory"):
+            IncrementalMatcher.load(state_dir)
+
+    @pytest.mark.parametrize("file_name", ["matching_state.pkl", "graph_state.pkl"])
+    @pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
+    def test_corrupt_payload_is_a_named_error(self, saved_state, file_name, keep):
+        _, state_dir = saved_state
+        corrupt_payload(state_dir / "rev1" / file_name, keep)
+        named = f"{re.escape(str(state_dir))}.*rev1/{file_name}"
+        with pytest.raises(MatchStateError, match=named) as info:
+            IncrementalMatcher.load(state_dir)
+        assert info.value.__cause__ is not None
+
+    def test_unmarked_profile_store_payload_is_a_named_error(self, saved_state):
+        _, state_dir = saved_state
+        path = state_dir / "rev1" / "matching_state.pkl"
+        payload = pickle.loads(path.read_bytes())
+        state = payload["profiles"].__getstate__()
+        del state["format"]
+        payload["profiles"] = _UnmarkedStore(state)
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(
+            MatchStateError, match="matching_state.pkl.*profile-store-columnar-v1"
+        ):
             IncrementalMatcher.load(state_dir)
 
 
@@ -197,55 +236,18 @@ class TestCrashResilience:
 
 
 class TestFormatMigration:
-    def _downgrade_to_v1(self, state_dir):
-        """Rewrite a saved v2 state as the v1 dict-of-decisions format."""
-        manifest = json.loads((state_dir / MANIFEST_FILE).read_text())
-        payload_path = (
-            state_dir / manifest["payload_dir"] / "matching_state.pkl"
-        )
-        payload = pickle.loads(payload_path.read_bytes())
-        assert isinstance(payload["decisions"], DecisionCache)
-        payload["decisions"] = payload["decisions"].to_decisions()
-        payload_path.write_bytes(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
+    def test_v1_manifest_is_refused_by_version(self, saved_state):
+        # Format v1 stored the decisions as a dict of decision objects; this
+        # build reads version 2 only.
+        _, state_dir = saved_state
+        manifest_path = state_dir / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
-        (state_dir / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2))
-
-    def test_v1_dict_decisions_migrate_on_load(self, saved_state):
-        matcher, state_dir = saved_state
-        self._downgrade_to_v1(state_dir)
-
-        assert read_manifest(state_dir)["format_version"] == 1
-        reloaded = IncrementalMatcher.load(state_dir)
-        # The migrated cache is row-for-row the one the v2 save held:
-        # dict insertion order was scoring order, which is row order.
-        assert isinstance(reloaded.state.decisions, DecisionCache)
-        assert reloaded.state.decisions == matcher.state.decisions
-        assert reloaded.decisions() == matcher.decisions()
-        assert reloaded.groups.groups == matcher.groups.groups
-
-    def test_migrated_state_saves_as_v2_and_ingests_onward(
-        self, golden_setup, pipeline_factory, batch_result, saved_state
-    ):
-        from tests.incremental.test_batch_equivalence import assert_equals_batch
-
-        companies, _ = golden_setup
-        matcher, state_dir = saved_state
-        self._downgrade_to_v1(state_dir)
-
-        reloaded = IncrementalMatcher.load(state_dir)
-        reloaded.ingest(companies.records[100:])
-        assert_equals_batch(reloaded, batch_result)
-
-        # The next save writes the current format — the migration is one-way.
-        reloaded.save(state_dir)
-        manifest = read_manifest(state_dir)
-        assert manifest["format_version"] == STATE_FORMAT_VERSION
-        payload = pickle.loads(
-            (state_dir / manifest["payload_dir"] / "matching_state.pkl").read_bytes()
-        )
-        assert isinstance(payload["decisions"], DecisionCache)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(
+            MatchStateError, match="format version 1; this build reads version 2"
+        ):
+            IncrementalMatcher.load(state_dir)
 
     def test_stale_runtime_fields_open_and_ingest_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path

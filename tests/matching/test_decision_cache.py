@@ -1,9 +1,9 @@
 """Unit tests for :class:`~repro.matching.decisions.DecisionCache`.
 
 The incremental matcher's store of every scored decision: rows keyed by the
-canonical id pair, appended from the engine's :class:`DecisionVector` (or
-from a decision list when migrating a v1 state), gathered back as a vector
-in any key order, and pickled as bare arrays with the index rebuilt on load.
+canonical id pair, appended from the engine's :class:`DecisionVector`,
+gathered back as a vector in any key order, and pickled as bare arrays with
+the index rebuilt on load.
 """
 
 import pickle
@@ -11,7 +11,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.matching.base import MatchDecision
 from repro.matching.decisions import DecisionCache, DecisionVector
 
 # As-scored orientation differs from the canonical key on the middle row.
@@ -35,7 +34,6 @@ def test_empty_cache():
     assert len(cache) == 0
     assert ("a", "b") not in cache
     assert cache.vector([]) == []
-    assert cache.to_decisions() == {}
 
 
 def test_extend_indexes_every_key():
@@ -59,14 +57,6 @@ def test_rows_keep_the_as_scored_orientation():
     assert decision.is_match is False
 
 
-def test_list_and_vector_extends_store_identical_rows():
-    # The v1-migration branch (decision objects) and the engine branch
-    # (arrays adopted directly) must build the same cache.
-    from_list = DecisionCache()
-    from_list.extend(KEYS, list(scored_vector()))
-    assert from_list == filled_cache()
-
-
 def test_repeated_extends_append_rows_in_order():
     cache = DecisionCache()
     vector = scored_vector()
@@ -81,16 +71,6 @@ def test_misaligned_keys_are_rejected():
     with pytest.raises(ValueError, match="2 keys for 3 scored decisions"):
         cache.extend(KEYS[:2], scored_vector())
     assert len(cache) == 0
-
-
-def test_dict_round_trip():
-    decisions = {
-        key: MatchDecision(left, right, probability, probability >= 0.5)
-        for key, (left, right), probability in zip(KEYS, PAIRS, PROBABILITIES)
-    }
-    cache = DecisionCache.from_decisions(decisions)
-    assert cache == filled_cache()
-    assert cache.to_decisions() == decisions
 
 
 def test_pickle_rebuilds_the_canonical_index():

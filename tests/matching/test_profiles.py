@@ -8,8 +8,14 @@ shape the extractor supports.  The reference implementation below is the
 historical pairwise-recompute extractor, kept verbatim as the oracle;
 hypothesis drives randomised company / security / product records
 (including missing attributes, token-less names and mixed-kind pairs)
-against it.
+against it.  A second oracle, :func:`reference_payload`, is the store's
+earlier build-then-append route: every record profiled into an object
+first, the objects then packed into columns.  The store's one route must
+pickle to the same bytes.
 """
+
+import pickle
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -22,14 +28,15 @@ from repro.matching.features import EXTRACT_BATCH_SLICE, PairFeatureExtractor, _
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import (
+    EQUALITY_ATTRIBUTES,
     KIND_COMPANY,
+    KIND_NAMES,
     KIND_OTHER,
     KIND_SECURITY,
     ProfileStore,
-    build_profile,
     distinct_records,
 )
-from repro.text.batch_similarity import PAD_LEFT, PAD_RIGHT, pack_codepoints
+from repro.text.batch_similarity import PAD_LEFT, PAD_RIGHT
 from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
 from repro.text.similarity import (
     jaccard_similarity,
@@ -39,6 +46,7 @@ from repro.text.similarity import (
     overlap_coefficient,
 )
 from repro.text.tokenize import word_tokenize
+from tests.text.test_batch_similarity import pack_codepoints
 
 
 # -- the oracle: the historical pairwise-recompute extractor -----------------
@@ -140,6 +148,123 @@ def reference_matrix(pairs) -> np.ndarray:
     for row, (left, right) in enumerate(pairs):
         matrix[row] = reference_extract(left, right)
     return matrix
+
+
+# -- the payload oracle: build every profile, then pack the columns ----------
+
+
+@dataclass(frozen=True)
+class ReferenceProfile:
+    """One record's derived values, computed before anything is interned."""
+
+    source: str
+    kind: str
+    name_norm: str
+    name_tokens: tuple[str, ...]
+    stripped_name: str
+    stripped_tokens: tuple[str, ...]
+    description: str
+    description_tokens: tuple[str, ...]
+    attributes: tuple[str, ...]
+    security_identifiers: tuple[str, ...]
+    isins: frozenset[str]
+
+
+def reference_profile(record: Record) -> ReferenceProfile:
+    name = _name(record)
+    name_norm = normalize_text(name)
+    stripped = strip_corporate_terms(name)
+    description = _attribute(record, "description")
+    kind, identifiers, isins = KIND_OTHER, (), frozenset()
+    if isinstance(record, SecurityRecord):
+        kind = KIND_SECURITY
+        identifiers = tuple(
+            normalize_identifier(_attribute(record, field)) for field in SECURITY_ID_FIELDS
+        )
+    elif isinstance(record, CompanyRecord):
+        kind = KIND_COMPANY
+        isins = frozenset(
+            normalize_identifier(str(value) if value else "") for value in record.security_isins
+        ) - {""}
+    return ReferenceProfile(
+        source=record.source,
+        kind=kind,
+        name_norm=name_norm,
+        name_tokens=tuple(name_norm.split()),
+        stripped_name=stripped,
+        stripped_tokens=tuple(stripped.split()),
+        description=description,
+        description_tokens=tuple(word_tokenize(description)),
+        attributes=tuple(
+            normalize_text(_attribute(record, attribute)) for attribute in EQUALITY_ATTRIBUTES
+        ),
+        security_identifiers=identifiers,
+        isins=isins,
+    )
+
+
+def reference_payload(records) -> dict:
+    """The pickled payload of a store of ``records`` (ids unique), built by
+    profiling every record first and then interning the profiles' strings
+    column by column, record by record."""
+    profiles = {record.record_id: reference_profile(record) for record in records}
+    strings, string_ids = [""], {"": 0}
+
+    def intern(value: str) -> int:
+        if value not in string_ids:
+            string_ids[value] = len(strings)
+            strings.append(value)
+        return string_ids[value]
+
+    def id_set(tokens) -> list[int]:
+        return sorted({intern(token) for token in tokens})
+
+    rows: dict[str, list] = {key: [] for key in (
+        "kind", "source", "name", "stripped", "has_description", "name_set",
+        "stripped_set", "description_set", "attrs", "identifiers", "isins",
+    )}
+    for profile in profiles.values():
+        rows["kind"].append(KIND_NAMES.index(profile.kind))
+        rows["source"].append(intern(profile.source))
+        rows["name"].append(intern(profile.name_norm))
+        rows["stripped"].append(intern(profile.stripped_name))
+        rows["has_description"].append(bool(profile.description))
+        rows["name_set"].append(id_set(profile.name_tokens))
+        rows["stripped_set"].append(id_set(profile.stripped_tokens))
+        rows["description_set"].append(id_set(profile.description_tokens))
+        rows["attrs"].append([intern(value) for value in profile.attributes])
+        rows["identifiers"].append(
+            [intern(value) for value in profile.security_identifiers]
+            or [0] * len(SECURITY_ID_FIELDS)
+        )
+        rows["isins"].append([intern(value) for value in sorted(profile.isins)])
+
+    def id_sets(key: str) -> tuple[np.ndarray, np.ndarray]:
+        lengths = np.asarray([len(row) for row in rows[key]], dtype=np.int64)
+        values = np.asarray([value for row in rows[key] for value in row], dtype=np.int32)
+        return values, np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
+
+    count = len(profiles)
+    return {
+        "format": "profile-store-columnar-v1",
+        "record_ids": list(profiles),
+        "strings": strings,
+        "kind_codes": np.asarray(rows["kind"], dtype=np.int8),
+        "source_ids": np.asarray(rows["source"], dtype=np.int32),
+        "name_ids": np.asarray(rows["name"], dtype=np.int32),
+        "stripped_ids": np.asarray(rows["stripped"], dtype=np.int32),
+        "has_description": np.asarray(rows["has_description"], dtype=np.bool_),
+        "attr_ids": np.asarray(rows["attrs"], dtype=np.int32).reshape(
+            count, len(EQUALITY_ATTRIBUTES)
+        ),
+        "identifier_ids": np.asarray(rows["identifiers"], dtype=np.int32).reshape(
+            count, len(SECURITY_ID_FIELDS)
+        ),
+        "name_token_sets": id_sets("name_set"),
+        "stripped_token_sets": id_sets("stripped_set"),
+        "description_token_sets": id_sets("description_set"),
+        "isin_sets": id_sets("isins"),
+    }
 
 
 # -- record strategies --------------------------------------------------------
@@ -254,6 +379,68 @@ class TestProfileEquivalence:
         assert batch.dtype == np.float64
         for row, (left, right) in zip(batch, pairs):
             assert np.array_equal(row, reference_extract(left, right))
+
+
+def _payload_bytes(store: ProfileStore) -> bytes:
+    return pickle.dumps(store.__getstate__())
+
+
+class TestOneProfileRoute:
+    """``prepare`` and ``add_records`` pickle to the reference payload."""
+
+    @given(st.lists(any_record, max_size=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_payload_equals_the_build_then_append_route(self, records, data):
+        # Copies under fresh ids repeat every raw string, hitting the memos.
+        records = records + [replace(record, record_id=_next_id()) for record in records[:3]]
+        expected = pickle.dumps(reference_payload(records))
+        assert _payload_bytes(ProfileStore.prepare(records)) == expected
+        split = data.draw(st.integers(0, len(records)))
+        grown = ProfileStore.prepare(records[:split])
+        grown.add_records(records[split:])
+        assert _payload_bytes(grown) == expected
+
+    def test_generated_corpora_payload_equals_the_reference(self, companies, securities):
+        records = companies.records[:400] + securities.records[:400]
+        expected = pickle.dumps(reference_payload(records))
+        assert _payload_bytes(ProfileStore.prepare(records)) == expected
+        grown = ProfileStore.prepare(records[:250])
+        for start in range(250, len(records), 100):
+            grown.add_records(records[start:start + 100])
+        assert _payload_bytes(grown) == expected
+
+
+class TestRepeatedIds:
+    """Both entry points keep one record per id, the first one seen."""
+
+    alpha = CompanyRecord(record_id="x", source="S1", entity_id="e", name="Alpha")
+    beta = CompanyRecord(record_id="x", source="S2", entity_id="e", name="Beta")
+
+    def test_a_different_record_under_a_seen_id_is_refused(self):
+        with pytest.raises(ValueError, match="'x'"):
+            ProfileStore.prepare([self.alpha, self.beta])
+        store = ProfileStore.prepare([])
+        with pytest.raises(ValueError, match="'x'"):
+            store.add_records([self.alpha, self.beta])
+        assert len(store) == 0 and store.revision == 0 and list(store.strings) == [""]
+
+    def test_equal_copies_are_profiled_once(self):
+        copy = replace(self.alpha)
+        assert copy == self.alpha and copy is not self.alpha
+        records = [self.alpha, copy, self.alpha]
+        assert distinct_records([records]) == [self.alpha]
+        prepared = ProfileStore.prepare(records)
+        grown = ProfileStore.prepare([])
+        assert grown.add_records(records) == 1
+        assert len(prepared) == 1
+        assert _payload_bytes(prepared) == _payload_bytes(grown)
+        assert prepared.string_at(prepared.name_ids[0]) == "alpha"
+
+    def test_a_stored_id_is_skipped(self):
+        store = ProfileStore.prepare([self.alpha])
+        assert store.add_records([self.beta]) == 0
+        assert store.revision == 0
+        assert store.string_at(store.name_ids[0]) == "alpha"
 
 
 class _ReferenceExtractor(PairFeatureExtractor):
@@ -513,8 +700,6 @@ class TestPackedCodepoints:
         assert store.codepoints.offsets.tobytes() == fresh.codepoints.offsets.tobytes()
 
     def test_pickle_round_trip_rebuilds_the_column_outside_the_payload(self):
-        import pickle
-
         store = ProfileStore.prepare(self.records())
         payload = store.__getstate__()
         assert set(payload) == PAYLOAD_KEYS
@@ -524,13 +709,13 @@ class TestPackedCodepoints:
         assert clone.codepoints.offsets.tobytes() == store.codepoints.offsets.tobytes()
         _assert_packs_like_pack_codepoints(clone)
 
-    def test_legacy_profile_dict_payload_builds_the_column(self):
-        records = self.records()
-        legacy = ProfileStore.__new__(ProfileStore)
-        legacy.__setstate__({record.record_id: build_profile(record) for record in records})
-        fresh = ProfileStore.prepare(records)
-        assert legacy.codepoints.values.tobytes() == fresh.codepoints.values.tobytes()
-        _assert_packs_like_pack_codepoints(legacy)
+    def test_a_payload_without_the_format_marker_is_refused(self):
+        payload = ProfileStore.prepare(self.records()).__getstate__()
+        del payload["format"]
+        # The pre-columnar payload was a plain {record_id: profile} dict.
+        for unmarked in (payload, {"a": object()}, None):
+            with pytest.raises(ValueError, match="'profile-store-columnar-v1'"):
+                ProfileStore.__new__(ProfileStore).__setstate__(unmarked)
 
 
 class TestColumnarBatchEquivalence:
@@ -547,8 +732,6 @@ class TestColumnarBatchEquivalence:
     @given(st.lists(any_record, min_size=1, max_size=10), st.data())
     @settings(max_examples=80, deadline=None)
     def test_columnar_equals_rows_repeated_and_pickled(self, records, data):
-        import pickle
-
         store = ProfileStore.prepare(records)
         ids = [record.record_id for record in records]
         index_pairs = data.draw(
@@ -584,8 +767,6 @@ class TestColumnarBatchEquivalence:
         assert rows.shape == matrix.shape
 
     def test_empty_store_roundtrip(self):
-        import pickle
-
         store = ProfileStore.prepare([])
         clone = pickle.loads(pickle.dumps(store))
         assert len(clone) == 0
@@ -595,30 +776,43 @@ class TestColumnarBatchEquivalence:
         )
 
 
+def _strings_at(store: ProfileStore, ids) -> list[str]:
+    return [store.string_at(index) for index in ids]
+
+
+def _set_row(store: ProfileStore, column) -> list[str]:
+    """Row 0 of a set column, as strings."""
+    return _strings_at(store, column.values[column.offsets[0]:column.offsets[1]])
+
+
 class TestProfileEdgeCases:
     extractor = PairFeatureExtractor()
 
     def test_token_less_name_profiles_cleanly(self):
         record = CompanyRecord(record_id="a", source="S1", entity_id="e", name="!!! ...")
-        profile = build_profile(record)
-        assert profile.name_norm == ""
-        assert profile.name_tokens == ()
-        assert profile.stripped_name == ""
-        assert profile.name_token_set == frozenset()
+        store = ProfileStore.prepare([record])
+        assert store.string_at(store.name_ids[0]) == ""
+        assert store.string_at(store.stripped_ids[0]) == ""
+        assert _set_row(store, store.name_token_sets) == []
+        assert _set_row(store, store.stripped_token_sets) == []
 
     def test_corporate_terms_only_name_keeps_normalised_form(self):
         record = CompanyRecord(record_id="a", source="S1", entity_id="e", name="Holdings Inc")
-        profile = build_profile(record)
+        store = ProfileStore.prepare([record])
         # strip_corporate_terms falls back to the full normalised name.
-        assert profile.stripped_name == "holdings inc"
+        assert store.string_at(store.stripped_ids[0]) == "holdings inc"
+        assert sorted(_set_row(store, store.stripped_token_sets)) == ["holdings", "inc"]
 
     def test_kinds(self):
         company = CompanyRecord(record_id="c", source="S1", entity_id="e", name="Acme")
         security = SecurityRecord(record_id="s", source="S1", entity_id="e", name="Acme stock")
         product = ProductRecord(record_id="p", source="S1", entity_id="e", title="Acme gadget")
-        assert build_profile(company).kind == KIND_COMPANY
-        assert build_profile(security).kind == KIND_SECURITY
-        assert build_profile(product).kind == KIND_OTHER
+        store = ProfileStore.prepare([company, security, product])
+        assert [KIND_NAMES[code] for code in store.kind_codes] == [
+            KIND_COMPANY,
+            KIND_SECURITY,
+            KIND_OTHER,
+        ]
 
     def test_mixed_kind_pair_has_neutral_identifier_features(self):
         company = CompanyRecord(
@@ -641,17 +835,26 @@ class TestProfileEdgeCases:
             record_id="s", source="S1", entity_id="e", name="Acme stock",
             isin="us-037", cusip=None, sedol="b1 23", valor="",
         )
-        profile = build_profile(record)
-        expected = tuple(
+        store = ProfileStore.prepare([record])
+        expected = [
             normalize_identifier(getattr(record, field)) for field in SECURITY_ID_FIELDS
+        ]
+        assert _strings_at(store, store.identifier_ids[0]) == expected
+
+    def test_company_isins_are_normalised_without_empties(self):
+        record = CompanyRecord(
+            record_id="c", source="S1", entity_id="e", name="Acme",
+            security_isins=("us-037", "", "US037", "ch 1"),
         )
-        assert profile.security_identifiers == expected
+        store = ProfileStore.prepare([record])
+        assert sorted(_set_row(store, store.isin_sets)) == ["CH1", "US037"]
+        assert _strings_at(store, store.identifier_ids[0]) == [""] * len(SECURITY_ID_FIELDS)
 
     def test_product_records_use_title(self):
         record = ProductRecord(record_id="p", source="S1", entity_id="e",
                                title="Wireless Mouse 2000")
-        profile = build_profile(record)
-        assert profile.name_norm == "wireless mouse 2000"
+        store = ProfileStore.prepare([record])
+        assert store.string_at(store.name_ids[0]) == "wireless mouse 2000"
 
 
 class TestProfileStore:
@@ -671,8 +874,6 @@ class TestProfileStore:
             store.row_indices([("nope", "nope")])
 
     def test_store_is_picklable(self):
-        import pickle
-
         records = [
             SecurityRecord(record_id="s1", source="S1", entity_id="e",
                            name="Acme stock", isin="US0378331005"),
@@ -688,8 +889,6 @@ class TestProfileStore:
         self, companies
     ):
         # Earlier versions also pickled the ordered description token ids.
-        import pickle
-
         records = companies.records[:60]
         store = ProfileStore.prepare(records)
         string_ids = {value: index for index, value in enumerate(store.strings)}

@@ -10,7 +10,13 @@ from one band stays on one path, and the 63/64 boundary is pinned
 explicitly.  The interned-id fast path (deduplicating kernel tables by
 string identity) is exercised against the id-less path on batches with
 forced duplicates.
+
+The string-list wrappers below pack each call's strings and run the
+packed kernels; the library packs through ``ProfileStore.codepoints``
+instead, so they live here, next to the tests that use them.
 """
+
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -19,15 +25,13 @@ from hypothesis import strategies as st
 
 from repro.text.batch_similarity import (
     _BIT_WIDTH,
-    _pack_pairs,
-    jaro_winkler_similarity_batch,
+    PAD_LEFT,
+    PAD_RIGHT,
     jaro_winkler_similarity_packed,
-    levenshtein_distance_batch,
     levenshtein_distance_packed,
-    levenshtein_similarity_batch,
     levenshtein_similarity_packed,
-    longest_common_substring_batch,
-    longest_common_substring_similarity_batch,
+    longest_common_substring_packed,
+    longest_common_substring_similarity_packed,
 )
 from repro.text.similarity import (
     jaro_winkler_similarity,
@@ -36,6 +40,125 @@ from repro.text.similarity import (
     longest_common_substring,
     longest_common_substring_similarity,
 )
+
+
+# -- string-list wrappers over the packed kernels -------------------------
+
+
+def pack_codepoints(
+    strings: Sequence[str], width: int | None = None, fill: int = PAD_LEFT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pack strings into an ``(n, width)`` int32 codepoint matrix + lengths.
+
+    Padding uses ``fill`` (negative, so it never equals a real codepoint).
+    ``width`` defaults to the longest string; ``width=0`` still yields a
+    well-formed ``(n, 1)`` matrix so downstream reductions stay simple.
+    """
+    lengths = np.fromiter(
+        (len(s) for s in strings), dtype=np.int64, count=len(strings)
+    )
+    if width is None:
+        width = int(lengths.max()) if len(strings) else 0
+    width = max(width, 1)
+    codes = np.full((len(strings), width), fill, dtype=np.int32)
+    for i, s in enumerate(strings):
+        if s:
+            codes[i, : len(s)] = np.frombuffer(
+                s.encode("utf-32-le"), dtype=np.uint32
+            ).astype(np.int32)
+    return codes, lengths
+
+
+def _pack_pairs(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    if len(lefts) != len(rights):
+        raise ValueError("lefts and rights must have the same length")
+    a_codes, a_lengths = pack_codepoints(lefts, fill=PAD_LEFT)
+    b_codes, b_lengths = pack_codepoints(rights, fill=PAD_RIGHT)
+    return a_codes, a_lengths, b_codes, b_lengths
+
+
+def _equal_and_empty(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    n = len(lefts)
+    equal = np.fromiter(
+        (a == b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
+    )
+    either_empty = np.fromiter(
+        (not a or not b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
+    )
+    return equal, either_empty
+
+
+
+
+def levenshtein_distance_batch(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """Edit distances for parallel string sequences (int64, exact)."""
+    if len(lefts) != len(rights):
+        raise ValueError("lefts and rights must have the same length")
+    if not len(lefts):
+        return np.zeros(0, dtype=np.int64)
+    return levenshtein_distance_packed(*_pack_pairs(lefts, rights))
+
+
+
+
+def levenshtein_similarity_batch(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """Batched :func:`~repro.text.similarity.levenshtein_similarity`."""
+    if not len(lefts):
+        return np.empty(0, dtype=np.float64)
+    equal, _ = _equal_and_empty(lefts, rights)
+    return levenshtein_similarity_packed(*_pack_pairs(lefts, rights), equal)
+
+
+
+
+def longest_common_substring_batch(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """Longest common contiguous substring lengths (int64, exact)."""
+    if len(lefts) != len(rights):
+        raise ValueError("lefts and rights must have the same length")
+    if not len(lefts):
+        return np.zeros(0, dtype=np.int64)
+    return longest_common_substring_packed(*_pack_pairs(lefts, rights))
+
+
+
+
+def longest_common_substring_similarity_batch(
+    lefts: Sequence[str], rights: Sequence[str]
+) -> np.ndarray:
+    """Batched :func:`~repro.text.similarity.longest_common_substring_similarity`."""
+    if not len(lefts):
+        return np.empty(0, dtype=np.float64)
+    equal, _ = _equal_and_empty(lefts, rights)
+    return longest_common_substring_similarity_packed(
+        *_pack_pairs(lefts, rights), equal
+    )
+
+
+
+
+def jaro_winkler_similarity_batch(
+    lefts: Sequence[str], rights: Sequence[str], prefix_weight: float = 0.1
+) -> np.ndarray:
+    """Batched :func:`~repro.text.similarity.jaro_winkler_similarity`."""
+    if not 0.0 <= prefix_weight <= 0.25:
+        raise ValueError("prefix_weight must be in [0, 0.25]")
+    if not len(lefts):
+        return np.empty(0, dtype=np.float64)
+    equal, _ = _equal_and_empty(lefts, rights)
+    return jaro_winkler_similarity_packed(
+        *_pack_pairs(lefts, rights), equal, prefix_weight=prefix_weight
+    )
+
 
 # A small alphabet maximises collisions (shared characters, equal strings,
 # shared prefixes) — the interesting regime for every kernel.
