@@ -8,12 +8,12 @@ measured inside worker processes.  A stray ``time.perf_counter()`` /
 the run "works" but its spans are incomplete, which is exactly the kind of
 drift a docstring cannot prevent.
 
-``repro.obs`` itself and :mod:`repro.runtime.profiler` are the two blessed
-call sites (the clock seam and the legacy timings view it feeds).
-Everything else — library code, tests, benchmark drivers — must either go
-through :func:`repro.obs.clock.now` or carry a justified suppression
-(benchmark drivers that measure wall clock *as their artefact* are the
-expected suppression case).
+``repro.obs`` itself — the clock seam — is the one blessed call site; run
+timings are read off the trace's spans.  Everything else — library code,
+tests, benchmark scripts — must either go through
+:func:`repro.obs.clock.now` or carry a justified suppression (benchmark
+scripts that measure wall clock *as their artefact* are the expected
+suppression case).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ObsClockDisciplineRule(LintRule):
         "wall clock itself is the artefact)"
     )
     packages = None  # every module: the trace is only as complete as its inputs
-    exclude_packages = ("repro.obs", "repro.runtime.profiler")
+    exclude_packages = ("repro.obs",)
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = dotted_name(node.func)

@@ -44,7 +44,8 @@ from repro.core.stages import (
 from repro.datagen.records import Dataset
 from repro.graphs.graph import Edge
 from repro.matching.base import MatchDecision, PairwiseMatcher
-from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
+from repro.obs import stage_timings
+from repro.runtime import PipelineRuntime, RuntimeConfig
 
 
 @dataclass
@@ -73,7 +74,8 @@ class PipelineResult:
     #: "Inference Time" column) and in the graph stages.
     inference_seconds: float = 0.0
     graph_seconds: float = 0.0
-    blocking_seconds: float = 0.0
+    #: Per-stage and per-chunk seconds, read off the run's spans
+    #: (:func:`~repro.obs.trace.stage_timings`).
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -198,27 +200,24 @@ class EntityGroupMatchingPipeline:
                     raise ValueError(
                         f"profiles do not hold dataset record {record.record_id!r}"
                     )
-        profiler = self.runtime.profiler()
+        recorder = self.runtime.run_recorder()
         context = PipelineContext(
-            dataset=dataset, runtime=self.runtime, profiler=profiler, profiles=profiles
+            dataset=dataset, runtime=self.runtime, recorder=recorder, profiles=profiles
         )
-        with profiler.recorder.span(
-            "pipeline.run", kind="run", records=len(dataset)
-        ):
+        with recorder.span("pipeline.run", kind="run", records=len(dataset)) as run:
             for stage in self.stages:
-                with profiler.stage(stage.name):
+                with recorder.span(stage.name, kind="stage"):
                     stage.run(context)
-        return self._to_result(context, profiler)
+        return self._to_result(context, stage_timings(run))
 
     def _to_result(
-        self, context: PipelineContext, profiler: StageProfiler
+        self, context: PipelineContext, timings: dict[str, float]
     ) -> PipelineResult:
         graph_seconds = sum(
-            profiler.stage_seconds(stage.name)
+            timings.get(stage.name, 0.0)
             for stage in self.stages
             if stage.timing_group == "graph"
         )
-        timings = profiler.as_timings()
         # Pre-stage pipelines timed the three graph steps as one
         # "graph_cleanup" stage; keep the aggregate key for consumers.
         timings.setdefault("graph_cleanup", graph_seconds)
@@ -235,8 +234,7 @@ class EntityGroupMatchingPipeline:
             cleanup_report=context.cleanup_report,
             groups=context.groups,
             pre_cleanup_groups=context.pre_cleanup_groups,
-            inference_seconds=profiler.stage_seconds("pairwise_matching"),
+            inference_seconds=timings.get("pairwise_matching", 0.0),
             graph_seconds=graph_seconds,
-            blocking_seconds=profiler.stage_seconds("blocking"),
             timings=timings,
         )

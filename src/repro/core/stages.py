@@ -39,23 +39,26 @@ from repro.datagen.records import Dataset
 from repro.graphs.graph import Edge
 from repro.matching.base import MatchDecision, PairwiseMatcher
 from repro.matching.decisions import DecisionVector
+from repro.obs import TraceRecorder
 from repro.registry import CLEANUPS
-from repro.runtime import PipelineRuntime, StageProfiler
+from repro.runtime import PipelineRuntime
 
 
 @dataclass
 class PipelineContext:
     """Everything the stages share during one pipeline run.
 
-    Early fields are inputs (dataset, runtime, profiler, and optionally the
-    matcher's prepared profiles for the dataset); the rest are artefacts
-    produced by successive stages.  Custom stages may stash additional
-    state in :attr:`extras` without subclassing the context.
+    Early fields are inputs (dataset, runtime, the run's recorder, and
+    optionally the matcher's prepared profiles for the dataset); the rest
+    are artefacts produced by successive stages.  Custom stages may stash
+    additional state in :attr:`extras` without subclassing the context.
     """
 
     dataset: Dataset
     runtime: PipelineRuntime
-    profiler: StageProfiler
+    #: The run's recorder: stage and chunk spans (and so the run's timings)
+    #: and the clean-up metrics land here.
+    recorder: TraceRecorder
     #: ``prepare_profiles`` state covering the dataset, or ``None`` to let
     #: the matching stage prepare its own.
     profiles: Any = None
@@ -80,10 +83,10 @@ class PipelineContext:
 class PipelineStage(ABC):
     """One named step of the pipeline.
 
-    ``name`` doubles as the profiler stage key and the handle for the
-    pipeline's ``insert_before`` / ``insert_after`` / ``replace_stage``
-    helpers; ``timing_group = "graph"`` opts the stage into the
-    ``graph_cleanup`` aggregate timing.
+    ``name`` doubles as the stage span's name (so its timings key) and the
+    handle for the pipeline's ``insert_before`` / ``insert_after`` /
+    ``replace_stage`` helpers; ``timing_group = "graph"`` opts the stage
+    into the ``graph_cleanup`` aggregate timing.
     """
 
     name: str = "stage"
@@ -107,7 +110,7 @@ class BlockingStage(PipelineStage):
 
     def run(self, context: PipelineContext) -> None:
         context.candidates = context.runtime.run_blocking(
-            self.blocking, context.dataset, context.profiler
+            self.blocking, context.dataset, context.recorder
         )
 
 
@@ -124,7 +127,7 @@ class MatchingStage(PipelineStage):
             self.matcher,
             context.dataset,
             context.candidates,
-            context.profiler,
+            context.recorder,
             profiles=context.profiles,
         )
 
@@ -221,7 +224,7 @@ class GraphCleanupStage(PipelineStage):
             context.kept_edges, self.config
         )
         report = context.cleanup_report
-        metrics = context.profiler.recorder.metrics
+        metrics = context.recorder.metrics
         metrics.add("cleanup.mincut_removals", report.mincut_removals)
         metrics.add("cleanup.betweenness_removals", report.betweenness_removals)
         metrics.add("cleanup.edges_removed", report.num_removed)

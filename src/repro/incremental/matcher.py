@@ -52,8 +52,9 @@ from repro.graphs.graph import Edge, sorted_edges
 from repro.graphs.union_find import DisjointSet
 from repro.incremental.state import ComponentCleanup, MatchState
 from repro.matching.base import PairwiseMatcher
+from repro.obs import TraceRecorder, stage_timings
 from repro.registry import CLEANUPS
-from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
+from repro.runtime import PipelineRuntime, RuntimeConfig
 
 
 @dataclass
@@ -80,6 +81,7 @@ class IngestReport:
     #: Whether the kept-edge union-find had to be rebuilt (an edge vanished)
     #: instead of being extended in place.
     dsu_rebuilt: bool = False
+    #: Per-stage and per-chunk seconds, read off the ingest's run span.
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -262,31 +264,30 @@ class IncrementalMatcher:
         do not poison.
         """
         self._check_poisoned()
-        profiler = self.runtime.profiler()
+        recorder = self.runtime.run_recorder()
         report = IngestReport()
         batch = list(new_records)
         self._validate_new(batch)
         try:
-            with profiler.recorder.span(
-                "ingest", kind="run", new_records=len(batch)
-            ) as span:
-                result = self._ingest(batch, profiler, report)
-                if span is not None:
-                    span.attributes.update(
-                        records_rescored=result.records_rescored,
-                        pairs_scored=result.pairs_scored,
-                        pairs_reused=result.pairs_reused,
-                        components_recleaned=result.components_recleaned,
-                        components_reused=result.components_reused,
-                    )
-                return result
+            with recorder.span("ingest", kind="run", new_records=len(batch)) as run:
+                self._ingest(batch, recorder, report)
+                run.attributes.update(
+                    records_rescored=report.records_rescored,
+                    pairs_scored=report.pairs_scored,
+                    pairs_reused=report.pairs_reused,
+                    components_recleaned=report.components_recleaned,
+                    components_reused=report.components_reused,
+                )
         except Exception as error:
             self._poisoned = f"ingest failed mid-update: {error!r}"
             raise
+        report.timings = stage_timings(run)
+        self.last_report = report
+        return report
 
     def _ingest(
-        self, batch: list[Record], profiler: StageProfiler, report: IngestReport
-    ) -> IngestReport:
+        self, batch: list[Record], recorder: TraceRecorder, report: IngestReport
+    ) -> None:
         state = self.state
         for record in batch:
             self._dataset.add_record(record)
@@ -294,15 +295,15 @@ class IncrementalMatcher:
         report.num_new_records = len(batch)
         report.num_records = len(state.records)
 
-        with profiler.stage("blocking"):
-            candidates = self._update_candidates(batch, profiler, report)
+        with recorder.span("blocking", kind="stage"):
+            candidates = self._update_candidates(batch, recorder, report)
         state.num_candidates = len(candidates)
         report.num_candidates = len(candidates)
 
-        with profiler.stage("pairwise_matching"):
-            decisions = self._update_decisions(candidates, profiler, report)
+        with recorder.span("pairwise_matching", kind="stage"):
+            decisions = self._update_decisions(candidates, recorder, report)
 
-        with profiler.stage("pre_cleanup"):
+        with recorder.span("pre_cleanup", kind="stage"):
             # The exact batch-stage computation, shared with
             # PreCleanupStage so the two execution modes cannot drift.
             positive_edges, _, kept, removed = apply_pre_cleanup(
@@ -312,34 +313,29 @@ class IncrementalMatcher:
         report.num_positive = len(positive_edges)
         report.num_kept = len(kept)
 
-        with profiler.stage("graph_cleanup"):
+        with recorder.span("graph_cleanup", kind="stage"):
             final_components, cleanup_report = self._cleanup(kept, report)
             state.cleanup_report = cleanup_report
 
-        with profiler.stage("grouping"):
+        with recorder.span("grouping", kind="stage"):
             all_record_ids = [record.record_id for record in state.records]
             state.groups, state.pre_cleanup_groups = groups_from_components(
                 final_components, all_record_ids, positive_edges
             )
 
         state.num_ingests += 1
-        report.timings = profiler.as_timings()
-        recorder = profiler.recorder
-        if recorder.enabled:
-            # The ingest deltas, as whole-run counters: what this batch
-            # added, what it rescored, and what the decision cache and
-            # clean-up memo served without recomputation.
-            metrics = recorder.metrics
-            metrics.add("ingest.new_records", report.num_new_records)
-            metrics.add("ingest.records_rescored", report.records_rescored)
-            metrics.add("decision_cache.hits", report.pairs_reused)
-            metrics.add("decision_cache.misses", report.pairs_scored)
-            metrics.add("cleanup_memo.hits", report.components_reused)
-            metrics.add("cleanup_memo.misses", report.components_recleaned)
-            metrics.gauge("ingest.num_records", report.num_records)
-            metrics.gauge("ingest.num_candidates", report.num_candidates)
-        self.last_report = report
-        return report
+        # The ingest deltas, as whole-run counters: what this batch added,
+        # what it rescored, and what the decision cache and clean-up memo
+        # served without recomputation.
+        metrics = recorder.metrics
+        metrics.add("ingest.new_records", report.num_new_records)
+        metrics.add("ingest.records_rescored", report.records_rescored)
+        metrics.add("decision_cache.hits", report.pairs_reused)
+        metrics.add("decision_cache.misses", report.pairs_scored)
+        metrics.add("cleanup_memo.hits", report.components_reused)
+        metrics.add("cleanup_memo.misses", report.components_recleaned)
+        metrics.gauge("ingest.num_records", report.num_records)
+        metrics.gauge("ingest.num_candidates", report.num_candidates)
 
     # -- internals -----------------------------------------------------------
 
@@ -367,7 +363,7 @@ class IncrementalMatcher:
     def _update_candidates(
         self,
         batch: Sequence[Record],
-        profiler: StageProfiler,
+        recorder: TraceRecorder,
         report: IngestReport,
     ) -> list[CandidatePair]:
         """Delta-update every part's index, rescore dirty + new records, and
@@ -404,7 +400,7 @@ class IncrementalMatcher:
                 if record.record_id in rescore_ids
             ]
             owned_lists = self.runtime.run_blocking_delta(
-                part, shared, rescore_records, profiler
+                part, shared, rescore_records, recorder
             )
             owned = state.owned_pairs[index]
             for record, pairs in zip(rescore_records, owned_lists):
@@ -430,7 +426,7 @@ class IncrementalMatcher:
     def _update_decisions(
         self,
         candidates: Sequence[CandidatePair],
-        profiler: StageProfiler,
+        recorder: TraceRecorder,
         report: IngestReport,
     ):
         """Score only candidates without a cached decision; return the full
@@ -453,7 +449,7 @@ class IncrementalMatcher:
                 state.matcher,
                 self._dataset,
                 new_pairs,
-                profiler,
+                recorder,
                 profiles=profiles,
                 # The engine's id-pair payloads are exactly the candidates'
                 # (left, right) ids — hand them over so it skips rebuilding

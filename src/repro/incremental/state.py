@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import pickle
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -106,6 +106,7 @@ class MatchState:
     cleanup_strategy: str = "gralmatch"
     #: Default execution-engine settings; an override may be passed when the
     #: state is opened (the engine never changes results, only speed).
+    #: Never a trace path: see :meth:`__post_init__`.
     runtime_config: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     # -- corpus -------------------------------------------------------------
@@ -154,6 +155,14 @@ class MatchState:
     num_ingests: int = 0
     #: Monotonic save counter; names the payload directory of the next save.
     payload_rev: int = 0
+
+    def __post_init__(self) -> None:
+        # A trace path names one invocation's output file, not an engine
+        # setting.  Dropping it here, where creation and load both pass,
+        # keeps a reopened state from overwriting its creator's trace; a
+        # call traces only when it asks to.
+        if self.runtime_config.trace is not None:
+            self.runtime_config = replace(self.runtime_config, trace=None)
 
     # -- derived -------------------------------------------------------------
 

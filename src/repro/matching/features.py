@@ -44,7 +44,6 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     IdSetColumn,
     ProfileStore,
-    distinct_records,
     sorted_intersection_counts,
 )
 from repro.text.batch_similarity import (
@@ -276,7 +275,7 @@ class PairFeatureExtractor:
         record id, so two different records sharing an id in one call raise
         ``ValueError`` (equal copies are fine).
         """
-        store = ProfileStore.prepare(distinct_records(pairs))
+        store = ProfileStore.prepare(record for pair in pairs for record in pair)
         return self.extract_sliced(
             store, [(left.record_id, right.record_id) for left, right in pairs]
         )

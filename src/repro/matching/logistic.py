@@ -23,7 +23,7 @@ import numpy as np
 from repro.datagen.records import Record
 from repro.matching.base import IdPair, RecordPair, TrainablePairwiseMatcher
 from repro.matching.features import PairFeatureExtractor
-from repro.matching.profiles import ProfileStore, distinct_records
+from repro.matching.profiles import ProfileStore
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -114,7 +114,9 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         ``ValueError`` — and fits on their id pairs against it.
         """
         validation_pairs = () if validation_pairs is None else validation_pairs
-        store = self.prepare_profiles(distinct_records([*pairs, *validation_pairs]))
+        store = self.prepare_profiles(
+            record for pair in [*pairs, *validation_pairs] for record in pair
+        )
         return self.fit_profiled(
             store,
             [(left.record_id, right.record_id) for left, right in pairs],

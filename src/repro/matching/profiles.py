@@ -87,17 +87,12 @@ def record_name(record: Record) -> str:
     return ""
 
 
-def distinct_records(pairs: Iterable[Sequence[Record]]) -> list[Record]:
-    """The distinct records of record pairs, in order of first appearance.
+def _distinct(records: Iterable[Record]) -> list[Record]:
+    """The distinct records of ``records``, in order of first appearance.
 
     A store keys profiles by record id, so two different records sharing
     an id raise ``ValueError``; equal copies are fine.
     """
-    return _distinct(record for pair in pairs for record in pair)
-
-
-def _distinct(records: Iterable[Record]) -> list[Record]:
-    """:func:`distinct_records` over a flat record iterable."""
     seen: dict[str, Record] = {}
     distinct: list[Record] = []
     for record in records:

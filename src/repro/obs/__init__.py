@@ -5,7 +5,8 @@ One subsystem, four concerns:
 * **Tracing** (:mod:`~repro.obs.trace`): hierarchical spans
   (run → stage → chunk → event) on one monotonic clock
   (:mod:`~repro.obs.clock`), recorded by :class:`TraceRecorder` or the
-  allocation-free :data:`NULL_RECORDER` default.
+  allocation-free :data:`NULL_RECORDER` default; :func:`stage_timings`
+  reads a run's stage and chunk timings off its spans.
 * **Metrics** (:mod:`~repro.obs.metrics`): named counters and gauges with a
   ``<family>.hits``/``.misses`` convention the report renderer understands.
 * **Sinks & exports** (:mod:`~repro.obs.sinks`, :mod:`~repro.obs.chrome`,
@@ -35,7 +36,7 @@ from repro.obs.sinks import (
     TraceFormatError,
     read_trace_jsonl,
 )
-from repro.obs.trace import NULL_RECORDER, NullRecorder, Span, Trace, TraceRecorder
+from repro.obs.trace import NULL_RECORDER, NullRecorder, Span, Trace, TraceRecorder, stage_timings
 
 __all__ = [
     "NULL_METRICS",
@@ -57,5 +58,6 @@ __all__ = [
     "peak_rss_bytes",
     "read_trace_jsonl",
     "render_trace_report",
+    "stage_timings",
     "write_chrome_trace",
 ]

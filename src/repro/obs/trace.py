@@ -19,7 +19,9 @@ to the parent on the existing chunk-result channel and are attached here.
 Completed spans stream to an optional **sink** (:mod:`repro.obs.sinks`) as
 flat records carrying ``id``/``parent`` links; the in-memory tree is always
 kept too, so :meth:`TraceRecorder.trace` and a parsed JSONL file reconstruct
-the *same* :class:`Trace` (the round-trip suite pins this).
+the *same* :class:`Trace` (the round-trip suite pins this).  The span tree
+is also the engine's only timing record: :func:`stage_timings` reads a run's
+flat stage and chunk timings off its spans.
 
 :data:`NULL_RECORDER` is the default everywhere a recorder is accepted: a
 shared, stateless no-op with ``enabled = False``.  Hot paths guard their
@@ -38,7 +40,7 @@ from typing import Any
 from repro.obs import clock
 from repro.obs.metrics import Metrics, NULL_METRICS
 
-__all__ = ["Span", "Trace", "TraceRecorder", "NullRecorder", "NULL_RECORDER"]
+__all__ = ["Span", "Trace", "TraceRecorder", "NullRecorder", "NULL_RECORDER", "stage_timings"]
 
 
 @dataclass
@@ -74,6 +76,32 @@ class Span:
             f"Span({self.name!r}, kind={self.kind!r}, "
             f"duration={self.duration:.6f}, children={len(self.children)})"
         )
+
+
+def stage_timings(run: Span) -> dict[str, float]:
+    """The flat timings of one run span: ``PipelineResult.timings`` and
+    ``IngestReport.timings`` are this view.
+
+    Each ``stage`` child's duration goes under its name, and repeated names
+    add up.  Each ``chunk`` under a stage goes under
+    ``"<chunk name>/chunk<index>"``, numbered in trace order per chunk name.
+    The index is zero-padded to the name's chunk count (at least three
+    digits), so lexicographic key order equals chunk order at any count.
+    """
+    timings: dict[str, float] = {}
+    chunks: dict[str, list[float]] = {}
+    for stage in run.children:
+        if stage.kind != "stage":
+            continue
+        timings[stage.name] = timings.get(stage.name, 0.0) + stage.duration
+        for chunk in stage.children:
+            if chunk.kind == "chunk":
+                chunks.setdefault(chunk.name, []).append(chunk.duration)
+    for name, durations in chunks.items():
+        width = max(3, len(str(len(durations) - 1)))
+        for index, seconds in enumerate(durations):
+            timings[f"{name}/chunk{index:0{width}d}"] = seconds
+    return timings
 
 
 @dataclass

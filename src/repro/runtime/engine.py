@@ -2,7 +2,7 @@
 
 :class:`PipelineRuntime` is the seam between the entity-group-matching
 *logic* (blocking recipes, matchers, graph clean-up) and its *execution*
-(batching, worker pools, profiling).  The pipeline delegates its two
+(batching, worker pools, run tracing).  The pipeline delegates its two
 data-parallel stages here:
 
 * **candidate generation** — a composite blocking is partitioned into its
@@ -63,7 +63,6 @@ from repro.matching.decisions import DecisionVector
 from repro.obs.sinks import JsonlSink
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.profiler import StageProfiler
 from repro.runtime.scheduler import ChunkScheduler, chunked, even_spans
 
 
@@ -166,9 +165,9 @@ class PipelineRuntime:
     omitted, ``config.trace`` → a JSONL-streaming
     :class:`~repro.obs.trace.TraceRecorder`; no trace configured → the
     shared no-op) is threaded through the scheduler and pool, and
-    :meth:`profiler` hands out stage profilers bound to it so stage/chunk
-    timings land in the trace.  Recording never steers execution — traced
-    and untraced runs produce byte-identical outputs.
+    :meth:`run_recorder` hands each run the recorder its stage and chunk
+    spans — and so its timings — land on.  Recording never steers
+    execution — traced and untraced runs produce byte-identical outputs.
     """
 
     def __init__(
@@ -185,14 +184,16 @@ class PipelineRuntime:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def profiler(self) -> StageProfiler:
-        """A new stage profiler bound to this runtime's trace recorder.
+    def run_recorder(self) -> Any:
+        """The recorder one pipeline run or ingest batch records on.
 
-        Pipeline runs and ingest batches build their per-run profiler here,
-        so stage spans and chunk spans nest in the runtime's trace; without
-        a recorder this is exactly ``StageProfiler()``.
+        This runtime's own recorder when it traces, so the run's spans land
+        in the trace; otherwise a fresh in-memory
+        :class:`~repro.obs.trace.TraceRecorder` dropped with the run.
+        Either way the run's timings are read off its spans
+        (:func:`~repro.obs.trace.stage_timings`).
         """
-        return StageProfiler(recorder=self.recorder)
+        return self.recorder if self.recorder.enabled else TraceRecorder()
 
     def close(self) -> None:
         """Release the persistent worker pool and its published payloads,
@@ -227,7 +228,7 @@ class PipelineRuntime:
         self,
         blocking: Blocking,
         dataset: Dataset,
-        profiler: StageProfiler | None = None,
+        recorder: Any = NULL_RECORDER,
     ) -> list[CandidatePair]:
         """Generate candidate pairs, fanning out parts and record shards.
 
@@ -272,7 +273,7 @@ class PipelineRuntime:
             _blocking_task,
             tasks,
             stage="blocking",
-            profiler=profiler,
+            recorder=recorder,
             shared=plan,
             items=len,  # candidates emitted per task -> candidates/s chunks
         )
@@ -286,7 +287,7 @@ class PipelineRuntime:
         part: Blocking,
         shared: Any,
         records: Sequence[Record],
-        profiler: StageProfiler | None = None,
+        recorder: Any = NULL_RECORDER,
     ) -> list[tuple[CandidatePair, ...]]:
         """Rescore individual records against a prepared shared index.
 
@@ -310,7 +311,7 @@ class PipelineRuntime:
             _delta_blocking_task,
             spans,
             stage="blocking_delta",
-            profiler=profiler,
+            recorder=recorder,
             shared=plan,
             items=_owned_candidate_count,
         )
@@ -326,7 +327,7 @@ class PipelineRuntime:
         matcher: PairwiseMatcher,
         dataset: Dataset,
         candidates: Sequence[CandidatePair],
-        profiler: StageProfiler | None = None,
+        recorder: Any = NULL_RECORDER,
         profiles: Any = None,
         id_pairs: Sequence[IdPair] | None = None,
     ) -> DecisionVector:
@@ -339,8 +340,8 @@ class PipelineRuntime:
         when parallel).  The matcher entry point, the call granularity and
         the numeric batch shapes are therefore identical at any worker
         count — which is what keeps serial and parallel decisions
-        bit-identical — and every run gets per-chunk timings and pair
-        counts.  The per-chunk float64 arrays are concatenated and returned
+        bit-identical — and ``recorder`` gets one chunk span per batch,
+        with its pair count.  The per-chunk float64 arrays are concatenated and returned
         as a lazy :class:`~repro.matching.decisions.DecisionVector`, equal
         element for element to ``matcher.decide`` on the record pairs.
 
@@ -385,7 +386,7 @@ class PipelineRuntime:
             _score_profiled_chunk,
             chunked(id_pairs, self.config.batch_size),
             stage="pairwise_matching",
-            profiler=profiler,
+            recorder=recorder,
             shared=_MatchingPlan(matcher=matcher, profiles=profiles),
             # Epoch identity: the same matcher + the same store at the same
             # revision means the already-published plan is current, so

@@ -36,7 +36,6 @@ from repro.obs import clock
 from repro.obs.trace import NULL_RECORDER
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.pool import WorkerPool, load_epoch_payload
-from repro.runtime.profiler import StageProfiler
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -56,11 +55,10 @@ def chunked(items: Sequence[T], size: int) -> list[list[T]]:
 def even_spans(count: int, parts: int) -> list[tuple[int, int]]:
     """At most ``parts`` consecutive, near-equal ``(start, stop)`` spans.
 
-    The index arithmetic behind :func:`split_evenly`, exposed separately so
-    callers that only need boundaries (the sharded blocking fan-out ships
-    spans, not copies) skip materialising the chunks.  Sizes differ by at
-    most one (larger spans first), the spans tile ``range(count)`` exactly,
-    and none is empty — fewer than ``parts`` spans when ``count < parts``.
+    Boundaries only, never copies: the sharded blocking fan-outs ship
+    spans and slice worker-side.  Sizes differ by at most one (larger spans
+    first), the spans tile ``range(count)`` exactly, and none is empty —
+    fewer than ``parts`` spans when ``count < parts``.
     """
     if parts < 1:
         raise ValueError(f"parts must be a positive integer, got {parts}")
@@ -75,20 +73,6 @@ def even_spans(count: int, parts: int) -> list[tuple[int, int]]:
         spans.append((start, start + size))
         start += size
     return spans
-
-
-def split_evenly(items: Sequence[T], parts: int) -> list[list[T]]:
-    """Split ``items`` into at most ``parts`` consecutive, near-equal chunks.
-
-    Sizes differ by at most one (the larger chunks come first), the
-    concatenation of the chunks is exactly ``items``, and no chunk is empty
-    — fewer than ``parts`` chunks are returned when there are fewer items.
-    The count-based, list-materialising counterpart of :func:`chunked`; the
-    engine's sharded blocking fan-out ships :func:`even_spans` boundaries
-    instead and slices worker-side, so this helper is for callers that want
-    the chunks themselves.
-    """
-    return [list(items[start:stop]) for start, stop in even_spans(len(items), parts)]
 
 
 def timed_call(fn: Callable[[T], R], chunk: T) -> tuple[R, float, float]:
@@ -126,8 +110,8 @@ class ChunkScheduler:
     """Runs chunk functions according to a :class:`RuntimeConfig`.
 
     ``recorder`` (default: the shared no-op) receives pool lifecycle events
-    (executor spawns) and payload-fetch metrics; per-chunk spans flow through
-    the profiler handed to :meth:`map_chunks`.  Recording never alters
+    (executor spawns) and payload-fetch metrics; per-chunk spans go to the
+    run recorder handed to :meth:`map_chunks`.  Recording never alters
     scheduling — results are byte-identical with or without a recorder.
     """
 
@@ -181,7 +165,7 @@ class ChunkScheduler:
         chunks: Sequence[Any],
         *,
         stage: str | None = None,
-        profiler: StageProfiler | None = None,
+        recorder: Any = NULL_RECORDER,
         shared: Any = None,
         shared_anchors: tuple[Any, ...] | None = None,
         shared_version: Any = None,
@@ -201,22 +185,23 @@ class ChunkScheduler:
         names the payload family (defaults to ``stage``), so consecutive
         calls for the same stage can reuse a still-current payload.
 
-        With ``stage`` and ``profiler`` set, each chunk's in-worker duration
-        is recorded via :meth:`StageProfiler.record_chunk`; ``items``
-        (optional) maps a chunk *result* to its item count — e.g. ``len``
-        when each result is the produced list/array — so the profiler can
-        also report per-chunk throughput.  It runs parent-side on the
-        returned results, never in a worker.  Serial execution (one worker,
-        or a single chunk) runs in-process without a pool.
+        With ``stage`` set and an enabled ``recorder``, each chunk lands on
+        the recorder as a ``chunk`` span named ``stage``, timed in-worker,
+        with its ``index`` within this call; ``items`` (optional) maps a
+        chunk *result* to the span's item count — e.g. ``len`` when each
+        result is the produced list/array — so the trace carries per-chunk
+        throughput.  It runs parent-side on the returned results, never in
+        a worker.  Serial execution (one worker, or a single chunk) runs
+        in-process without a pool.
         """
         if not chunks:
             return []
         bound = fn if shared is None else partial(fn, shared)
         if not (self.config.is_parallel and len(chunks) > 1):
             results = []
-            for chunk in chunks:
+            for index, chunk in enumerate(chunks):
                 result, start, end = timed_call(bound, chunk)
-                self._record(profiler, stage, start, end, result, items)
+                self._record(recorder, stage, index, start, end, result, items)
                 results.append(result)
             return results
         pool = self._ensure_pool()
@@ -240,16 +225,14 @@ class ChunkScheduler:
         raw = self._collect(futures, on_error=lambda: pool.dispose(cancel=True))
         results = []
         fetches = 0
-        for item in raw:
-            extra = None
+        for index, item in enumerate(raw):
+            fetched = None
             if use_epochs:
                 result, start, end, fetched = item
                 fetches += int(fetched)
-                if self.recorder.enabled:
-                    extra = {"fetched": bool(fetched)}
             else:
                 result, start, end = item
-            self._record(profiler, stage, start, end, result, items, extra)
+            self._record(recorder, stage, index, start, end, result, items, fetched)
             results.append(result)
         if use_epochs:
             pool.record_fetches(fetches)
@@ -264,23 +247,25 @@ class ChunkScheduler:
 
     @staticmethod
     def _record(
-        profiler: StageProfiler | None,
+        recorder: Any,
         stage: str | None,
+        index: int,
         start: float,
         end: float,
-        result: Any = None,
-        items: Callable[[Any], int] | None = None,
-        attributes: dict[str, Any] | None = None,
+        result: Any,
+        items: Callable[[Any], int] | None,
+        fetched: bool | None = None,
     ) -> None:
-        if profiler is not None and stage is not None:
-            profiler.record_chunk(
-                stage,
-                end - start,
-                items=None if items is None else items(result),
-                start=start,
-                end=end,
-                attributes=attributes,
-            )
+        """Attach one chunk span: its position in the call, its item count
+        and, on a process pool, whether it fetched the shared payload."""
+        if stage is None or not recorder.enabled:
+            return
+        attributes: dict[str, Any] = {"index": index}
+        if items is not None:
+            attributes["items"] = items(result)
+        if fetched is not None:
+            attributes["fetched"] = fetched
+        recorder.add_span(stage, kind="chunk", start=start, end=end, attributes=attributes)
 
     @staticmethod
     def _collect(futures: list[Future], on_error: Callable[[], None]) -> list[Any]:

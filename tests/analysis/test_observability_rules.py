@@ -3,11 +3,11 @@
 Timing must flow through :func:`repro.obs.clock.now` so every measured
 interval can land on the trace timeline; raw ``time.perf_counter()`` /
 ``time.monotonic()`` calls are findings everywhere except the clock seam
-itself (``repro.obs``) and the legacy timings view
-(``repro.runtime.profiler``).
+itself (``repro.obs``).
 """
 
 from repro.analysis import resolve_rules, run_source
+from repro.analysis.rules.observability import ObsClockDisciplineRule
 
 RULES = resolve_rules(select=["obs-clock-discipline"])
 
@@ -80,14 +80,13 @@ class TestCleanCode:
 
 
 class TestExemptModules:
+    def test_only_the_obs_package_is_exempt(self):
+        assert ObsClockDisciplineRule.exclude_packages == ("repro.obs",)
+
     def test_the_clock_seam_itself_is_exempt(self):
         source = "import time\ndef now():\n    return time.perf_counter()\n"
         assert rules_of(source, module="repro.obs.clock") == []
         assert rules_of(source, module="repro.obs.trace") == []
-
-    def test_the_profiler_is_exempt(self):
-        source = "import time\ndef f():\n    return time.perf_counter()\n"
-        assert rules_of(source, module="repro.runtime.profiler") == []
 
     def test_other_runtime_modules_are_not_exempt(self):
         source = "import time\ndef f():\n    return time.perf_counter()\n"

@@ -17,6 +17,7 @@ from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.io import write_dataset_csv
 from repro.datagen.records import Dataset
 from repro.incremental import read_manifest
+from repro.obs import read_trace_jsonl
 from tests.incremental.test_state_io import corrupt_payload
 
 CONFIG_TOML = """
@@ -115,6 +116,25 @@ class TestExistingStateRuntime:
             "--groups-out", str(out_groups),
         ]) == 0
         assert out_groups.read_bytes() == (root / "ingest_groups.json").read_bytes()
+
+
+class TestTracePath:
+    def test_a_later_ingest_keeps_the_creators_trace(self, workspace, capsys, tmp_path):
+        # --trace names one invocation's output file; the state never
+        # stores it, so a later untraced ingest neither traces nor
+        # overwrites the first call's trace.
+        _, config, paths = workspace
+        state = tmp_path / "traced-state"
+        trace = tmp_path / "first.jsonl"
+        assert main([
+            "ingest", str(paths["batch1"]),
+            "--state", str(state), "--config", str(config),
+            "--train-dataset", str(paths["full"]), "--trace", str(trace),
+        ]) == 0
+        first = trace.read_bytes()
+        assert len(read_trace_jsonl(trace).find("ingest", kind="run")) == 1
+        assert main(["ingest", str(paths["batch2"]), "--state", str(state)]) == 0
+        assert trace.read_bytes() == first
 
 
 class TestIngestErrors:

@@ -9,7 +9,7 @@ means the decision cache or cleanup memo changed behaviour, not noise.
 import pytest
 
 from repro.incremental import IncrementalMatcher
-from repro.obs import TraceRecorder
+from repro.obs import TraceRecorder, stage_timings
 from repro.runtime import PipelineRuntime, RuntimeConfig
 
 
@@ -51,6 +51,38 @@ class TestIngestSpans:
             stages = [c.name for c in span.children if c.kind == "stage"]
             assert "pairwise_matching" in stages
             assert "graph_cleanup" in stages
+
+
+    def test_chunk_index_restarts_with_each_fan_out(self, traced_two_batch_ingest):
+        # Both blocking parts rescore in their own fan-out call, so each
+        # call's chunks number from 0; the timings still number them in
+        # trace order.
+        recorder, reports = traced_two_batch_ingest
+        for span, report in zip(recorder.trace().find("ingest", kind="run"), reports):
+            (blocking,) = [c for c in span.children if c.name == "blocking"]
+            chunks = [c for c in blocking.children if c.kind == "chunk"]
+            assert [c.attributes["index"] for c in chunks] == [0, 0]
+            assert report.timings == stage_timings(span)
+            assert {"blocking_delta/chunk000", "blocking_delta/chunk001"} <= set(report.timings)
+
+
+class TestIngestTimings:
+    def test_untraced_timings_have_the_traced_keys(
+        self, golden_setup, pipeline_factory, traced_two_batch_ingest
+    ):
+        companies, _ = golden_setup
+        _, traced = traced_two_batch_ingest
+        matcher = IncrementalMatcher.from_pipeline(
+            pipeline_factory(None), name="golden-untraced"
+        )
+        records = companies.records
+        half = len(records) // 2
+        untraced = [matcher.ingest(records[:half]), matcher.ingest(records[half:])]
+        matcher.close()
+        assert [list(r.timings) for r in untraced] == [list(r.timings) for r in traced]
+        assert list(untraced[0].timings)[:5] == [
+            "blocking", "pairwise_matching", "pre_cleanup", "graph_cleanup", "grouping",
+        ]
 
 
 class TestIngestMetrics:

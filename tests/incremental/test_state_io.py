@@ -20,7 +20,7 @@ from repro.incremental import (
 )
 from repro.incremental.state import MANIFEST_FILE
 from repro.matching.profiles import ProfileStore
-from repro.runtime import RuntimeConfig
+from repro.runtime import PipelineRuntime, RuntimeConfig
 
 
 def corrupt_payload(path, keep: float) -> None:
@@ -283,6 +283,43 @@ class TestFormatMigration:
         keys = [c.key for c in matcher.candidates()]
         assert all(key in repickled for key in keys)
         assert repickled.vector(keys) == cache.vector(keys)
+
+
+class TestTracePath:
+    """A state never holds a trace path: it names one call's output file."""
+
+    def test_a_state_created_traced_loads_untraced(
+        self, golden_setup, pipeline_factory, tmp_path
+    ):
+        companies, _ = golden_setup
+        trace = tmp_path / "first.jsonl"
+        runtime = PipelineRuntime(RuntimeConfig(batch_size=64, trace=str(trace)))
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(runtime), name="golden")
+        # The creating call traces; its state does not remember the path.
+        assert matcher.runtime.recorder.enabled
+        assert matcher.state.runtime_config == RuntimeConfig(batch_size=64)
+        matcher.ingest(companies.records[:60])
+        state_dir = matcher.save(tmp_path / "state")
+        matcher.close()
+        first = trace.read_bytes()
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.runtime_config.trace is None
+        assert not reloaded.runtime.recorder.enabled
+        reloaded.ingest(companies.records[60:])
+        reloaded.close()
+        assert trace.read_bytes() == first
+
+    def test_a_stored_trace_path_is_dropped_on_load(self, saved_state, tmp_path):
+        # Earlier builds pickled the creating call's trace path.
+        matcher, state_dir = saved_state
+        stale = tmp_path / "stale.jsonl"
+        matcher.state.runtime_config = RuntimeConfig(batch_size=64, trace=str(stale))
+        matcher.save(state_dir)
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.runtime_config == RuntimeConfig(batch_size=64)
+        assert not reloaded.runtime.recorder.enabled
+        assert not stale.exists()
 
 
 class TestProfileStoreRoundTrip:

@@ -34,7 +34,6 @@ from repro.matching.profiles import (
     KIND_OTHER,
     KIND_SECURITY,
     ProfileStore,
-    distinct_records,
 )
 from repro.text.batch_similarity import PAD_LEFT, PAD_RIGHT
 from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
@@ -400,6 +399,19 @@ class TestOneProfileRoute:
         grown.add_records(records[split:])
         assert _payload_bytes(grown) == expected
 
+    def test_flattened_pairs_profile_in_first_appearance_order(self, companies):
+        # Fitting and extract_batch hand the store their pairs' records with
+        # repeats; the store keeps the first appearance of each id.
+        records = companies.records[:60]
+        pairs = list(zip(records[::2], records[1::2])) + list(zip(records[:30], records[30:]))
+        flat = [record for pair in pairs for record in pair]
+        first_seen: dict[str, object] = {}
+        for record in flat:
+            first_seen.setdefault(record.record_id, record)
+        assert _payload_bytes(ProfileStore.prepare(flat)) == pickle.dumps(
+            reference_payload(list(first_seen.values()))
+        )
+
     def test_generated_corpora_payload_equals_the_reference(self, companies, securities):
         records = companies.records[:400] + securities.records[:400]
         expected = pickle.dumps(reference_payload(records))
@@ -428,8 +440,8 @@ class TestRepeatedIds:
         copy = replace(self.alpha)
         assert copy == self.alpha and copy is not self.alpha
         records = [self.alpha, copy, self.alpha]
-        assert distinct_records([records]) == [self.alpha]
         prepared = ProfileStore.prepare(records)
+        assert list(prepared.record_ids) == ["x"]
         grown = ProfileStore.prepare([])
         assert grown.add_records(records) == 1
         assert len(prepared) == 1
@@ -600,7 +612,7 @@ class TestNameLengthOrder:
     def test_sliced_equals_one_unsliced_call(self, companies):
         pairs = _mixed_length_pairs(companies.records, 2 * EXTRACT_BATCH_SLICE + 5, seed=3)
         extractor = PairFeatureExtractor()
-        store = ProfileStore.prepare(distinct_records(pairs))
+        store = ProfileStore.prepare(record for pair in pairs for record in pair)
         id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
         assert (
             extractor.extract_sliced(store, id_pairs).tobytes()

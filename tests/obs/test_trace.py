@@ -10,6 +10,7 @@ from repro.obs import (
     Span,
     Trace,
     TraceRecorder,
+    stage_timings,
 )
 
 
@@ -36,6 +37,99 @@ class TestSpan:
         other = make()
         other.children[0].attributes["extra"] = True
         assert make() != other
+
+
+def run_span(*stages):
+    return Span("run", kind="run", children=list(stages))
+
+
+def stage(name, start, end, *children):
+    return Span(name, kind="stage", start=start, end=end, children=list(children))
+
+
+def chunk(name, seconds):
+    return Span(name, kind="chunk", start=0.0, end=seconds)
+
+
+class TestStageTimings:
+    """``stage_timings``: the flat timings view over one run span."""
+
+    def test_stage_keys_then_chunk_keys(self):
+        run = run_span(
+            stage("blocking", 0.0, 0.25),
+            stage("pairwise_matching", 1.0, 2.5,
+                  chunk("pairwise_matching", 0.5), chunk("pairwise_matching", 1.0)),
+        )
+        timings = stage_timings(run)
+        assert list(timings) == [
+            "blocking",
+            "pairwise_matching",
+            "pairwise_matching/chunk000",
+            "pairwise_matching/chunk001",
+        ]
+        assert timings["blocking"] == 0.25
+        assert timings["pairwise_matching"] == 1.5
+        assert timings["pairwise_matching/chunk000"] == 0.5
+        assert timings["pairwise_matching/chunk001"] == 1.0
+
+    def test_repeated_stage_names_add_up(self):
+        # Chunks of one name are numbered across stages in trace order.
+        run = run_span(
+            stage("blocking", 0.0, 1.0, chunk("blocking_delta", 0.25)),
+            stage("grouping", 1.0, 1.5),
+            stage("blocking", 2.0, 4.0, chunk("blocking_delta", 0.5)),
+        )
+        timings = stage_timings(run)
+        assert list(timings) == [
+            "blocking", "grouping", "blocking_delta/chunk000", "blocking_delta/chunk001",
+        ]
+        assert timings["blocking"] == 3.0
+        assert timings["blocking_delta/chunk000"] == 0.25
+        assert timings["blocking_delta/chunk001"] == 0.5
+
+    def test_recorded_stage_spans_are_timed(self):
+        recorder = TraceRecorder()
+        with recorder.span("run", kind="run") as run:
+            with recorder.span("blocking", kind="stage"):
+                pass
+        timings = stage_timings(run)
+        assert list(timings) == ["blocking"]
+        assert timings["blocking"] >= 0
+
+    def test_only_stages_and_their_chunks_count(self):
+        run = run_span(
+            Span("pool.spawn", kind="event", start=0.0, end=0.0),
+            stage("grouping", 0.0, 1.0, Span("pool.publish", kind="event", start=0.5, end=0.5)),
+            Span("stray", kind="chunk", start=0.0, end=1.0),
+        )
+        assert stage_timings(run) == {"grouping": 1.0}
+
+    @pytest.mark.parametrize("num_chunks", [1, 999, 1000, 12345])
+    def test_chunk_keys_sort_lexicographically_at_any_count(self, num_chunks):
+        # The pad width grows with the chunk count (min 3 digits), so
+        # lexicographic key order equals chunk order past 999 chunks —
+        # record-sharded blocking makes thousand-chunk stages routine.
+        run = run_span(stage(
+            "blocking", 0.0, 1.0, *(chunk("blocking", float(i)) for i in range(num_chunks))
+        ))
+        timings = stage_timings(run)
+        keys = [key for key in timings if key.startswith("blocking/chunk")]
+        assert len(keys) == num_chunks
+        assert sorted(keys) == keys
+        assert [timings[key] for key in keys] == [float(i) for i in range(num_chunks)]
+
+    def test_pad_width_is_per_chunk_name_and_backward_compatible(self):
+        run = run_span(
+            stage("big", 0.0, 1.0, *(chunk("big", float(i)) for i in range(1001))),
+            stage("small", 1.0, 2.0, chunk("small", 1.0)),
+        )
+        timings = stage_timings(run)
+        # ≤1000 chunks keep the historical three-digit keys.
+        assert "small/chunk000" in timings
+        # Index 1000 needs four digits — throughout the name, so the keys
+        # still sort.
+        assert "big/chunk0000" in timings and "big/chunk1000" in timings
+        assert "big/chunk000" not in timings
 
 
 class TestTraceRecorder:

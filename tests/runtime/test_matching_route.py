@@ -29,7 +29,8 @@ from repro.matching import (
 from repro.matching.base import PairwiseMatcher
 from repro.matching.decisions import DecisionVector
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
-from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler, chunked
+from repro.obs import TraceRecorder
+from repro.runtime import PipelineRuntime, RuntimeConfig, chunked
 
 #: Engine chunk size; a multiple of the transformer's internal batch size, so
 #: the transformer sees the same forward-pass shapes as one whole-list call.
@@ -326,18 +327,18 @@ class TestDecisionVector:
 
 
 class TestMechanics:
-    def test_chunk_items_record_pair_counts(self, setup):
+    def test_chunk_spans_carry_pair_counts(self, setup):
         companies, matcher, _, candidates, _ = setup
-        profiler = StageProfiler()
+        recorder = TraceRecorder()
         with PipelineRuntime(RuntimeConfig(batch_size=BATCH_SIZE)) as runtime:
-            runtime.run_matching(matcher, companies, candidates, profiler)
-        items = profiler.chunk_items("pairwise_matching")
-        assert sum(items) == len(candidates)
-        assert all(count <= BATCH_SIZE for count in items)
-        throughput = profiler.chunk_throughput("pairwise_matching")
-        assert len(throughput) == len(items)
-        assert all(t is None or t > 0 for t in throughput)
-        assert profiler.stage_throughput("pairwise_matching") > 0
+            runtime.run_matching(matcher, companies, candidates, recorder)
+        chunks = recorder.spans
+        assert {(span.name, span.kind) for span in chunks} == {("pairwise_matching", "chunk")}
+        assert [span.attributes["items"] for span in chunks] == [
+            len(chunk) for chunk in chunked(candidates, BATCH_SIZE)
+        ]
+        assert [span.attributes["index"] for span in chunks] == list(range(len(chunks)))
+        assert sum(span.duration for span in chunks) > 0
 
     def test_precomputed_id_pairs_short_circuit(self, setup):
         companies, matcher, _, candidates, _ = setup

@@ -1,5 +1,5 @@
 """Unit tests for the execution engine: config, chunking, scheduling,
-profiling and blocking partitioning."""
+chunk spans and blocking partitioning."""
 
 import dataclasses
 
@@ -7,13 +7,8 @@ import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
 from repro.datagen import figure2_dataset
-from repro.runtime import (
-    ChunkScheduler,
-    PipelineRuntime,
-    RuntimeConfig,
-    StageProfiler,
-    chunked,
-)
+from repro.obs import TraceRecorder
+from repro.runtime import ChunkScheduler, PipelineRuntime, RuntimeConfig, chunked
 
 
 def double_all(chunk):
@@ -101,59 +96,36 @@ class TestChunkScheduler:
     def test_empty_chunk_list(self):
         assert ChunkScheduler(RuntimeConfig(workers=4)).map_chunks(double_all, []) == []
 
-    def test_records_one_timing_per_chunk(self):
-        profiler = StageProfiler()
-        scheduler = ChunkScheduler(RuntimeConfig(workers=2, executor="thread"))
+    @pytest.mark.parametrize(
+        "config",
+        [RuntimeConfig(), RuntimeConfig(workers=2, executor="thread")],
+        ids=["serial", "thread"],
+    )
+    def test_records_one_chunk_span_per_chunk(self, config):
+        recorder = TraceRecorder()
+        scheduler = ChunkScheduler(config)
         chunks = chunked(list(range(40)), 10)
-        scheduler.map_chunks(double_all, chunks, stage="work", profiler=profiler)
-        assert len(profiler.chunk_seconds("work")) == len(chunks)
-        assert all(seconds >= 0 for seconds in profiler.chunk_seconds("work"))
+        scheduler.map_chunks(double_all, chunks, stage="work", recorder=recorder, items=len)
+        spans = recorder.spans
+        assert [(span.name, span.kind) for span in spans] == [("work", "chunk")] * 4
+        assert [span.attributes for span in spans] == [
+            {"index": index, "items": 10} for index in range(4)
+        ]
+        assert all(span.end >= span.start for span in spans)
 
+    def test_chunk_index_is_the_position_within_each_call(self):
+        recorder = TraceRecorder()
+        scheduler = ChunkScheduler(RuntimeConfig())
+        scheduler.map_chunks(double_all, [[1], [2, 3]], stage="work", recorder=recorder)
+        scheduler.map_chunks(double_all, [[4, 5, 6]], stage="work", recorder=recorder)
+        assert [span.attributes for span in recorder.spans] == [
+            {"index": 0}, {"index": 1}, {"index": 0},
+        ]
 
-class TestStageProfiler:
-    def test_stage_context_manager_records_elapsed(self):
-        profiler = StageProfiler()
-        with profiler.stage("blocking"):
-            pass
-        assert profiler.stage_seconds("blocking") >= 0
-        assert profiler.stage_seconds("missing") == 0.0
-
-    def test_as_timings_flattens_chunks_with_stable_keys(self):
-        profiler = StageProfiler()
-        profiler.record_stage("pairwise_matching", 1.5)
-        profiler.record_chunk("pairwise_matching", 0.5)
-        profiler.record_chunk("pairwise_matching", 1.0)
-        timings = profiler.as_timings()
-        assert timings["pairwise_matching"] == 1.5
-        assert timings["pairwise_matching/chunk000"] == 0.5
-        assert timings["pairwise_matching/chunk001"] == 1.0
-
-    @pytest.mark.parametrize("num_chunks", [1, 999, 1000, 12345])
-    def test_chunk_keys_sort_lexicographically_at_any_count(self, num_chunks):
-        # The pad width grows with the chunk count (min 3 digits), so
-        # lexicographic key order equals chunk order past 999 chunks —
-        # record-sharded blocking makes thousand-chunk stages routine.
-        profiler = StageProfiler()
-        for index in range(num_chunks):
-            profiler.record_chunk("blocking", float(index))
-        keys = [key for key in profiler.as_timings() if key.startswith("blocking/chunk")]
-        assert len(keys) == num_chunks
-        assert sorted(keys) == keys
-        timings = profiler.as_timings()
-        assert [timings[key] for key in sorted(keys)] == [float(i) for i in range(num_chunks)]
-
-    def test_pad_width_is_per_stage_and_backward_compatible(self):
-        profiler = StageProfiler()
-        for index in range(1001):
-            profiler.record_chunk("big", float(index))
-        profiler.record_chunk("small", 1.0)
-        timings = profiler.as_timings()
-        # ≤1000 chunks keep the historical three-digit keys.
-        assert "small/chunk000" in timings
-        # Index 1000 needs four digits — throughout the stage, so the keys
-        # still sort.
-        assert "big/chunk0000" in timings and "big/chunk1000" in timings
-        assert "big/chunk000" not in timings
+    def test_chunks_without_a_stage_are_not_recorded(self):
+        recorder = TraceRecorder()
+        ChunkScheduler(RuntimeConfig()).map_chunks(double_all, [[1]], recorder=recorder)
+        assert recorder.spans == []
 
 
 class TestBlockingPartition:

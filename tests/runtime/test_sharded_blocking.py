@@ -22,10 +22,22 @@ from repro.blocking.base import Blocking, dedupe_pairs
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.matching import IdOverlapMatcher
 from repro.core.pipeline import EntityGroupMatchingPipeline
-from repro.runtime import PipelineRuntime, RuntimeConfig, split_evenly
+from repro.runtime import PipelineRuntime, RuntimeConfig, even_spans
 
 SHARD_COUNTS = [1, 2, 7]
 EXECUTORS = ["thread", "process"]
+
+
+def split_evenly(items, parts):
+    """Split ``items`` into at most ``parts`` consecutive, near-equal chunks.
+
+    Sizes differ by at most one (the larger chunks come first), the
+    concatenation of the chunks is exactly ``items``, and no chunk is empty
+    — fewer than ``parts`` chunks are returned when there are fewer items.
+    The list-materialising oracle of :func:`~repro.runtime.even_spans`,
+    whose boundaries the engine ships instead of record copies.
+    """
+    return [list(items[start:stop]) for start, stop in even_spans(len(items), parts)]
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +226,6 @@ class TestSplitEvenly:
         # even_spans is the index arithmetic split_evenly is built on; the
         # engine ships these spans instead of record copies, so they must
         # tile [0, count) exactly in order.
-        from repro.runtime import even_spans
-
         spans = even_spans(count, parts)
         assert spans == [
             (chunk[0], chunk[-1] + 1)

@@ -12,8 +12,8 @@ from repro.core.precleanup import PreCleanupConfig
 from repro.datagen import GenerationConfig, figure2_dataset, generate_benchmark
 from repro.matching import IdOverlapMatcher, LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
-from repro.obs import MemorySink, TraceRecorder, read_trace_jsonl
-from repro.runtime import PipelineRuntime, RuntimeConfig, StageProfiler
+from repro.obs import NULL_RECORDER, MemorySink, TraceRecorder, read_trace_jsonl, stage_timings
+from repro.runtime import PipelineRuntime, RuntimeConfig
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,9 @@ class TestChunkSpans:
         dataset, matcher, candidates = workload
         recorder = TraceRecorder()
         with PipelineRuntime(config, recorder=recorder) as runtime:
-            profiler = runtime.profiler()
-            with profiler.stage("pairwise_matching"):
+            with recorder.span("pairwise_matching", kind="stage"):
                 decisions = runtime.run_matching(
-                    matcher, dataset, candidates, profiler=profiler
+                    matcher, dataset, candidates, recorder=recorder
                 )
         assert len(decisions) == len(candidates)
         (stage,) = recorder.trace().find("pairwise_matching", kind="stage")
@@ -75,13 +74,12 @@ class TestChunkSpans:
         # chunks are all served from the workers' payload caches.
         profiles = matcher.prepare_profiles(dataset)
         with PipelineRuntime(config, recorder=recorder) as runtime:
-            profiler = runtime.profiler()
-            with profiler.stage("pairwise_matching"):
+            with recorder.span("pairwise_matching", kind="stage"):
                 runtime.run_matching(matcher, dataset, candidates,
-                                     profiler=profiler, profiles=profiles)
-            with profiler.stage("pairwise_matching"):
+                                     recorder=recorder, profiles=profiles)
+            with recorder.span("pairwise_matching", kind="stage"):
                 runtime.run_matching(matcher, dataset, candidates,
-                                     profiler=profiler, profiles=profiles)
+                                     recorder=recorder, profiles=profiles)
         first, second = recorder.trace().find("pairwise_matching", kind="stage")
         first_chunks = [c for c in first.children if c.kind == "chunk"]
         second_chunks = [c for c in second.children if c.kind == "chunk"]
@@ -102,13 +100,12 @@ class TestPoolEvents:
         config = RuntimeConfig(workers=2, executor="process", batch_size=64)
         profiles = matcher.prepare_profiles(dataset)
         with PipelineRuntime(config, recorder=recorder) as runtime:
-            profiler = runtime.profiler()
-            with profiler.stage("pairwise_matching"):
+            with recorder.span("pairwise_matching", kind="stage"):
                 runtime.run_matching(matcher, dataset, candidates,
-                                     profiler=profiler, profiles=profiles)
-            with profiler.stage("pairwise_matching"):
+                                     recorder=recorder, profiles=profiles)
+            with recorder.span("pairwise_matching", kind="stage"):
                 runtime.run_matching(matcher, dataset, candidates,
-                                     profiler=profiler, profiles=profiles)
+                                     recorder=recorder, profiles=profiles)
         trace = recorder.trace()
         (spawn,) = trace.find("pool.spawn")
         assert spawn.attributes == {"executor": "process", "workers": 2}
@@ -193,6 +190,28 @@ def golden_run():
     return run
 
 
+class TestRunTimings:
+    """``PipelineResult`` timings are read off the run's spans, traced or not."""
+
+    def test_untraced_run_has_the_traced_timings_keys(self, golden_run):
+        config = CleanupConfig(gamma=20, mu=4)
+        plain = golden_run(config)
+        traced = golden_run(config, TraceRecorder())
+        assert list(plain.timings) == list(traced.timings)
+        assert {"blocking/chunk000", "pairwise_matching/chunk000"} <= set(plain.timings)
+        assert {"blocking", "pairwise_matching", "graph_cleanup"} <= set(plain.timings)
+
+    def test_traced_timings_are_the_run_span_durations(self, golden_run):
+        recorder = TraceRecorder()
+        result = golden_run(CleanupConfig(gamma=20, mu=4), recorder)
+        (run,) = recorder.trace().find("pipeline.run", kind="run")
+        timings = stage_timings(run)
+        timings.setdefault("graph_cleanup", result.graph_seconds)
+        assert result.timings == timings
+        (matching,) = [span for span in run.children if span.name == "pairwise_matching"]
+        assert result.inference_seconds == matching.duration
+
+
 class TestCleanupCounters:
     @pytest.mark.parametrize(
         ("gamma", "counters", "gauges"),
@@ -248,10 +267,18 @@ class TestRuntimeRecorderWiring:
         runtime.close()
         assert [s.name for s in read_trace_jsonl(path).spans] == ["probe"]
 
-    def test_default_runtime_uses_the_shared_null_recorder(self):
+    def test_untraced_runtime_hands_each_run_a_fresh_recorder(self):
         runtime = PipelineRuntime()
-        assert not runtime.recorder.enabled
-        assert runtime.profiler().recorder is runtime.recorder
+        assert runtime.recorder is NULL_RECORDER
+        first, second = runtime.run_recorder(), runtime.run_recorder()
+        assert isinstance(first, TraceRecorder) and first.enabled
+        assert first is not second
+
+    def test_traced_runtime_hands_out_its_own_recorder(self):
+        recorder = TraceRecorder()
+        runtime = PipelineRuntime(recorder=recorder)
+        assert runtime.run_recorder() is recorder
+        assert runtime.run_recorder() is recorder
 
     def test_close_finalises_the_trace_with_metrics(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -269,55 +296,10 @@ class TestRuntimeRecorderWiring:
         recorder = TraceRecorder(sink=sink)
         with PipelineRuntime(RuntimeConfig(batch_size=64),
                              recorder=recorder) as runtime:
-            profiler = runtime.profiler()
-            with profiler.stage("pairwise_matching"):
+            with recorder.span("pairwise_matching", kind="stage"):
                 runtime.run_matching(matcher, dataset, candidates,
-                                     profiler=profiler)
+                                     recorder=recorder)
         ids = {r["id"] for r in sink.records if r["type"] == "span"}
         parents = {r["parent"] for r in sink.records
                    if r["type"] == "span" and r["parent"] is not None}
         assert parents <= ids
-
-
-class TestProfilerAccumulation:
-    def test_stage_seconds_accumulate_across_repeats(self):
-        """Multi-batch pin: repeated stages add up instead of clobbering.
-
-        An ingest sequence reuses one runtime and times ``delta_blocking``
-        once per batch — earlier profiler versions kept only the last batch.
-        """
-        profiler = StageProfiler()
-        profiler.record_stage("delta_blocking", 1.0)
-        profiler.record_stage("delta_blocking", 2.0)
-        assert profiler.stage_seconds("delta_blocking") == pytest.approx(3.0)
-
-    def test_stage_context_accumulates_across_invocations(self):
-        profiler = StageProfiler()
-        with profiler.stage("repeated"):
-            pass
-        first = profiler.stage_seconds("repeated")
-        with profiler.stage("repeated"):
-            pass
-        assert profiler.stage_seconds("repeated") > first
-
-    def test_stage_spans_nest_in_the_attached_recorder(self):
-        recorder = TraceRecorder()
-        profiler = StageProfiler(recorder=recorder)
-        with recorder.span("run", kind="run"):
-            with profiler.stage("blocking"):
-                profiler.record_chunk("blocking", 0.5, items=10,
-                                      start=1.0, end=1.5)
-        (run,) = recorder.spans
-        (stage,) = run.children
-        assert (stage.name, stage.kind) == ("blocking", "stage")
-        (chunk,) = stage.children
-        assert chunk.attributes == {"index": 0, "items": 10}
-        # The flat timing view is fed by the same call.
-        assert profiler.chunk_seconds("blocking") == [0.5]
-
-    def test_chunks_without_timeline_skip_the_trace(self):
-        recorder = TraceRecorder()
-        profiler = StageProfiler(recorder=recorder)
-        profiler.record_chunk("blocking", 0.25, items=5)
-        assert recorder.spans == []
-        assert profiler.chunk_seconds("blocking") == [0.25]
