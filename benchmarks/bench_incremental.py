@@ -123,9 +123,7 @@ def measure_warm_pool(matcher, records, batch_size: int) -> list[dict[str, objec
     store is re-published once per growing batch (one revision each), never
     once per ``map_chunks`` call.
     """
-    runtime = RuntimeConfig(
-        workers=2, batch_size=batch_size, executor="process", blocking_shards=2
-    )
+    runtime = RuntimeConfig(workers=2, batch_size=batch_size, executor="process")
     size = (len(records) + 2) // 3
     batches = [records[i:i + size] for i in range(0, len(records), size)]
     per_batch: list[dict[str, object]] = []
@@ -202,8 +200,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     small_delta_beats_full = True
     for workers in worker_counts:
         runtime = None if workers == 1 else RuntimeConfig(
-            workers=workers, batch_size=args.batch_size, executor="thread",
-            blocking_shards=workers,
+            workers=workers, batch_size=args.batch_size, executor="thread"
         )
         full_seconds, batch_result = time_full_run(
             matcher, dataset, runtime, args.repeats
@@ -269,7 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "rows": rows,
         "equivalence": {"incremental_equals_batch_bitwise": True},
         "warm_pool": {
-            "config": {"workers": 2, "executor": "process", "blocking_shards": 2},
+            "config": {"workers": 2, "executor": "process"},
             "per_batch": warm_pool_batches,
             "pool_spawned_once": True,
             "store_shipped_once_per_revision": True,

@@ -13,11 +13,11 @@ benchmark under increasing worker counts, in three regimes:
   Section 5.2) on a thread pool.  Throughput scales with the *worker count*
   regardless of core count, because workers overlap request latency that a
   single connection pays sequentially.
-* ``blocking`` — ``PipelineRuntime.run_blocking`` with record-sharded
-  candidate generation (``blocking_shards = workers``) on a process pool:
-  the token inverted index is built once, the per-record-chunk scoring fans
-  out.  Like ``cpu``, this is compute-bound and scales with physical cores;
-  every row asserts the sharded candidates are byte-identical to serial.
+* ``blocking`` — ``PipelineRuntime.run_blocking`` on a process pool, each
+  blocking split into ``workers`` record spans: the token inverted index is
+  built once in the parent, the per-span scoring fans out.  Like ``cpu``,
+  this is compute-bound and scales with physical cores; every row asserts
+  the candidates are byte-identical to serial.
 
 Run as a script (the CI smoke invocation)::
 
@@ -113,20 +113,18 @@ def run_blocking_scaling(
     worker_counts: Sequence[int],
     repeats: int,
 ) -> list[dict[str, object]]:
-    """Candidate-generation throughput per worker count, sharded by record.
+    """Candidate-generation throughput per worker count.
 
-    ``blocking_shards`` follows the worker count, so the serial baseline
-    (one worker, one shard) is exactly the pre-sharding code path and every
-    parallel row exercises the record-sharded fan-out.
+    The engine scores each blocking in ``workers`` record spans, so the
+    serial baseline scores one span per blocking in-process and every
+    parallel row exercises the span fan-out.
     """
     blocking = build_blocking()
     rows: list[dict[str, object]] = []
     serial_throughput = None
     serial_candidates = None
     for workers in worker_counts:
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=workers, executor="process", blocking_shards=workers
-        ))
+        runtime = PipelineRuntime(RuntimeConfig(workers=workers, executor="process"))
         best_seconds = float("inf")
         candidates = None
         for _ in range(repeats):
@@ -137,13 +135,13 @@ def run_blocking_scaling(
         if serial_throughput is None:
             serial_throughput, serial_candidates = throughput, candidates
         assert candidates == serial_candidates, (
-            f"sharded candidates diverged from serial at workers={workers}"
+            f"candidates diverged from serial at workers={workers}"
         )
         rows.append({
             "Mode": "blocking",
             "Executor": "process" if workers > 1 else "serial",
             "Workers": workers,
-            "Batch size": f"shards={workers}",
+            "Batch size": f"spans={workers}",
             "Pairs": len(candidates),
             "Pairs / s": round(throughput, 1),
             "Speedup": round(throughput / serial_throughput, 2),

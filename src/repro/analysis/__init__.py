@@ -2,9 +2,8 @@
 
 An AST-based rule-plugin lint framework that mechanically enforces the
 invariants every subsystem of this repository is built on — byte-identical
-determinism, the flag-gated two-phase protocols
-(``shardable``/``delta_capable``), worker-pool payload
-picklability and lock coverage, and registry name resolution.  The golden
+determinism, worker-pool payload picklability and lock coverage, registry
+name resolution, library output discipline and the tracing clock.  The golden
 suites prove these contracts *held on one run*; the linter proves the code
 cannot quietly stop honouring them.
 

@@ -1,8 +1,8 @@
 """The lint engine: one AST walk, many rules, explicit suppressions.
 
 ``repro lint`` enforces the contracts the rest of this repository only
-states in docstrings — byte-identical determinism, the flag-gated two-phase
-protocols, pool-payload picklability — at lint time instead of via golden
+states in docstrings — byte-identical determinism, pool-payload
+picklability and lock coverage — at lint time instead of via golden
 -suite archaeology.  The engine owns everything rule-agnostic:
 
 * **visitor dispatch** — the module AST is walked exactly once; every node

@@ -31,7 +31,6 @@ RULES = ComponentRegistry(
     "lint rule",
     builtins=(
         "repro.analysis.rules.determinism",
-        "repro.analysis.rules.protocol",
         "repro.analysis.rules.concurrency",
         "repro.analysis.rules.registry_refs",
         "repro.analysis.rules.hygiene",

@@ -4,8 +4,6 @@ Each sibling module groups the rules guarding one contract family:
 
 * :mod:`~repro.analysis.rules.determinism` — byte-identical determinism
   (``unordered-iteration``, ``nondeterminism-sources``),
-* :mod:`~repro.analysis.rules.protocol` — the flag-gated two-phase
-  protocols (``protocol-conformance``),
 * :mod:`~repro.analysis.rules.concurrency` — worker-pool safety
   (``pool-payload-picklability``, ``lock-coverage``),
 * :mod:`~repro.analysis.rules.registry_refs` — name resolution against the

@@ -1,7 +1,7 @@
 """Determinism rules: the contracts behind the byte-identical guarantee.
 
 Every golden suite in this repository pins byte-identical output across
-serial/thread/process engines, shard counts and ingest partitions.  The two
+serial/thread/process engines, worker counts and ingest partitions.  The two
 rules here catch the two ways that guarantee has actually been broken (or
 nearly broken) before:
 

@@ -9,7 +9,6 @@ very large components specially (Section 4.2.1).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Any
@@ -45,75 +44,75 @@ class BlockingDelta:
     dirty_record_ids: frozenset[str] = field(default_factory=frozenset)
 
 
-class Blocking(ABC):
+class Blocking:
     """Base class for candidate pair generators.
 
-    Besides the one-shot :meth:`candidate_pairs` entry point, a blocking may
-    opt into the *record-sharded* two-phase protocol (``shardable = True``):
+    Every blocking runs in two phases, and the execution engine, the
+    one-shot :meth:`candidate_pairs` and incremental ingestion all go
+    through them:
 
     1. :meth:`prepare` scans the whole dataset once and returns the shared
-       state every shard needs (inverted indexes, document frequencies,
-       source maps).  This phase is global on purpose — naive dataset
-       partitioning would change token document frequencies and per-record
-       top-n selections, silently altering the candidates.
-    2. :meth:`candidates_for` scores one chunk of records against the
-       shared state, embarrassingly parallel across chunks.
+       state every record span needs (inverted indexes, document
+       frequencies, source maps).  This phase is global on purpose — naive
+       dataset partitioning would change token document frequencies and
+       per-record top-n selections, silently altering the candidates.
+    2. :meth:`candidates_for` scores one span of records against the shared
+       state, embarrassingly parallel across spans.
 
-    The contract that makes sharded execution byte-identical to serial:
-    splitting the dataset's records into consecutive chunks (in dataset
-    order), concatenating ``candidates_for(shared, chunk)`` over the chunks
-    and de-duplicating with :func:`dedupe_pairs` must reproduce
-    ``candidate_pairs(dataset)`` exactly — same pairs, same order, same
-    tags.  Shardable blockings therefore implement ``candidate_pairs`` *in
-    terms of* the two-phase form, and each blocking owns the rule that
-    assigns a pair to exactly one chunk (see the individual blockings).
+    The contract that makes the output independent of the span count:
+    splitting the dataset's records into consecutive spans (in dataset
+    order), concatenating ``candidates_for(shared, span)`` over the spans
+    and de-duplicating with :func:`dedupe_pairs` gives the same pairs, in
+    the same order, with the same tags, for every split.  Each blocking
+    owns the rule that assigns a pair to exactly one record (see the
+    individual blockings).
 
-    Incremental ingestion needs the same emission split per record:
-    :meth:`owned_candidates` returns each record's own ``candidates_for``
-    output in one call, so a blocking that scores many records at once
-    (token overlap's array scorer) can spread its per-call work over a whole
-    span of records instead of being asked one record at a time.
+    A custom blocking implements :meth:`prepare` and :meth:`candidates_for`;
+    it may override :meth:`owned_candidates` to score a span at once and
+    :meth:`delta_update` to fold new records into its state locally.  A
+    composite blocking overrides :meth:`partition` instead.
     """
 
     #: Name recorded on every emitted candidate pair.
     name: str = "blocking"
 
-    #: Whether this blocking implements the two-phase sharded protocol.
-    shardable: bool = False
-
-    #: Whether this blocking implements the incremental index-update protocol
-    #: (:meth:`delta_update`) on top of the sharded one.
-    delta_capable: bool = False
-
-    @abstractmethod
     def candidate_pairs(self, dataset: Dataset) -> list[CandidatePair]:
-        """Return the candidate pairs for ``dataset``."""
+        """Return the candidate pairs for ``dataset``.
+
+        Each :meth:`partition` part is prepared once and scored over all
+        records; parts merge in declaration order before one global
+        de-duplication, so the first part to find a pair tags it.
+        """
+        pairs: list[CandidatePair] = []
+        for part in self.partition():
+            pairs.extend(part.candidates_for(part.prepare(dataset), dataset.records))
+        return dedupe_pairs(pairs)
 
     def prepare(self, dataset: Dataset) -> Any:
-        """Phase 1 of the sharded protocol: build the chunk-shared state.
+        """Phase 1: build the span-shared state.
 
         Runs once, in the parent process; the returned object is shipped to
         every worker (for process pools: once per revision, via the worker
         pool's epoch protocol) and must be picklable.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support record-sharded "
-            "candidate generation (shardable=False)"
+            f"{type(self).__name__} must implement prepare() and "
+            "candidates_for(), or override partition()"
         )
 
     def candidates_for(
         self, shared: Any, records: Sequence[Record]
     ) -> list[CandidatePair]:
-        """Phase 2: the candidate pairs owned by one chunk of records.
+        """Phase 2: the candidate pairs owned by one span of records.
 
         ``records`` is a consecutive slice of the dataset's records in
         dataset order.  Results are raw (not de-duplicated): the engine
-        concatenates all chunks and de-duplicates once globally, because a
-        duplicate pair's two endpoints may live in different chunks.
+        concatenates all spans and de-duplicates once globally, because a
+        duplicate pair's two endpoints may live in different spans.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} does not support record-sharded "
-            "candidate generation (shardable=False)"
+            f"{type(self).__name__} must implement prepare() and "
+            "candidates_for(), or override partition()"
         )
 
     def owned_candidates(
@@ -122,12 +121,12 @@ class Blocking(ABC):
         """Each record's owned candidate pairs, aligned with ``records``.
 
         Entry ``i`` must equal ``tuple(candidates_for(shared,
-        [records[i]]))``: single-record chunks are a valid chunking under
-        the shardable contract, so each entry is exactly that record's slice
-        of the serial emission stream.  The incremental matcher splices
-        these per-record lists into its stored record → candidates map.
-        (A flat ``candidates_for`` list cannot be split back per record in
-        general: an identifier-overlap pair need not contain its owner.)
+        [records[i]]))``: single-record spans are a valid split under the
+        span contract, so each entry is exactly that record's slice of the
+        serial emission stream.  The incremental matcher splices these
+        per-record lists into its stored record → candidates map.  (A flat
+        ``candidates_for`` list cannot be split back per record in general:
+        an identifier-overlap pair need not contain its owner.)
 
         The default asks :meth:`candidates_for` one record at a time;
         blockings that can score a whole span at once override it.
@@ -152,22 +151,26 @@ class Blocking(ABC):
            ``candidates_for(old_shared, [record])`` — dirtiness may be
            conservative (listing too many records costs rescoring time, not
            correctness), never optimistic.
+
+        The default rebuilds with :meth:`prepare` and marks every earlier
+        record dirty, which meets both rules trivially.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support incremental index "
-            "updates (delta_capable=False)"
+        new_ids = {record.record_id for record in new_records}
+        return BlockingDelta(
+            shared=self.prepare(dataset),
+            dirty_record_ids=frozenset(
+                record.record_id for record in dataset if record.record_id not in new_ids
+            ),
         )
 
     def partition(self) -> list["Blocking"]:
-        """Independent sub-blockings the execution engine may fan out.
+        """The independent leaf blockings the execution engine fans out.
 
         A plain blocking is its own single partition.  Composite blockings
-        override this to expose their parts; the engine runs each part as
-        one pool task and merges the results in declaration order, so the
-        parallel merge keeps the first-blocking-wins de-duplication
-        semantics of :class:`~repro.blocking.combine.CombinedBlocking`.
-        Record sharding composes with partitioning: the engine shards each
-        *part* that is shardable, still merging parts in declaration order.
+        override this to expose their leaves; every consumer prepares each
+        part once, scores it over record spans and merges the parts in
+        declaration order, which keeps the first-blocking-wins
+        de-duplication of :class:`~repro.blocking.combine.CombinedBlocking`.
         """
         return [self]
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
+from repro.blocking.base import Blocking, CandidatePair
 from repro.datagen.records import Dataset
 from repro.registry import register_blocking
 
@@ -26,22 +26,17 @@ class CombinedBlocking(Blocking):
             raise ValueError("at least one blocking is required")
         self.blockings = list(blockings)
 
-    def candidate_pairs(self, dataset: Dataset) -> list[CandidatePair]:
-        pairs: list[CandidatePair] = []
-        for blocking in self.blockings:
-            pairs.extend(blocking.candidate_pairs(dataset))
-        return dedupe_pairs(pairs)
-
     def partition(self) -> list[Blocking]:
-        """Each member blocking is one independent execution-engine task.
+        """The leaf blockings of every member, in declaration order.
 
-        Record sharding goes through here too: a combined blocking is never
-        sharded as a whole (interleaving members per record chunk would
-        break the member-major emission order that first-blocking-wins
-        de-duplication relies on) — instead the engine shards each *member*
-        that is shardable and merges members in declaration order.
+        Nested combined members are flattened: dedupe is first-wins, so a
+        nested combination's candidates are those of its leaves in order.
+        A combined blocking is never scored as a whole — interleaving
+        members per record span would break the member-major emission order
+        that first-blocking-wins de-duplication relies on — so it has no
+        ``prepare``/``candidates_for`` of its own.
         """
-        return list(self.blockings)
+        return [leaf for member in self.blockings for leaf in member.partition()]
 
     def pairs_by_blocking(
         self,

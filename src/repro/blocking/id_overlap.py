@@ -17,7 +17,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.blocking.base import Blocking, BlockingDelta, CandidatePair, dedupe_pairs
+from repro.blocking.base import Blocking, BlockingDelta, CandidatePair
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, Dataset, Record, SecurityRecord
 from repro.registry import register_blocking
@@ -26,13 +26,13 @@ from repro.text.normalize import normalize_identifier
 
 @dataclass(frozen=True)
 class IdentifierIndex:
-    """Shared state of the sharded protocol: the inverted identifier index.
+    """Prepared state: the inverted identifier index.
 
     ``index`` preserves first-encounter order of the identifier values (the
     order the serial pair loop walks), and each value's record list is in
     dataset order.  ``values_by_owner`` inverts the ownership rule so a
-    chunk only touches the values it owns (instead of rescanning the whole
-    index per chunk): it maps each value's *first carrier* record to that
+    span only touches the values it owns (instead of rescanning the whole
+    index per span): it maps each value's *first carrier* record to that
     record's values, in encounter order, pre-filtered to values that can
     produce pairs.
     """
@@ -50,17 +50,15 @@ class IdOverlapBlocking(Blocking):
     """Candidate pairs based exclusively on identifier attribute overlap."""
 
     name = "id_overlap"
-    shardable = True
-    delta_capable = True
 
     def __init__(self, cross_source_only: bool = True) -> None:
+        if not isinstance(cross_source_only, bool):
+            raise ValueError(
+                f"cross_source_only must be a bool, got {cross_source_only!r}"
+            )
         #: When true (the default), only pairs from different data sources are
         #: produced — within one source identifiers are assumed to be unique.
         self.cross_source_only = cross_source_only
-
-    def candidate_pairs(self, dataset: Dataset) -> list[CandidatePair]:
-        shared = self.prepare(dataset)
-        return dedupe_pairs(self.candidates_for(shared, dataset.records))
 
     def prepare(self, dataset: Dataset) -> IdentifierIndex:
         """One inverted-index pass over the whole dataset."""
@@ -136,16 +134,16 @@ class IdOverlapBlocking(Blocking):
     def candidates_for(
         self, shared: IdentifierIndex, records: Sequence[Record]
     ) -> list[CandidatePair]:
-        """Emit the pairs of every identifier value *first seen* in the chunk.
+        """Emit the pairs of every identifier value *first seen* in the span.
 
         The serial loop emits pairs value by value, values ordered by the
-        dataset position of their first carrier.  Chunks are consecutive
-        record ranges, so assigning each value to the chunk containing its
-        first carrier keeps the concatenated chunk outputs in exactly that
+        dataset position of their first carrier.  Spans are consecutive
+        record ranges, so assigning each value to the span containing its
+        first carrier keeps the concatenated span outputs in exactly that
         value order — and each value's pairs are emitted whole, untouched.
-        (Walking the chunk's records and each record's owned values in
-        encounter order *is* that value order, and costs only the chunk's
-        share of the index instead of a full rescan per chunk.)
+        (Walking the span's records and each record's owned values in
+        encounter order *is* that value order, and costs only the span's
+        share of the index instead of a full rescan per span.)
         """
         pairs: list[CandidatePair] = []
         for record in records:

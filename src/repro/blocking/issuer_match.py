@@ -14,18 +14,18 @@ from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.blocking.base import Blocking, BlockingDelta, CandidatePair, dedupe_pairs
+from repro.blocking.base import Blocking, BlockingDelta, CandidatePair
 from repro.datagen.records import Dataset, Record, SecurityRecord
 from repro.registry import register_blocking
 
 
 @dataclass(frozen=True)
 class IssuerGroupIndex:
-    """Shared state of the sharded protocol: securities grouped by issuer.
+    """Prepared state: securities grouped by issuer.
 
     Groups preserve first-encounter order (the order the serial pair loop
     walks) and each group's security list is in dataset order.
-    ``groups_by_owner`` inverts the ownership rule so a chunk only touches
+    ``groups_by_owner`` inverts the ownership rule so a span only touches
     the groups it owns: it maps each group's *first security* record to the
     group keys it owns, in encounter order, pre-filtered to groups that can
     produce pairs.
@@ -42,8 +42,6 @@ class IssuerMatchBlocking(Blocking):
     """Candidates among securities whose issuers were matched together."""
 
     name = "issuer_match"
-    shardable = True
-    delta_capable = True
 
     def __init__(
         self,
@@ -56,6 +54,10 @@ class IssuerMatchBlocking(Blocking):
         ``issuer_group_of`` mapping must be provided."""
         if issuer_groups is None and issuer_group_of is None:
             raise ValueError("issuer_groups or issuer_group_of is required")
+        if not isinstance(cross_source_only, bool):
+            raise ValueError(
+                f"cross_source_only must be a bool, got {cross_source_only!r}"
+            )
         if issuer_group_of is not None:
             self._group_of: dict[str, int] = dict(issuer_group_of)
         else:
@@ -64,10 +66,6 @@ class IssuerMatchBlocking(Blocking):
                 for company_record_id in group:
                     self._group_of[company_record_id] = group_index
         self.cross_source_only = cross_source_only
-
-    def candidate_pairs(self, dataset: Dataset) -> list[CandidatePair]:
-        shared = self.prepare(dataset)
-        return dedupe_pairs(self.candidates_for(shared, dataset.records))
 
     def prepare(self, dataset: Dataset) -> IssuerGroupIndex:
         """Group the dataset's securities by matched issuer group, once."""
@@ -142,13 +140,13 @@ class IssuerMatchBlocking(Blocking):
     def candidates_for(
         self, shared: IssuerGroupIndex, records: Sequence[Record]
     ) -> list[CandidatePair]:
-        """Emit the pairs of every issuer group *first seen* in the chunk.
+        """Emit the pairs of every issuer group *first seen* in the span.
 
         Mirrors :meth:`IdOverlapBlocking.candidates_for`: the serial loop is
         group-major in first-encounter order, so assigning each group to the
-        chunk containing its first security keeps chunk concatenation equal
+        span containing its first security keeps span concatenation equal
         to the serial stream — walked owner-record by owner-record so each
-        chunk costs only its share of the index.
+        span costs only its share of the index.
         """
         pairs: list[CandidatePair] = []
         for record in records:

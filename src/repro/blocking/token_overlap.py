@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.blocking.base import Blocking, BlockingDelta, CandidatePair, dedupe_pairs
+from repro.blocking.base import Blocking, BlockingDelta, CandidatePair
 from repro.datagen.records import Dataset, Record
 from repro.registry import register_blocking
 from repro.text.tokenize import word_tokenize
@@ -44,11 +44,11 @@ SCORE_CHUNK_ENTRIES = 16_384
 
 @dataclass(frozen=True)
 class TokenIndex:
-    """Shared state of the sharded protocol: one global pass over the data.
+    """Prepared state: one global pass over the data.
 
-    Built once by :meth:`TokenOverlapBlocking.prepare`; scoring shards read
+    Built once by :meth:`TokenOverlapBlocking.prepare`; scoring spans read
     it without touching the dataset again.  Global on purpose: document
-    frequencies and the frequency cutoff computed per shard would differ
+    frequencies and the frequency cutoff computed per span would differ
     from the serial run and change per-record top-n selections.
     """
 
@@ -198,8 +198,6 @@ class TokenOverlapBlocking(Blocking):
     """Top-n most token-overlapping records across different sources."""
 
     name = "token_overlap"
-    shardable = True
-    delta_capable = True
 
     def __init__(
         self,
@@ -219,6 +217,14 @@ class TokenOverlapBlocking(Blocking):
                 f"attributes must be a sequence of attribute names, not the "
                 f"string {attributes!r}; write [{attributes!r}]"
             )
+        if (
+            isinstance(min_token_length, bool)
+            or not isinstance(min_token_length, int)
+            or min_token_length < 1
+        ):
+            raise ValueError(
+                f"min_token_length must be an integer >= 1, got {min_token_length!r}"
+            )
         if not 0.0 < max_token_frequency <= 1.0:
             raise ValueError("max_token_frequency must be in (0, 1]")
         self.top_n = top_n
@@ -227,10 +233,6 @@ class TokenOverlapBlocking(Blocking):
         #: Tokens appearing in more than this share of records are ignored —
         #: they would otherwise produce quadratic blow-ups ("inc", "corp").
         self.max_token_frequency = max_token_frequency
-
-    def candidate_pairs(self, dataset: Dataset) -> list[CandidatePair]:
-        shared = self.prepare(dataset)
-        return dedupe_pairs(self.candidates_for(shared, dataset.records))
 
     def prepare(self, dataset: Dataset) -> TokenIndex:
         """Build the inverted token index and document frequencies once."""
@@ -322,11 +324,11 @@ class TokenOverlapBlocking(Blocking):
     def candidates_for(
         self, shared: TokenIndex, records: Sequence[Record]
     ) -> list[CandidatePair]:
-        """Score one chunk of records against the global index.
+        """Score one span of records against the global index.
 
         A pair is owned by the record whose top-n selection produced it, so
-        every chunk emits exactly the pairs the serial per-record loop emits
-        for its records — chunk concatenation reproduces the serial stream.
+        every span emits exactly the pairs the serial per-record loop emits
+        for its records — span concatenation reproduces the serial stream.
         This is the flattening of :meth:`owned_candidates`: the batch path
         and the delta path share one scorer.
         """

@@ -81,13 +81,7 @@ def _require_dataset(path: Path) -> Dataset | None:
 
 #: The execution-engine flags shared by ``match`` and ``run``; each maps 1:1
 #: onto a ``pipeline.runtime`` spec key.
-_RUNTIME_FLAG_KEYS = (
-    "workers",
-    "batch_size",
-    "executor",
-    "blocking_shards",
-    "trace",
-)
+_RUNTIME_FLAG_KEYS = ("workers", "batch_size", "executor", "trace")
 
 
 def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> None:
@@ -99,17 +93,14 @@ def _add_runtime_flags(parser: argparse.ArgumentParser, *, overrides: bool) -> N
     """
     parser.add_argument("--workers", type=positive_int,
                         default=None if overrides else 1,
-                        help="execution-engine worker slots (1 = serial engine)")
+                        help="execution-engine worker slots, and record spans "
+                             "each blocking is scored in (1 = serial engine)")
     parser.add_argument("--batch-size", type=positive_int,
                         default=None if overrides else 2048,
                         help="candidate pairs per pairwise-inference chunk")
     parser.add_argument("--executor", choices=list(EXECUTOR_KINDS),
                         default=None if overrides else "process",
                         help="worker pool flavour used when --workers > 1")
-    parser.add_argument("--blocking-shards", type=positive_int,
-                        default=None if overrides else 1,
-                        help="record chunks candidate generation is sharded "
-                             "into (1 = one task per blocking)")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="stream a structured run trace (spans + metrics, "
                              "JSON Lines) to this file; inspect it with "
@@ -320,7 +311,6 @@ def _command_match(args: argparse.Namespace) -> int:
                     workers=args.workers,
                     batch_size=args.batch_size,
                     executor=args.executor,
-                    blocking_shards=args.blocking_shards,
                     trace=args.trace,
                 ),
             ),

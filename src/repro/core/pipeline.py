@@ -14,7 +14,7 @@ Steps, exactly as in Section 4:
 
 Each step is a named :class:`~repro.core.stages.PipelineStage` over a shared
 :class:`~repro.core.stages.PipelineContext`; ``run()`` just walks the stage
-list, so new stages (sharded blocking, decision caches, audits) can be
+list, so new stages (decision caches, audits) can be
 inserted or swapped without touching it — see ``insert_before`` /
 ``insert_after`` / ``replace_stage``.
 

@@ -6,7 +6,7 @@ objects that read and write a shared :class:`PipelineContext`.  Each stage
 is small, independently testable, and — crucially for the ROADMAP's
 sharding/caching/async plans — *replaceable and insertable* without
 touching ``run()``: a caching stage can slot in before pairwise matching, a
-sharded blocking can replace :class:`BlockingStage`, an audit stage can
+custom blocking stage can replace :class:`BlockingStage`, an audit stage can
 observe the context between any two steps.
 
 The five default stages reproduce Figure 1 / Section 4 exactly:

@@ -7,16 +7,17 @@ one-shot batch pipeline run over the full corpus would produce.  The
 guarantee is structural, not statistical — every saving is a cache keyed on
 the exact inputs of a deterministic function:
 
-* **blocking** — each delta-capable part folds the new records into its
-  shared index (contract: the result equals ``prepare(full)``) and names
-  the pre-existing *dirty* records whose per-record candidate emission may
+* **blocking** — each part folds the new records into its shared index
+  (contract: the result equals ``prepare(full)``) and names the
+  pre-existing *dirty* records whose per-record candidate emission may
   have changed; only those and the new records are rescored, and the full
   candidate stream is re-assembled from per-record owned lists in exactly
   the batch engine's parts-major / record-order / global-dedupe order.
   (The token-overlap blocking's global IDF honestly dirties every
   tokenised record — candidate *generation* is corpus-proportional for it,
   but it is the cheap index-based stage; identifier- and issuer-based
-  parts dirty only true neighbours.)
+  parts dirty only true neighbours, and a part without its own
+  ``delta_update`` rebuilds and dirties every record.)
 * **matching** — decisions are pair-local, so the decision cache is reused
   for every pair already scored; only pairs new to the candidate set go
   through the engine's (profiled, batched, pooled) inference path.
@@ -372,27 +373,18 @@ class IncrementalMatcher:
         dataset = self._dataset
         new_ids = [record.record_id for record in batch]
         for index, part in enumerate(self._parts):
-            if not part.shardable:
-                # Whole-part fallback: regenerate this part's (deduplicated)
-                # stream.  Equivalent because one global dedupe absorbs the
-                # per-part one (the PR 3 merge contract).
-                state.whole_part_pairs[index] = tuple(
-                    part.candidate_pairs(dataset)
-                )
-                continue
             shared = state.part_states[index]
-            if shared is not None and not batch:
+            if shared is None:
+                # First ingest: prepare globally and rescore everything.
+                shared = part.prepare(dataset)
+                rescore_ids = {record.record_id for record in dataset}
+            elif not batch:
                 continue  # empty delta: this part's state cannot change
-            if shared is not None and part.delta_capable:
+            else:
                 delta = part.delta_update(shared, dataset, batch)
                 shared = delta.shared
                 rescore_ids = set(delta.dirty_record_ids)
                 rescore_ids.update(new_ids)
-            else:
-                # First ingest, a non-delta-capable part, or an empty batch:
-                # (re)prepare globally and rescore everything.
-                shared = part.prepare(dataset)
-                rescore_ids = {record.record_id for record in dataset}
             state.part_states[index] = shared
             rescore_records = [
                 record
@@ -414,11 +406,7 @@ class IncrementalMatcher:
         first-wins dedupe — exactly the batch engine's merge."""
         state = self.state
         merged: list[CandidatePair] = []
-        for index, part in enumerate(self._parts):
-            if not part.shardable:
-                merged.extend(state.whole_part_pairs.get(index, ()))
-                continue
-            owned = state.owned_pairs[index]
+        for owned in state.owned_pairs:
             for record in state.records:
                 merged.extend(owned.get(record.record_id, ()))
         return dedupe_pairs(merged)

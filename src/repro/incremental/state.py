@@ -3,7 +3,7 @@
 A :class:`MatchState` co-models the database side of an incremental entity
 group matching: the record corpus in ingestion order, the pipeline
 components the state was created with (matcher, blocking recipe, clean-up
-thresholds), every per-blocking shared index from the shardable ``prepare``
+thresholds), every per-blocking shared index from the two-phase ``prepare``
 protocol, the per-record owned candidate lists, the appendable
 :class:`~repro.matching.profiles.ProfileStore`, every pairwise decision
 ever scored, and the graph-side bookkeeping (kept-edge union-find,
@@ -114,17 +114,13 @@ class MatchState:
     records: list[Record] = field(default_factory=list)
 
     # -- blocking state ------------------------------------------------------
-    #: Per partitioned part: the shardable shared index (None before the
-    #: first ingest, and always None for non-shardable parts).
+    #: Per partitioned part: its prepared shared index (None before the
+    #: first ingest).
     part_states: list[Any] = field(default_factory=list)
     #: Per part: record id -> that record's owned candidate pairs.  The
     #: part's full emission stream is the dataset-order concatenation.
     owned_pairs: list[dict[str, tuple[CandidatePair, ...]]] = field(
         default_factory=list
-    )
-    #: Non-shardable parts fall back to whole-part regeneration per ingest.
-    whole_part_pairs: dict[int, tuple[CandidatePair, ...]] = field(
-        default_factory=dict
     )
 
     # -- matching state ------------------------------------------------------
@@ -224,7 +220,6 @@ class MatchState:
             _BLOCKING_FILE: {
                 "part_states": self.part_states,
                 "owned_pairs": self.owned_pairs,
-                "whole_part_pairs": self.whole_part_pairs,
             },
             _MATCHING_FILE: {
                 # ProfileStore pickles as its columnar arrays, exactly like
@@ -267,7 +262,11 @@ class MatchState:
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "MatchState":
-        """Deserialise a state directory written by :meth:`save`."""
+        """Deserialise a state directory written by :meth:`save`.
+
+        Payload keys this build does not read are ignored, so a state saved
+        by an earlier build that stored more still loads.
+        """
         state_dir = Path(state_dir)
         manifest = read_manifest(state_dir)
         payload_dir = state_dir / str(manifest.get("payload_dir", ""))
@@ -306,7 +305,6 @@ class MatchState:
             records=payloads[_RECORDS_FILE]["records"],
             part_states=payloads[_BLOCKING_FILE]["part_states"],
             owned_pairs=payloads[_BLOCKING_FILE]["owned_pairs"],
-            whole_part_pairs=payloads[_BLOCKING_FILE]["whole_part_pairs"],
             profiles=payloads[_MATCHING_FILE]["profiles"],
             decisions=payloads[_MATCHING_FILE]["decisions"],
             kept_edges=graph["kept_edges"],

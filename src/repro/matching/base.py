@@ -67,7 +67,7 @@ class PairwiseMatcher(ABC):
 
     Besides the record-pair entry points, every matcher implements the
     two-phase protocol the execution engine dispatches through, the matching
-    analogue of the blocking layer's shardable protocol:
+    analogue of the blocking layer's ``prepare`` / ``candidates_for``:
 
     1. :meth:`prepare_profiles` derives per-record state once per run.  Runs
        in the parent process; the result must be picklable.

@@ -18,7 +18,7 @@ pairs (set overlaps via sorted-id intersection counts, attribute agreement
 via integer equality) instead of a Python loop over pairs; see
 :meth:`repro.matching.features.PairFeatureExtractor.extract_batch_profiles`.
 
-The store mirrors the two-phase protocol of the sharded blocking layer:
+The store mirrors the two-phase protocol of the blocking layer:
 ``prepare(dataset)`` runs once in the parent process, the (picklable) store
 ships to process-pool workers out of band — the pickled payload *is* the
 columnar arrays, shipped once per store revision under the worker pool's

@@ -22,9 +22,17 @@ every spec by name::
     from repro.registry import register_blocking
     from repro.blocking.base import Blocking
 
-    @register_blocking("sharded_token_overlap")
-    class ShardedTokenOverlapBlocking(Blocking):
-        ...
+    @register_blocking("name_prefix")
+    class NamePrefixBlocking(Blocking):
+        name = "name_prefix"
+
+        def prepare(self, dataset): ...                 # global index, built once
+        def candidates_for(self, shared, records): ...  # score one record span
+
+A blocking implements :meth:`~repro.blocking.base.Blocking.prepare` and
+:meth:`~repro.blocking.base.Blocking.candidates_for`; the base class
+derives ``candidate_pairs``, the per-record ``owned_candidates`` and a
+rebuild-everything ``delta_update`` from them.
 
 Built-in components live in modules that are only imported on demand, so
 the registries stay import-cycle-free and lookups stay lazy.

@@ -4,13 +4,13 @@ The runtime splits the data-parallel pipeline stages (candidate generation
 and pairwise inference) into chunks and fans them out over a
 :mod:`concurrent.futures` worker pool.  The settings:
 
-* ``workers`` bounds the parallelism,
-* ``batch_size`` bounds the per-task granularity — large enough to amortize
-  scheduling (and, for process pools, pickling) overhead, small enough to
-  keep all workers busy and the per-chunk timings informative,
-* ``blocking_shards`` splits candidate generation itself into record chunks
-  (shared index built once, per-chunk scoring fanned out), so a single
-  blocking scales beyond one core,
+* ``workers`` bounds the parallelism; candidate generation splits each
+  blocking into this many record spans (shared index built once, per-span
+  scoring fanned out), so a single blocking scales beyond one core,
+* ``batch_size`` bounds the per-task granularity of pairwise inference —
+  large enough to amortize scheduling (and, for process pools, pickling)
+  overhead, small enough to keep all workers busy and the per-chunk timings
+  informative,
 * ``trace`` streams a structured run trace (spans + metrics) to a file.
 
 There is one execution route per stage and no route-selecting knob: every
@@ -34,7 +34,10 @@ class RuntimeConfig:
     nothing for the parallel machinery unless they opt in.
     """
 
-    #: Number of worker slots; 1 means serial execution (no pool).
+    #: Number of worker slots; 1 means serial execution (no pool).  Also
+    #: the number of record spans each blocking is scored in: the shared
+    #: index is global and the spans merge in record order, so the
+    #: candidates are byte-identical at any worker count.
     workers: int = 1
     #: Candidate pairs per inference chunk.
     batch_size: int = 2048
@@ -43,12 +46,6 @@ class RuntimeConfig:
     #: "thread"), while "thread" avoids pickling and suits matchers that
     #: release the GIL (numpy-heavy forward passes) or do I/O.
     executor: str = "process"
-    #: Record chunks candidate generation is sharded into; 1 means each
-    #: blocking runs as one task (the pre-sharding behaviour).  Sharding is
-    #: deterministic at any shard count: the shared index is global and the
-    #: per-chunk results merge in record order, so the candidates are
-    #: byte-identical to the serial run.
-    blocking_shards: int = 1
     #: Stream a structured run trace (spans + metrics, JSON Lines) to this
     #: path; ``None`` (the default) installs the no-op recorder and the
     #: engine does no observability work at all.  Like every other knob,
@@ -66,10 +63,6 @@ class RuntimeConfig:
         if self.executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
-        if self.blocking_shards < 1:
-            raise ValueError(
-                f"blocking_shards must be a positive integer, got {self.blocking_shards}"
             )
         if self.trace is not None and not isinstance(self.trace, str):
             raise ValueError(

@@ -6,15 +6,14 @@
 data-parallel stages here:
 
 * **candidate generation** — a composite blocking is partitioned into its
-  independent sub-blockings, and each shardable sub-blocking is further
-  split into record chunks (``blocking_shards``): the blocking's
-  :meth:`~repro.blocking.base.Blocking.prepare` builds the shared state
-  (inverted index, document frequencies) once in the parent, the per-chunk
-  :meth:`~repro.blocking.base.Blocking.candidates_for` calls fan out over
-  the pool, and the results merge parts-major / chunks-minor — declaration
-  order first, record order second — before one global de-duplication, so
-  first blocking wins on duplicates exactly like the serial
-  :class:`~repro.blocking.combine.CombinedBlocking`,
+  leaf blockings, and each leaf is split into ``workers`` record spans:
+  the leaf's :meth:`~repro.blocking.base.Blocking.prepare` builds the
+  shared state (inverted index, document frequencies) once in the parent,
+  the per-span :meth:`~repro.blocking.base.Blocking.candidates_for` calls
+  fan out over the pool, and the results merge parts-major / spans-minor —
+  declaration order first, record order second — before one global
+  de-duplication, so first blocking wins on duplicates exactly like
+  :meth:`~repro.blocking.base.Blocking.candidate_pairs`,
 * **pairwise inference** — one route for every matcher: the matcher's
   :meth:`~repro.matching.base.PairwiseMatcher.prepare_profiles` runs once
   here in the parent over the records the candidates reference, matcher +
@@ -92,36 +91,31 @@ def _score_profiled_chunk(
 class _BlockingPlan:
     """Per-run shared state shipped to every blocking worker once.
 
-    ``parts`` are the partitioned sub-blockings, ``states`` their prepared
-    shared state (``None`` for parts running unsharded), ``records`` the
-    dataset's records (present when any task is sharded), ``dataset`` the
-    full dataset (present only when some part runs unsharded).  Everything
-    bulky rides here — shipped to process workers out of band (pickled once
-    per epoch) — so the per-task payload is just a pair of indexes.
+    ``parts`` are the partitioned leaf blockings, ``states`` their prepared
+    shared state and ``records`` the dataset's records.  Everything bulky
+    rides here — shipped to process workers out of band (pickled once per
+    epoch) — so the per-task payload is just a part index and a span.
     """
 
     parts: tuple[Blocking, ...]
     states: tuple[Any, ...]
-    records: tuple[Record, ...] | None
-    dataset: Dataset | None
+    records: tuple[Record, ...]
 
 
 @dataclass(frozen=True)
 class _BlockingTask:
-    """One pool task: a record-index span of one part, or a whole unsharded
-    part (``span=None``)."""
+    """One pool task: a record-index span of one part."""
 
     part: int
-    span: tuple[int, int] | None
+    span: tuple[int, int]
 
 
 def _blocking_task(plan: _BlockingPlan, task: _BlockingTask) -> list[CandidatePair]:
-    """Worker task: candidates of one record chunk (or one whole part)."""
-    blocking = plan.parts[task.part]
-    if task.span is None:
-        return blocking.candidate_pairs(plan.dataset)
+    """Worker task: candidates of one part over one record span."""
     start, stop = task.span
-    return blocking.candidates_for(plan.states[task.part], plan.records[start:stop])
+    return plan.parts[task.part].candidates_for(
+        plan.states[task.part], plan.records[start:stop]
+    )
 
 
 @dataclass(frozen=True)
@@ -230,48 +224,28 @@ class PipelineRuntime:
         dataset: Dataset,
         recorder: Any = NULL_RECORDER,
     ) -> list[CandidatePair]:
-        """Generate candidate pairs, fanning out parts and record shards.
+        """Generate candidate pairs, fanning out parts and record spans.
 
-        The task list is built parts-major, chunks-minor: the blocking is
-        partitioned into its independent parts (declaration order), and each
-        shardable part is split into ``blocking_shards`` consecutive record
-        chunks — its :meth:`~repro.blocking.base.Blocking.prepare` runs once
-        here in the parent, the chunk tasks only score.  Non-shardable parts
-        stay one task each.  All tasks go through one scheduler call (one
+        The task list is built parts-major, spans-minor: the blocking is
+        partitioned into its leaf parts (declaration order), each part's
+        :meth:`~repro.blocking.base.Blocking.prepare` runs once here in the
+        parent, and each part is split into ``workers`` consecutive record
+        spans that only score.  All tasks go through one scheduler call (one
         pool), results merge in submission order, and a single global
-        de-duplication keeps the first occurrence — which reproduces the
-        serial semantics bit for bit, including first-blocking-wins tags.
+        de-duplication keeps the first occurrence — which reproduces
+        :meth:`~repro.blocking.base.Blocking.candidate_pairs` bit for bit,
+        including first-blocking-wins tags, at any worker count.
         """
         parts = blocking.partition()
-        shards = self.config.blocking_shards
-        tasks: list[_BlockingTask] = []
-        states: list[Any] = []
-        for index, part in enumerate(parts):
-            if shards > 1 and part.shardable:
-                states.append(part.prepare(dataset))
-                tasks.extend(
-                    _BlockingTask(index, span)
-                    for span in even_spans(len(dataset), shards)
-                )
-            else:
-                states.append(None)
-                tasks.append(_BlockingTask(index, None))
-        if len(tasks) == 1 and tasks[0].span is None:
-            # One whole-part task: skip the plan plumbing entirely.
-            return blocking.candidate_pairs(dataset)
-        needs_records = any(task.span is not None for task in tasks)
-        needs_dataset = any(task.span is None for task in tasks)
-        # Both can ride along in the mixed case: one pickling pass memoizes
-        # the Record objects the dataset and the tuple share.
         plan = _BlockingPlan(
             parts=tuple(parts),
-            states=tuple(states),
-            records=tuple(dataset.records) if needs_records else None,
-            dataset=dataset if needs_dataset else None,
+            states=tuple(part.prepare(dataset) for part in parts),
+            records=tuple(dataset.records),
         )
+        spans = even_spans(len(dataset), self.config.workers)
         per_task = self.scheduler.map_chunks(
             _blocking_task,
-            tasks,
+            [_BlockingTask(index, span) for index in range(len(parts)) for span in spans],
             stage="blocking",
             recorder=recorder,
             shared=plan,
@@ -292,11 +266,11 @@ class PipelineRuntime:
         """Rescore individual records against a prepared shared index.
 
         The incremental-ingestion counterpart of :meth:`run_blocking`: given
-        one (shardable) part and its up-to-date shared state, return each
-        record's owned candidate pairs — one tuple per record, aligned with
-        ``records``.  Spans of records fan out over the pool exactly like
-        sharded candidate generation (``blocking_shards`` tasks, shared
-        state shipped out of band); each task makes one
+        one part and its up-to-date shared state, return each record's owned
+        candidate pairs — one tuple per record, aligned with ``records``.
+        The records split into ``workers`` spans that fan out over the pool
+        exactly like candidate generation (shared state shipped out of
+        band); each task makes one
         :meth:`~repro.blocking.base.Blocking.owned_candidates` call, so
         per-record outputs come back already split and the parent can
         splice them into a persistent record → candidates map.
@@ -306,7 +280,7 @@ class PipelineRuntime:
         plan = _DeltaBlockingPlan(
             part=part, state=shared, records=tuple(records)
         )
-        spans = even_spans(len(records), self.config.blocking_shards)
+        spans = even_spans(len(records), self.config.workers)
         per_span = self.scheduler.map_chunks(
             _delta_blocking_task,
             spans,

@@ -55,7 +55,7 @@ def chunked(items: Sequence[T], size: int) -> list[list[T]]:
 def even_spans(count: int, parts: int) -> list[tuple[int, int]]:
     """At most ``parts`` consecutive, near-equal ``(start, stop)`` spans.
 
-    Boundaries only, never copies: the sharded blocking fan-outs ship
+    Boundaries only, never copies: the blocking fan-outs ship
     spans and slice worker-side.  Sizes differ by at most one (larger spans
     first), the spans tile ``range(count)`` exactly, and none is empty —
     fewer than ``parts`` spans when ``count < parts``.

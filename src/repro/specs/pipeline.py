@@ -149,7 +149,6 @@ class RuntimeSpec:
     workers: int = 1
     batch_size: int = 2048
     executor: str = "process"
-    blocking_shards: int = 1
     trace: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
@@ -160,8 +159,6 @@ class RuntimeSpec:
             data["batch_size"] = self.batch_size
         if self.executor != "process":
             data["executor"] = self.executor
-        if self.blocking_shards != 1:
-            data["blocking_shards"] = self.blocking_shards
         if self.trace is not None:
             data["trace"] = self.trace
         return data
@@ -169,17 +166,7 @@ class RuntimeSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any], key: str) -> "RuntimeSpec":
         table = _expect_table(data, key)
-        _reject_unknown_keys(
-            table,
-            {
-                "workers",
-                "batch_size",
-                "executor",
-                "blocking_shards",
-                "trace",
-            },
-            key,
-        )
+        _reject_unknown_keys(table, {"workers", "batch_size", "executor", "trace"}, key)
         executor = _expect_str(table.get("executor", "process"), f"{key}.executor")
         trace = table.get("trace")
         if trace is not None:
@@ -194,9 +181,6 @@ class RuntimeSpec:
             workers=_expect_int(table.get("workers", 1), f"{key}.workers", minimum=1),
             batch_size=_expect_int(table.get("batch_size", 2048), f"{key}.batch_size", minimum=1),
             executor=executor,
-            blocking_shards=_expect_int(
-                table.get("blocking_shards", 1), f"{key}.blocking_shards", minimum=1
-            ),
             trace=trace,
         )
 
@@ -207,7 +191,6 @@ class RuntimeSpec:
             workers=self.workers,
             batch_size=self.batch_size,
             executor=self.executor,
-            blocking_shards=self.blocking_shards,
             trace=self.trace,
         )
 

@@ -67,6 +67,17 @@ class TestTokenOverlapBlocking:
         with pytest.raises(ValueError):
             TokenOverlapBlocking(max_token_frequency=0.0)
 
+    @pytest.mark.parametrize("value", [2.5, -1, 0, "2", True, None])
+    def test_min_token_length_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            TokenOverlapBlocking(min_token_length=value)
+        assert str(excinfo.value) == (
+            f"min_token_length must be an integer >= 1, got {value!r}"
+        )
+
+    def test_min_token_length_accepts_positive_integers(self):
+        assert TokenOverlapBlocking(min_token_length=1).min_token_length == 1
+
     def test_finds_crowdstrike_name_variants(self):
         companies, _ = figure2_dataset()
         pairs = TokenOverlapBlocking(top_n=5).candidate_pairs(companies)
@@ -197,9 +208,9 @@ class TestCombinedBlocking:
         calls = {"count": 0}
 
         class CountingIdOverlap(IdOverlapBlocking):
-            def candidate_pairs(self, dataset):
+            def prepare(self, dataset):
                 calls["count"] += 1
-                return super().candidate_pairs(dataset)
+                return super().prepare(dataset)
 
         combined = CombinedBlocking([CountingIdOverlap(), TokenOverlapBlocking(top_n=3)])
         pairs = combined.candidate_pairs(companies)
@@ -212,6 +223,38 @@ class TestCombinedBlocking:
         combined = CombinedBlocking([IdOverlapBlocking()])
         with pytest.raises(ValueError, match="dataset or pairs"):
             combined.pairs_by_blocking()
+
+
+class TestCrossSourceOnlyValidation:
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            IdOverlapBlocking,
+            lambda **kw: IssuerMatchBlocking(issuer_groups=[["#1"]], **kw),
+        ],
+        ids=["id_overlap", "issuer_match"],
+    )
+    def test_non_bool_is_rejected_by_name(self, make, value):
+        with pytest.raises(ValueError) as excinfo:
+            make(cross_source_only=value)
+        assert str(excinfo.value) == (
+            f"cross_source_only must be a bool, got {value!r}"
+        )
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("id_overlap", {"cross_source_only": "false"}, "cross_source_only"),
+            ("token_overlap", {"min_token_length": "2"}, "min_token_length"),
+        ],
+    )
+    def test_spec_parameters_fail_by_name(self, name, params, message):
+        from repro.specs import ComponentSpec, PipelineSpec
+
+        spec = PipelineSpec(blocking=(ComponentSpec(name, params),))
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            spec.build_blocking()
 
 
 class TestHelpers:

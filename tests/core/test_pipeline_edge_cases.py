@@ -25,7 +25,10 @@ class EmptyBlocking(Blocking):
 
     name = "empty"
 
-    def candidate_pairs(self, dataset):
+    def prepare(self, dataset):
+        return None
+
+    def candidates_for(self, shared, records):
         return []
 
 

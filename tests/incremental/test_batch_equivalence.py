@@ -22,11 +22,11 @@ from repro.runtime import RuntimeConfig
 RUNTIMES = [
     pytest.param(None, id="serial"),
     pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="thread", blocking_shards=4),
+        RuntimeConfig(workers=2, batch_size=64, executor="thread"),
         id="thread-sharded",
     ),
     pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="process", blocking_shards=4),
+        RuntimeConfig(workers=2, batch_size=64, executor="process"),
         id="process-sharded",
     ),
 ]
@@ -88,9 +88,7 @@ class TestPoolAcrossBatches:
         map_chunks call.
         """
         companies, _ = golden_setup
-        runtime = RuntimeConfig(
-            workers=2, batch_size=64, executor="process", blocking_shards=4
-        )
+        runtime = RuntimeConfig(workers=2, batch_size=64, executor="process")
         batches = partition_records(companies.records, 3)
         matcher = IncrementalMatcher.from_pipeline(
             pipeline_factory(runtime), name="golden"

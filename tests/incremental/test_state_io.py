@@ -252,17 +252,23 @@ class TestFormatMigration:
     def test_stale_runtime_fields_open_and_ingest_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path
     ):
-        # A state saved before the legacy route switches were removed
-        # pickles a RuntimeConfig carrying them.  Unpickling a frozen
-        # dataclass restores its __dict__ wholesale, so the stale entries
-        # ride along harmlessly: nothing reads them, and equality, replace()
-        # and every later save look at the declared fields only.
+        # A state saved before the legacy route switches and the blocking
+        # shard count were removed pickles a RuntimeConfig carrying them.
+        # Unpickling a frozen dataclass restores its __dict__ wholesale, so
+        # the stale entries ride along harmlessly: nothing reads them, and
+        # equality, replace() and every later save look at the declared
+        # fields only.
         from tests.incremental.test_batch_equivalence import assert_equals_batch
 
         companies, _ = golden_setup
         matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
         matcher.ingest(companies.records[:90])
-        stale = {"profile_cache": False, "columnar_dispatch": False, "warm_pool": False}
+        stale = {
+            "profile_cache": False,
+            "columnar_dispatch": False,
+            "warm_pool": False,
+            "blocking_shards": 4,
+        }
         for key, value in stale.items():
             object.__setattr__(matcher.state.runtime_config, key, value)
         state_dir = matcher.save(tmp_path / "state")
@@ -271,6 +277,28 @@ class TestFormatMigration:
         config = reloaded.state.runtime_config
         assert config == RuntimeConfig()
         assert {key: config.__dict__[key] for key in stale} == stale
+        reloaded.ingest(companies.records[90:])
+        assert_equals_batch(reloaded, batch_result)
+
+    def test_stale_blocking_payload_key_opens_and_ingests_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # Earlier builds also stored whole-part candidate lists for blockings
+        # without the two-phase protocol; a state still carrying that key
+        # loads with the key ignored.
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(companies.records[:90])
+        state_dir = matcher.save(tmp_path / "state")
+        path = state_dir / read_manifest(state_dir)["payload_dir"] / "blocking_state.pkl"
+        payload = pickle.loads(path.read_bytes())
+        assert set(payload) == {"part_states", "owned_pairs"}
+        payload["whole_part_pairs"] = {}
+        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+        reloaded = IncrementalMatcher.load(state_dir)
         reloaded.ingest(companies.records[90:])
         assert_equals_batch(reloaded, batch_result)
 

@@ -53,11 +53,11 @@ RUNTIMES = [
     pytest.param(RuntimeConfig(workers=2, batch_size=64, executor="thread"), id="thread"),
     pytest.param(RuntimeConfig(workers=2, batch_size=64, executor="process"), id="process"),
     pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="thread", blocking_shards=4),
+        RuntimeConfig(workers=2, batch_size=64, executor="thread"),
         id="thread-sharded",
     ),
     pytest.param(
-        RuntimeConfig(workers=2, batch_size=64, executor="process", blocking_shards=4),
+        RuntimeConfig(workers=2, batch_size=64, executor="process"),
         id="process-sharded",
     ),
 ]

@@ -36,12 +36,14 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError, match="executor must be one of"):
             RuntimeConfig(executor="coroutine")
 
-    def test_has_exactly_five_settings(self):
+    def test_has_exactly_four_settings(self):
         assert [field.name for field in dataclasses.fields(RuntimeConfig)] == [
-            "workers", "batch_size", "executor", "blocking_shards", "trace",
+            "workers", "batch_size", "executor", "trace",
         ]
 
-    @pytest.mark.parametrize("knob", ["profile_cache", "columnar_dispatch", "warm_pool"])
+    @pytest.mark.parametrize(
+        "knob", ["profile_cache", "columnar_dispatch", "warm_pool", "blocking_shards"]
+    )
     def test_removed_route_knobs_are_not_settings(self, knob):
         with pytest.raises(TypeError, match=knob):
             RuntimeConfig(**{knob: False})

@@ -1,13 +1,13 @@
-"""Golden regression for record-sharded candidate generation.
+"""Golden regression for record-span candidate generation.
 
-The determinism contract under test: at any shard count, on either
-executor, at any worker count, ``PipelineRuntime.run_blocking`` must
-produce candidate pairs *byte-identical* to the serial run — same pairs,
-same order, same blocking tags, including the first-blocking-wins
-de-duplication of :class:`~repro.blocking.combine.CombinedBlocking`.
-Sharding must never change document frequencies or per-record top-n
+The determinism contract under test: at any worker count, on either
+executor, ``PipelineRuntime.run_blocking`` must produce candidate pairs
+*byte-identical* to ``Blocking.candidate_pairs`` — same pairs, same order,
+same blocking tags, including the first-blocking-wins de-duplication of
+:class:`~repro.blocking.combine.CombinedBlocking`.  Splitting the records
+into spans must never change document frequencies or per-record top-n
 selections, because the shared index is built globally and only the
-scoring is partitioned.
+scoring is split.
 """
 
 import pytest
@@ -18,13 +18,13 @@ from repro.blocking import (
     IssuerMatchBlocking,
     TokenOverlapBlocking,
 )
-from repro.blocking.base import Blocking, dedupe_pairs
-from repro.datagen import GenerationConfig, generate_benchmark
+from repro.blocking.base import dedupe_pairs
+from repro.datagen import GenerationConfig, figure2_dataset, generate_benchmark
 from repro.matching import IdOverlapMatcher
 from repro.core.pipeline import EntityGroupMatchingPipeline
 from repro.runtime import PipelineRuntime, RuntimeConfig, even_spans
 
-SHARD_COUNTS = [1, 2, 7]
+WORKER_COUNTS = [1, 2, 7]
 EXECUTORS = ["thread", "process"]
 
 
@@ -59,25 +59,21 @@ def serial_pairs(golden_data, combined_blocking):
 
 
 class TestShardedByteIdentity:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_combined_blocking_matches_serial(
-        self, golden_data, combined_blocking, serial_pairs, shards, executor
+        self, golden_data, combined_blocking, serial_pairs, workers, executor
     ):
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=2, executor=executor, blocking_shards=shards
-        ))
-        sharded = runtime.run_blocking(combined_blocking, golden_data.companies)
+        with PipelineRuntime(RuntimeConfig(workers=workers, executor=executor)) as runtime:
+            sharded = runtime.run_blocking(combined_blocking, golden_data.companies)
         # Full CandidatePair equality: ids, order AND blocking tags — the
-        # tags prove first-blocking-wins survived the sharded merge.
+        # tags prove first-blocking-wins survived the span merge.
         assert sharded == serial_pairs
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_first_blocking_wins_tags(self, golden_data, combined_blocking, shards):
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_first_blocking_wins_tags(self, golden_data, combined_blocking, workers):
         companies = golden_data.companies
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=2, executor="thread", blocking_shards=shards
-        ))
+        runtime = PipelineRuntime(RuntimeConfig(workers=workers, executor="thread"))
         sharded = runtime.run_blocking(combined_blocking, companies)
         id_keys = {p.key for p in IdOverlapBlocking().candidate_pairs(companies)}
         assert any(pair.key in id_keys for pair in sharded)
@@ -85,37 +81,30 @@ class TestShardedByteIdentity:
             if pair.key in id_keys:
                 assert pair.blocking == "id_overlap"
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_issuer_match_matches_serial(self, golden_data, shards, executor):
+    def test_issuer_match_matches_serial(self, golden_data, workers, executor):
         blocking = IssuerMatchBlocking.from_ground_truth(golden_data.companies)
         serial = blocking.candidate_pairs(golden_data.securities)
+        with PipelineRuntime(RuntimeConfig(workers=workers, executor=executor)) as runtime:
+            assert runtime.run_blocking(blocking, golden_data.securities) == serial
+
+    def test_more_workers_than_records(self, combined_blocking):
+        companies, _ = figure2_dataset()
         runtime = PipelineRuntime(RuntimeConfig(
-            workers=2, executor=executor, blocking_shards=shards
+            workers=len(companies) + 3, executor="thread"
         ))
-        assert runtime.run_blocking(blocking, golden_data.securities) == serial
-
-    def test_serial_worker_with_shards_matches_serial(
-        self, golden_data, combined_blocking, serial_pairs
-    ):
-        # Sharding is orthogonal to pooling: one worker + many shards runs
-        # the chunk tasks in-process and must still merge identically.
-        runtime = PipelineRuntime(RuntimeConfig(workers=1, blocking_shards=7))
-        assert runtime.run_blocking(combined_blocking, golden_data.companies) == serial_pairs
-
-    def test_more_shards_than_records(self, golden_data, combined_blocking, serial_pairs):
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=2, executor="thread",
-            blocking_shards=len(golden_data.companies) + 100,
-        ))
-        assert runtime.run_blocking(combined_blocking, golden_data.companies) == serial_pairs
+        # Every part gets one single-record span per record, none empty.
+        assert runtime.run_blocking(combined_blocking, companies) == (
+            combined_blocking.candidate_pairs(companies)
+        )
 
 
-class TestShardableProtocol:
-    @pytest.mark.parametrize("shards", [2, 3, 7])
-    def test_chunk_concatenation_reproduces_serial(self, golden_data, shards):
+class TestTwoPhaseProtocol:
+    @pytest.mark.parametrize("spans", [2, 3, 7])
+    def test_chunk_concatenation_reproduces_serial(self, golden_data, spans):
         # The per-blocking contract the engine builds on, exercised without
-        # the engine: concat over consecutive chunks + one dedupe == serial.
+        # the engine: concat over consecutive spans + one dedupe == serial.
         companies, securities = golden_data.companies, golden_data.securities
         cases = [
             (IdOverlapBlocking(), companies),
@@ -124,56 +113,17 @@ class TestShardableProtocol:
             (IssuerMatchBlocking.from_ground_truth(companies), securities),
         ]
         for blocking, dataset in cases:
-            assert blocking.shardable
             shared = blocking.prepare(dataset)
             merged = []
-            for chunk in split_evenly(dataset.records, shards):
+            for chunk in split_evenly(dataset.records, spans):
                 merged.extend(blocking.candidates_for(shared, chunk))
             assert dedupe_pairs(merged) == blocking.candidate_pairs(dataset)
 
-    def test_non_shardable_blocking_falls_back_to_one_task(self, golden_data):
-        calls = {"candidate_pairs": 0, "prepare": 0}
-
-        class OpaqueBlocking(Blocking):
-            name = "opaque"
-
-            def candidate_pairs(self, dataset):
-                calls["candidate_pairs"] += 1
-                return IdOverlapBlocking().candidate_pairs(dataset)
-
-            def prepare(self, dataset):  # pragma: no cover - must not run  # repro-lint: disable=protocol-conformance -- deliberately unshardable; prepare() exists to prove the fallback never calls it
-                calls["prepare"] += 1
-                return super().prepare(dataset)
-
-        serial = IdOverlapBlocking().candidate_pairs(golden_data.companies)
-        runtime = PipelineRuntime(RuntimeConfig(
-            workers=2, executor="thread", blocking_shards=4
-        ))
-        assert runtime.run_blocking(OpaqueBlocking(), golden_data.companies) == serial
-        assert calls == {"candidate_pairs": 1, "prepare": 0}
-
-    def test_base_class_rejects_sharded_calls(self, golden_data):
-        class Opaque(Blocking):
-            def candidate_pairs(self, dataset):
-                return []
-
-        blocking = Opaque()
-        assert not blocking.shardable
-        with pytest.raises(NotImplementedError, match="record-sharded"):
-            blocking.prepare(golden_data.companies)
-        with pytest.raises(NotImplementedError, match="record-sharded"):
-            blocking.candidates_for(None, golden_data.companies.records)
-
-    def test_combined_blocking_is_not_directly_shardable(self, combined_blocking):
-        # Sharding a combined blocking as a whole would interleave members;
-        # the engine shards its partition() parts instead.
-        assert not combined_blocking.shardable
-
 
 class TestShardedPipelineEndToEnd:
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_pipeline_artefacts_identical_to_serial(
-        self, golden_data, combined_blocking, shards
+        self, golden_data, combined_blocking, workers
     ):
         def run(runtime):
             return EntityGroupMatchingPipeline(
@@ -183,9 +133,7 @@ class TestShardedPipelineEndToEnd:
             ).run(golden_data.companies)
 
         serial = run(None)
-        sharded = run(RuntimeConfig(
-            workers=2, executor="thread", blocking_shards=shards
-        ))
+        sharded = run(RuntimeConfig(workers=workers, executor="thread"))
         assert sharded.candidates == serial.candidates
         assert sharded.decisions == serial.decisions
         assert sharded.groups.groups == serial.groups.groups
@@ -194,10 +142,10 @@ class TestShardedPipelineEndToEnd:
         result = EntityGroupMatchingPipeline(
             matcher=IdOverlapMatcher(),
             blocking=combined_blocking,
-            runtime=RuntimeConfig(workers=2, executor="thread", blocking_shards=3),
+            runtime=RuntimeConfig(workers=3, executor="thread"),
         ).run(golden_data.companies)
         chunk_keys = [key for key in result.timings if key.startswith("blocking/chunk")]
-        # Two shardable parts × 3 record shards = 6 blocking tasks.
+        # Two parts × 3 record spans = 6 blocking tasks.
         assert len(chunk_keys) == 6
 
 
@@ -231,10 +179,3 @@ class TestSplitEvenly:
             (chunk[0], chunk[-1] + 1)
             for chunk in split_evenly(list(range(count)), parts)
         ]
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize("shards", [0, -3])
-    def test_rejects_non_positive_blocking_shards(self, shards):
-        with pytest.raises(ValueError, match="blocking_shards must be a positive"):
-            RuntimeConfig(blocking_shards=shards)

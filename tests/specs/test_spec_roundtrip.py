@@ -36,8 +36,7 @@ def full_pipeline_spec() -> PipelineSpec:
         ),
         cleanup=CleanupSpec(strategy="gralmatch", gamma=20, mu=4),
         pre_cleanup=PreCleanupSpec(enabled=True, max_component_size=30),
-        runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread",
-                            blocking_shards=3),
+        runtime=RuntimeSpec(workers=2, batch_size=64, executor="thread"),
         state=StateSpec(dir="state/companies", autosave=False),
     )
 
@@ -157,8 +156,6 @@ class TestValidationErrorsNameTheKey:
             ("[pipeline.cleanup]\nmu = 0\n", "pipeline.cleanup.mu"),
             ('[pipeline.runtime]\nexecutor = "fiber"\n', "pipeline.runtime.executor"),
             ("[pipeline.runtime]\nworkers = -1\n", "pipeline.runtime.workers"),
-            ("[pipeline.runtime]\nblocking_shards = 0\n", "pipeline.runtime.blocking_shards"),
-            ('[pipeline.runtime]\nblocking_shards = "all"\n', "pipeline.runtime.blocking_shards"),
             ("[pipeline.state]\ndir = 5\n", "pipeline.state.dir"),
             ('[pipeline.state]\nautosave = "yes"\n', "pipeline.state.autosave"),
             ('[pipeline.state]\ndirectory = "x"\n', "pipeline.state.directory"),
@@ -182,6 +179,13 @@ class TestValidationErrorsNameTheKey:
         with pytest.raises(SpecValidationError) as excinfo:
             ExperimentSpec.from_toml(document)
         assert excinfo.value.key == f"pipeline.runtime.{removed}"
+
+    def test_removed_blocking_shards_key_is_named(self):
+        # Candidate generation splits each blocking into `workers` record
+        # spans; a spec still setting a shard count fails loudly.
+        with pytest.raises(SpecValidationError) as excinfo:
+            ExperimentSpec.from_toml("[pipeline.runtime]\nblocking_shards = 4\n")
+        assert excinfo.value.key == "pipeline.runtime.blocking_shards"
 
     def test_second_blocking_entry_is_indexed(self):
         document = (
@@ -216,8 +220,7 @@ class TestBuildPipelineEquivalence:
             ),
             cleanup_config=CleanupConfig(gamma=20, mu=4),
             pre_cleanup_config=PreCleanupConfig(enabled=True, max_component_size=30),
-            runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread",
-                                  blocking_shards=3),
+            runtime=RuntimeConfig(workers=2, batch_size=64, executor="thread"),
         )
         spec = full_pipeline_spec()
         text = getattr(spec, f"to_{fmt}")()

@@ -30,18 +30,15 @@ class TestParser:
         assert args.workers == 1
         assert args.batch_size == 2048
         assert args.executor == "process"
-        assert args.blocking_shards == 1
 
     def test_match_runtime_flags(self):
         args = build_parser().parse_args([
             "match", "data.csv", "--workers", "4",
             "--batch-size", "512", "--executor", "thread",
-            "--blocking-shards", "8",
         ])
         assert args.workers == 4
         assert args.batch_size == 512
         assert args.executor == "thread"
-        assert args.blocking_shards == 8
 
     def test_run_runtime_flags_default_to_unset(self):
         # `run` must distinguish "not passed" from any concrete value so the
@@ -50,18 +47,15 @@ class TestParser:
         assert args.workers is None
         assert args.batch_size is None
         assert args.executor is None
-        assert args.blocking_shards is None
 
     def test_run_accepts_runtime_flags(self):
         args = build_parser().parse_args([
             "run", "config.toml", "--workers", "3",
             "--batch-size", "128", "--executor", "thread",
-            "--blocking-shards", "4",
         ])
         assert args.workers == 3
         assert args.batch_size == 128
         assert args.executor == "thread"
-        assert args.blocking_shards == 4
 
     @pytest.mark.parametrize("flag,value", [
         ("--workers", "0"),
@@ -299,15 +293,11 @@ class TestRunRuntimeOverrides:
         assert runtime.workers == 2
         assert runtime.batch_size == 32
         assert runtime.executor == "thread"
-        assert runtime.blocking_shards == 1
 
     def test_cli_flags_beat_spec_values(self, tmp_path):
-        runtime = self._overridden_runtime(
-            tmp_path, ["--workers", "1", "--blocking-shards", "4"]
-        )
+        runtime = self._overridden_runtime(tmp_path, ["--workers", "1"])
         # Overridden by the CLI:
         assert runtime.workers == 1
-        assert runtime.blocking_shards == 4
         # Untouched flags keep the spec file's values, not the defaults:
         assert runtime.batch_size == 32
         assert runtime.executor == "thread"
@@ -327,6 +317,16 @@ class TestRunRuntimeOverrides:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_removed_blocking_shards_flag_exits_2(self, tmp_path, capsys):
+        # Candidate generation splits each blocking into --workers record
+        # spans; there is no separate shard count.
+        config = tmp_path / "experiment.toml"
+        config.write_text(self.SPEC)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", str(config), "--blocking-shards", "2"])
+        assert excinfo.value.code == 2
+        assert "--blocking-shards" in capsys.readouterr().err
+
     def test_sharded_run_reproduces_plain_run(self, tmp_path, capsys):
         benchmark = generate_benchmark(
             GenerationConfig(num_entities=30, num_sources=3, seed=6)
@@ -342,7 +342,6 @@ class TestRunRuntimeOverrides:
         plain_output = capsys.readouterr().out
         assert main([
             "run", str(config), "--workers", "2", "--executor", "thread",
-            "--blocking-shards", "3",
         ]) == 0
         sharded_output = capsys.readouterr().out
         assert _score_cells(sharded_output) == _score_cells(plain_output)
