@@ -226,6 +226,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "Ingest (s)": round(ingest_seconds, 3),
                 "Speedup": round(speedup, 2),
                 "Pairs scored": f"{report.pairs_scored}/{report.num_candidates}",
+                # Blocking rescores, summed over both parts (new + dirty).
+                "Records rescored": report.records_rescored,
                 "Recleaned": (
                     f"{report.components_recleaned}/{report.components_total}"
                 ),

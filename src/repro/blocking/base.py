@@ -68,9 +68,11 @@ class Blocking:
     individual blockings).
 
     A custom blocking implements :meth:`prepare` and :meth:`candidates_for`;
-    it may override :meth:`owned_candidates` to score a span at once and
-    :meth:`delta_update` to fold new records into its state locally.  A
-    composite blocking overrides :meth:`partition` instead.
+    it may override :meth:`owned_candidates` to score a span at once,
+    :meth:`delta_update` to fold new records into its state locally, and
+    :meth:`rescore` / :meth:`note_rescored` to keep what its next
+    :meth:`delta_update` needs.  A composite blocking overrides
+    :meth:`partition` instead.
     """
 
     #: Name recorded on every emitted candidate pair.
@@ -132,6 +134,23 @@ class Blocking:
         blockings that can score a whole span at once override it.
         """
         return [tuple(self.candidates_for(shared, (record,))) for record in records]
+
+    def rescore(
+        self, shared: Any, records: Sequence[Record]
+    ) -> tuple[list[tuple[CandidatePair, ...]], Any]:
+        """:meth:`owned_candidates` of the records an ingest rescores, plus
+        notes on them.
+
+        The notes are what the next :meth:`delta_update` needs to keep
+        records clean; :meth:`note_rescored` folds them into the shared
+        state.  The default has none.
+        """
+        return self.owned_candidates(shared, records), None
+
+    def note_rescored(self, shared: Any, notes: Sequence[Any]) -> Any:
+        """The shared state with one ingest's :meth:`rescore` notes folded
+        in, one entry per rescored span.  The default keeps no notes."""
+        return shared
 
     def delta_update(
         self, shared: Any, dataset: Dataset, new_records: Sequence[Record]

@@ -23,9 +23,11 @@ depend on how the records are chunked.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -40,6 +42,29 @@ from repro.text.tokenize import word_tokenize
 #: an ingest's peak RSS by 5–8 MB on a ~60 MB process.  A record whose own
 #: postings exceed the bound is scored as a chunk by itself.
 SCORE_CHUNK_ENTRIES = 16_384
+
+#: Float slack of a raised ceiling, in rounding units per surviving token of
+#: the record (see :meth:`TokenOverlapBlocking.delta_update`).
+CEILING_SLACK_ULPS = 16
+
+#: The float64 unit roundoff, 2**-53.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+@dataclass(frozen=True)
+class TopNMemo:
+    """What the ingest path remembers of each record's last scoring.
+
+    Row-aligned with :attr:`TokenIndex.record_tokens`.  ``tops[row]`` holds
+    the rows of the record's owned candidates in rank order, padded with -1
+    when it has fewer than ``top_n``.  ``ceilings[row]`` bounds from above
+    the score of every lower-ranked candidate whose shared-token set differs
+    from the n-th candidate's: ``-inf`` when there is none, NaN when the
+    record was never scored on the ingest path.
+    """
+
+    tops: np.ndarray
+    ceilings: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,6 +94,21 @@ class TokenIndex:
     #: can never be candidates, so counting them would only dilute the IDF
     #: weights and inflate the frequency cutoff.
     num_tokenised: int
+    #: The ingest path's per-record top-n memo; None on a prepared index and
+    #: on one saved before the memo existed.  Not compared: an index equals
+    #: ``prepare(dataset)`` whatever memo it carries.
+    memo: TopNMemo | None = field(default=None, compare=False, repr=False)
+    #: The index's scoring arrays when :meth:`TokenOverlapBlocking.
+    #: delta_update` built them already, so the rescoring that follows does
+    #: not build them again.  Never pickled, and dropped by ``replace``.
+    arrays: _ScoringArrays | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("arrays", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -156,18 +196,61 @@ def _chunk_bounds(costs: list[int]) -> list[int]:
     return bounds
 
 
+def _query_chunks(
+    arrays: _ScoringArrays, shared: TokenIndex, record_ids: Sequence[str]
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
+    """Split queries into scoring chunks of at most
+    :data:`SCORE_CHUNK_ENTRIES` expanded postings.
+
+    Yields ``(start, stop, rows, tokens, tokens_per_query)`` per chunk:
+    the chunk's slice of ``record_ids``, their row numbers, and their
+    concatenated surviving token numbers in each query's sorted-token order.
+    """
+    token_of = arrays.token_of
+    rows = np.array(
+        [arrays.row_of[record_id] for record_id in record_ids], dtype=np.int64
+    )
+    tokens: list[int] = []
+    tokens_per_query: list[int] = []
+    for record_id in record_ids:
+        before = len(tokens)
+        tokens.extend(
+            token_of[token]
+            for token in shared.record_tokens[record_id]
+            if token in token_of
+        )
+        tokens_per_query.append(len(tokens) - before)
+    token_ids = np.array(tokens, dtype=np.int64)
+    tokens_at = _offsets(tokens_per_query)
+    entries_at = _offsets(np.diff(arrays.offsets)[token_ids])
+    costs = entries_at[tokens_at[1:]] - entries_at[tokens_at[:-1]]
+    bounds = _chunk_bounds(costs.tolist())
+    for start, stop in zip(bounds, bounds[1:]):
+        yield (
+            start,
+            stop,
+            rows[start:stop],
+            token_ids[tokens_at[start]:tokens_at[stop]],
+            tokens_per_query[start:stop],
+        )
+
+
 def _pair_scores(
     arrays: _ScoringArrays,
     rows: np.ndarray,
     tokens: np.ndarray,
     tokens_per_query: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    entries: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Overlap scores of one chunk of queries against every other source.
 
     ``rows`` are the queries' row numbers and ``tokens`` their concatenated
     surviving token numbers, ``tokens_per_query`` each, in sorted-token
     order.  Returns ``(query, candidate, score)`` sorted by (query position,
     candidate row), one entry per pair with at least one shared token.
+    With ``entries``, also returns each shared (pair, token) entry as the
+    pair's index in those arrays and the token number, in the order the
+    scores add them.
     """
     # Expand to (query, candidate, weight) in (query, sorted token, posting)
     # order.
@@ -190,7 +273,58 @@ def _pair_scores(
     keys, inverse = np.unique(query * num_rows + candidate, return_inverse=True)
     scores = np.bincount(inverse, weights=weight, minlength=len(keys))
     query, candidate = np.divmod(keys, num_rows)
+    if entries:
+        return query, candidate, scores, inverse, np.repeat(tokens, counts)[keep]
     return query, candidate, scores
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` occurs in the sorted array ``sorted_keys``."""
+    found = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[found] == keys
+
+
+def _memo_rows(
+    memo: TopNMemo | None, num_rows: int, top_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Writable copies of ``memo``'s tops and ceilings over ``num_rows``
+    rows; rows the memo lacks get no entry (-1 tops, NaN ceiling)."""
+    tops = np.full((num_rows, top_n), -1, dtype=np.int32)
+    ceilings = np.full(num_rows, np.nan)
+    if memo is not None:
+        kept = min(len(memo.ceilings), num_rows)
+        tops[:kept] = memo.tops[:kept]
+        ceilings[:kept] = memo.ceilings[:kept]
+    return tops, ceilings
+
+
+def _sets_differ(
+    pair_query: np.ndarray,
+    inverse: np.ndarray,
+    entry_token: np.ndarray,
+    nth: np.ndarray,
+    tied: np.ndarray,
+    num_tokens: int,
+) -> np.ndarray:
+    """Whether each ``tied`` pair's shared-token set differs from the set
+    of its query's ``nth`` pair.
+
+    Pairs are indices into ``pair_query``; ``inverse`` and ``entry_token``
+    are the (pair, token) entries :func:`_pair_scores` returns.  A tied
+    pair scores the same as the n-th, so its set differs exactly when one
+    of its tokens is missing from the n-th pair's set: a proper subset
+    would score less, every weight being at least 1.
+    """
+    is_nth = np.zeros(len(pair_query), dtype=bool)
+    is_nth[nth] = True
+    is_tied = np.zeros(len(pair_query), dtype=bool)
+    is_tied[tied] = True
+    entry_key = pair_query[inverse] * num_tokens + entry_token
+    in_tied = is_tied[inverse]
+    nth_keys = np.sort(entry_key[is_nth[inverse]])
+    outside = ~_contains(nth_keys, entry_key[in_tied])
+    missing = np.bincount(inverse[in_tied][outside], minlength=len(pair_query))
+    return missing[tied] > 0
 
 
 @register_blocking("token_overlap")
@@ -225,8 +359,16 @@ class TokenOverlapBlocking(Blocking):
             raise ValueError(
                 f"min_token_length must be an integer >= 1, got {min_token_length!r}"
             )
+        if isinstance(max_token_frequency, bool) or not isinstance(
+            max_token_frequency, numbers.Real
+        ):
+            raise ValueError(
+                f"max_token_frequency must be a real number, got {max_token_frequency!r}"
+            )
         if not 0.0 < max_token_frequency <= 1.0:
-            raise ValueError("max_token_frequency must be in (0, 1]")
+            raise ValueError(
+                f"max_token_frequency must be in (0, 1], got {max_token_frequency!r}"
+            )
         self.top_n = top_n
         self.attributes = tuple(attributes)
         self.min_token_length = min_token_length
@@ -281,20 +423,63 @@ class TokenOverlapBlocking(Blocking):
     def delta_update(
         self, shared: TokenIndex, dataset: Dataset, new_records: Sequence[Record]
     ) -> BlockingDelta:
-        """Fold new records in, reusing every existing tokenisation.
+        """Fold new records in; dirty only the records whose top n can change.
 
-        The expensive per-record work — attribute tokenisation — runs only
-        for the new records; document frequencies update incrementally and
-        the inverted index is re-assembled from the cached token tuples (a
-        cheap linear pass that cannot be skipped: the IDF denominator and
-        the frequency cutoff both move whenever tokenised records arrive,
-        which can flip any token's cutoff status).
+        Tokenisation runs for the new records only; document frequencies
+        update incrementally and the inverted index is re-assembled from the
+        cached token tuples (a linear pass that cannot be skipped: the IDF
+        denominator and the frequency cutoff both move whenever tokenised
+        records arrive, which can flip any token's cutoff status).
 
-        Dirtiness is honest about the same global coupling: IDF weights are
-        ``1 + log(N / df)``, so adding *any* tokenised record shifts every
-        weight non-uniformly and may reorder any record's top-n selection —
-        all previously tokenised records are therefore dirty.  Token-less
-        new records touch nothing and dirty nothing.
+        Any tokenised arrival moves every IDF weight ``1 + log(N / df)``, so
+        any record's top n could reorder.  The :class:`TopNMemo` that
+        :meth:`rescore` leaves on the index narrows that down.  For each
+        scored record it keeps the top-n candidates and a *ceiling*: the best
+        score among the lower-ranked candidates whose shared-token set
+        differs from the n-th candidate's.  (A candidate sharing the n-th's
+        set scores bitwise the same under any weights, and its larger id
+        keeps it below.)  A pre-existing record is dirty if any of these
+        holds:
+
+        (a) one of its tokens crossed the frequency cutoff, either way;
+        (b) its top-n scores, recomputed under the new weights, change
+            order (score descending, then id).  Each shared-token set is
+            the record's surviving tokens that the candidate carries, and
+            its weights are added from 0.0 in sorted-token order, the
+            scorer's own additions, so the scores are bitwise a rescore's;
+        (c) its raised ceiling reaches the recomputed n-th score, where
+            ``raised = (ceiling + spread) * (1 + CEILING_SLACK_ULPS * (m + 2)
+            * 2**-53)``, ``spread`` sums ``max(w' - w, 0)`` over its ``m``
+            surviving tokens and ``w``, ``w'`` are the old and new float
+            weights;
+        (d) a new record ranks above its n-th candidate (score descending,
+            then id), or it has fewer than ``top_n`` candidates and any new
+            record scores it.  Scoring a pair adds the same weights in the
+            same global token order from either side, so these scores are
+            the ones a rescore of the record sees.
+
+        Why the slack suffices: every weight is at least 1, so a score is a
+        sum of at most ``m`` positive terms and is within ``gamma_(m-1)`` =
+        ``(m - 1) u / (1 - (m - 1) u)`` (u = 2**-53) of its exact value.
+        The exact score of a lower candidate moves by at most the exact
+        spread, which the computed ``spread`` underestimates by at most a
+        factor ``1 - gamma_m``.  Together a lower candidate's new score is
+        at most ``(1 + 3 gamma_(m+1)) (ceiling + spread)``.  The two
+        roundings of ``raised`` itself cost at most ``2u``, and ``(16 (m + 2)
+        - 2) u`` exceeds ``3 gamma_(m+1)`` with room to spare (``m`` far below
+        2**40).  The raised value
+        is what a clean record keeps as its ceiling, so each batch pays for
+        its own rounding and the bound holds across any number of batches.
+        A new record that ranks below the n-th candidate raises the ceiling
+        to its score, unless its shared-token set is the n-th candidate's:
+        then it ties the n-th for good and its id keeps it below, like the
+        lower candidates the scorer leaves out of the ceiling.  Rescoring a
+        record resets its memo.
+
+        Records without a memo entry (a state saved before the memo
+        existed, or a freshly prepared index) fall back to the plain rule:
+        every tokenised record is dirty once.  Token-less records never
+        are, and a batch of token-less records dirties nothing.
         """
         new_tokens = {
             record.record_id: tuple(sorted(self._tokens(record)))
@@ -307,19 +492,160 @@ class TokenOverlapBlocking(Blocking):
         sources = dict(shared.sources)
         for record in new_records:
             sources[record.record_id] = record.source
+        updated = self._assemble(record_tokens, document_frequency, sources)
 
-        if any(new_tokens.values()):
-            dirty = frozenset(
-                record_id
-                for record_id, tokens in shared.record_tokens.items()
-                if tokens
-            )
-        else:
-            dirty = frozenset()
+        if not any(new_tokens.values()):
+            # No weight, frequency or cutoff moves and no record gains a
+            # candidate: nothing is dirty and the memo stays exact.
+            return BlockingDelta(shared=replace(updated, memo=shared.memo))
+        arrays = _ScoringArrays.build(updated)
+        dirty, memo = self._dirty_rows(shared, updated, arrays)
+        result = replace(updated, memo=memo)
+        object.__setattr__(result, "arrays", arrays)
+        old_ids = list(shared.record_tokens)
         return BlockingDelta(
-            shared=self._assemble(record_tokens, document_frequency, sources),
-            dirty_record_ids=dirty,
+            shared=result,
+            dirty_record_ids=frozenset(old_ids[row] for row in np.flatnonzero(dirty)),
         )
+
+    def _dirty_rows(
+        self, old: TokenIndex, new: TokenIndex, arrays: _ScoringArrays
+    ) -> tuple[np.ndarray, TopNMemo]:
+        """Rules (a)-(d) of :meth:`delta_update` over the pre-existing rows.
+
+        Returns the dirty mask of the rows of ``old`` and the memo of those
+        rows under the new weights: clean rows keep their tops and get the
+        raised ceiling, dirty rows get NaN until their rescore.
+        """
+        num_old = len(old.record_tokens)
+        tops, ceilings = _memo_rows(old.memo, num_old, self.top_n)
+
+        # Each pre-existing record's tokens as (row, token number), in its
+        # sorted-token order; -1 marks a token that does not survive now.
+        token_lists = old.record_tokens
+        token_counts = np.fromiter(map(len, token_lists.values()), np.int64, num_old)
+        entry_row = np.repeat(np.arange(num_old), token_counts)
+        entry_token = np.fromiter(
+            map(arrays.token_of.get, chain.from_iterable(token_lists.values()), repeat(-1)),
+            np.int64,
+            len(entry_row),
+        )
+
+        # The old weight of every token surviving now (NaN where it did not
+        # survive before: its records are dirty by rule (a)).
+        old_weights = np.array(
+            [
+                1.0 + math.log(old.num_tokenised / old.document_frequency[token])
+                if token in old.token_index
+                else np.nan
+                for token in arrays.token_of
+            ],
+            dtype=np.float64,
+        )
+        survived = ~np.isnan(old_weights)
+        rise = np.where(survived, np.maximum(arrays.weights - old_weights, 0.0), 0.0)
+
+        # (a) Cutoff crossings: a token cut from now on, or surviving from now on.
+        dirty = np.zeros(num_old, dtype=bool)
+        for token in old.token_index:
+            if token not in new.token_index:
+                dirty[[arrays.row_of[record_id] for record_id in old.token_index[token]]] = True
+        surviving = entry_token >= 0
+        row_of_surviving = entry_row[surviving]
+        token_of_surviving = entry_token[surviving]
+        dirty[row_of_surviving[~survived[token_of_surviving]]] = True
+
+        # Each record's surviving tokens: count m and spread.
+        survivors = np.bincount(row_of_surviving, minlength=num_old)
+        spread = np.bincount(
+            row_of_surviving, weights=rise[token_of_surviving], minlength=num_old
+        )
+
+        # (b) Recompute every stored top candidate's score: the record's
+        # surviving tokens the candidate also carries, in sorted-token order.
+        slot_row, slot_rank = np.nonzero(tops >= 0)
+        slot_candidate = tops[slot_row, slot_rank].astype(np.int64)
+        num_tokens = len(arrays.weights)
+        carried = np.sort(row_of_surviving * num_tokens + token_of_surviving)
+        lengths = survivors[slot_row]
+        starts = _offsets(survivors)[slot_row]
+        slot_of_entry = np.repeat(np.arange(len(slot_row)), lengths)
+        token = token_of_surviving[
+            np.repeat(starts - _offsets(lengths)[:-1], lengths)
+            + np.arange(len(slot_of_entry))
+        ]
+        shared_token = _contains(carried, slot_candidate[slot_of_entry] * num_tokens + token)
+        scores = np.full(tops.shape, np.nan)
+        scores[slot_row, slot_rank] = np.bincount(
+            slot_of_entry[shared_token],
+            weights=arrays.weights[token[shared_token]],
+            minlength=len(slot_row),
+        )
+        ranks = arrays.rank[np.maximum(tops, 0)]
+        upper, lower = scores[:, :-1], scores[:, 1:]
+        in_order = (upper > lower) | ((upper == lower) & (ranks[:, :-1] < ranks[:, 1:]))
+        dirty |= ((tops[:, 1:] >= 0) & ~in_order).any(axis=1)
+
+        # (c) The raised ceiling against the recomputed n-th score.
+        full = tops[:, -1] >= 0
+        nth = scores[:, -1]
+        raised = (ceilings + spread) * (
+            1.0 + CEILING_SLACK_ULPS * (survivors + 2) * _UNIT_ROUNDOFF
+        )
+        dirty |= full & (raised >= nth)
+
+        # (d) Where each new record ranks among a pre-existing record's
+        # candidates.  Below the n-th it raises the ceiling, unless it shares
+        # exactly the n-th candidate's token set: then it ties the n-th for
+        # good and its id keeps it below.
+        nth_candidate = np.maximum(tops[:, -1], 0)
+        best_new = np.full(num_old, -np.inf)
+        new_ids = list(new.record_tokens)[num_old:]
+        for _, _, rows, tokens, tokens_per_query in _query_chunks(arrays, new, new_ids):
+            query, row, score, inverse, pair_token = _pair_scores(
+                arrays, rows, tokens, tokens_per_query, entries=True
+            )
+            existing = row < num_old
+            row = np.where(existing, row, 0)
+            above = (score > nth[row]) | (
+                (score == nth[row])
+                & (arrays.rank[rows[query]] < arrays.rank[nth_candidate[row]])
+            )
+            dirty[row[existing & (above | ~full[row])]] = True
+            below = existing & full[row] & ~above
+            tied = below & (score == nth[row])
+            if tied.any():
+                # Same set: the n-th candidate carries every shared token (a
+                # proper subset would score less, every weight being >= 1).
+                in_tied = tied[inverse]
+                carries = _contains(
+                    carried,
+                    nth_candidate[row[inverse[in_tied]]] * num_tokens + pair_token[in_tied],
+                )
+                missing = np.bincount(inverse[in_tied][~carries], minlength=len(score))
+                below &= ~(tied & (missing == 0))
+            np.maximum.at(best_new, row[below], score[below])
+
+        # Fallback: tokenised records without a memo entry.
+        dirty |= np.isnan(ceilings) & (token_counts > 0)
+        ceilings = np.where(dirty, np.nan, np.maximum(raised, best_new))
+        return dirty, TopNMemo(tops=tops, ceilings=ceilings)
+
+    def note_rescored(
+        self, shared: TokenIndex, notes: Sequence[tuple[np.ndarray, TopNMemo] | None]
+    ) -> TokenIndex:
+        """The index with the memo entries of :meth:`rescore` folded in.
+
+        Rows the notes do not cover keep their entry; rows new to the index
+        and not covered get none (NaN), so they fall back to the plain rule.
+        """
+        tops, ceilings = _memo_rows(shared.memo, len(shared.record_tokens), self.top_n)
+        for note in notes:
+            if note is not None:
+                rows, memo = note
+                tops[rows] = memo.tops
+                ceilings[rows] = memo.ceilings
+        return replace(shared, memo=TopNMemo(tops=tops, ceilings=ceilings))
 
     def candidates_for(
         self, shared: TokenIndex, records: Sequence[Record]
@@ -351,43 +677,46 @@ class TokenOverlapBlocking(Blocking):
         nothing; ties break on the candidate id.  Queries are scored in
         chunks of at most :data:`SCORE_CHUNK_ENTRIES` expanded postings.
         """
-        if not records:
-            return []
-        arrays = _ScoringArrays.build(shared)
-        token_of = arrays.token_of
-        record_ids = [record.record_id for record in records]
-        rows = np.array(
-            [arrays.row_of[record_id] for record_id in record_ids], dtype=np.int64
-        )
-        # Each query's surviving tokens, in its sorted-token order.
-        tokens: list[int] = []
-        tokens_per_query: list[int] = []
-        for record_id in record_ids:
-            before = len(tokens)
-            tokens.extend(
-                token_of[token]
-                for token in shared.record_tokens[record_id]
-                if token in token_of
-            )
-            tokens_per_query.append(len(tokens) - before)
-        token_ids = np.array(tokens, dtype=np.int64)
-        tokens_at = _offsets(tokens_per_query)
-        entries_at = _offsets(np.diff(arrays.offsets)[token_ids])
-        costs = entries_at[tokens_at[1:]] - entries_at[tokens_at[:-1]]
+        return self._score(shared, records, memo=False)[0]
 
+    def rescore(
+        self, shared: TokenIndex, records: Sequence[Record]
+    ) -> tuple[list[tuple[CandidatePair, ...]], tuple[np.ndarray, TopNMemo] | None]:
+        """:meth:`owned_candidates` plus the records' :class:`TopNMemo` rows.
+
+        The same scoring pass: the ceilings come from each record's full
+        score list, which the scorer holds anyway.  Returns the owned tuples
+        and ``(rows, memo)`` for :meth:`note_rescored`.
+        """
+        return self._score(shared, records, memo=True)
+
+    def _score(
+        self, shared: TokenIndex, records: Sequence[Record], memo: bool
+    ) -> tuple[list[tuple[CandidatePair, ...]], tuple[np.ndarray, TopNMemo] | None]:
+        if not records:
+            return [], None
+        arrays = shared.arrays or _ScoringArrays.build(shared)
+        record_ids = [record.record_id for record in records]
         owned: list[tuple[CandidatePair, ...]] = []
-        bounds = _chunk_bounds(costs.tolist())
-        for start, stop in zip(bounds, bounds[1:]):
-            owned.extend(
-                self._score_chunk(
-                    arrays,
-                    record_ids[start:stop],
-                    rows[start:stop],
-                    token_ids[tokens_at[start]:tokens_at[stop]],
-                    tokens_per_query[start:stop],
-                )
+        pieces: list[tuple[np.ndarray, TopNMemo]] = []
+        for start, stop, rows, tokens, tokens_per_query in _query_chunks(
+            arrays, shared, record_ids
+        ):
+            chunk_owned, piece = self._score_chunk(
+                arrays, record_ids[start:stop], rows, tokens, tokens_per_query, memo
             )
-        return owned
+            owned.extend(chunk_owned)
+            if piece is not None:
+                pieces.append((rows, piece))
+        if not memo:
+            return owned, None
+        return owned, (
+            np.concatenate([rows for rows, _ in pieces]),
+            TopNMemo(
+                tops=np.concatenate([piece.tops for _, piece in pieces]),
+                ceilings=np.concatenate([piece.ceilings for _, piece in pieces]),
+            ),
+        )
 
     def _score_chunk(
         self,
@@ -396,29 +725,53 @@ class TokenOverlapBlocking(Blocking):
         rows: np.ndarray,
         tokens: np.ndarray,
         tokens_per_query: list[int],
-    ) -> list[tuple[CandidatePair, ...]]:
-        """Owned candidates of one chunk of queries."""
-        query, candidate, scores = _pair_scores(arrays, rows, tokens, tokens_per_query)
-        order = np.lexsort((arrays.rank[candidate], -scores, query))
-        query, candidate = query[order], candidate[order]
-        top = np.arange(len(query)) - np.searchsorted(query, query) < self.top_n
-        query, candidate = query[top], candidate[top]
+        memo: bool,
+    ) -> tuple[list[tuple[CandidatePair, ...]], TopNMemo | None]:
+        """Owned candidates of one chunk of queries, and their memo rows if
+        ``memo``."""
+        scored = _pair_scores(arrays, rows, tokens, tokens_per_query, entries=memo)
+        order = np.lexsort((arrays.rank[scored[1]], -scored[2], scored[0]))
+        query, candidate, scores = scored[0][order], scored[1][order], scored[2][order]
+        position = np.arange(len(query)) - np.searchsorted(query, query)
+        top = position < self.top_n
+        owner, other = query[top], candidate[top]
 
         # canonical_edge order: the candidate comes first iff its id sorts
         # before the query's.
-        candidate_first = arrays.rank[candidate] < arrays.rank[rows[query]]
+        candidate_first = arrays.rank[other] < arrays.rank[rows[owner]]
         ids = arrays.ids
         name = self.name
         pairs = [
-            CandidatePair(ids[other], record_ids[owner], name)
+            CandidatePair(ids[other_row], record_ids[owner_row], name)
             if first
-            else CandidatePair(record_ids[owner], ids[other], name)
-            for owner, other, first in zip(
-                query.tolist(), candidate.tolist(), candidate_first.tolist()
+            else CandidatePair(record_ids[owner_row], ids[other_row], name)
+            for owner_row, other_row, first in zip(
+                owner.tolist(), other.tolist(), candidate_first.tolist()
             )
         ]
-        ends = _offsets(np.bincount(query, minlength=len(rows))).tolist()
-        return [tuple(pairs[begin:end]) for begin, end in zip(ends, ends[1:])]
+        ends = _offsets(np.bincount(owner, minlength=len(rows))).tolist()
+        owned = [tuple(pairs[begin:end]) for begin, end in zip(ends, ends[1:])]
+        if not memo:
+            return owned, None
+
+        tops = np.full((len(rows), self.top_n), -1, dtype=np.int32)
+        tops[owner, position[top]] = other
+        nth = np.full(len(rows), np.nan)
+        at_nth = np.flatnonzero(position == self.top_n - 1)
+        nth[query[at_nth]] = scores[at_nth]
+        below = np.flatnonzero(~top)
+        differs = scores[below] != nth[query[below]]
+        if not differs.all():
+            # Lower candidates tied with the n-th: compare shared-token sets.
+            inverse, entry_token = scored[3], scored[4]
+            tied = order[below[~differs]]
+            differs[~differs] = _sets_differ(
+                scored[0], inverse, entry_token, order[at_nth], tied, len(arrays.weights)
+            )
+        ceilings = np.full(len(rows), -np.inf)
+        kept = below[differs]
+        np.maximum.at(ceilings, query[kept], scores[kept])
+        return owned, TopNMemo(tops=tops, ceilings=ceilings)
 
     def _tokens(self, record: Record) -> set[str]:
         tokens: set[str] = set()

@@ -13,11 +13,14 @@ the exact inputs of a deterministic function:
   have changed; only those and the new records are rescored, and the full
   candidate stream is re-assembled from per-record owned lists in exactly
   the batch engine's parts-major / record-order / global-dedupe order.
-  (The token-overlap blocking's global IDF honestly dirties every
-  tokenised record — candidate *generation* is corpus-proportional for it,
-  but it is the cheap index-based stage; identifier- and issuer-based
-  parts dirty only true neighbours, and a part without its own
-  ``delta_update`` rebuilds and dirties every record.)
+  Each rescoring returns the part's notes with the owned lists, and
+  ``note_rescored`` folds them into the part state for the next delta.
+  (Token overlap's global IDF moves every weight whenever a tokenised
+  record arrives, so its notes are a top-n memo: each record's top
+  candidates and a ceiling on the rest.  It dirties only the records whose
+  top n can change, and every tokenised record when the memo is missing.
+  Identifier- and issuer-based parts dirty only true neighbours, and a part
+  without its own ``delta_update`` rebuilds and dirties every record.)
 * **matching** — decisions are pair-local, so the decision cache is reused
   for every pair already scored; only pairs new to the candidate set go
   through the engine's (profiled, batched, pooled) inference path.
@@ -385,15 +388,15 @@ class IncrementalMatcher:
                 shared = delta.shared
                 rescore_ids = set(delta.dirty_record_ids)
                 rescore_ids.update(new_ids)
-            state.part_states[index] = shared
             rescore_records = [
                 record
                 for record in state.records
                 if record.record_id in rescore_ids
             ]
-            owned_lists = self.runtime.run_blocking_delta(
+            owned_lists, notes = self.runtime.run_blocking_delta(
                 part, shared, rescore_records, recorder
             )
+            state.part_states[index] = part.note_rescored(shared, notes)
             owned = state.owned_pairs[index]
             for record, pairs in zip(rescore_records, owned_lists):
                 owned[record.record_id] = pairs

@@ -324,6 +324,17 @@ class MatchState:
                 f"{manifest.get('num_records')} records, payload holds "
                 f"{len(state.records)}"
             )
+        parts = state.parts()
+        if (state.part_states or state.owned_pairs) and not (
+            len(state.part_states) == len(state.owned_pairs) == len(parts)
+        ):
+            raise MatchStateError(
+                f"match state at {state_dir} is inconsistent: {_BLOCKING_FILE} "
+                f"holds {len(state.part_states)} part states and "
+                f"{len(state.owned_pairs)} owned-pair maps, but the blocking "
+                f"partitions into {len(parts)} parts "
+                f"{[part.name for part in parts]}"
+            )
         return state
 
 

@@ -133,23 +133,25 @@ class _DeltaBlockingPlan:
 
 def _delta_blocking_task(
     plan: _DeltaBlockingPlan, span: tuple[int, int]
-) -> list[tuple[CandidatePair, ...]]:
-    """Worker task: per-record owned candidate lists for one record span.
+) -> tuple[list[tuple[CandidatePair, ...]], Any]:
+    """Worker task: per-record owned candidate lists for one record span,
+    with the blocking's notes on them.
 
-    One :meth:`~repro.blocking.base.Blocking.owned_candidates` call per
-    span: each entry is exactly that record's slice of the serial emission
+    One :meth:`~repro.blocking.base.Blocking.rescore` call per span: each
+    owned entry is exactly that record's slice of the serial emission
     stream — which is what lets the incremental matcher splice rescored
     records into a stored per-record candidate map — and a blocking that
     scores set-at-a-time (token overlap) pays its per-call set-up once per
-    span rather than once per record.
+    span rather than once per record.  The notes come out of the same
+    scoring pass.
     """
     start, stop = span
-    return plan.part.owned_candidates(plan.state, plan.records[start:stop])
+    return plan.part.rescore(plan.state, plan.records[start:stop])
 
 
-def _owned_candidate_count(owned: list[tuple[CandidatePair, ...]]) -> int:
+def _owned_candidate_count(result: tuple[list[tuple[CandidatePair, ...]], Any]) -> int:
     """Candidates across one delta-blocking span's per-record owned lists."""
-    return sum(len(pairs) for pairs in owned)
+    return sum(len(pairs) for pairs in result[0])
 
 
 class PipelineRuntime:
@@ -262,21 +264,23 @@ class PipelineRuntime:
         shared: Any,
         records: Sequence[Record],
         recorder: Any = NULL_RECORDER,
-    ) -> list[tuple[CandidatePair, ...]]:
+    ) -> tuple[list[tuple[CandidatePair, ...]], list[Any]]:
         """Rescore individual records against a prepared shared index.
 
         The incremental-ingestion counterpart of :meth:`run_blocking`: given
         one part and its up-to-date shared state, return each record's owned
-        candidate pairs — one tuple per record, aligned with ``records``.
+        candidate pairs — one tuple per record, aligned with ``records`` —
+        and the part's notes, one per span, for
+        :meth:`~repro.blocking.base.Blocking.note_rescored`.
         The records split into ``workers`` spans that fan out over the pool
         exactly like candidate generation (shared state shipped out of
         band); each task makes one
-        :meth:`~repro.blocking.base.Blocking.owned_candidates` call, so
+        :meth:`~repro.blocking.base.Blocking.rescore` call, so
         per-record outputs come back already split and the parent can
         splice them into a persistent record → candidates map.
         """
         if not records:
-            return []
+            return [], []
         plan = _DeltaBlockingPlan(
             part=part, state=shared, records=tuple(records)
         )
@@ -290,9 +294,11 @@ class PipelineRuntime:
             items=_owned_candidate_count,
         )
         merged: list[tuple[CandidatePair, ...]] = []
-        for owned in per_span:
+        notes: list[Any] = []
+        for owned, note in per_span:
             merged.extend(owned)
-        return merged
+            notes.append(note)
+        return merged, notes
 
     # -- pairwise inference -------------------------------------------------
 

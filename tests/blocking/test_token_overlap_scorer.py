@@ -336,3 +336,31 @@ class TestParameterValidation:
         })
         with pytest.raises(ValueError, match="top_n"):
             spec.build_blocking()
+
+    @pytest.mark.parametrize(
+        "max_token_frequency", [True, False, "0.3", None, [0.3], complex(0.3)]
+    )
+    def test_non_real_max_token_frequency_rejected(self, max_token_frequency):
+        with pytest.raises(ValueError, match="max_token_frequency must be a real number"):
+            TokenOverlapBlocking(max_token_frequency=max_token_frequency)
+
+    @pytest.mark.parametrize("max_token_frequency", [0, 0.0, -0.5, 1.5, float("nan")])
+    def test_out_of_range_max_token_frequency_rejected(self, max_token_frequency):
+        with pytest.raises(ValueError, match=r"max_token_frequency must be in \(0, 1\]"):
+            TokenOverlapBlocking(max_token_frequency=max_token_frequency)
+
+    @pytest.mark.parametrize("max_token_frequency", [1, 0.25, np.float64(0.5)])
+    def test_real_max_token_frequency_accepted(self, max_token_frequency):
+        blocking = TokenOverlapBlocking(max_token_frequency=max_token_frequency)
+        assert blocking.max_token_frequency == max_token_frequency
+
+    @pytest.mark.parametrize("max_token_frequency", [True, "0.3"])
+    def test_non_real_max_token_frequency_rejected_from_a_spec(self, max_token_frequency):
+        spec = PipelineSpec.from_dict({
+            "blocking": [{
+                "name": "token_overlap",
+                "params": {"max_token_frequency": max_token_frequency},
+            }],
+        })
+        with pytest.raises(ValueError, match="max_token_frequency"):
+            spec.build_blocking()

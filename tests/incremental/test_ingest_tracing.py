@@ -112,7 +112,10 @@ class TestIngestMetrics:
 
         Batch 1 scores every candidate cold (135 misses, 0 hits); batch 2
         reuses 122 cached pair decisions and re-scores 150, and the cleanup
-        memo skips 22 of 45 components.
+        memo skips 22 of 45 components.  Blocking rescores both parts' 86
+        records in batch 1 and 86 new records per part in batch 2, plus the
+        dirty ones: 2 for identifier overlap and 18 of 86 for token overlap,
+        whose top-n memo rules out the rest.
         """
         recorder, _ = traced_two_batch_ingest
         counters = recorder.metrics.counters()
@@ -121,7 +124,7 @@ class TestIngestMetrics:
         assert counters["cleanup_memo.hits"] == 22
         assert counters["cleanup_memo.misses"] == 23 + 23
         assert counters["ingest.new_records"] == 172
-        assert counters["ingest.records_rescored"] == 432
+        assert counters["ingest.records_rescored"] == 364
 
     def test_gauges_hold_the_final_corpus_shape(self, traced_two_batch_ingest):
         recorder, reports = traced_two_batch_ingest

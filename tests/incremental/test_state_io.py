@@ -302,6 +302,56 @@ class TestFormatMigration:
         reloaded.ingest(companies.records[90:])
         assert_equals_batch(reloaded, batch_result)
 
+    @pytest.mark.parametrize(
+        "keep_states, keep_owned", [(1, 1), (1, 2), (2, 1), (3, 3)]
+    )
+    def test_wrong_part_count_is_a_named_error(
+        self, saved_state, keep_states, keep_owned
+    ):
+        # The golden blocking partitions into two parts; a blocking payload
+        # holding any other count would fail mid-ingest, so loading refuses it.
+        _, state_dir = saved_state
+        path = state_dir / read_manifest(state_dir)["payload_dir"] / "blocking_state.pkl"
+        payload = pickle.loads(path.read_bytes())
+        payload["part_states"] = (payload["part_states"] * 2)[:keep_states]
+        payload["owned_pairs"] = (payload["owned_pairs"] * 2)[:keep_owned]
+        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        expected = (
+            f"holds {keep_states} part states and {keep_owned} owned-pair maps, "
+            "but the blocking partitions into 2 parts ['id_overlap', 'token_overlap']"
+        )
+        with pytest.raises(MatchStateError, match=re.escape(expected)):
+            IncrementalMatcher.load(state_dir)
+
+    def test_a_state_saved_without_the_top_n_memo_ingests_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # Builds before the token-overlap memo pickled a TokenIndex without
+        # it.  The first ingest after loading rescores every tokenised
+        # record; the ingests after it are narrowed again.
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        records = companies.records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(records[:90])
+        state_dir = matcher.save(tmp_path / "state")
+        path = state_dir / read_manifest(state_dir)["payload_dir"] / "blocking_state.pkl"
+        payload = pickle.loads(path.read_bytes())
+        token_index = payload["part_states"][1]
+        del token_index.__dict__["memo"]
+        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.part_states[1].memo is None
+        tokenised = sum(1 for tokens in token_index.record_tokens.values() if tokens)
+        first = reloaded.ingest(records[90:95])
+        assert first.records_rescored >= tokenised + 5
+        second = reloaded.ingest(records[95:100])
+        assert second.records_rescored < tokenised
+        reloaded.ingest(records[100:])
+        assert_equals_batch(reloaded, batch_result)
+
     def test_cache_pickle_round_trip_rebuilds_the_index(self, saved_state):
         matcher, _ = saved_state
         cache = matcher.state.decisions
