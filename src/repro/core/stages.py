@@ -140,9 +140,12 @@ def apply_pre_cleanup(
     """Positive edges, blocking tags, and the pre-cleanup rule — one place.
 
     Returns ``(positive_edges, edge_blockings, kept_edges, removed)``.
-    Shared by :class:`PreCleanupStage` and the incremental matcher so the
-    two execution modes cannot drift — byte-identical ingestion depends on
-    both running exactly this computation.
+    :class:`PreCleanupStage` runs it over the whole graph.  The incremental
+    matcher applies the same rule per recomputed component
+    (:class:`~repro.incremental.graph.PositiveGraph`) and calls this only
+    for a clean-up strategy without ``component_local``; the oracle tests
+    in ``tests/incremental/`` recompute with it after every ingested batch,
+    which is what keeps the two execution modes from drifting.
 
     A columnar :class:`~repro.matching.decisions.DecisionVector` yields its
     positive edges straight off the kept-edge mask — the same
@@ -169,9 +172,10 @@ def groups_from_components(
     """Final + pre-cleanup groups from cleaned components — one place.
 
     Cleaned components first (in their given order), then singletons for
-    uncovered records in dataset order.  Shared by :class:`GroupingStage`
-    and the incremental matcher (same drift argument as
-    :func:`apply_pre_cleanup`).
+    uncovered records in dataset order.  :class:`GroupingStage` calls it;
+    the incremental matcher splices components into sorted lists instead
+    and calls it only for a strategy without ``component_local`` (same
+    drift argument as :func:`apply_pre_cleanup`).
     """
     covered = {
         record_id for component in components for record_id in component

@@ -10,9 +10,12 @@ the exact inputs of a deterministic function:
 * **blocking** — each part folds the new records into its shared index
   (contract: the result equals ``prepare(full)``) and names the
   pre-existing *dirty* records whose per-record candidate emission may
-  have changed; only those and the new records are rescored, and the full
-  candidate stream is re-assembled from per-record owned lists in exactly
-  the batch engine's parts-major / record-order / global-dedupe order.
+  have changed; only those and the new records are rescored.  Each part
+  counts how many stored owned lists emit each canonical key, so swapping
+  a rescored record's old list for its new one yields exactly the keys
+  that joined, left or changed tag.  A key's tag is that of the first part
+  in ``partition()`` order that emits it — the batch engine's first-wins
+  dedupe.
   Each rescoring returns the part's notes with the owned lists, and
   ``note_rescored`` folds them into the part state for the next delta.
   (Token overlap's global IDF moves every weight whenever a tokenised
@@ -22,15 +25,22 @@ the exact inputs of a deterministic function:
   Identifier- and issuer-based parts dirty only true neighbours, and a part
   without its own ``delta_update`` rebuilds and dirties every record.)
 * **matching** — decisions are pair-local, so the decision cache is reused
-  for every pair already scored; only pairs new to the candidate set go
-  through the engine's (profiled, batched, pooled) inference path.
-* **graphs** — pre-cleanup and component detection re-run in full (linear,
-  cheap), then each connected component's clean-up is memoised by its
-  frozen edge set: untouched components splice through without a single
-  graph-algorithm call, and only *dirty* components (any edge added,
-  vanished, or re-tagged) are re-cleaned.  Component locality of the
-  clean-up strategies makes this exactly equal to a global clean-up (see
-  ``component_local`` in :mod:`repro.core.cleanup`).
+  for every pair already scored; only keys new to the candidate set go
+  through the engine's (profiled, batched, pooled) inference path, in the
+  order the batch run's candidate stream first emits them.
+* **graphs** — a :class:`~repro.incremental.graph.PositiveGraph` keeps the
+  positive keys, their components and, per component, the pre-cleanup
+  removals and the memoised clean-up of each kept component.  Only the
+  components holding an endpoint of a positive key that joined, left or
+  changed tag are recomputed; the rest splice through without a
+  graph-algorithm call.  Component locality of the clean-up strategies
+  makes this exactly equal to a global clean-up (see ``component_local``
+  in :mod:`repro.core.cleanup`); a strategy without the marker re-runs the
+  whole-graph stages every ingest over the assembled candidate stream.
+
+The counts and the graph are derived, so a saved state does not hold
+them: the first ingest of an opened matcher builds them by feeding every
+stored owned list through the same update a batch uses.
 
 One caveat is inherited from the engine's determinism notes: incremental
 ingestion scores a pair in a different numeric batch shape than the batch
@@ -44,18 +54,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
-from typing import Any
 
 from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
-from repro.core.cleanup import CleanupConfig, CleanupReport, merge_component_cleanups
+from repro.core.cleanup import CleanupConfig, CleanupReport
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import apply_pre_cleanup, groups_from_components
 from repro.datagen.records import Dataset, Record
-from repro.graphs.graph import Edge, sorted_edges
-from repro.graphs.union_find import DisjointSet
-from repro.incremental.state import ComponentCleanup, MatchState
-from repro.matching.base import PairwiseMatcher
+from repro.graphs.graph import Edge, canonical_edge
+from repro.graphs.union_find import union_find_components
+from repro.incremental.graph import PositiveGraph
+from repro.incremental.state import MatchState, OwnedPair
+from repro.matching.base import IdPair, PairwiseMatcher
 from repro.obs import TraceRecorder, stage_timings
 from repro.registry import CLEANUPS
 from repro.runtime import PipelineRuntime, RuntimeConfig
@@ -78,13 +88,11 @@ class IngestReport:
     #: Positive edges after matching / kept after pre-cleanup.
     num_positive: int = 0
     num_kept: int = 0
-    #: Connected components of the kept graph, and how their clean-up ran.
+    #: Connected components of the kept graph, and how many were cleaned
+    #: this ingest (memo misses) or served from the memo.
     components_total: int = 0
     components_recleaned: int = 0
     components_reused: int = 0
-    #: Whether the kept-edge union-find had to be rebuilt (an edge vanished)
-    #: instead of being extended in place.
-    dsu_rebuilt: bool = False
     #: Per-stage and per-chunk seconds, read off the ingest's run span.
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -98,6 +106,74 @@ def _component_cleanup(
     clean-up invocations and prove that untouched components are skipped.
     """
     return cleanup_fn(edges, config)
+
+
+class CandidateCounts:
+    """How often each part's stored owned lists emit each canonical key, and
+    the candidate set they add up to, with each key's tag.
+
+    A key is a candidate while any part emits it, tagged by the first part
+    in ``partition()`` order that does: the batch engine's first-wins
+    dedupe over its parts-major stream.
+    """
+
+    def __init__(self, num_parts: int) -> None:
+        #: Per part: key -> (its emissions in the part's stored lists, their tag).
+        self.emitted: list[dict[Edge, tuple[int, str]]] = [
+            {} for _ in range(num_parts)
+        ]
+        #: Current candidate key -> its tag.
+        self.tags: dict[Edge, str] = {}
+
+    def replace(
+        self,
+        part: int,
+        old: Sequence[OwnedPair],
+        new: Sequence[OwnedPair],
+        touched: dict[Edge, None],
+        first: dict[Edge, OwnedPair],
+    ) -> None:
+        """Swap one record's owned list in ``part`` from ``old`` to ``new``.
+
+        Every key either list holds is added to ``touched``; ``first``
+        keeps each key's first emission among the new lists fed so far.
+        """
+        emitted = self.emitted[part]
+        for left, right, _ in old:
+            key = canonical_edge(left, right)
+            count, tag = emitted[key]
+            if count == 1:
+                del emitted[key]
+            else:
+                emitted[key] = (count - 1, tag)
+            touched[key] = None
+        for entry in new:
+            key = canonical_edge(entry[0], entry[1])
+            held = emitted.get(key)
+            emitted[key] = (1, entry[2]) if held is None else (held[0] + 1, held[1])
+            touched[key] = None
+            first.setdefault(key, entry)
+
+    def settle(self, touched: Iterable[Edge]) -> list[tuple[Edge, str | None]]:
+        """Bring the tags of ``touched`` keys up to date; return each key
+        that joined or changed tag with its tag, and each that left with
+        ``None``."""
+        changes: list[tuple[Edge, str | None]] = []
+        tags = self.tags
+        for key in touched:
+            tag = None
+            for emitted in self.emitted:
+                held = emitted.get(key)
+                if held is not None:
+                    tag = held[1]
+                    break
+            if tag != tags.get(key):
+                if tag is None:
+                    del tags[key]
+                else:
+                    tags[key] = tag
+                changes.append((key, tag))
+        return changes
 
 
 class IncrementalMatcher:
@@ -126,6 +202,11 @@ class IncrementalMatcher:
             state.owned_pairs = [{} for _ in self._parts]
         self._dataset = state.dataset()
         self.last_report: IngestReport | None = None
+        # Derived from the stored owned lists by the first ingest (see the
+        # module docstring); never saved.
+        self._position: dict[str, int] | None = None
+        self._counts: CandidateCounts | None = None
+        self._graph: PositiveGraph | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -234,7 +315,8 @@ class IncrementalMatcher:
         return self._dataset
 
     def candidates(self) -> list[CandidatePair]:
-        """The current candidate set, in exact batch-engine order."""
+        """The current candidate set, in exact batch-engine order, assembled
+        from the stored owned lists on each call."""
         return self._assemble_candidates()
 
     def decisions(self):
@@ -293,39 +375,30 @@ class IncrementalMatcher:
         self, batch: list[Record], recorder: TraceRecorder, report: IngestReport
     ) -> None:
         state = self.state
+        if self._position is None:
+            self._position = {
+                record.record_id: index for index, record in enumerate(state.records)
+            }
         for record in batch:
             self._dataset.add_record(record)
-        state.records.extend(batch)
+            self._position[record.record_id] = len(state.records)
+            state.records.append(record)
         report.num_new_records = len(batch)
         report.num_records = len(state.records)
 
         with recorder.span("blocking", kind="stage"):
-            candidates = self._update_candidates(batch, recorder, report)
-        state.num_candidates = len(candidates)
-        report.num_candidates = len(candidates)
+            changes, fresh = self._update_candidates(batch, recorder, report)
+        state.num_candidates = len(self._counts.tags)
+        report.num_candidates = state.num_candidates
 
         with recorder.span("pairwise_matching", kind="stage"):
-            decisions = self._update_decisions(candidates, recorder, report)
+            self._score(fresh, recorder, report)
 
-        with recorder.span("pre_cleanup", kind="stage"):
-            # The exact batch-stage computation, shared with
-            # PreCleanupStage so the two execution modes cannot drift.
-            positive_edges, _, kept, removed = apply_pre_cleanup(
-                decisions, candidates, state.pre_cleanup_config
-            )
-            state.pre_cleanup_removed = removed
-        report.num_positive = len(positive_edges)
-        report.num_kept = len(kept)
-
-        with recorder.span("graph_cleanup", kind="stage"):
-            final_components, cleanup_report = self._cleanup(kept, report)
-            state.cleanup_report = cleanup_report
-
-        with recorder.span("grouping", kind="stage"):
-            all_record_ids = [record.record_id for record in state.records]
-            state.groups, state.pre_cleanup_groups = groups_from_components(
-                final_components, all_record_ids, positive_edges
-            )
+        cleanup_fn = CLEANUPS.get(state.cleanup_strategy)
+        if getattr(cleanup_fn, "component_local", False):
+            self._update_graph(changes, cleanup_fn, recorder, report)
+        else:
+            self._recompute_graph(cleanup_fn, recorder, report)
 
         state.num_ingests += 1
         # The ingest deltas, as whole-run counters: what this batch added,
@@ -369,39 +442,68 @@ class IncrementalMatcher:
         batch: Sequence[Record],
         recorder: TraceRecorder,
         report: IngestReport,
-    ) -> list[CandidatePair]:
+    ) -> tuple[list[tuple[Edge, str | None]], list[OwnedPair]]:
         """Delta-update every part's index, rescore dirty + new records, and
-        re-assemble the candidate stream in batch order."""
+        swap their owned lists into the candidate counts.
+
+        Returns the candidate keys that joined, left or changed tag, and
+        the first emission of each key without a cached decision, in the
+        batch engine's stream order (parts-major, then dataset order).  A
+        key without a decision joined this batch, so only rescored records
+        emit it, and their first emission is the stream's.  The first ingest
+        of this matcher feeds every record's list into empty counts.
+        """
         state = self.state
         dataset = self._dataset
+        building = self._counts is None
+        if building:
+            self._counts = CandidateCounts(len(self._parts))
+        counts = self._counts
+        position = self._position
         new_ids = [record.record_id for record in batch]
+        touched: dict[Edge, None] = {}
+        first: dict[Edge, OwnedPair] = {}
         for index, part in enumerate(self._parts):
             shared = state.part_states[index]
-            if shared is None:
-                # First ingest: prepare globally and rescore everything.
-                shared = part.prepare(dataset)
-                rescore_ids = {record.record_id for record in dataset}
-            elif not batch:
-                continue  # empty delta: this part's state cannot change
-            else:
-                delta = part.delta_update(shared, dataset, batch)
-                shared = delta.shared
-                rescore_ids = set(delta.dirty_record_ids)
-                rescore_ids.update(new_ids)
-            rescore_records = [
-                record
-                for record in state.records
-                if record.record_id in rescore_ids
-            ]
-            owned_lists, notes = self.runtime.run_blocking_delta(
-                part, shared, rescore_records, recorder
-            )
-            state.part_states[index] = part.note_rescored(shared, notes)
             owned = state.owned_pairs[index]
-            for record, pairs in zip(rescore_records, owned_lists):
-                owned[record.record_id] = pairs
-            report.records_rescored += len(rescore_records)
-        return self._assemble_candidates()
+            rescore_records: list[Record] = []
+            previous: dict[str, tuple[OwnedPair, ...]] = {}
+            if shared is None or batch:
+                if shared is None:
+                    # First ingest: prepare globally and rescore everything.
+                    shared = part.prepare(dataset)
+                    rescore_records = list(state.records)
+                else:
+                    delta = part.delta_update(shared, dataset, batch)
+                    shared = delta.shared
+                    rescore_ids = set(delta.dirty_record_ids)
+                    rescore_ids.update(new_ids)
+                    rescore_records = [
+                        state.records[at]
+                        for at in sorted(position[record_id] for record_id in rescore_ids)
+                    ]
+                owned_lists, notes = self.runtime.run_blocking_delta(
+                    part, shared, rescore_records, recorder
+                )
+                state.part_states[index] = part.note_rescored(shared, notes)
+                for record, pairs in zip(rescore_records, owned_lists):
+                    record_id = record.record_id
+                    previous[record_id] = owned.get(record_id, ())
+                    owned[record_id] = tuple(
+                        (pair.left_id, pair.right_id, pair.blocking) for pair in pairs
+                    )
+                report.records_rescored += len(rescore_records)
+            for record in state.records if building else rescore_records:
+                record_id = record.record_id
+                counts.replace(
+                    index,
+                    () if building else previous[record_id],
+                    owned.get(record_id, ()),
+                    touched,
+                    first,
+                )
+        cache = state.decisions
+        return counts.settle(touched), [first[key] for key in first if key not in cache]
 
     def _assemble_candidates(self) -> list[CandidatePair]:
         """Concatenate the stored per-record owned lists into the candidate
@@ -411,51 +513,39 @@ class IncrementalMatcher:
         merged: list[CandidatePair] = []
         for owned in state.owned_pairs:
             for record in state.records:
-                merged.extend(owned.get(record.record_id, ()))
+                merged.extend(
+                    CandidatePair(*entry) for entry in owned.get(record.record_id, ())
+                )
         return dedupe_pairs(merged)
 
-    def _update_decisions(
+    def _score(
         self,
-        candidates: Sequence[CandidatePair],
+        fresh: Sequence[OwnedPair],
         recorder: TraceRecorder,
         report: IngestReport,
-    ):
-        """Score only candidates without a cached decision; return the full
-        decisions in candidate order (a gathered
-        :class:`~repro.matching.decisions.DecisionVector`)."""
+    ) -> None:
+        """Score the candidates without a cached decision into the cache."""
         state = self.state
-        cache = state.decisions
-        keys = [candidate.key for candidate in candidates]
-        new_keys: list[tuple[str, str]] = []
-        new_pairs: list[CandidatePair] = []
-        for candidate, key in zip(candidates, keys):
-            if key not in cache:
-                new_keys.append(key)
-                new_pairs.append(candidate)
-        report.pairs_scored = len(new_pairs)
-        report.pairs_reused = len(candidates) - len(new_pairs)
-        if new_pairs:
-            profiles = self._extend_profiles(new_pairs)
-            scored = self.runtime.run_matching(
-                state.matcher,
-                self._dataset,
-                new_pairs,
-                recorder,
-                profiles=profiles,
-                # The engine's id-pair payloads are exactly the candidates'
-                # (left, right) ids — hand them over so it skips rebuilding
-                # them from the CandidatePair objects.
-                id_pairs=[
-                    (candidate.left_id, candidate.right_id)
-                    for candidate in new_pairs
-                ],
-            )
-            # The scored DecisionVector's arrays are adopted directly — no
-            # decision objects are built on either side.
-            cache.extend(new_keys, scored)
-        return cache.vector(keys)
+        report.pairs_scored = len(fresh)
+        report.pairs_reused = state.num_candidates - len(fresh)
+        if not fresh:
+            return
+        id_pairs = [(left, right) for left, right, _ in fresh]
+        scored = self.runtime.run_matching(
+            state.matcher,
+            self._dataset,
+            [CandidatePair(*entry) for entry in fresh],
+            recorder,
+            profiles=self._extend_profiles(id_pairs),
+            id_pairs=id_pairs,
+        )
+        # The scored DecisionVector's arrays are adopted directly — no
+        # decision objects are built on either side.
+        state.decisions.extend(
+            [canonical_edge(left, right) for left, right in id_pairs], scored
+        )
 
-    def _extend_profiles(self, new_pairs: Sequence[CandidatePair]):
+    def _extend_profiles(self, id_pairs: Sequence[IdPair]):
         """Grow the persistent profile store to cover the pairs to score.
 
         Returns the profiles to pass to the engine.  Profiles that cannot
@@ -465,9 +555,9 @@ class IncrementalMatcher:
         """
         state = self.state
         referenced: dict[str, None] = {}
-        for candidate in new_pairs:
-            referenced.setdefault(candidate.left_id)
-            referenced.setdefault(candidate.right_id)
+        for left_id, right_id in id_pairs:
+            referenced.setdefault(left_id)
+            referenced.setdefault(right_id)
         needed = [self._dataset.record(record_id) for record_id in referenced]
         if state.profiles is None:
             prepared = state.matcher.prepare_profiles(needed)
@@ -477,98 +567,72 @@ class IncrementalMatcher:
         state.profiles.add_records(needed)
         return state.profiles
 
-    def _kept_components(
-        self, kept: Sequence[Edge], report: IngestReport
-    ) -> tuple[DisjointSet, list[set[str]]]:
-        """Connected components of the kept graph, via the growable DSU.
-
-        Fast path: when this ingest only *added* kept edges (the common
-        case), the persistent union-find is extended in place —
-        O(delta α).  When any previously kept edge vanished (a candidate
-        fell out of top-n, a decision left the kept set through the
-        pre-cleanup size rule), components may split, which union-find
-        cannot express — rebuild from scratch.  Either way the memoised
-        per-component clean-up keys keep the result exact.
-        """
+    def _update_graph(
+        self,
+        changes: Sequence[tuple[Edge, str | None]],
+        cleanup_fn,
+        recorder: TraceRecorder,
+        report: IngestReport,
+    ) -> None:
+        """Recompute only the components a positive key change touches."""
         state = self.state
-        new_kept = set(kept)
-        vanished = state.kept_edges - new_kept
-        if state.kept_dsu is None or vanished:
-            dsu = DisjointSet()
-            for u, v in kept:
-                dsu.union(u, v)
-            report.dsu_rebuilt = state.kept_dsu is not None
-        else:
-            dsu = state.kept_dsu
-            for u, v in kept:
-                if (u, v) not in state.kept_edges:
-                    dsu.union(u, v)
-        state.kept_dsu = dsu
-        state.kept_edges = new_kept
-        return dsu, dsu.components()
+        cache = state.decisions
+        with recorder.span("pre_cleanup", kind="stage"):
+            # A key's verdict never changes, so a positive key changes
+            # exactly when a candidate with a positive verdict does; the
+            # pre-cleanup rule runs per recomputed component below.
+            positive = [(key, tag) for key, tag in changes if cache.is_match(key)]
+        graph = self._graph
+        if graph is None:
+            config = state.cleanup_config
+            graph = self._graph = PositiveGraph(
+                state.pre_cleanup_config,
+                lambda edges: _component_cleanup(cleanup_fn, edges, config),
+                inherited_memo=state.cleanup_memo,
+            )
+        with recorder.span("graph_cleanup", kind="stage"):
+            report.components_recleaned = graph.update(positive)
+            state.cleanup_memo = graph.memo
+            state.cleanup_report = graph.cleanup_report()
+            state.pre_cleanup_removed = set(graph.pre_cleanup_removed)
+        report.num_positive = len(graph.tags)
+        report.num_kept = report.num_positive - len(graph.pre_cleanup_removed)
+        report.components_total = graph.num_kept_components
+        report.components_reused = report.components_total - report.components_recleaned
 
-    def _cleanup(
-        self, kept: Sequence[Edge], report: IngestReport
-    ) -> tuple[list[set[str]], CleanupReport]:
-        """Clean the kept graph, re-running only dirty components.
+        with recorder.span("grouping", kind="stage"):
+            state.groups, state.pre_cleanup_groups = graph.groups(
+                [record.record_id for record in state.records]
+            )
 
-        Returns the final components in exactly the order a global
-        clean-up + ``connected_components`` pass produces (decreasing size,
-        then smallest member repr) so grouping is byte-identical.
-        """
+    def _recompute_graph(
+        self, cleanup_fn, recorder: TraceRecorder, report: IngestReport
+    ) -> None:
+        """The whole-graph stages over the assembled candidate stream, for a
+        strategy without the ``component_local`` marker (no memo)."""
         state = self.state
-        cleanup_fn = CLEANUPS.get(state.cleanup_strategy)
-        if not kept:
+        with recorder.span("pre_cleanup", kind="stage"):
+            candidates = self._assemble_candidates()
+            decisions = state.decisions.vector([candidate.key for candidate in candidates])
+            positive_edges, _, kept, removed = apply_pre_cleanup(
+                decisions, candidates, state.pre_cleanup_config
+            )
+            state.pre_cleanup_removed = removed
+        report.num_positive = len(positive_edges)
+        report.num_kept = len(kept)
+
+        with recorder.span("graph_cleanup", kind="stage"):
             state.cleanup_memo = {}
-            state.kept_edges = set()
-            state.kept_dsu = DisjointSet()
-            return [], CleanupReport()
-
-        dsu, components = self._kept_components(kept, report)
-        report.components_total = len(components)
-
-        if not getattr(cleanup_fn, "component_local", False):
-            # Unknown strategy: no locality guarantee, no memo — re-clean
-            # the whole graph (correct, just not delta-proportional).
-            state.cleanup_memo = {}
-            report.components_recleaned = len(components)
-            return cleanup_fn(list(kept), state.cleanup_config)
-
-        edges_by_root: dict[Any, list[Edge]] = {}
-        for edge in kept:
-            edges_by_root.setdefault(dsu.find(edge[0]), []).append(edge)
-
-        memo = state.cleanup_memo
-        next_memo: dict[frozenset, ComponentCleanup] = {}
-        cleaned: list[ComponentCleanup] = []
-        for component in components:
-            root = dsu.find(next(iter(component)))
-            component_edges = edges_by_root.get(root, [])
-            key = frozenset(component_edges)
-            cached = memo.get(key)
-            if cached is None:
-                subcomponents, sub_report = _component_cleanup(
-                    cleanup_fn, sorted_edges(component_edges), state.cleanup_config
+            if kept:
+                components, state.cleanup_report = cleanup_fn(
+                    list(kept), state.cleanup_config
                 )
-                cached = ComponentCleanup(
-                    subcomponents=tuple(
-                        frozenset(sub) for sub in subcomponents
-                    ),
-                    removed_edges=frozenset(sub_report.removed_edges),
-                    mincut_removals=sub_report.mincut_removals,
-                    betweenness_removals=sub_report.betweenness_removals,
-                )
-                report.components_recleaned += 1
+                report.components_total = len(union_find_components(kept))
             else:
-                report.components_reused += 1
-            next_memo[key] = cached
-            cleaned.append(cached)
-        state.cleanup_memo = next_memo
+                components, state.cleanup_report = [], CleanupReport()
+            report.components_recleaned = report.components_total
 
-        # Global ordering and totals through the batch clean-up's own
-        # helper, so the spliced output is indistinguishable from a
-        # full-graph clean-up.
-        return merge_component_cleanups(
-            ((entry.subcomponents, entry) for entry in cleaned),
-            initial_largest_component=len(components[0]),
-        )
+        with recorder.span("grouping", kind="stage"):
+            state.groups, state.pre_cleanup_groups = groups_from_components(
+                components, [record.record_id for record in state.records], positive_edges
+            )

@@ -6,8 +6,10 @@ components the state was created with (matcher, blocking recipe, clean-up
 thresholds), every per-blocking shared index from the two-phase ``prepare``
 protocol, the per-record owned candidate lists, the appendable
 :class:`~repro.matching.profiles.ProfileStore`, every pairwise decision
-ever scored, and the graph-side bookkeeping (kept-edge union-find,
-per-component clean-up memo, current groups).
+ever scored, and the graph-side results (per-component clean-up memo,
+current groups and reports).  What an ingest derives from these — the
+candidate counts and the positive graph — is rebuilt by the first ingest
+after loading and never written.
 
 On disk a state is a *directory*: a ``manifest.json`` carrying the format
 name + version and summary counters, plus one pickle per concern inside a
@@ -16,9 +18,9 @@ transactional: a new payload directory is fully written first, then the
 manifest is atomically renamed into place (the single commit point), then
 superseded payload directories are removed — a crash at any instant leaves
 the manifest pointing at one complete, consistent payload set.  Loading
-reads exactly one format version, :data:`STATE_FORMAT_VERSION`, and raises
-:class:`MatchStateError` naming the offending path on any other version, a
-missing file or a payload that fails to unpickle.
+reads :data:`STATE_FORMAT_VERSION` and converts version 2 once at load; it
+raises :class:`MatchStateError` naming the offending path on any other
+version, a missing file or a payload that fails to unpickle.
 """
 
 from __future__ import annotations
@@ -30,23 +32,29 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
-from repro.blocking.base import Blocking, CandidatePair
+from repro.blocking.base import Blocking
 from repro.core.cleanup import CleanupConfig, CleanupReport
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.datagen.records import Dataset, Record
 from repro.graphs.graph import Edge
-from repro.graphs.union_find import DisjointSet
 from repro.matching.base import PairwiseMatcher
 from repro.matching.decisions import DecisionCache
 from repro.runtime import RuntimeConfig
 
 #: Format marker written to (and demanded from) every state manifest.
 STATE_FORMAT = "repro-match-state"
-#: The one on-disk layout this build writes and reads; bump when it changes
-#: incompatibly.  Version 2 stores the decision cache as an array-backed
-#: :class:`DecisionCache`.
-STATE_FORMAT_VERSION = 2
+#: The on-disk layout this build writes; bump when it changes incompatibly.
+#: Version 2 stored the decision cache as an array-backed
+#: :class:`DecisionCache`; version 3 stores owned candidate lists as plain
+#: :data:`OwnedPair` tuples and drops the kept-edge set and union-find.
+STATE_FORMAT_VERSION = 3
+#: The older version :meth:`MatchState.load` converts.
+_CONVERTED_FORMAT_VERSION = 2
+
+#: One owned candidate pair as stored: ``(left_id, right_id, blocking)``,
+#: the fields of a :class:`~repro.blocking.base.CandidatePair`.
+OwnedPair = tuple[str, str, str]
 
 #: Manifest file name; its presence marks a completely written state.
 MANIFEST_FILE = "manifest.json"
@@ -119,7 +127,7 @@ class MatchState:
     part_states: list[Any] = field(default_factory=list)
     #: Per part: record id -> that record's owned candidate pairs.  The
     #: part's full emission stream is the dataset-order concatenation.
-    owned_pairs: list[dict[str, tuple[CandidatePair, ...]]] = field(
+    owned_pairs: list[dict[str, tuple[OwnedPair, ...]]] = field(
         default_factory=list
     )
 
@@ -133,13 +141,8 @@ class MatchState:
     decisions: DecisionCache = field(default_factory=DecisionCache)
 
     # -- graph state ---------------------------------------------------------
-    #: Kept (post-pre-cleanup) edges of the latest ingest.
-    kept_edges: set[Edge] = field(default_factory=set)
-    #: Growable union-find over the kept edges; rebuilt only when an ingest
-    #: removes edges (see IncrementalMatcher._kept_components).
-    kept_dsu: DisjointSet | None = None
-    #: Per-component clean-up memo of the latest ingest (pruned each ingest
-    #: to the components that still exist).
+    #: Per-component clean-up memo of the latest ingest: one entry per
+    #: kept component, keyed by its edge set.
     cleanup_memo: dict[frozenset, ComponentCleanup] = field(default_factory=dict)
 
     # -- latest results ------------------------------------------------------
@@ -228,8 +231,6 @@ class MatchState:
                 "decisions": self.decisions,
             },
             _GRAPH_FILE: {
-                "kept_edges": self.kept_edges,
-                "kept_dsu": self.kept_dsu,
                 "cleanup_memo": self.cleanup_memo,
                 "groups": self.groups,
                 "pre_cleanup_groups": self.pre_cleanup_groups,
@@ -265,7 +266,9 @@ class MatchState:
         """Deserialise a state directory written by :meth:`save`.
 
         Payload keys this build does not read are ignored, so a state saved
-        by an earlier build that stored more still loads.
+        by an earlier build that stored more still loads.  A version 2 state
+        has its owned :class:`~repro.blocking.base.CandidatePair` lists
+        converted to :data:`OwnedPair` tuples.
         """
         state_dir = Path(state_dir)
         manifest = read_manifest(state_dir)
@@ -307,8 +310,6 @@ class MatchState:
             owned_pairs=payloads[_BLOCKING_FILE]["owned_pairs"],
             profiles=payloads[_MATCHING_FILE]["profiles"],
             decisions=payloads[_MATCHING_FILE]["decisions"],
-            kept_edges=graph["kept_edges"],
-            kept_dsu=graph["kept_dsu"],
             cleanup_memo=graph["cleanup_memo"],
             groups=graph["groups"],
             pre_cleanup_groups=graph["pre_cleanup_groups"],
@@ -324,6 +325,18 @@ class MatchState:
                 f"{manifest.get('num_records')} records, payload holds "
                 f"{len(state.records)}"
             )
+        if manifest["format_version"] == _CONVERTED_FORMAT_VERSION:
+            state.owned_pairs = [
+                {
+                    record.record_id: tuple(
+                        (pair.left_id, pair.right_id, pair.blocking)
+                        for pair in owned[record.record_id]
+                    )
+                    for record in state.records
+                    if record.record_id in owned
+                }
+                for owned in state.owned_pairs
+            ]
         parts = state.parts()
         if (state.part_states or state.owned_pairs) and not (
             len(state.part_states) == len(state.owned_pairs) == len(parts)
@@ -364,9 +377,10 @@ def read_manifest(state_dir: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("format_version")
-    if version != STATE_FORMAT_VERSION:
+    if version not in (STATE_FORMAT_VERSION, _CONVERTED_FORMAT_VERSION):
         raise MatchStateError(
             f"match state at {state_dir} has format version {version!r}; "
-            f"this build reads version {STATE_FORMAT_VERSION}"
+            f"this build reads version {STATE_FORMAT_VERSION} and converts "
+            f"version {_CONVERTED_FORMAT_VERSION}"
         )
     return manifest

@@ -151,6 +151,10 @@ class DecisionCache:
             and np.array_equal(self._is_match, other._is_match)
         )
 
+    def is_match(self, key: IdPair) -> bool:
+        """The stored verdict of one canonical pair."""
+        return bool(self._is_match[self._index[key]])
+
     def vector(self, keys: Sequence[IdPair]) -> DecisionVector:
         """The stored decisions for ``keys``, as one gathered vector."""
         rows = np.fromiter(

@@ -5,7 +5,8 @@ seven slices, or a record-at-a-time tail — must produce candidates,
 decisions and final groups **byte-identical** to the one-shot batch
 pipeline run, under the serial engine and both pool flavours.  A state
 saved to disk mid-stream and reloaded must continue exactly where it left
-off.
+off.  After every batch, the state also equals the whole-state
+recomputation in ``tests/incremental/oracle.py``.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.incremental import IncrementalMatcher
 from repro.matching import IdOverlapMatcher, ThresholdNameMatcher
 from repro.matching.decisions import DecisionCache, DecisionVector
 from repro.runtime import RuntimeConfig
+from tests.incremental.oracle import ingest_checked
 
 RUNTIMES = [
     pytest.param(None, id="serial"),
@@ -43,7 +45,7 @@ def ingest_in_batches(pipeline_factory, batches, runtime=None):
         pipeline_factory(runtime), name="golden"
     )
     for batch in batches:
-        matcher.ingest(batch)
+        ingest_checked(matcher, batch)
     return matcher
 
 
@@ -57,10 +59,8 @@ def assert_equals_batch(matcher, batch_result):
         == batch_result.pre_cleanup_groups.groups
     )
     assert matcher.state.pre_cleanup_removed == batch_result.pre_cleanup_removed
-    assert (
-        matcher.state.cleanup_report.removed_edges
-        == batch_result.cleanup_report.removed_edges
-    )
+    assert matcher.state.cleanup_report == batch_result.cleanup_report
+    assert matcher.state.num_candidates == len(batch_result.candidates)
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
@@ -238,6 +238,65 @@ def test_bridge_removal_strategy_matches_the_batch_run(
         assert matcher.last_report.components_reused > 0
 
 
+@pytest.fixture(scope="module")
+def firing_factory(golden_setup):
+    """The golden pipeline with thresholds low enough that the pre-cleanup
+    rule removes token-overlap edges and both clean-up phases cut."""
+    _, matcher = golden_setup
+
+    def make(runtime=None):
+        return EntityGroupMatchingPipeline(
+            matcher=matcher,
+            blocking=CombinedBlocking(
+                [IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]
+            ),
+            cleanup_config=CleanupConfig(gamma=5, mu=4),
+            pre_cleanup_config=PreCleanupConfig(max_component_size=6),
+            runtime=runtime,
+        )
+
+    return make
+
+
+@pytest.fixture(scope="module")
+def firing_batch_result(golden_setup, firing_factory):
+    result = firing_factory().run(golden_setup[0])
+    assert result.pre_cleanup_removed
+    assert result.cleanup_report.mincut_removals > 0
+    assert result.cleanup_report.betweenness_removals > 0
+    return result
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES[:2])
+@pytest.mark.parametrize("schedule", ["1", "2", "7", "record-at-a-time"])
+def test_pre_cleanup_and_min_cut_firing_match_the_batch_run(
+    golden_setup, firing_factory, firing_batch_result, tmp_path, runtime, schedule
+):
+    # Each schedule saves and reloads once, mid-stream, so the first ingest
+    # after the load rebuilds the counts and the graph from the stored
+    # owned lists and the loaded memo.  A single batch is followed by an
+    # empty ingest, which does that rebuild.
+    records = golden_setup[0].records
+    if schedule == "record-at-a-time":
+        batches = [records[:-8]] + [[record] for record in records[-8:]]
+    else:
+        batches = partition_records(records, int(schedule))
+    reload_after = max(len(batches) // 2 - 1, 0)
+    matcher = IncrementalMatcher.from_pipeline(firing_factory(runtime), name="firing")
+    try:
+        for index, batch in enumerate(batches):
+            ingest_checked(matcher, batch)
+            if index == reload_after:
+                state_dir = matcher.save(tmp_path / "state")
+                matcher.close()
+                matcher = IncrementalMatcher.load(state_dir, runtime=runtime)
+        if reload_after == len(batches) - 1:
+            ingest_checked(matcher, [])
+        assert_equals_batch(matcher, firing_batch_result)
+    finally:
+        matcher.close()
+
+
 class TestRecordAtATime:
     def test_single_record_tail_matches_the_batch_run(
         self, golden_setup, pipeline_factory, batch_result
@@ -249,7 +308,7 @@ class TestRecordAtATime:
         records = companies.records
         matcher = ingest_in_batches(pipeline_factory, [records[:-8]])
         for record in records[-8:]:
-            report = matcher.ingest([record])
+            report = ingest_checked(matcher, [record])
             assert report.num_new_records == 1
         assert_equals_batch(matcher, batch_result)
 
@@ -274,7 +333,7 @@ class TestSaveReload:
         state_dir = matcher.save(tmp_path / "state")
 
         reloaded = IncrementalMatcher.load(state_dir, runtime=runtime)
-        reloaded.ingest(records[90:])
+        ingest_checked(reloaded, records[90:])
         assert_equals_batch(reloaded, batch_result)
 
     def test_save_is_idempotent_and_reloadable_after_finish(
@@ -289,7 +348,7 @@ class TestSaveReload:
         reloaded = IncrementalMatcher.load(state_dir)
         assert_equals_batch(reloaded, batch_result)
         # And the reloaded state still absorbs an (empty) delta cleanly.
-        report = reloaded.ingest([])
+        report = ingest_checked(reloaded, [])
         assert report.num_new_records == 0
         assert_equals_batch(reloaded, batch_result)
 

@@ -17,6 +17,7 @@ from repro.core.precleanup import PreCleanupConfig
 from repro.datagen.records import Dataset
 from repro.incremental import IncrementalMatcher
 from repro.runtime import PipelineRuntime, RuntimeConfig
+from tests.incremental.oracle import ingest_checked
 from tests.incremental.test_batch_equivalence import (
     assert_equals_batch,
     partition_records,
@@ -62,6 +63,25 @@ class FirstWordBlocking(Blocking):
     def _key(record) -> str:
         words = (record.name or "").lower().split()
         return words[0] if words else ""
+
+
+class CappedFirstWordBlocking(FirstWordBlocking):
+    """:class:`FirstWordBlocking` for first words with at most four carriers.
+
+    A fifth carrier withdraws every pair of its word, so emissions shrink as
+    records arrive: a pair token overlap also finds changes tag from
+    ``capped_first_word`` to ``token_overlap`` mid-stream.
+    """
+
+    name = "capped_first_word"
+
+    def candidates_for(self, shared, records):
+        return [
+            pair
+            for record in records
+            if len(shared[self._key(record)]) <= 4
+            for pair in FirstWordBlocking.candidates_for(self, shared, [record])
+        ]
 
 
 def nested_blocking():
@@ -197,3 +217,42 @@ class TestNestedCombinedBlocking:
         companies, _ = golden_setup
         matcher = ingest(nested_factory, partition_records(companies.records, num_batches))
         assert_equals_batch(matcher, batch_result)
+
+
+class TestTagChanges:
+    @pytest.mark.parametrize("config", RUNTIMES[:2])
+    @pytest.mark.parametrize("num_batches", [2, 7])
+    def test_positive_keys_that_change_tag_reach_the_graph(
+        self, golden_setup, config, num_batches
+    ):
+        # The capped part comes first, so a key it stops emitting falls back
+        # to token overlap's tag, which the pre-cleanup rule targets.
+        companies, matcher = golden_setup
+
+        def make(runtime=None):
+            return EntityGroupMatchingPipeline(
+                matcher=matcher,
+                blocking=CombinedBlocking(
+                    [CappedFirstWordBlocking(), TokenOverlapBlocking(top_n=3)]
+                ),
+                cleanup_config=CleanupConfig(gamma=5, mu=4),
+                pre_cleanup_config=PreCleanupConfig(max_component_size=6),
+                runtime=runtime,
+            )
+
+        batch = make().run(companies)
+        assert batch.pre_cleanup_removed
+        incremental = IncrementalMatcher.from_pipeline(make(config), name="retag")
+        retagged = 0
+        try:
+            for records in partition_records(companies.records, num_batches):
+                before = dict(incremental._graph.tags) if incremental._graph else {}
+                ingest_checked(incremental, records)
+                after = incremental._graph.tags
+                retagged += sum(
+                    after.get(key) not in (None, tag) for key, tag in before.items()
+                )
+            assert retagged > 0
+            assert_equals_batch(incremental, batch)
+        finally:
+            incremental.close()

@@ -238,16 +238,58 @@ class TestCrashResilience:
 class TestFormatMigration:
     def test_v1_manifest_is_refused_by_version(self, saved_state):
         # Format v1 stored the decisions as a dict of decision objects; this
-        # build reads version 2 only.
+        # build reads version 3 and converts version 2 only.
         _, state_dir = saved_state
         manifest_path = state_dir / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
         manifest["format_version"] = 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
-            MatchStateError, match="format version 1; this build reads version 2"
+            MatchStateError,
+            match="format version 1; this build reads version 3 and converts version 2",
         ):
             IncrementalMatcher.load(state_dir)
+
+    def test_a_v2_state_converts_at_load_and_ingests_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # Format v2 stored each owned list as CandidatePair objects, and the
+        # kept-edge set and union-find next to the clean-up memo.
+        from repro.blocking.base import CandidatePair
+        from tests.incremental.oracle import ingest_checked
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        records = companies.records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(records[:90])
+        state_dir = matcher.save(tmp_path / "state")
+        payload_dir = state_dir / read_manifest(state_dir)["payload_dir"]
+        blocking_path = payload_dir / "blocking_state.pkl"
+        blocking = pickle.loads(blocking_path.read_bytes())
+        blocking["owned_pairs"] = [
+            {
+                record_id: tuple(CandidatePair(*entry) for entry in owned[record_id])
+                for record_id in owned
+            }
+            for owned in blocking["owned_pairs"]
+        ]
+        blocking_path.write_bytes(pickle.dumps(blocking, protocol=pickle.HIGHEST_PROTOCOL))
+        graph_path = payload_dir / "graph_state.pkl"
+        graph = pickle.loads(graph_path.read_bytes())
+        graph.update(kept_edges=set(), kept_dsu=None)
+        graph_path.write_bytes(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
+        manifest_path = state_dir / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.owned_pairs == matcher.state.owned_pairs
+        ingest_checked(reloaded, records[90:])
+        assert_equals_batch(reloaded, batch_result)
+        reloaded.save(state_dir)
+        assert read_manifest(state_dir)["format_version"] == STATE_FORMAT_VERSION
 
     def test_stale_runtime_fields_open_and_ingest_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path
