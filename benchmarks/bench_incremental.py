@@ -6,9 +6,11 @@ whole batch pipeline from scratch, across delta sizes × worker counts.
 Before any timing counts, every configuration asserts **batch equivalence
 bitwise**: the post-ingest candidates, decisions (probabilities compared
 exactly) and final groups must equal the one-shot pipeline run over the
-full corpus.  The same delta is also timed as the first ingest of a freshly
-opened matcher, which first builds the candidate counts and the positive
-graph that a saved state does not hold.
+full corpus.  The warm state is saved to a state directory and every
+timed ingest runs on a matcher loaded from it.  The same delta is also
+timed as the first ingest of the freshly opened matcher, which first
+builds the candidate counts and the positive graph that a saved state
+does not hold.
 
 Run as a script::
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
+import tempfile
 import time
 from pathlib import Path
 from collections.abc import Sequence
@@ -88,32 +90,32 @@ def time_full_run(matcher, dataset: Dataset, runtime: RuntimeConfig | None,
     return best, result
 
 
-def warm_state(matcher, prefix, runtime: RuntimeConfig | None) -> bytes:
-    """Ingest the prefix once and freeze the state for repeatable deltas."""
+def warm_state(matcher, prefix, runtime: RuntimeConfig | None, state_dir: Path) -> Path:
+    """Ingest the prefix once and save the state for repeatable deltas."""
     with IncrementalMatcher.from_pipeline(
         make_pipeline(matcher, runtime), name="bench"
     ) as incremental:
         incremental.ingest(prefix)
-        return pickle.dumps(incremental.state, protocol=pickle.HIGHEST_PROTOCOL)
+        return incremental.save(state_dir)
 
 
-def time_delta_ingest(frozen_state: bytes, delta, runtime: RuntimeConfig | None,
+def time_delta_ingest(state_dir: Path, delta, runtime: RuntimeConfig | None,
                       repeats: int):
     """Best-of wall clocks of ingesting ``delta`` into the warm state.
 
-    Each repeat thaws a fresh copy of the warm state (outside the timed
-    region), so repeated ingests never see their own side effects.  The
-    first time is the first ingest of the freshly opened matcher, which also
-    builds its candidate counts and positive graph from the stored owned
-    lists.  The second ingests into a matcher that an untimed empty ingest
-    has already built them for, as every later ingest finds them.
+    Each repeat loads a fresh copy of the saved warm state (outside the
+    timed region), so repeated ingests never see their own side effects.
+    The first time is the first ingest of the freshly opened matcher, which
+    also builds its candidate counts and positive graph from the stored
+    owned lists.  The second ingests into a matcher that an untimed empty
+    ingest has already built them for, as every later ingest finds them.
     """
     first, best, matcher, report = float("inf"), float("inf"), None, None
     for _ in range(repeats):
         for warm in (False, True):
             if matcher is not None:  # release the previous repeat's warm pool
                 matcher.close()
-            matcher = IncrementalMatcher(pickle.loads(frozen_state), runtime=runtime)
+            matcher = IncrementalMatcher.load(state_dir, runtime=runtime)
             if warm:
                 matcher.ingest([])
             start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
@@ -220,10 +222,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         for fraction in delta_fractions:
             delta_size = max(1, int(len(records) * fraction))
             prefix, delta = records[:-delta_size], records[-delta_size:]
-            frozen = warm_state(matcher, prefix, runtime)
-            first_seconds, ingest_seconds, incremental, report = time_delta_ingest(
-                frozen, delta, runtime, args.repeats
-            )
+            with tempfile.TemporaryDirectory() as scratch:
+                state_dir = warm_state(matcher, prefix, runtime, Path(scratch) / "state")
+                first_seconds, ingest_seconds, incremental, report = time_delta_ingest(
+                    state_dir, delta, runtime, args.repeats
+                )
             try:
                 assert_batch_equivalent(incremental, batch_result)
             finally:

@@ -152,6 +152,18 @@ class Blocking:
         in, one entry per rescored span.  The default keeps no notes."""
         return shared
 
+    def saved_notes(self, shared: Any) -> Any:
+        """The notes of ``shared`` a saved state's journal keeps.
+
+        A journal segment never holds the index: the first ingest after
+        loading brings the base's index forward over the records appended
+        since with :meth:`delta_update` and folds these notes back in with
+        :meth:`note_rescored`, as one entry.  That must give back
+        ``shared``: the index by the :meth:`delta_update` contract, the
+        notes by this method's.  The default keeps none.
+        """
+        return None
+
     def delta_update(
         self, shared: Any, dataset: Dataset, new_records: Sequence[Record]
     ) -> BlockingDelta:
@@ -201,14 +213,22 @@ class Blocking:
 
 
 def dedupe_pairs(pairs: list[CandidatePair]) -> list[CandidatePair]:
-    """Remove duplicate candidate pairs, keeping the first blocking that found each."""
+    """Remove duplicate candidate pairs, keeping the first blocking that found
+    each, and put every pair in canonical orientation (:attr:`CandidatePair.key`).
+
+    This is where blocking output enters the candidate stream, so a pair's
+    orientation never depends on which blocking or record emitted it first.
+    """
     seen: set[tuple[str, str]] = set()
     unique: list[CandidatePair] = []
     for pair in pairs:
-        if pair.key in seen:
+        key = pair.key
+        if key in seen:
             continue
-        seen.add(pair.key)
-        unique.append(pair)
+        seen.add(key)
+        unique.append(
+            pair if key[0] == pair.left_id else CandidatePair(key[0], key[1], pair.blocking)
+        )
     return unique
 
 

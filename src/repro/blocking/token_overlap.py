@@ -632,7 +632,7 @@ class TokenOverlapBlocking(Blocking):
         return dirty, TopNMemo(tops=tops, ceilings=ceilings)
 
     def note_rescored(
-        self, shared: TokenIndex, notes: Sequence[tuple[np.ndarray, TopNMemo] | None]
+        self, shared: TokenIndex, notes: Sequence[tuple[np.ndarray | slice, TopNMemo] | None]
     ) -> TokenIndex:
         """The index with the memo entries of :meth:`rescore` folded in.
 
@@ -646,6 +646,15 @@ class TokenOverlapBlocking(Blocking):
                 tops[rows] = memo.tops
                 ceilings[rows] = memo.ceilings
         return replace(shared, memo=TopNMemo(tops=tops, ceilings=ceilings))
+
+    def saved_notes(self, shared: TokenIndex) -> tuple[slice, TopNMemo] | None:
+        """The top-n memo, as a :meth:`rescore` note covering every row.
+
+        Rows follow dataset order in every index of the same records, so
+        :meth:`note_rescored` puts each row back.
+        """
+        memo = shared.memo
+        return None if memo is None else (slice(0, len(memo.ceilings)), memo)
 
     def candidates_for(
         self, shared: TokenIndex, records: Sequence[Record]

@@ -93,6 +93,20 @@ class EntityGroups:
     # -- constructors ------------------------------------------------------------------
 
     @classmethod
+    def covering(
+        cls, components: Iterable[Iterable[str]], record_ids: Iterable[str]
+    ) -> "EntityGroups":
+        """``components`` in their given order, then a singleton group per
+        record of ``record_ids`` they leave uncovered, in that order."""
+        groups = cls(components)
+        group_of = groups._group_of
+        for record_id in record_ids:
+            if record_id not in group_of:
+                group_of[record_id] = len(groups._groups)
+                groups._groups.append(frozenset((record_id,)))
+        return groups
+
+    @classmethod
     def from_edges(
         cls, edges: Iterable[tuple[str, str]], all_records: Iterable[str] | None = None
     ) -> "EntityGroups":

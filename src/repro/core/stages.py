@@ -177,15 +177,8 @@ def groups_from_components(
     and calls it only for a strategy without ``component_local`` (same
     drift argument as :func:`apply_pre_cleanup`).
     """
-    covered = {
-        record_id for component in components for record_id in component
-    }
-    groups: list[set[str]] = [set(component) for component in components]
-    groups.extend(
-        {record_id} for record_id in all_record_ids if record_id not in covered
-    )
     return (
-        EntityGroups(groups),
+        EntityGroups.covering(components, all_record_ids),
         EntityGroups.from_edges(positive_edges, all_record_ids),
     )
 

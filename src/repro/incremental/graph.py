@@ -83,8 +83,6 @@ class PositiveGraph:
         self._positive_orders: list[tuple[int, str]] = []
         self._final: list[frozenset[Node]] = []
         self._final_orders: list[tuple[int, str]] = []
-        #: Nodes of the final components (the kept graph's nodes).
-        self._covered: set[Node] = set()
         #: Memo key (a kept component's edge set) -> its clean-up.
         self.memo: dict[frozenset, ComponentCleanup] = {}
         self._inherited = dict(inherited_memo or {})
@@ -111,15 +109,9 @@ class PositiveGraph:
     def groups(self, record_ids: Sequence[str]) -> tuple[EntityGroups, EntityGroups]:
         """Final and pre-cleanup groups over ``record_ids``: components in
         order, then a singleton per uncovered record in the given order."""
-        covered = self._covered
-        positive = self._adjacency
         return (
-            EntityGroups(
-                [*self._final, *((rid,) for rid in record_ids if rid not in covered)]
-            ),
-            EntityGroups(
-                [*self._positive, *((rid,) for rid in record_ids if rid not in positive)]
-            ),
+            EntityGroups.covering(self._final, record_ids),
+            EntityGroups.covering(self._positive, record_ids),
         )
 
     # -- the update ------------------------------------------------------------
@@ -182,7 +174,6 @@ class PositiveGraph:
             self._removed_edges.difference_update(cleanup.removed_edges)
             for piece in cleanup.subcomponents:
                 _remove(self._final, self._final_orders, component_order(piece))
-                self._covered.difference_update(piece)
         for node in component.nodes:
             del self._component_of[node]
 
@@ -227,7 +218,6 @@ class PositiveGraph:
             self._removed_edges.update(cleanup.removed_edges)
             for piece in cleanup.subcomponents:
                 _insert(self._final, self._final_orders, piece)
-                self._covered.update(piece)
 
         frozen = frozenset(nodes)
         component = _Component(

@@ -40,7 +40,12 @@ the exact inputs of a deterministic function:
 
 The counts and the graph are derived, so a saved state does not hold
 them: the first ingest of an opened matcher builds them by feeding every
-stored owned list through the same update a batch uses.
+stored owned list through the same update a batch uses.  It first brings
+each blocking index forward over the records the state's journal appended
+after its base (:meth:`~repro.incremental.state.MatchState.catch_up_indexes`),
+which rescores no record.  Each ingest notes the records it rescored in
+the state's :class:`~repro.incremental.state.Journal`, from which
+:meth:`save` writes the next journal segment.
 
 One caveat is inherited from the engine's determinism notes: incremental
 ingestion scores a pair in a different numeric batch shape than the batch
@@ -271,7 +276,14 @@ class IncrementalMatcher:
         return matcher
 
     def save(self, state_dir: str | Path | None = None) -> Path:
-        """Persist the state (defaults to where it was loaded from)."""
+        """Persist the state (defaults to where it was loaded from).
+
+        Appends what changed since the last save to the state's journal,
+        or writes a new base (see :mod:`repro.incremental.state`).  Records
+        a ``save`` span on the runtime's run recorder: its ``path``
+        (``journal`` or ``compaction``), the ``bytes`` written and the
+        journal's ``segments`` afterwards.
+        """
         self._check_poisoned()
         target = state_dir if state_dir is not None else self.state_dir
         if target is None:
@@ -279,7 +291,14 @@ class IncrementalMatcher:
                 "no state directory: pass state_dir (the state was never "
                 "saved or loaded)"
             )
-        self.state_dir = self.state.save(target)
+        journal = self.state.journal
+        with self.runtime.run_recorder().span("save", kind="run") as span:
+            self.state_dir = self.state.save(target)
+            span.attributes.update(
+                path="journal" if journal.segments else "compaction",
+                bytes=journal.segments[-1] if journal.segments else journal.base_bytes,
+                segments=len(journal.segments),
+            )
         return self.state_dir
 
     # -- lifecycle -----------------------------------------------------------
@@ -461,6 +480,7 @@ class IncrementalMatcher:
         counts = self._counts
         position = self._position
         new_ids = [record.record_id for record in batch]
+        state.catch_up_indexes(len(state.records) - len(batch))
         touched: dict[Edge, None] = {}
         first: dict[Edge, OwnedPair] = {}
         for index, part in enumerate(self._parts):
@@ -486,12 +506,19 @@ class IncrementalMatcher:
                     part, shared, rescore_records, recorder
                 )
                 state.part_states[index] = part.note_rescored(shared, notes)
+                rescored = state.journal.rescored.setdefault(index, {})
                 for record, pairs in zip(rescore_records, owned_lists):
                     record_id = record.record_id
                     previous[record_id] = owned.get(record_id, ())
+                    # Canonical orientation, as the batch merge's dedupe
+                    # gives it: a key is scored and served the same way round.
                     owned[record_id] = tuple(
-                        (pair.left_id, pair.right_id, pair.blocking) for pair in pairs
+                        (pair.left_id, pair.right_id, pair.blocking)
+                        if pair.left_id <= pair.right_id
+                        else (pair.right_id, pair.left_id, pair.blocking)
+                        for pair in pairs
                     )
+                    rescored[record_id] = None
                 report.records_rescored += len(rescore_records)
             for record in state.records if building else rescore_records:
                 record_id = record.record_id
@@ -502,6 +529,7 @@ class IncrementalMatcher:
                     touched,
                     first,
                 )
+        state.indexed_records = len(state.records)
         cache = state.decisions
         return counts.settle(touched), [first[key] for key in first if key not in cache]
 

@@ -3,32 +3,60 @@
 A :class:`MatchState` co-models the database side of an incremental entity
 group matching: the record corpus in ingestion order, the pipeline
 components the state was created with (matcher, blocking recipe, clean-up
-thresholds), every per-blocking shared index from the two-phase ``prepare``
-protocol, the per-record owned candidate lists, the appendable
+thresholds), each blocking part's prepared index and per-record owned
+candidate lists, the appendable
 :class:`~repro.matching.profiles.ProfileStore`, every pairwise decision
 ever scored, and the graph-side results (per-component clean-up memo,
-current groups and reports).  What an ingest derives from these — the
-candidate counts and the positive graph — is rebuilt by the first ingest
-after loading and never written.
+current groups and reports).  What an ingest derives from these (the
+candidate counts and the positive graph) is never written.
 
 On disk a state is a *directory*: a ``manifest.json`` carrying the format
-name + version and summary counters, plus one pickle per concern inside a
-*versioned payload subdirectory* the manifest points at.  Saves are
-transactional: a new payload directory is fully written first, then the
-manifest is atomically renamed into place (the single commit point), then
-superseded payload directories are removed — a crash at any instant leaves
-the manifest pointing at one complete, consistent payload set.  Loading
-reads :data:`STATE_FORMAT_VERSION` and converts version 2 once at load; it
-raises :class:`MatchStateError` naming the offending path on any other
-version, a missing file or a payload that fails to unpickle.
+name + version, summary counters and the committed files, all inside a
+*payload subdirectory* ``rev<N>`` the manifest names.  The subdirectory
+holds a *base*, one pickle per concern (a full snapshot), and a *journal*
+of numbered segment files, one per save since the base.  A segment holds
+only what changed since the save before it: the appended records,
+decision rows and profile ids, the owned lists of the records rescored,
+the clean-up memo entries and pre-cleanup removals added and removed,
+and, whole, each blocking part's notes
+(:meth:`~repro.blocking.base.Blocking.saved_notes`: token overlap's top-n
+memo) and the small results.  Loading reads the base and applies the
+segments in order.
+
+Two things are rebuilt rather than written.  A segment never holds a
+blocking index: the first ingest after loading brings each of the base's
+indexes forward over the records the journal appended
+(:meth:`MatchState.catch_up_indexes`).  And for a ``component_local``
+clean-up strategy, whose memo holds one entry per kept component, no
+payload holds the group lists or the report's removed edges: loading
+derives them from the memo and the pre-cleanup removals.
+
+A save appends a segment when its target still holds the manifest this
+state last committed or was loaded from, and the journal's bytes would not
+exceed the base's; otherwise it writes a new base into a fresh ``rev<N>``
+(a *compaction*), so a load reads at most about twice a base.  Either way
+the manifest, written to a temporary file and atomically renamed into
+place, is the single commit point: a crash at any instant leaves it naming
+one complete base and the segments committed with it.  A segment written
+by a save that crashed before its commit is not in the manifest, so
+loading ignores it and the next save overwrites it; a compaction's
+leftover directory is swept by the next save.
+
+Loading reads :data:`STATE_FORMAT_VERSION`, loads version 3 (the same base
+layout, always written whole) as a base with an empty journal, and
+converts version 2 once at load; the first save of either writes a
+version 4 base.  Any other version, a missing file or a payload that fails
+to unpickle raises :class:`MatchStateError` naming the path.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import pickle
 import shutil
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -37,9 +65,11 @@ from repro.core.cleanup import CleanupConfig, CleanupReport
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
 from repro.datagen.records import Dataset, Record
-from repro.graphs.graph import Edge
+from repro.graphs.graph import Edge, canonical_edge, sorted_edges
+from repro.graphs.union_find import component_order, union_find_components
 from repro.matching.base import PairwiseMatcher
 from repro.matching.decisions import DecisionCache
+from repro.registry import CLEANUPS, RegistryError
 from repro.runtime import RuntimeConfig
 
 #: Format marker written to (and demanded from) every state manifest.
@@ -47,8 +77,13 @@ STATE_FORMAT = "repro-match-state"
 #: The on-disk layout this build writes; bump when it changes incompatibly.
 #: Version 2 stored the decision cache as an array-backed
 #: :class:`DecisionCache`; version 3 stores owned candidate lists as plain
-#: :data:`OwnedPair` tuples and drops the kept-edge set and union-find.
-STATE_FORMAT_VERSION = 3
+#: :data:`OwnedPair` tuples and drops the kept-edge set and union-find;
+#: version 4 adds the journal, and its base leaves out what loading derives
+#: from the clean-up memo.
+STATE_FORMAT_VERSION = 4
+#: The older version :meth:`MatchState.load` reads as a base (the same
+#: layout, every result written whole, no journal).
+_BASE_FORMAT_VERSION = 3
 #: The older version :meth:`MatchState.load` converts.
 _CONVERTED_FORMAT_VERSION = 2
 
@@ -63,7 +98,7 @@ MANIFEST_FILE = "manifest.json"
 #: ``payload_dir`` names the committed one.
 _PAYLOAD_DIR_PREFIX = "rev"
 
-#: Pickle payloads, one per concern, keyed by file name.  Splitting keeps a
+#: Base pickles, one per concern, keyed by file name.  Splitting keeps a
 #: reload of (say) just the records cheap and the write sizes inspectable.
 _COMPONENTS_FILE = "components.pkl"
 _RECORDS_FILE = "records.pkl"
@@ -101,6 +136,45 @@ class ComponentCleanup:
 
 
 @dataclass
+class Journal:
+    """Where a state's committed form lives, and what changed since.
+
+    Appended records, decision rows and profiles are found from the sizes
+    at the last commit, and the changes to the clean-up memo and to the
+    pre-cleanup removals from a copy of their keys then; the ingest path
+    records the records each blocking part rescored.  Everything
+    accumulates until a save commits, so a save that fails before its
+    commit loses nothing.
+    """
+
+    #: The directory the committed base lives in (resolved); None when the
+    #: state was never saved, or was loaded from an older version.
+    state_dir: Path | None = None
+    #: Bytes of the committed base and of each committed segment.
+    base_bytes: int = 0
+    segments: list[int] = field(default_factory=list)
+    #: Records, decision rows and profile rows at the last commit.
+    num_records: int = 0
+    num_decisions: int = 0
+    num_profiles: int = 0
+    #: The clean-up memo's keys and the pre-cleanup removals at the last
+    #: commit.
+    memo_keys: dict[frozenset, None] = field(default_factory=dict)
+    pre_cleanup_removed: set[Edge] = field(default_factory=set)
+    #: Per part index: ids of the records rescored since, in order.
+    rescored: dict[int, dict[str, None]] = field(default_factory=dict)
+
+    def mark(self, state: "MatchState") -> None:
+        """Take ``state`` as committed: start tracking changes afresh."""
+        self.num_records = len(state.records)
+        self.num_decisions = len(state.decisions)
+        self.num_profiles = 0 if state.profiles is None else len(state.profiles)
+        self.memo_keys = dict.fromkeys(state.cleanup_memo)
+        self.pre_cleanup_removed = set(state.pre_cleanup_removed)
+        self.rescored = {}
+
+
+@dataclass
 class MatchState:
     """In-memory form of one persistent matching task."""
 
@@ -122,9 +196,17 @@ class MatchState:
     records: list[Record] = field(default_factory=list)
 
     # -- blocking state ------------------------------------------------------
-    #: Per partitioned part: its prepared shared index (None before the
-    #: first ingest).
+    #: Per partitioned part: its prepared shared index (None until the
+    #: first ingest builds it), over the first :attr:`indexed_records`.
     part_states: list[Any] = field(default_factory=list)
+    #: How many leading records the indexes cover: all of them, except
+    #: after loading a journal, whose records :meth:`catch_up_indexes`
+    #: folds in (never saved).
+    indexed_records: int = field(default=0, compare=False, repr=False)
+    #: Per part: the notes of its index the latest loaded segment held
+    #: (:meth:`~repro.blocking.base.Blocking.saved_notes`), which
+    #: :meth:`catch_up_indexes` folds back in (never saved).
+    part_notes: list[Any] = field(default_factory=list, compare=False, repr=False)
     #: Per part: record id -> that record's owned candidate pairs.  The
     #: part's full emission stream is the dataset-order concatenation.
     owned_pairs: list[dict[str, tuple[OwnedPair, ...]]] = field(
@@ -146,14 +228,23 @@ class MatchState:
     cleanup_memo: dict[frozenset, ComponentCleanup] = field(default_factory=dict)
 
     # -- latest results ------------------------------------------------------
-    groups: EntityGroups | None = None
-    pre_cleanup_groups: EntityGroups | None = None
+    #: The final and pre-cleanup groups; read them as :attr:`groups` and
+    #: :attr:`pre_cleanup_groups`.
+    _groups: EntityGroups | None = field(default=None, repr=False)
+    _pre_cleanup_groups: EntityGroups | None = field(default=None, repr=False)
+    #: Set by a load that left both group lists to derive from the memo
+    #: (never saved).
+    _groups_pending: bool = field(default=False, compare=False, repr=False)
     cleanup_report: CleanupReport = field(default_factory=CleanupReport)
     pre_cleanup_removed: set[Edge] = field(default_factory=set)
     num_candidates: int = 0
     num_ingests: int = 0
-    #: Monotonic save counter; names the payload directory of the next save.
+    #: Revision of the committed base; a compaction writes a higher one.
     payload_rev: int = 0
+
+    # -- persistence ---------------------------------------------------------
+    #: The committed form and the changes since (never saved).
+    journal: Journal = field(default_factory=Journal, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # A trace path names one invocation's output file, not an engine
@@ -165,6 +256,35 @@ class MatchState:
 
     # -- derived -------------------------------------------------------------
 
+    @property
+    def groups(self) -> EntityGroups | None:
+        """The final groups of the latest ingest (None before the first).
+
+        Loading a ``component_local`` state leaves both group lists to be
+        derived from the clean-up memo when first read: an ingest sets them
+        without reading them (:meth:`_derive_groups`).
+        """
+        if self._groups_pending:
+            self._derive_groups()
+        return self._groups
+
+    @groups.setter
+    def groups(self, groups: EntityGroups | None) -> None:
+        self._groups = groups
+        self._groups_pending = False
+
+    @property
+    def pre_cleanup_groups(self) -> EntityGroups | None:
+        """The groups before clean-up (see :attr:`groups`)."""
+        if self._groups_pending:
+            self._derive_groups()
+        return self._pre_cleanup_groups
+
+    @pre_cleanup_groups.setter
+    def pre_cleanup_groups(self, groups: EntityGroups | None) -> None:
+        self._pre_cleanup_groups = groups
+        self._groups_pending = False
+
     def dataset(self) -> Dataset:
         """The corpus as a :class:`Dataset` (records in ingestion order)."""
         return Dataset(self.name, self.records)
@@ -174,11 +294,49 @@ class MatchState:
         partitioning is structural, derived from the pickled blocking)."""
         return self.blocking.partition()
 
+    def blocking_notes(self) -> list[Any]:
+        """Per part, the notes of its index a journal segment keeps: the
+        index's own once it covers every record, else those loaded."""
+        if self.indexed_records < len(self.records):
+            return self.part_notes
+        return [
+            None if shared is None else part.saved_notes(shared)
+            for part, shared in zip(self.parts(), self.part_states)
+        ]
+
+    def catch_up_indexes(self, num_records: int) -> None:
+        """Bring every part's index forward to the first ``num_records``
+        records.
+
+        After loading a journal the indexes are the base's.  Each takes the
+        records the journal appended through ``delta_update`` (its dirty
+        set is dropped: those records were rescored before the save), or
+        ``prepare`` when the base held none, and then the notes of the
+        latest segment through ``note_rescored``.  By the ``delta_update``
+        and :meth:`~repro.blocking.base.Blocking.saved_notes` contracts
+        that gives back the index the saving process held, so the next
+        ingest rescores exactly what that process would.
+        """
+        if self.indexed_records >= num_records:
+            return
+        dataset = Dataset(self.name, self.records[:num_records])
+        appended = self.records[self.indexed_records:num_records]
+        self.part_states = [
+            part.note_rescored(
+                part.prepare(dataset)
+                if shared is None
+                else part.delta_update(shared, dataset, appended).shared,
+                [notes],
+            )
+            for part, shared, notes in zip(self.parts(), self.part_states, self.part_notes)
+        ]
+        self.indexed_records = num_records
+
     # -- persistence ---------------------------------------------------------
 
     def manifest(self) -> dict[str, Any]:
         """The summary the manifest file carries (also what ``repro state
-        show`` prints)."""
+        show`` prints): the counters, the base and the committed journal."""
         return {
             "format": STATE_FORMAT,
             "format_version": STATE_FORMAT_VERSION,
@@ -193,23 +351,52 @@ class MatchState:
             "matcher_type": type(self.matcher).__name__,
             "payload_dir": f"{_PAYLOAD_DIR_PREFIX}{self.payload_rev}",
             "files": list(_STATE_FILES),
+            "base_bytes": self.journal.base_bytes,
+            "segments": _segment_entries(self.journal.segments),
         }
 
     def save(self, state_dir: str | Path) -> Path:
         """Serialise into ``state_dir`` (created if needed); returns the dir.
 
-        Transactional: the payloads are fully written into a fresh
-        ``rev<N>`` subdirectory, then the manifest — which names that
-        subdirectory — is atomically renamed into place, then superseded
-        ``rev*`` directories are removed.  The manifest rename is the
-        single commit point: a crash at any instant leaves the manifest
-        pointing at one complete payload set (the previous save's or this
-        one's), never a mix; leftover uncommitted directories are swept by
-        the next successful save.
+        Appends a journal segment when ``state_dir`` still holds the
+        manifest this state last committed or was loaded from (its payload
+        directory and segments) and the journal's bytes would stay within
+        the base's; otherwise writes a new base (a compaction).  The
+        manifest rename is the single commit point (see the module
+        docstring), and the change tracking starts afresh only after it.
         """
         state_dir = Path(state_dir)
+        journal = self.journal
+        committed = _committed_manifest(state_dir)
+        payload_dir = f"{_PAYLOAD_DIR_PREFIX}{self.payload_rev}"
+        if (
+            journal.state_dir == state_dir.resolve()
+            and committed is not None
+            and committed.get("payload_dir") == payload_dir
+            and committed.get("segments") == _segment_entries(journal.segments)
+            and (state_dir / payload_dir).is_dir()
+        ):
+            segment = _BoundedBuffer(journal.base_bytes - sum(journal.segments))
+            try:
+                pickle.dump(self._segment_payload(), segment, protocol=pickle.HIGHEST_PROTOCOL)
+            except _OverBudget:
+                segment = None
+            if segment is not None:
+                data = segment.getvalue()
+                segments = [*journal.segments, len(data)]
+                # Overwrites a segment an interrupted save left uncommitted.
+                (state_dir / payload_dir / _segment_file(len(segments))).write_bytes(data)
+                self._commit(state_dir, self.payload_rev, journal.base_bytes, segments)
+                return state_dir
+        self._write_base(state_dir, _payload_rev(committed))
+        return state_dir
+
+    def _write_base(self, state_dir: Path, committed_rev: int) -> None:
+        """Compaction: the whole state into a ``rev<N>`` past both this
+        state's and the one ``state_dir`` has committed."""
         state_dir.mkdir(parents=True, exist_ok=True)
-        self.payload_rev += 1
+        self.catch_up_indexes(len(self.records))
+        rev = max(self.payload_rev, committed_rev) + 1
         payloads: dict[str, Any] = {
             _COMPONENTS_FILE: {
                 "matcher": self.matcher,
@@ -232,70 +419,182 @@ class MatchState:
             },
             _GRAPH_FILE: {
                 "cleanup_memo": self.cleanup_memo,
-                "groups": self.groups,
-                "pre_cleanup_groups": self.pre_cleanup_groups,
-                "cleanup_report": self.cleanup_report,
                 "pre_cleanup_removed": self.pre_cleanup_removed,
-                "num_candidates": self.num_candidates,
-                "num_ingests": self.num_ingests,
-                "payload_rev": self.payload_rev,
+                **self._results(),
+                "payload_rev": rev,
             },
         }
-        payload_dir = state_dir / f"{_PAYLOAD_DIR_PREFIX}{self.payload_rev}"
+        payload_dir = state_dir / f"{_PAYLOAD_DIR_PREFIX}{rev}"
         if payload_dir.exists():  # leftover from an interrupted save
             shutil.rmtree(payload_dir)
         payload_dir.mkdir()
+        base_bytes = 0
         for file_name, payload in payloads.items():  # repro-lint: disable=unordered-iteration -- dict literal; fixed source order
             with (payload_dir / file_name).open("wb") as handle:
                 pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        manifest_temp = state_dir / (MANIFEST_FILE + ".tmp")
-        manifest_temp.write_text(
-            json.dumps(self.manifest(), indent=2) + "\n", encoding="utf-8"
+                base_bytes += handle.tell()
+        self._commit(state_dir, rev, base_bytes, [])
+
+    def _commit(
+        self, state_dir: Path, rev: int, base_bytes: int, segments: list[int]
+    ) -> None:
+        """Rename the manifest naming ``rev<rev>`` and ``segments`` into
+        place, then take the state as committed and sweep every other
+        payload directory."""
+        journal = self.journal
+        payload_dir = f"{_PAYLOAD_DIR_PREFIX}{rev}"
+        manifest = self.manifest()
+        manifest.update(
+            payload_dir=payload_dir,
+            base_bytes=base_bytes,
+            segments=_segment_entries(segments),
         )
+        manifest_temp = state_dir / (MANIFEST_FILE + ".tmp")
+        manifest_temp.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         # The commit point: after this single atomic rename the manifest
-        # names the new payload directory; before it, the old manifest
-        # still names the old (untouched) one.
+        # names the new base or segment; before it, the old manifest still
+        # names the old (untouched) files.
         manifest_temp.replace(state_dir / MANIFEST_FILE)
+        self.payload_rev = rev
+        journal.state_dir = state_dir.resolve()
+        journal.base_bytes = base_bytes
+        journal.segments = segments
+        journal.mark(self)
         for stale in state_dir.glob(f"{_PAYLOAD_DIR_PREFIX}*"):
-            if stale.is_dir() and stale != payload_dir:
+            if stale.is_dir() and stale.name != payload_dir:
                 shutil.rmtree(stale, ignore_errors=True)
-        return state_dir
+
+    def _results(self) -> dict[str, Any]:
+        """The graph results a base or a segment holds.
+
+        For a ``component_local`` clean-up strategy the group lists and
+        the report's removed edges are left out: loading derives them from
+        the clean-up memo (:meth:`_derive_groups`).
+        """
+        derived = _derives_results(self.cleanup_strategy)
+        return {
+            "groups": None if derived else self.groups,
+            "pre_cleanup_groups": None if derived else self.pre_cleanup_groups,
+            "cleanup_report": (
+                replace(self.cleanup_report, removed_edges=set())
+                if derived
+                else self.cleanup_report
+            ),
+            "num_candidates": self.num_candidates,
+            "num_ingests": self.num_ingests,
+        }
+
+    def _take_results(self, payload: dict[str, Any]) -> None:
+        """Adopt the graph results of a base or a segment."""
+        self.groups = payload["groups"]
+        self.pre_cleanup_groups = payload["pre_cleanup_groups"]
+        self.cleanup_report = payload["cleanup_report"]
+        self.num_candidates = payload["num_candidates"]
+        self.num_ingests = payload["num_ingests"]
+
+    def _derive_groups(self) -> None:
+        """Both group lists from the clean-up memo, as a
+        ``component_local`` strategy's ingest left them.
+
+        The memo holds one entry per kept component, keyed by its edges, so
+        the final components are its pieces, and the positive components
+        join its keys' edges with the pre-cleanup removals; both lists are
+        in :func:`~repro.graphs.union_find.component_order`, then the
+        uncovered records.
+        """
+        memo = self.cleanup_memo
+        final = sorted(
+            (piece for key in memo for piece in memo[key].subcomponents),
+            key=component_order,
+        )
+        positive = union_find_components(
+            chain(chain.from_iterable(memo), self.pre_cleanup_removed)
+        )
+        record_ids = [record.record_id for record in self.records]
+        self.groups = EntityGroups.covering(final, record_ids)
+        self.pre_cleanup_groups = EntityGroups.covering(positive, record_ids)
+
+    def _segment_payload(self) -> dict[str, Any]:
+        """What changed since the last commit (see the module docstring)."""
+        journal = self.journal
+        memo = self.cleanup_memo
+        committed = journal.memo_keys
+        removed, was_removed = self.pre_cleanup_removed, journal.pre_cleanup_removed
+        profiles = self.profiles
+        return {
+            "records": self.records[journal.num_records:],
+            "owned_pairs": [
+                {
+                    record_id: owned[record_id]
+                    for record_id in journal.rescored.get(index, ())
+                }
+                for index, owned in enumerate(self.owned_pairs)
+            ],
+            "part_notes": self.blocking_notes(),
+            "profiles": (
+                [] if profiles is None else profiles.record_ids[journal.num_profiles:]
+            ),
+            "decisions": self.decisions.tail(journal.num_decisions),
+            "memo_added": {key: memo[key] for key in memo if key not in committed},
+            "memo_removed": [key for key in committed if key not in memo],
+            "pre_cleanup_added": sorted_edges(removed - was_removed),
+            "pre_cleanup_restored": sorted_edges(was_removed - removed),
+            **self._results(),
+        }
+
+    def _apply_segment(self, segment: dict[str, Any], record_of: dict[str, Record]) -> None:
+        """Replay one segment."""
+        new_records = segment["records"]
+        self.records.extend(new_records)
+        for record in new_records:
+            record_of[record.record_id] = record
+        for owned, changed in zip(self.owned_pairs, segment["owned_pairs"]):
+            owned.update(changed)
+        self.part_notes = segment["part_notes"]
+        if segment["profiles"]:
+            # Profiles are a pure function of record order, so the same
+            # appends in the same order give back the same columns.
+            profiled = [record_of[record_id] for record_id in segment["profiles"]]
+            if self.profiles is None:
+                self.profiles = self.matcher.prepare_profiles(profiled)
+            else:
+                self.profiles.add_records(profiled)
+        tail = segment["decisions"]
+        if tail.pairs:
+            self.decisions.extend([canonical_edge(*pair) for pair in tail.pairs], tail)
+        memo = self.cleanup_memo
+        for key in segment["memo_removed"]:
+            del memo[key]
+        memo.update(segment["memo_added"])
+        self.pre_cleanup_removed.difference_update(segment["pre_cleanup_restored"])
+        self.pre_cleanup_removed.update(segment["pre_cleanup_added"])
+        self._take_results(segment)
 
     @classmethod
     def load(cls, state_dir: str | Path) -> "MatchState":
-        """Deserialise a state directory written by :meth:`save`.
+        """Deserialise a state directory written by :meth:`save`: its base,
+        then its committed journal segments in order.
 
         Payload keys this build does not read are ignored, so a state saved
-        by an earlier build that stored more still loads.  A version 2 state
-        has its owned :class:`~repro.blocking.base.CandidatePair` lists
-        converted to :data:`OwnedPair` tuples.
+        by an earlier build that stored more still loads.  A version 2
+        state has its owned :class:`~repro.blocking.base.CandidatePair`
+        lists converted to :data:`OwnedPair` tuples.
         """
         state_dir = Path(state_dir)
         manifest = read_manifest(state_dir)
+        version = manifest["format_version"]
         payload_dir = state_dir / str(manifest.get("payload_dir", ""))
         if not payload_dir.is_dir():
             raise MatchStateError(
                 f"match state at {state_dir} is incomplete: missing payload "
                 f"directory {manifest.get('payload_dir')!r}"
             )
-        payloads: dict[str, Any] = {}
-        for file_name in _STATE_FILES:
-            path = payload_dir / file_name
-            if not path.exists():
-                raise MatchStateError(
-                    f"match state at {state_dir} is incomplete: missing {file_name}"
-                )
-            try:
-                with path.open("rb") as handle:
-                    payloads[file_name] = pickle.load(handle)
-            # Unpickling runs the payload classes' own restore code, so a
-            # damaged file can fail with any exception type.
-            except Exception as error:
-                raise MatchStateError(
-                    f"match state at {state_dir} has an unreadable payload "
-                    f"{path.relative_to(state_dir)}: {type(error).__name__}: {error}"
-                ) from error
+        payloads = {
+            file_name: _read_payload(state_dir, payload_dir / file_name)
+            for file_name in _STATE_FILES
+        }
         components = payloads[_COMPONENTS_FILE]
+        blocking = payloads[_BLOCKING_FILE]
         graph = payloads[_GRAPH_FILE]
         state = cls(
             name=payloads[_RECORDS_FILE]["name"],
@@ -306,26 +605,16 @@ class MatchState:
             cleanup_strategy=components["cleanup_strategy"],
             runtime_config=components["runtime_config"],
             records=payloads[_RECORDS_FILE]["records"],
-            part_states=payloads[_BLOCKING_FILE]["part_states"],
-            owned_pairs=payloads[_BLOCKING_FILE]["owned_pairs"],
+            part_states=blocking["part_states"],
+            owned_pairs=blocking["owned_pairs"],
             profiles=payloads[_MATCHING_FILE]["profiles"],
             decisions=payloads[_MATCHING_FILE]["decisions"],
             cleanup_memo=graph["cleanup_memo"],
-            groups=graph["groups"],
-            pre_cleanup_groups=graph["pre_cleanup_groups"],
-            cleanup_report=graph["cleanup_report"],
             pre_cleanup_removed=graph["pre_cleanup_removed"],
-            num_candidates=graph["num_candidates"],
-            num_ingests=graph["num_ingests"],
             payload_rev=graph["payload_rev"],
         )
-        if manifest.get("num_records") != len(state.records):
-            raise MatchStateError(
-                f"match state at {state_dir} is inconsistent: manifest says "
-                f"{manifest.get('num_records')} records, payload holds "
-                f"{len(state.records)}"
-            )
-        if manifest["format_version"] == _CONVERTED_FORMAT_VERSION:
+        state._take_results(graph)
+        if version == _CONVERTED_FORMAT_VERSION:
             state.owned_pairs = [
                 {
                     record.record_id: tuple(
@@ -348,7 +637,123 @@ class MatchState:
                 f"partitions into {len(parts)} parts "
                 f"{[part.name for part in parts]}"
             )
+
+        journal = state.journal
+        state.indexed_records = len(state.records)
+        if version == STATE_FORMAT_VERSION:
+            entries = manifest.get("segments", [])
+            record_of = (
+                {record.record_id: record for record in state.records} if entries else {}
+            )
+            for entry in entries:
+                state._apply_segment(
+                    _read_payload(state_dir, payload_dir / entry["file"]), record_of
+                )
+                journal.segments.append(entry["bytes"])
+            # Only a version 4 base takes segments: an older state's first
+            # save writes a base.
+            journal.state_dir = state_dir.resolve()
+            journal.base_bytes = manifest.get("base_bytes", 0)
+        # Results exist from the first ingest on; a payload that left the
+        # groups out left the report's removed edges out too.
+        if state._groups is None and state.num_ingests:
+            state._groups_pending = True
+            memo = state.cleanup_memo
+            state.cleanup_report = replace(
+                state.cleanup_report,
+                removed_edges=set().union(*(memo[key].removed_edges for key in memo)),
+            )
+        if manifest.get("num_records") != len(state.records):
+            raise MatchStateError(
+                f"match state at {state_dir} is inconsistent: manifest says "
+                f"{manifest.get('num_records')} records, payload holds "
+                f"{len(state.records)}"
+            )
+        journal.mark(state)
         return state
+
+
+class _OverBudget(Exception):
+    """A segment outgrew what the journal may still add."""
+
+
+class _BoundedBuffer(io.BytesIO):
+    """An in-memory file that refuses to grow past ``limit`` bytes.
+
+    The pickler hands it the segment in frames of at most 64 KiB, so a
+    segment that belongs in a new base (after a bulk ingest, say) stops
+    being pickled soon after it outgrows the journal.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def write(self, data) -> int:
+        # Protocol 5 hands large arrays over as buffers, not bytes.
+        if self.tell() + memoryview(data).nbytes > self.limit:
+            raise _OverBudget
+        return super().write(data)
+
+
+def _segment_file(index: int) -> str:
+    """File name of the journal's ``index``-th segment (from 1)."""
+    return f"segment-{index:06d}.pkl"
+
+
+def _read_payload(state_dir: Path, path: Path) -> Any:
+    """Unpickle one committed file, naming it in any failure."""
+    if not path.exists():
+        raise MatchStateError(
+            f"match state at {state_dir} is incomplete: missing "
+            f"{path.name} in {path.parent.relative_to(state_dir)}"
+        )
+    try:
+        with path.open("rb") as handle:
+            return pickle.load(handle)
+    # Unpickling runs the payload classes' own restore code, so a damaged
+    # file can fail with any exception type.
+    except Exception as error:
+        raise MatchStateError(
+            f"match state at {state_dir} has an unreadable payload "
+            f"{path.relative_to(state_dir)}: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _segment_entries(segments: list[int]) -> list[dict[str, Any]]:
+    """The manifest's list of segments, from their sizes."""
+    return [
+        {"file": _segment_file(index), "bytes": size}
+        for index, size in enumerate(segments, start=1)
+    ]
+
+
+def _committed_manifest(state_dir: Path) -> dict[str, Any] | None:
+    """The manifest ``state_dir`` has committed, or None when it holds no
+    state this build reads."""
+    try:
+        return read_manifest(state_dir)
+    except MatchStateError:
+        return None
+
+
+def _payload_rev(manifest: dict[str, Any] | None) -> int:
+    """The revision of the payload directory ``manifest`` names (0 when
+    there is none)."""
+    name = str((manifest or {}).get("payload_dir", ""))
+    digits = name[len(_PAYLOAD_DIR_PREFIX):]
+    return int(digits) if name.startswith(_PAYLOAD_DIR_PREFIX) and digits.isdigit() else 0
+
+
+def _derives_results(strategy: str) -> bool:
+    """Whether the clean-up ``strategy`` is ``component_local``, so its
+    group lists follow from the memo.  A strategy not registered here keeps
+    them whole, which is never wrong."""
+    try:
+        cleanup_fn = CLEANUPS.get(strategy)
+    except RegistryError:
+        return False
+    return bool(getattr(cleanup_fn, "component_local", False))
 
 
 def is_state_dir(state_dir: str | Path) -> bool:
@@ -377,10 +782,13 @@ def read_manifest(state_dir: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("format_version")
-    if version not in (STATE_FORMAT_VERSION, _CONVERTED_FORMAT_VERSION):
+    if version not in (
+        STATE_FORMAT_VERSION, _BASE_FORMAT_VERSION, _CONVERTED_FORMAT_VERSION
+    ):
         raise MatchStateError(
             f"match state at {state_dir} has format version {version!r}; "
-            f"this build reads version {STATE_FORMAT_VERSION} and converts "
-            f"version {_CONVERTED_FORMAT_VERSION}"
+            f"this build reads versions {STATE_FORMAT_VERSION} and "
+            f"{_BASE_FORMAT_VERSION} and converts version "
+            f"{_CONVERTED_FORMAT_VERSION}"
         )
     return manifest

@@ -180,6 +180,15 @@ class DecisionCache:
         self._probabilities = np.concatenate([self._probabilities, scored.probabilities])
         self._is_match = np.concatenate([self._is_match, scored.is_match_mask])
 
+    def tail(self, start: int) -> DecisionVector:
+        """The rows appended since the cache held ``start`` rows, ready to
+        :meth:`extend` another cache with."""
+        return DecisionVector(
+            pairs=self._pairs[start:],
+            probabilities=self._probabilities[start:],
+            is_match=self._is_match[start:],
+        )
+
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, Any]:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.datagen import GenerationConfig, generate_benchmark
-from repro.datagen.io import write_dataset_csv
+from repro.datagen.io import read_dataset_csv, write_dataset_csv
 from repro.datagen.records import Dataset
 from repro.incremental import read_manifest
 from repro.obs import read_trace_jsonl
@@ -88,6 +88,33 @@ class TestIngestMatchesRun:
         assert "format: repro-match-state" in out
         assert "matcher_type: LogisticRegressionMatcher" in out
         assert shown_groups.read_bytes() == (root / "ingest_groups.json").read_bytes()
+
+    def test_state_show_prints_the_base_and_the_journal(
+        self, workspace, capsys, tmp_path
+    ):
+        # A bulk ingest, then two 10-record ones, one invocation each: the
+        # first writes a base, and each later one appends a segment.
+        _, config, paths = workspace
+        records = read_dataset_csv(paths["full"]).records
+        slices = [
+            write_dataset_csv(Dataset("companies", part), tmp_path / f"slice{index}.csv")
+            for index, part in enumerate((records[:-20], records[-20:-10], records[-10:]))
+        ]
+        state = tmp_path / "state"
+        assert main([
+            "ingest", str(slices[0]), "--state", str(state), "--config", str(config),
+            "--train-dataset", str(paths["full"]),
+        ]) == 0
+        for path in slices[1:]:
+            assert main(["ingest", str(path), "--state", str(state)]) == 0
+        capsys.readouterr()
+        manifest = read_manifest(state)
+        assert main(["state", "show", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert f"  base: {manifest['payload_dir']}, {manifest['base_bytes']} bytes" in out
+        sizes = [segment["bytes"] for segment in manifest["segments"]]
+        assert len(sizes) == 2
+        assert f"  journal: 2 segments, {sum(sizes)} bytes" in out
 
 
 class TestExistingStateRuntime:

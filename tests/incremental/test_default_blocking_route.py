@@ -10,7 +10,7 @@ through ``candidate_pairs``, the execution engine and incremental ingest.
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
-from repro.blocking.base import Blocking
+from repro.blocking.base import Blocking, CandidatePair
 from repro.core.cleanup import CleanupConfig
 from repro.core.pipeline import EntityGroupMatchingPipeline
 from repro.core.precleanup import PreCleanupConfig
@@ -81,6 +81,20 @@ class CappedFirstWordBlocking(FirstWordBlocking):
             for record in records
             if len(shared[self._key(record)]) <= 4
             for pair in FirstWordBlocking.candidates_for(self, shared, [record])
+        ]
+
+
+class ReversedCappedFirstWordBlocking(CappedFirstWordBlocking):
+    """:class:`CappedFirstWordBlocking` emitting every pair the other way
+    round, ``(right, left)``: nothing obliges a blocking to emit canonical
+    pairs."""
+
+    name = "reversed_capped_first_word"
+
+    def candidates_for(self, shared, records):
+        return [
+            CandidatePair(pair.right_id, pair.left_id, pair.blocking)
+            for pair in CappedFirstWordBlocking.candidates_for(self, shared, records)
         ]
 
 
@@ -256,3 +270,45 @@ class TestTagChanges:
             assert_equals_batch(incremental, batch)
         finally:
             incremental.close()
+
+
+class TestCanonicalOrientation:
+    """Blocking output enters the candidate stream in canonical orientation,
+    in the batch merge and in the owned lists an ingest stores, so a cached
+    decision never keeps the orientation its key was first scored in."""
+
+    @pytest.fixture(scope="class")
+    def reversed_factory(self, golden_setup):
+        _, matcher = golden_setup
+
+        def make(runtime=None):
+            return EntityGroupMatchingPipeline(
+                matcher=matcher,
+                blocking=CombinedBlocking(
+                    [ReversedCappedFirstWordBlocking(), TokenOverlapBlocking(top_n=3)]
+                ),
+                cleanup_config=CleanupConfig.for_num_sources(4),
+                pre_cleanup_config=PreCleanupConfig(max_component_size=30),
+                runtime=runtime,
+            )
+
+        return make
+
+    def test_the_batch_merge_canonicalises(self, golden_setup, reversed_factory):
+        companies, _ = golden_setup
+        batch = reversed_factory().run(companies)
+        assert any(c.blocking == "reversed_capped_first_word" for c in batch.candidates)
+        assert all(c.left_id < c.right_id for c in batch.candidates)
+        assert reversed_factory().blocking.candidate_pairs(companies) == batch.candidates
+
+    @pytest.mark.parametrize("num_batches", [1, 2, 7])
+    def test_ingest_serves_the_batch_orientation(
+        self, golden_setup, reversed_factory, num_batches
+    ):
+        companies, _ = golden_setup
+        batch = reversed_factory().run(companies)
+        matcher = ingest(reversed_factory, partition_records(companies.records, num_batches))
+        decisions = matcher.decisions()
+        assert decisions.pairs == batch.decisions.pairs
+        assert decisions == batch.decisions
+        assert_equals_batch(matcher, batch)

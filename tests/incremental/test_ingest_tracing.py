@@ -8,7 +8,7 @@ means the decision cache or cleanup memo changed behaviour, not noise.
 
 import pytest
 
-from repro.incremental import IncrementalMatcher
+from repro.incremental import IncrementalMatcher, read_manifest
 from repro.obs import TraceRecorder, stage_timings
 from repro.runtime import PipelineRuntime, RuntimeConfig
 
@@ -143,3 +143,68 @@ class TestIngestMetrics:
         assert recorder.trace().counters == {}
         matcher.close()
         assert report.num_records == len(companies.records)
+
+
+def ingest_and_save_twice(pipeline_factory, records, recorder, state_dir):
+    """The golden two-batch ingest with a save after each batch."""
+    runtime = PipelineRuntime(RuntimeConfig(), recorder=recorder)
+    matcher = IncrementalMatcher.from_pipeline(
+        pipeline_factory(runtime), name="golden-saved"
+    )
+    half = len(records) // 2
+    manifests = []
+    for batch in (records[:half], records[half:]):
+        matcher.ingest(batch)
+        matcher.save(state_dir)
+        manifests.append(read_manifest(state_dir))
+    matcher.close()
+    return manifests
+
+
+class TestSaveSpans:
+    def test_each_save_records_its_path_bytes_and_segments(
+        self, golden_setup, pipeline_factory, tmp_path
+    ):
+        companies, _ = golden_setup
+        recorder = TraceRecorder()
+        manifests = ingest_and_save_twice(
+            pipeline_factory, companies.records, recorder, tmp_path / "state"
+        )
+        trace = recorder.trace()
+        saves = trace.find("save", kind="run")
+        # The first save writes the base, the second appends a segment.
+        assert [span.attributes["path"] for span in saves] == ["compaction", "journal"]
+        assert [span.attributes["segments"] for span in saves] == [0, 1]
+        assert saves[0].attributes["bytes"] == manifests[0]["base_bytes"]
+        assert saves[1].attributes["bytes"] == manifests[1]["segments"][0]["bytes"]
+        # The saves sit next to the ingests, and the pinned counters of the
+        # golden two-batch ingest do not move.
+        assert [span.name for span in trace.spans] == ["ingest", "save", "ingest", "save"]
+        counters = trace.counters
+        assert counters["decision_cache.hits"] == 122
+        assert counters["decision_cache.misses"] == 135 + 150
+        assert counters["cleanup_memo.hits"] == 22
+        assert counters["cleanup_memo.misses"] == 23 + 23
+        assert counters["ingest.records_rescored"] == 364
+        assert trace.gauges["ingest.num_candidates"] == 272
+
+    def test_untraced_saves_write_the_same_bytes(
+        self, golden_setup, pipeline_factory, tmp_path
+    ):
+        companies, _ = golden_setup
+        ingest_and_save_twice(
+            pipeline_factory, companies.records, TraceRecorder(), tmp_path / "traced"
+        )
+        ingest_and_save_twice(
+            pipeline_factory, companies.records, None, tmp_path / "untraced"
+        )
+        traced = sorted(p.relative_to(tmp_path / "traced") for p in (tmp_path / "traced").rglob("*"))
+        untraced = sorted(
+            p.relative_to(tmp_path / "untraced") for p in (tmp_path / "untraced").rglob("*")
+        )
+        assert traced == untraced
+        for relative in traced:
+            if (tmp_path / "traced" / relative).is_file():
+                assert (tmp_path / "traced" / relative).read_bytes() == (
+                    tmp_path / "untraced" / relative
+                ).read_bytes()

@@ -21,6 +21,7 @@ from repro.incremental import (
 from repro.incremental.state import MANIFEST_FILE
 from repro.matching.profiles import ProfileStore
 from repro.runtime import PipelineRuntime, RuntimeConfig
+from tests.incremental.legacy_state import save_v3
 
 
 def corrupt_payload(path, keep: float) -> None:
@@ -238,7 +239,7 @@ class TestCrashResilience:
 class TestFormatMigration:
     def test_v1_manifest_is_refused_by_version(self, saved_state):
         # Format v1 stored the decisions as a dict of decision objects; this
-        # build reads version 3 and converts version 2 only.
+        # build reads versions 4 and 3 and converts version 2 only.
         _, state_dir = saved_state
         manifest_path = state_dir / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
@@ -246,9 +247,42 @@ class TestFormatMigration:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
             MatchStateError,
-            match="format version 1; this build reads version 3 and converts version 2",
+            match=(
+                "format version 1; this build reads versions 4 and 3 and "
+                "converts version 2"
+            ),
         ):
             IncrementalMatcher.load(state_dir)
+
+    def test_a_v3_state_loads_as_a_base_and_ingests_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # Format v3 pickled each part's prepared index and kept no journal:
+        # it loads with its indexes, and its next save writes a v4 base.
+        from tests.incremental.oracle import ingest_checked
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        companies, _ = golden_setup
+        records = companies.records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(records[:90])
+        state_dir = save_v3(matcher.state, tmp_path / "state")
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.part_states == matcher.state.part_states
+        assert reloaded.state.journal.state_dir is None
+        first = ingest_checked(reloaded, records[90:120])
+        # The pickled indexes carry the top-n memo: the same rescoring as in
+        # the process that saved the state.
+        assert first.records_rescored == matcher.ingest(records[90:120]).records_rescored
+        reloaded.save(state_dir)
+        manifest = read_manifest(state_dir)
+        assert manifest["format_version"] == STATE_FORMAT_VERSION
+        assert manifest["payload_dir"] == "rev2" and manifest["segments"] == []
+        assert [p.name for p in state_dir.glob("rev*")] == ["rev2"]
+        reopened = IncrementalMatcher.load(state_dir)
+        ingest_checked(reopened, records[120:])
+        assert_equals_batch(reopened, batch_result)
 
     def test_a_v2_state_converts_at_load_and_ingests_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path
@@ -263,7 +297,7 @@ class TestFormatMigration:
         records = companies.records
         matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
         matcher.ingest(records[:90])
-        state_dir = matcher.save(tmp_path / "state")
+        state_dir = save_v3(matcher.state, tmp_path / "state")
         payload_dir = state_dir / read_manifest(state_dir)["payload_dir"]
         blocking_path = payload_dir / "blocking_state.pkl"
         blocking = pickle.loads(blocking_path.read_bytes())
@@ -431,11 +465,13 @@ class TestTracePath:
         assert trace.read_bytes() == first
 
     def test_a_stored_trace_path_is_dropped_on_load(self, saved_state, tmp_path):
-        # Earlier builds pickled the creating call's trace path.
-        matcher, state_dir = saved_state
+        # Earlier builds pickled the creating call's trace path.  The
+        # components are written with a base only, so save to a fresh
+        # directory, which writes one.
+        matcher, _ = saved_state
         stale = tmp_path / "stale.jsonl"
         matcher.state.runtime_config = RuntimeConfig(batch_size=64, trace=str(stale))
-        matcher.save(state_dir)
+        state_dir = matcher.save(tmp_path / "fresh")
         reloaded = IncrementalMatcher.load(state_dir)
         assert reloaded.state.runtime_config == RuntimeConfig(batch_size=64)
         assert not reloaded.runtime.recorder.enabled
