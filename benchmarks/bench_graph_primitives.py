@@ -3,14 +3,15 @@
 The paper notes that Minimum Edge Cut and Edge Betweenness Centrality share
 the same worst-case complexity O(m·n) but differ in practice ("the Minimum
 Edge Cut tends to have a lower run-time").  These micro-benchmarks measure
-the three primitives on a representative oversized component: two dense
-groups joined by a single false-positive bridge.
+the three primitives, and Algorithm 1 itself, on a representative oversized
+component: two dense groups joined by a single false-positive bridge.
 """
 
 import random
 
 import pytest
 
+from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
 from repro.graphs import (
     Graph,
     connected_components,
@@ -57,6 +58,16 @@ def test_edge_betweenness_speed(benchmark, component):
     scores = benchmark(lambda: edge_betweenness_centrality(component, normalized=False))
     best = max(scores, key=scores.get)
     assert best == ("a24", "b0")
+
+
+def test_gralmatch_cleanup_speed(benchmark, component):
+    # Betweenness only (gamma = infinity): the bridge carries every path
+    # between the clusters, so it alone is removed and they come back.
+    config = CleanupConfig(gamma=None, mu=25)
+    pieces, report = benchmark(lambda: gralmatch_cleanup(component.edges(), config))
+    assert pieces == [{f"a{i}" for i in range(25)}, {f"b{i}" for i in range(25)}]
+    assert report.removed_edges == {("a24", "b0")}
+    assert report.betweenness_removals == 1
 
 
 def test_mincut_faster_than_betweenness_note(benchmark, component):

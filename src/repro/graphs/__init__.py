@@ -16,7 +16,6 @@ Everything here is implemented from scratch on top of a small adjacency-list
 from repro.graphs.graph import Graph
 from repro.graphs.components import (
     connected_components,
-    component_of,
     largest_component,
 )
 from repro.graphs.union_find import DisjointSet, union_find_components
@@ -30,7 +29,6 @@ __all__ = [
     "DisjointSet",
     "union_find_components",
     "connected_components",
-    "component_of",
     "largest_component",
     "edge_betweenness_centrality",
     "max_flow",

@@ -1,9 +1,10 @@
 """Disjoint-set union (union-find) over hashable nodes.
 
-Connected components are the hottest graph primitive in the pipeline: they
-are computed for the pre-cleanup sizing rule, for the transitive closure,
-once over the whole match graph before Algorithm 1, and inside the one
-piece an Algorithm 1 removal just cut.  A disjoint-set forest
+Connected components are computed for the pre-cleanup sizing rule, for
+the transitive closure, for the incremental matcher's positive graph and
+inside the clean-up variants (Algorithm 1 keeps int adjacency lists and
+splits its pieces by breadth-first search over them, in
+:mod:`repro.core.cleanup`).  A disjoint-set forest
 with path compression and union by rank answers the same question in
 near-linear time — O(m α(n)) over m edges — without materialising adjacency
 sets or re-walking the graph per component, unlike the BFS sweep it

@@ -110,6 +110,12 @@ def assert_matches_oracle(edges, config):
     return report
 
 
+def mixed_label(i):
+    """A string for every third record, else an int of one, two or four
+    digits."""
+    return f"r{i:02d}" if i % 3 == 0 else i + 1000 * (i % 3 - 1)
+
+
 @st.composite
 def planted_partitions(draw):
     """Near-cliques of 1-6 records joined by random false-positive edges.
@@ -118,14 +124,17 @@ def planted_partitions(draw):
     (starting a new component) only after 20 records, so the largest
     component holds more than 20.  Random extra false positives add
     parallel paths.  Records are ints or strings (ints sort differently by
-    value and by repr, which exercises both tie-break orders).
+    value and by repr, which exercises both tie-break orders), or a mix of
+    both (:func:`mixed_label`): the whole graph then sorts by repr, but a
+    piece or a neighbour set of one type still sorts naturally, and most
+    int sets of the mix sort differently by value and by repr.
     """
     sizes = draw(
         st.lists(st.integers(1, 6), min_size=8, max_size=14).filter(
             lambda sizes: sum(sizes) > 20
         )
     )
-    label = draw(st.sampled_from([lambda i: i, lambda i: f"r{i:02d}"]))
+    label = draw(st.sampled_from([lambda i: i, lambda i: f"r{i:02d}", mixed_label]))
     groups, next_id = [], 0
     for size in sizes:
         groups.append([label(next_id + offset) for offset in range(size)])
@@ -171,6 +180,25 @@ class TestPlantedPartitions:
         # The largest component holds more than 20 records: phase 1 cut.
         assert reports["base"].initial_largest_component > config.gamma
         assert reports["base"].mincut_removals > 0
+
+
+#: A sparse graph, found by search, on which ordering a neighbour set of one
+#: type by repr (the whole graph's order under :func:`mixed_label`) instead
+#: of naturally changes which betweenness edges the clean-up removes.
+MIXED_ORDER_EDGES = [
+    (0, 1), (0, 2), (0, 5), (0, 8), (0, 9), (0, 17), (0, 22), (1, 3), (1, 4),
+    (1, 5), (1, 15), (1, 24), (2, 3), (2, 9), (2, 14), (2, 15), (4, 10), (5, 6),
+    (5, 7), (5, 8), (5, 13), (5, 16), (5, 24), (6, 7), (6, 9), (6, 10), (7, 11),
+    (7, 12), (7, 15), (7, 20), (7, 22), (8, 13), (9, 10), (9, 11), (9, 19),
+    (9, 21), (10, 17), (11, 17), (12, 18), (12, 20), (15, 21), (15, 24),
+    (17, 20), (17, 22), (21, 23), (22, 23),
+]
+
+
+def test_mixed_labels_order_each_set_by_its_own_labels():
+    edges = [(mixed_label(u), mixed_label(v)) for u, v in MIXED_ORDER_EDGES]
+    report = assert_matches_oracle(edges, CleanupConfig(gamma=None, mu=3))
+    assert report.betweenness_removals > 0
 
 
 @pytest.fixture(scope="module")

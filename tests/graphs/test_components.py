@@ -1,12 +1,10 @@
 """Tests for connected component discovery."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, component_of, connected_components, largest_component
-from repro.graphs.components import components_from_edges
+from repro.graphs import Graph, connected_components, largest_component
 
 
 class TestConnectedComponents:
@@ -37,21 +35,6 @@ class TestConnectedComponents:
         comps = connected_components(Graph(edges))
         assert len(comps) == 1
         assert len(comps[0]) == 10_001
-
-    def test_components_from_edges_helper(self):
-        comps = components_from_edges([("a", "b"), ("c", "d")])
-        assert len(comps) == 2
-
-
-class TestComponentOf:
-    def test_returns_containing_component(self):
-        g = Graph([(1, 2), (2, 3), (10, 11)])
-        assert component_of(g, 1) == {1, 2, 3}
-        assert component_of(g, 11) == {10, 11}
-
-    def test_missing_node_raises(self):
-        with pytest.raises(KeyError):
-            component_of(Graph(), "nope")
 
 
 class TestLargestComponent:
