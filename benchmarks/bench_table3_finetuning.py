@@ -1,9 +1,11 @@
 """Table 3 — fine-tuning scores of the pairwise matchers on test pairs.
 
 For every (dataset, model) combination the matcher is fine-tuned on the
-train split, the best epoch is selected on the validation split and
-Match / NoMatch classification is scored on the test-split pairs, exactly as
-in Table 3 (precision / recall / F1 plus training time).
+train split (the transformer matchers keep the epoch with the lowest
+validation loss, the logistic matcher its last iterate) and
+Match / NoMatch classification is scored on the test-split pairs by
+:func:`~repro.evaluation.finetune.evaluate_fine_tuning`, exactly as in
+Table 3 (precision / recall / F1 plus training time).
 
 The expected shape (not absolute values) from the paper:
 
@@ -12,13 +14,11 @@ The expected shape (not absolute values) from the paper:
 * DITTO (256) trains noticeably longer than the 128-token setups.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.metrics import pairwise_scores
-from repro.evaluation import format_table
-from repro.evaluation.finetune import FineTuneEvaluation
-from repro.matching.models import MODEL_SPECS
-from repro.matching.pairs import as_record_pairs
+from repro.evaluation import evaluate_fine_tuning, format_table
 
 #: (dataset, models) pairs evaluated for Table 3 at benchmark scale.
 TABLE3_SETUPS = {
@@ -44,30 +44,9 @@ def test_table3_fine_tuning(benchmark, dataset_registry, finetune_cache,
 
     def run():
         result, splits, tuner = finetune_cache(dataset_name, model_name)
-        # Score on the test-split pairs (identical sampling for every model).
-        test_pairs = tuner.build_pairs(
-            dataset, splits.test_entities, MODEL_SPECS["distilbert-128-all"]
-        )
-        record_pairs, labels = as_record_pairs(test_pairs)
-        predictions = result.matcher.predict(record_pairs)
-        predicted = [
-            (left.record_id, right.record_id)
-            for (left, right), is_match in zip(record_pairs, predictions)
-            if is_match
-        ]
-        truth = [
-            (left.record_id, right.record_id)
-            for (left, right), label in zip(record_pairs, labels)
-            if label == 1
-        ]
-        return FineTuneEvaluation(
-            dataset=dataset_name,
-            model=model_name,
-            scores=pairwise_scores(predicted, truth),
-            training_seconds=result.training_seconds,
-            num_training_pairs=result.num_training_pairs,
-            num_test_pairs=len(test_pairs),
-        )
+        evaluation = evaluate_fine_tuning(dataset, splits, result, tuner)
+        # Rows are labelled by the benchmark's dataset names.
+        return replace(evaluation, dataset=dataset_name)
 
     evaluation = benchmark.pedantic(run, rounds=1, iterations=1)
     _rows.append(evaluation.as_row())

@@ -375,6 +375,7 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_ingest(args: argparse.Namespace) -> int:
     from repro.api import ingest, load_spec, open_state
     from repro.incremental import MatchStateError, is_state_dir
+    from repro.registry import RegistryError
 
     spec = None
     if args.config is not None:
@@ -468,7 +469,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
                 matcher.save(state_dir)
         if save and not autosave:
             matcher.save(state_dir)
-    except (MatchStateError, SpecValidationError, ValueError) as error:
+    except (MatchStateError, SpecValidationError, RegistryError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:

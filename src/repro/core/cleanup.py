@@ -135,8 +135,7 @@ def gralmatch_cleanup(
 # component — which is how gralmatch_cleanup runs it: one initial component
 # at a time, with exactly the output of one whole-graph run.  The incremental
 # subsystem relies on the same property to re-clean only *dirty*
-# components; strategies without the marker are re-run on the whole graph
-# every ingest.
+# components, and refuses to ingest under a strategy without the marker.
 gralmatch_cleanup.component_local = True
 
 

@@ -19,7 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.cleanup import CleanupConfig, CleanupReport, clean_graph
+from repro.core.cleanup import (
+    CleanupConfig,
+    CleanupReport,
+    clean_graph,
+    merge_component_cleanups,
+)
 from repro.graphs.betweenness import max_betweenness_edge
 from repro.graphs.bridges import bridges
 from repro.graphs.components import connected_components
@@ -79,14 +84,34 @@ def adaptive_cleanup(
     ``min_density``: a group of records that is genuinely one entity tends to
     be densely confirmed by pairwise predictions regardless of its size,
     whereas two groups joined by a few false positives are sparse.
+
+    Every removal is chosen from one sparse piece of one connected
+    component, so each component is cleaned on its own, with
+    ``max_iterations`` bounding the removals in each, and
+    :func:`~repro.core.cleanup.merge_component_cleanups` joins the results.
+    Wherever no component needs more than ``max_iterations`` removals this
+    equals one whole-graph loop under one shared budget (the differential
+    oracle in ``tests/core/test_cleanup_variants.py``).
     """
     if not 0.0 < min_density <= 1.0:
         raise ValueError("min_density must be in (0, 1]")
     graph = Graph(edges)
-    report = CleanupReport()
     components = connected_components(graph)
-    report.initial_largest_component = len(components[0]) if components else 0
+    return merge_component_cleanups(
+        (
+            _adaptive_component(graph.subgraph(component), min_density, max_iterations)
+            for component in components
+        ),
+        initial_largest_component=len(components[0]) if components else 0,
+    )
 
+
+def _adaptive_component(
+    graph: Graph, min_density: float, max_iterations: int
+) -> tuple[list[set[str]], CleanupReport]:
+    """The density loop on one component's ``graph``, cut in place; the
+    merge fills in the report's component sizes."""
+    report = CleanupReport()
     for _ in range(max_iterations):
         sparse = [
             component
@@ -101,10 +126,7 @@ def adaptive_cleanup(
         graph.remove_edge(*edge)
         report.removed_edges.add(edge)
         report.betweenness_removals += 1
-
-    final_components = connected_components(graph)
-    report.final_largest_component = len(final_components[0]) if final_components else 0
-    return [set(component) for component in final_components], report
+    return connected_components(graph), report
 
 
 @register_cleanup("adaptive")
@@ -117,14 +139,11 @@ def adaptive_cleanup_strategy(
     The adaptive strategy is density-driven, so the ``gamma``/``mu``
     thresholds of ``config`` are intentionally ignored — the adapter exists
     so declarative specs can select the strategy by name with the common
-    ``(edges, config)`` calling convention.
-
-    Deliberately *not* marked ``component_local``: although each removal
-    targets one component's subgraph, ``max_iterations`` is a single global
-    budget shared across components — running the strategy once per
-    component would give every component its own fresh budget and could
-    remove more edges than one whole-graph run.  The incremental subsystem
-    therefore re-cleans the whole graph for this strategy (correct, just
-    not delta-proportional).
+    ``(edges, config)`` calling convention.  Its ``max_iterations`` budget
+    (10,000) bounds the removals in each connected component.
     """
     return adaptive_cleanup(edges)
+
+
+# Each component is cleaned on its own, under its own budget.
+adaptive_cleanup_strategy.component_local = True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.graphs.graph import Edge, canonical_edge
+from repro.graphs.graph import Edge
 
 
 class EntityGroups:
@@ -67,10 +67,11 @@ class EntityGroups:
         """All intra-group record pairs (the complete-graph interpretation)."""
         edges: set[Edge] = set()
         for group in self._groups:
+            # Sorted members make every pair canonical as it is built.
             members = sorted(group)
             for i, left in enumerate(members):
                 for right in members[i + 1:]:
-                    edges.add(canonical_edge(left, right))
+                    edges.add((left, right))
         return edges
 
     def group_sizes(self) -> list[int]:

@@ -142,9 +142,8 @@ def apply_pre_cleanup(
     Returns ``(positive_edges, edge_blockings, kept_edges, removed)``.
     :class:`PreCleanupStage` runs it over the whole graph.  The incremental
     matcher applies the same rule per recomputed component
-    (:class:`~repro.incremental.graph.PositiveGraph`) and calls this only
-    for a clean-up strategy without ``component_local``; the oracle tests
-    in ``tests/incremental/`` recompute with it after every ingested batch,
+    (:class:`~repro.incremental.graph.PositiveGraph`); the oracle tests in
+    ``tests/incremental/`` recompute with this after every ingested batch,
     which is what keeps the two execution modes from drifting.
 
     A columnar :class:`~repro.matching.decisions.DecisionVector` yields its
@@ -173,9 +172,9 @@ def groups_from_components(
 
     Cleaned components first (in their given order), then singletons for
     uncovered records in dataset order.  :class:`GroupingStage` calls it;
-    the incremental matcher splices components into sorted lists instead
-    and calls it only for a strategy without ``component_local`` (same
-    drift argument as :func:`apply_pre_cleanup`).
+    the incremental matcher splices components into sorted lists instead,
+    and the oracle tests recompute with this (same drift argument as
+    :func:`apply_pre_cleanup`).
     """
     return (
         EntityGroups.covering(components, all_record_ids),

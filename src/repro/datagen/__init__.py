@@ -6,7 +6,7 @@ procedurally (see ``DESIGN.md``, substitution 1) and the same *data artifact*
 machinery described in Section 3.2 is applied on top:
 
 * :mod:`repro.datagen.records` — the record / dataset model,
-* :mod:`repro.datagen.identifiers` — ISIN / CUSIP / SEDOL / VALOR / LEI
+* :mod:`repro.datagen.identifiers` — ISIN / CUSIP / SEDOL / VALOR
   generation and validation with real check-digit algorithms,
 * :mod:`repro.datagen.seed` — the procedural seed-company corpus,
 * :mod:`repro.datagen.artifacts` — the data artifacts (AcronymName,
@@ -27,7 +27,7 @@ from repro.datagen.records import (
 )
 from repro.datagen.config import GenerationConfig, RealLikeConfig, SyntheticConfig
 from repro.datagen.generator import SyntheticDatasetGenerator, generate_benchmark
-from repro.datagen.seed import SeedCompany, generate_seed_companies
+from repro.datagen.seed import SeedCompany
 from repro.datagen.stats import DatasetStatistics, dataset_statistics
 from repro.datagen.wdc import WdcProductsGenerator, generate_wdc_products
 from repro.datagen.examples import figure2_dataset
@@ -44,7 +44,6 @@ __all__ = [
     "SyntheticDatasetGenerator",
     "generate_benchmark",
     "SeedCompany",
-    "generate_seed_companies",
     "DatasetStatistics",
     "dataset_statistics",
     "WdcProductsGenerator",

@@ -13,8 +13,6 @@ check-digit algorithms:
 * **SEDOL** — 6 alphanumeric characters (no vowels) + 1 weighted check digit
   (weights 1, 3, 1, 7, 3, 9).
 * **VALOR** — Swiss numeric identifier, no check digit.
-* **LEI** — 18 alphanumeric characters + 2 check digits validated with the
-  ISO 7064 mod-97-10 scheme (as for IBANs).
 * **Ticker** — exchange ticker symbols (no checksum).
 """
 
@@ -155,7 +153,7 @@ def is_valid_sedol(value: str | None) -> bool:
 
 
 # --------------------------------------------------------------------------
-# VALOR / LEI / tickers
+# VALOR / tickers
 # --------------------------------------------------------------------------
 
 def make_valor(rng: random.Random) -> str:
@@ -168,33 +166,6 @@ def make_valor(rng: random.Random) -> str:
 
 def is_valid_valor(value: str | None) -> bool:
     return bool(value) and value.isdigit() and 6 <= len(value) <= 9
-
-
-def lei_check_digits(body: str) -> str:
-    """ISO 7064 mod-97-10 check digits for an 18-character LEI body."""
-    if len(body) != 18:
-        raise ValueError("LEI body must be 18 characters")
-    numeric = "".join(str(_char_value(ch)) for ch in body + "00")
-    remainder = int(numeric) % 97
-    return f"{98 - remainder:02d}"
-
-
-def make_lei(rng: random.Random) -> str:
-    # First 4 characters identify the issuing Local Operating Unit.
-    lou = "".join(rng.choice(string.digits) for _ in range(4))
-    middle = "".join(rng.choice(_ALPHANUM) for _ in range(14))
-    body = lou + middle
-    return body + lei_check_digits(body)
-
-
-def is_valid_lei(value: str | None) -> bool:
-    if not value or len(value) != 20:
-        return False
-    body, check = value[:18], value[18:]
-    if not all(ch in _ALPHANUM for ch in body) or not check.isdigit():
-        return False
-    numeric = "".join(str(_char_value(ch)) for ch in value)
-    return int(numeric) % 97 == 1
 
 
 def make_ticker(rng: random.Random, name: str | None = None) -> str:
@@ -223,20 +194,6 @@ def make_security_identifiers(rng: random.Random) -> dict[str, str]:
         "sedol": make_sedol(rng),
         "valor": make_valor(rng),
     }
-
-
-def validate_identifier(kind: str, value: str | None) -> bool:
-    """Dispatch validation by identifier kind."""
-    validators = {
-        "isin": is_valid_isin,
-        "cusip": is_valid_cusip,
-        "sedol": is_valid_sedol,
-        "valor": is_valid_valor,
-        "lei": is_valid_lei,
-    }
-    if kind not in validators:
-        raise ValueError(f"unknown identifier kind: {kind!r}")
-    return validators[kind](value)
 
 
 def corrupt_identifier(rng: random.Random, value: str) -> str:

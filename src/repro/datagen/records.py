@@ -24,8 +24,6 @@ from dataclasses import dataclass, fields, replace
 from collections.abc import Iterable, Iterator
 from typing import Any, ClassVar
 
-from repro.graphs.graph import canonical_edge
-
 MatchPair = tuple[str, str]
 
 
@@ -204,10 +202,11 @@ class Dataset:
     def true_matches(self) -> set[MatchPair]:
         """All unordered pairs of record ids belonging to the same entity."""
         matches: set[MatchPair] = set()
+        # Each group's ids are sorted, so every pair is canonical as built.
         for record_ids in self.entity_groups().values():
             for i, left in enumerate(record_ids):
                 for right in record_ids[i + 1:]:
-                    matches.add(canonical_edge(left, right))  # type: ignore[arg-type]
+                    matches.add((left, right))
         return matches
 
     def entity_of(self, record_id: str) -> str:
@@ -235,9 +234,3 @@ class Dataset:
             f"entities={len(self.entity_groups())}, sources={len(self.sources)})"
         )
 
-
-def pair_key(left: Record | str, right: Record | str) -> MatchPair:
-    """Canonical unordered pair of record ids."""
-    left_id = left if isinstance(left, str) else left.record_id
-    right_id = right if isinstance(right, str) else right.record_id
-    return canonical_edge(left_id, right_id)  # type: ignore[return-value]

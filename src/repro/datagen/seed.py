@@ -129,17 +129,3 @@ def iter_seed_companies(
             industry=sector,
         )
 
-
-def generate_seed_companies(
-    num_companies: int,
-    seed: int = 0,
-    description_probability: float = 0.32,
-) -> list[SeedCompany]:
-    """Materialise the seed corpus as a list (see :func:`iter_seed_companies`)."""
-    return list(
-        iter_seed_companies(
-            num_companies,
-            seed=seed,
-            description_probability=description_probability,
-        )
-    )

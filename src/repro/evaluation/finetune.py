@@ -1,10 +1,11 @@
 """Fine-tuning evaluation (Table 3).
 
-For every model setup, fine-tune on the train split, select the best epoch on
-the validation split and score Match / NoMatch classification on the *test
-split pairs* (all positives of the test groups plus 5:1 sampled negatives).
-This mirrors Table 3 of the paper: pairwise precision / recall / F1 plus the
-wall-clock training time.
+For every model setup, fine-tune on the train split (the transformer
+matchers keep the epoch with the lowest validation loss, the logistic
+matcher its last iterate) and score Match / NoMatch classification on the
+*test split pairs* (all positives of the test groups plus 5:1 sampled
+negatives).  This mirrors Table 3 of the paper: pairwise precision / recall
+/ F1 plus the wall-clock training time.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from repro.core.metrics import PairwiseScores, pairwise_scores
 from repro.datagen.records import Dataset
 from repro.evaluation.splits import DatasetSplits
-from repro.matching.models import MODEL_SPECS, ModelSpec
+from repro.matching.models import MODEL_SPECS
 from repro.matching.pairs import as_record_pairs
-from repro.matching.training import FineTuner
+from repro.matching.training import FineTuner, FineTuneResult
 
 
 @dataclass
@@ -44,25 +45,16 @@ class FineTuneEvaluation:
 def evaluate_fine_tuning(
     dataset: Dataset,
     splits: DatasetSplits,
-    model: ModelSpec | str,
-    tuner: FineTuner | None = None,
+    result: FineTuneResult,
+    tuner: FineTuner,
 ) -> FineTuneEvaluation:
-    """Fine-tune ``model`` and score it on the test-split pairs."""
-    if isinstance(model, str):
-        model = MODEL_SPECS[model]
-    tuner = tuner or FineTuner()
-
-    result = tuner.fine_tune(
-        model,
-        dataset,
-        train_entities=splits.train_entities,
-        validation_entities=splits.validation_entities,
-    )
-
+    """Score ``result``, fine-tuned by ``tuner`` on ``dataset``'s train
+    split, on the test-split pairs ``tuner`` samples."""
     # Test pairs always use the full (non-reduced) sampling so all models are
     # scored on the identical pair set.
-    test_spec = MODEL_SPECS["distilbert-128-all"]
-    test_pairs = tuner.build_pairs(dataset, splits.test_entities, test_spec)
+    test_pairs = tuner.build_pairs(
+        dataset, splits.test_entities, MODEL_SPECS["distilbert-128-all"]
+    )
     record_pairs, labels = as_record_pairs(test_pairs)
     predictions = result.matcher.predict(record_pairs)
 
@@ -76,12 +68,10 @@ def evaluate_fine_tuning(
         for (left, right), label in zip(record_pairs, labels)
         if label == 1
     ]
-    scores = pairwise_scores(predicted_matches, true_matches)
-
     return FineTuneEvaluation(
         dataset=dataset.name,
-        model=model.name,
-        scores=scores,
+        model=result.name,
+        scores=pairwise_scores(predicted_matches, true_matches),
         training_seconds=result.training_seconds,
         num_training_pairs=result.num_training_pairs,
         num_test_pairs=len(test_pairs),

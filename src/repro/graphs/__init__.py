@@ -9,32 +9,25 @@ records, edges are positively predicted pairwise matches):
 * edge betweenness centrality — Brandes' algorithm (Algorithm 1, second
   phase).
 
+Bridges (the ``bridge_removal`` clean-up) and edge density (the
+``adaptive`` clean-up's stopping rule) serve the alternative strategies.
 Everything here is implemented from scratch on top of a small adjacency-list
 :class:`Graph`; the test-suite cross-checks the results against networkx.
 """
 
 from repro.graphs.graph import Graph
-from repro.graphs.components import (
-    connected_components,
-    largest_component,
-)
+from repro.graphs.components import connected_components
 from repro.graphs.union_find import DisjointSet, union_find_components
 from repro.graphs.betweenness import edge_betweenness_centrality
-from repro.graphs.maxflow import max_flow, minimum_st_edge_cut
 from repro.graphs.mincut import minimum_edge_cut
-from repro.graphs.validation import is_complete, is_connected, density
+from repro.graphs.validation import density
 
 __all__ = [
     "Graph",
     "DisjointSet",
     "union_find_components",
     "connected_components",
-    "largest_component",
     "edge_betweenness_centrality",
-    "max_flow",
-    "minimum_st_edge_cut",
     "minimum_edge_cut",
-    "is_complete",
-    "is_connected",
     "density",
 ]

@@ -1,4 +1,4 @@
-"""Bridge and articulation-point detection (Tarjan's algorithm, iterative).
+"""Bridge detection (Tarjan's algorithm, iterative).
 
 A *bridge* is an edge whose removal disconnects its component.  False
 positive pairwise predictions frequently are bridges (a single spurious edge
@@ -59,55 +59,3 @@ def bridges(graph: Graph) -> set[Edge]:
                     result.add(canonical_edge(parent_node, node))
     return result
 
-
-def articulation_points(graph: Graph) -> set[Node]:
-    """Return all articulation points (cut vertices) of ``graph``.
-
-    Computed with the same low-link values; a non-root node is an
-    articulation point when one of its children cannot reach above it, a
-    root when it has two or more DFS children.
-    """
-    discovery: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    parent: dict[Node, Node | None] = {}
-    children: dict[Node, int] = {}
-    result: set[Node] = set()
-    counter = 0
-
-    for root in graph.nodes():
-        if root in discovery:
-            continue
-        parent[root] = None
-        children[root] = 0
-        stack: list[tuple[Node, iter]] = [(root, iter(sorted(graph.neighbors(root), key=repr)))]
-        discovery[root] = low[root] = counter
-        counter += 1
-
-        while stack:
-            node, neighbours = stack[-1]
-            advanced = False
-            for neighbour in neighbours:
-                if neighbour not in discovery:
-                    parent[neighbour] = node
-                    children[node] = children.get(node, 0) + 1
-                    children.setdefault(neighbour, 0)
-                    discovery[neighbour] = low[neighbour] = counter
-                    counter += 1
-                    stack.append(
-                        (neighbour, iter(sorted(graph.neighbors(neighbour), key=repr)))
-                    )
-                    advanced = True
-                    break
-                if neighbour != parent[node]:
-                    low[node] = min(low[node], discovery[neighbour])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                parent_node = stack[-1][0]
-                low[parent_node] = min(low[parent_node], low[node])
-                if parent[parent_node] is not None and low[node] >= discovery[parent_node]:
-                    result.add(parent_node)
-        if children.get(root, 0) >= 2:
-            result.add(root)
-    return result

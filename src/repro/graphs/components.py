@@ -25,12 +25,3 @@ def connected_components(graph: Graph) -> list[set[Node]]:
     """
     return union_find_components(graph.edges(), graph.nodes())
 
-
-def largest_component(graph: Graph) -> set[Node]:
-    """Return the largest connected component (empty set for empty graphs).
-
-    Ties go to the component :func:`connected_components` lists first, the
-    one holding the smallest member repr.
-    """
-    components = connected_components(graph)
-    return components[0] if components else set()

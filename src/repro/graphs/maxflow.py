@@ -1,4 +1,4 @@
-"""Maximum flow and minimum s-t edge cuts on unweighted undirected graphs.
+"""The unit-capacity residual network behind minimum edge cuts.
 
 The minimum *global* edge cut used by GraLMatch (``mincut.py``) is computed
 from minimum s-t cuts: by Menger's theorem the size of a minimum s-t edge cut
@@ -117,27 +117,3 @@ class _ResidualNetwork:
                 queue.append(neighbour)
         return seen
 
-
-def max_flow(graph: Graph, source: Node, sink: Node) -> int:
-    """Maximum number of edge-disjoint paths between ``source`` and ``sink``."""
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    if not graph.has_node(source) or not graph.has_node(sink):
-        raise KeyError("source and sink must both be nodes of the graph")
-    return _ResidualNetwork(graph).saturate(source, sink)
-
-
-def minimum_st_edge_cut(graph: Graph, source: Node, sink: Node) -> set[Edge]:
-    """Return a minimum set of edges separating ``source`` from ``sink``.
-
-    After the max flow saturates, the cut consists of the original edges that
-    cross from the residual-reachable side of ``source`` to the other side.
-    """
-    if source == sink:
-        raise ValueError("source and sink must differ")
-    if not graph.has_node(source) or not graph.has_node(sink):
-        raise KeyError("source and sink must both be nodes of the graph")
-
-    network = _ResidualNetwork(graph)
-    network.saturate(source, sink)
-    return network.st_cut_edges(graph, source)

@@ -1,28 +1,8 @@
-"""Small structural predicates used across the clean-up and the metrics."""
+"""Edge density: the adaptive clean-up's stopping rule."""
 
 from __future__ import annotations
 
-from repro.graphs.components import connected_components
 from repro.graphs.graph import Graph
-
-
-def is_connected(graph: Graph) -> bool:
-    """True when the graph has at most one connected component.
-
-    The empty graph and single-node graphs are considered connected, which
-    matches the convention used by the group-matching metrics (a singleton
-    record group is a valid, trivially complete group).
-    """
-    if graph.num_nodes <= 1:
-        return True
-    return len(connected_components(graph)) == 1
-
-
-def is_complete(graph: Graph) -> bool:
-    """True when every pair of nodes is joined by an edge."""
-    n = graph.num_nodes
-    expected_edges = n * (n - 1) // 2
-    return graph.num_edges == expected_edges
 
 
 def density(graph: Graph) -> float:

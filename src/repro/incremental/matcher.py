@@ -33,10 +33,10 @@ the exact inputs of a deterministic function:
   removals and the memoised clean-up of each kept component.  Only the
   components holding an endpoint of a positive key that joined, left or
   changed tag are recomputed; the rest splice through without a
-  graph-algorithm call.  Component locality of the clean-up strategies
+  graph-algorithm call.  Component locality of the clean-up strategy
   makes this exactly equal to a global clean-up (see ``component_local``
-  in :mod:`repro.core.cleanup`); a strategy without the marker re-runs the
-  whole-graph stages every ingest over the assembled candidate stream.
+  in :mod:`repro.core.cleanup`), so :meth:`IncrementalMatcher.ingest`
+  refuses a strategy without the marker before it changes anything.
 
 The counts and the graph are derived, so a saved state does not hold
 them: the first ingest of an opened matcher builds them by feeding every
@@ -64,10 +64,8 @@ from repro.blocking.base import Blocking, CandidatePair, dedupe_pairs
 from repro.core.cleanup import CleanupConfig, CleanupReport
 from repro.core.groups import EntityGroups
 from repro.core.precleanup import PreCleanupConfig
-from repro.core.stages import apply_pre_cleanup, groups_from_components
 from repro.datagen.records import Dataset, Record
 from repro.graphs.graph import Edge, canonical_edge
-from repro.graphs.union_find import union_find_components
 from repro.incremental.graph import PositiveGraph
 from repro.incremental.state import MatchState, OwnedPair
 from repro.matching.base import IdPair, PairwiseMatcher
@@ -365,17 +363,20 @@ class IncrementalMatcher:
         in-memory state inconsistent — it is *poisoned* and every further
         :meth:`ingest`/:meth:`save` raises, directing the caller to reload
         from the last on-disk save (which the failed ingest never touched).
-        Validation failures (duplicate ids) happen before any mutation and
-        do not poison.
+        Validation failures happen before any mutation and do not poison:
+        duplicate ids (``ValueError``), a clean-up strategy that is not
+        registered (:class:`~repro.registry.RegistryError`) and one without
+        the ``component_local`` marker (``ValueError``).
         """
         self._check_poisoned()
         recorder = self.runtime.run_recorder()
         report = IngestReport()
         batch = list(new_records)
         self._validate_new(batch)
+        cleanup_fn = self._component_cleanup_fn()
         try:
             with recorder.span("ingest", kind="run", new_records=len(batch)) as run:
-                self._ingest(batch, recorder, report)
+                self._ingest(batch, cleanup_fn, recorder, report)
                 run.attributes.update(
                     records_rescored=report.records_rescored,
                     pairs_scored=report.pairs_scored,
@@ -391,7 +392,11 @@ class IncrementalMatcher:
         return report
 
     def _ingest(
-        self, batch: list[Record], recorder: TraceRecorder, report: IngestReport
+        self,
+        batch: list[Record],
+        cleanup_fn,
+        recorder: TraceRecorder,
+        report: IngestReport,
     ) -> None:
         state = self.state
         if self._position is None:
@@ -413,11 +418,7 @@ class IncrementalMatcher:
         with recorder.span("pairwise_matching", kind="stage"):
             self._score(fresh, recorder, report)
 
-        cleanup_fn = CLEANUPS.get(state.cleanup_strategy)
-        if getattr(cleanup_fn, "component_local", False):
-            self._update_graph(changes, cleanup_fn, recorder, report)
-        else:
-            self._recompute_graph(cleanup_fn, recorder, report)
+        self._update_graph(changes, cleanup_fn, recorder, report)
 
         state.num_ingests += 1
         # The ingest deltas, as whole-run counters: what this batch added,
@@ -455,6 +456,21 @@ class IncrementalMatcher:
             raise ValueError(
                 f"cannot ingest duplicate record ids: {sorted(set(clashes))}"
             )
+
+    def _component_cleanup_fn(self):
+        """The state's clean-up strategy, which must be ``component_local``:
+        only then does re-cleaning the components a batch touches give the
+        batch run's result."""
+        name = self.state.cleanup_strategy
+        cleanup_fn = CLEANUPS.get(name)
+        if not getattr(cleanup_fn, "component_local", False):
+            raise ValueError(
+                f"cleanup strategy {name!r} is not marked component_local: "
+                "ingest re-cleans only the components a batch touches, which "
+                "needs a strategy whose every removal stays inside one "
+                "connected component"
+            )
+        return cleanup_fn
 
     def _update_candidates(
         self,
@@ -631,36 +647,4 @@ class IncrementalMatcher:
         with recorder.span("grouping", kind="stage"):
             state.groups, state.pre_cleanup_groups = graph.groups(
                 [record.record_id for record in state.records]
-            )
-
-    def _recompute_graph(
-        self, cleanup_fn, recorder: TraceRecorder, report: IngestReport
-    ) -> None:
-        """The whole-graph stages over the assembled candidate stream, for a
-        strategy without the ``component_local`` marker (no memo)."""
-        state = self.state
-        with recorder.span("pre_cleanup", kind="stage"):
-            candidates = self._assemble_candidates()
-            decisions = state.decisions.vector([candidate.key for candidate in candidates])
-            positive_edges, _, kept, removed = apply_pre_cleanup(
-                decisions, candidates, state.pre_cleanup_config
-            )
-            state.pre_cleanup_removed = removed
-        report.num_positive = len(positive_edges)
-        report.num_kept = len(kept)
-
-        with recorder.span("graph_cleanup", kind="stage"):
-            state.cleanup_memo = {}
-            if kept:
-                components, state.cleanup_report = cleanup_fn(
-                    list(kept), state.cleanup_config
-                )
-                report.components_total = len(union_find_components(kept))
-            else:
-                components, state.cleanup_report = [], CleanupReport()
-            report.components_recleaned = report.components_total
-
-        with recorder.span("grouping", kind="stage"):
-            state.groups, state.pre_cleanup_groups = groups_from_components(
-                components, [record.record_id for record in state.records], positive_edges
             )

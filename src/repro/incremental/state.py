@@ -26,10 +26,13 @@ segments in order.
 Two things are rebuilt rather than written.  A segment never holds a
 blocking index: the first ingest after loading brings each of the base's
 indexes forward over the records the journal appended
-(:meth:`MatchState.catch_up_indexes`).  And for a ``component_local``
-clean-up strategy, whose memo holds one entry per kept component, no
-payload holds the group lists or the report's removed edges: loading
-derives them from the memo and the pre-cleanup removals.
+(:meth:`MatchState.catch_up_indexes`).  And no payload holds the group
+lists or the report's removed edges: an ingest accepts only a
+``component_local`` clean-up strategy, whose memo holds one entry per kept
+component, so loading derives them from the memo and the pre-cleanup
+removals.  A version 3 base, and a version 4 payload an earlier build
+wrote under a strategy without the marker, hold both group lists whole;
+loading takes them as they are.
 
 A save appends a segment when its target still holds the manifest this
 state last committed or was loaded from, and the journal's bytes would not
@@ -46,7 +49,10 @@ Loading reads :data:`STATE_FORMAT_VERSION`, loads version 3 (the same base
 layout, always written whole) as a base with an empty journal, and
 converts version 2 once at load; the first save of either writes a
 version 4 base.  Any other version, a missing file or a payload that fails
-to unpickle raises :class:`MatchStateError` naming the path.
+to unpickle raises :class:`MatchStateError` naming the path.  So does
+saving a loaded state whose memo does not give back the whole group lists
+it was loaded with (a state kept under a strategy without the marker)
+before an ingest has rebuilt the memo.
 """
 
 from __future__ import annotations
@@ -69,7 +75,6 @@ from repro.graphs.graph import Edge, canonical_edge, sorted_edges
 from repro.graphs.union_find import component_order, union_find_components
 from repro.matching.base import PairwiseMatcher
 from repro.matching.decisions import DecisionCache
-from repro.registry import CLEANUPS, RegistryError
 from repro.runtime import RuntimeConfig
 
 #: Format marker written to (and demanded from) every state manifest.
@@ -235,6 +240,9 @@ class MatchState:
     #: Set by a load that left both group lists to derive from the memo
     #: (never saved).
     _groups_pending: bool = field(default=False, compare=False, repr=False)
+    #: Set by a load that took whole group lists the memo does not give
+    #: back; cleared when an ingest sets the groups (never saved).
+    _memo_stale: bool = field(default=False, compare=False, repr=False)
     cleanup_report: CleanupReport = field(default_factory=CleanupReport)
     pre_cleanup_removed: set[Edge] = field(default_factory=set)
     num_candidates: int = 0
@@ -260,9 +268,9 @@ class MatchState:
     def groups(self) -> EntityGroups | None:
         """The final groups of the latest ingest (None before the first).
 
-        Loading a ``component_local`` state leaves both group lists to be
-        derived from the clean-up memo when first read: an ingest sets them
-        without reading them (:meth:`_derive_groups`).
+        Loading leaves both group lists to be derived from the clean-up
+        memo when first read: an ingest sets them without reading them
+        (:meth:`_derive_groups`).
         """
         if self._groups_pending:
             self._derive_groups()
@@ -271,7 +279,7 @@ class MatchState:
     @groups.setter
     def groups(self, groups: EntityGroups | None) -> None:
         self._groups = groups
-        self._groups_pending = False
+        self._groups_pending = self._memo_stale = False
 
     @property
     def pre_cleanup_groups(self) -> EntityGroups | None:
@@ -283,7 +291,7 @@ class MatchState:
     @pre_cleanup_groups.setter
     def pre_cleanup_groups(self, groups: EntityGroups | None) -> None:
         self._pre_cleanup_groups = groups
-        self._groups_pending = False
+        self._groups_pending = self._memo_stale = False
 
     def dataset(self) -> Dataset:
         """The corpus as a :class:`Dataset` (records in ingestion order)."""
@@ -365,6 +373,13 @@ class MatchState:
         manifest rename is the single commit point (see the module
         docstring), and the change tracking starts afresh only after it.
         """
+        if self._memo_stale:
+            raise MatchStateError(
+                "cannot save this state: its clean-up memo does not give back "
+                "the group lists it was loaded with (it was kept under a "
+                "clean-up strategy without component_local); ingest a batch, "
+                "an empty one will do, to rebuild the memo first"
+            )
         state_dir = Path(state_dir)
         journal = self.journal
         committed = _committed_manifest(state_dir)
@@ -467,19 +482,13 @@ class MatchState:
     def _results(self) -> dict[str, Any]:
         """The graph results a base or a segment holds.
 
-        For a ``component_local`` clean-up strategy the group lists and
-        the report's removed edges are left out: loading derives them from
-        the clean-up memo (:meth:`_derive_groups`).
+        The group lists and the report's removed edges are left out:
+        loading derives them from the clean-up memo (:meth:`_derive_groups`).
         """
-        derived = _derives_results(self.cleanup_strategy)
         return {
-            "groups": None if derived else self.groups,
-            "pre_cleanup_groups": None if derived else self.pre_cleanup_groups,
-            "cleanup_report": (
-                replace(self.cleanup_report, removed_edges=set())
-                if derived
-                else self.cleanup_report
-            ),
+            "groups": None,
+            "pre_cleanup_groups": None,
+            "cleanup_report": replace(self.cleanup_report, removed_edges=set()),
             "num_candidates": self.num_candidates,
             "num_ingests": self.num_ingests,
         }
@@ -493,8 +502,11 @@ class MatchState:
         self.num_ingests = payload["num_ingests"]
 
     def _derive_groups(self) -> None:
-        """Both group lists from the clean-up memo, as a
-        ``component_local`` strategy's ingest left them.
+        """Set both group lists from the clean-up memo."""
+        self.groups, self.pre_cleanup_groups = self._memo_groups()
+
+    def _memo_groups(self) -> tuple[EntityGroups, EntityGroups]:
+        """Both group lists as an ingest left them, from the clean-up memo.
 
         The memo holds one entry per kept component, keyed by its edges, so
         the final components are its pieces, and the positive components
@@ -511,8 +523,10 @@ class MatchState:
             chain(chain.from_iterable(memo), self.pre_cleanup_removed)
         )
         record_ids = [record.record_id for record in self.records]
-        self.groups = EntityGroups.covering(final, record_ids)
-        self.pre_cleanup_groups = EntityGroups.covering(positive, record_ids)
+        return (
+            EntityGroups.covering(final, record_ids),
+            EntityGroups.covering(positive, record_ids),
+        )
 
     def _segment_payload(self) -> dict[str, Any]:
         """What changed since the last commit (see the module docstring)."""
@@ -655,13 +669,20 @@ class MatchState:
             journal.state_dir = state_dir.resolve()
             journal.base_bytes = manifest.get("base_bytes", 0)
         # Results exist from the first ingest on; a payload that left the
-        # groups out left the report's removed edges out too.
+        # groups out left the report's removed edges out too.  One that held
+        # them whole (see the module docstring) keeps them.
         if state._groups is None and state.num_ingests:
             state._groups_pending = True
             memo = state.cleanup_memo
             state.cleanup_report = replace(
                 state.cleanup_report,
                 removed_edges=set().union(*(memo[key].removed_edges for key in memo)),
+            )
+        elif state._groups is not None:
+            final, positive = state._memo_groups()
+            state._memo_stale = (final.groups, positive.groups) != (
+                state._groups.groups,
+                state._pre_cleanup_groups.groups,
             )
         if manifest.get("num_records") != len(state.records):
             raise MatchStateError(
@@ -743,17 +764,6 @@ def _payload_rev(manifest: dict[str, Any] | None) -> int:
     name = str((manifest or {}).get("payload_dir", ""))
     digits = name[len(_PAYLOAD_DIR_PREFIX):]
     return int(digits) if name.startswith(_PAYLOAD_DIR_PREFIX) and digits.isdigit() else 0
-
-
-def _derives_results(strategy: str) -> bool:
-    """Whether the clean-up ``strategy`` is ``component_local``, so its
-    group lists follow from the memo.  A strategy not registered here keeps
-    them whole, which is never wrong."""
-    try:
-        cleanup_fn = CLEANUPS.get(strategy)
-    except RegistryError:
-        return False
-    return bool(getattr(cleanup_fn, "component_local", False))
 
 
 def is_state_dir(state_dir: str | Path) -> bool:

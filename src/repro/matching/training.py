@@ -8,8 +8,9 @@ paper's fine-tuning protocol (Section 5.1.3 / 5.2):
   sampled negatives at 5:1,
 * the "15K"-style reduced setups are trained on the identifier-matchable
   subset only, capped at a pair budget,
-* training runs for a fixed number of epochs and the epoch with the lowest
-  validation loss is kept (handled inside the trainable matchers),
+* training runs for a fixed number of epochs; the transformer matchers keep
+  the epoch with the lowest validation loss, while the logistic matcher
+  keeps its last iterate (it only records the validation loss),
 * wall-clock training time is recorded (the paper's "Training Time" column).
 """
 

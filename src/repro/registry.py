@@ -192,5 +192,11 @@ def register_matcher(name: str):
 
 
 def register_cleanup(name: str):
-    """Register a clean-up strategy ``(edges, config) -> (components, report)``."""
+    """Register a clean-up strategy ``(edges, config) -> (components, report)``.
+
+    Incremental ingest re-cleans only the components a batch touches, so it
+    accepts a strategy only when the function carries
+    ``component_local = True``: every removal stays inside one connected
+    component (see :mod:`repro.core.cleanup`).
+    """
     return CLEANUPS.register(name)

@@ -1,4 +1,4 @@
-"""Text substrate: normalisation, tokenisation, similarity and vectorisation.
+"""Text substrate: normalisation, tokenisation, similarity and serialisation.
 
 The pairwise matchers and the Token Overlap blocking both operate on
 serialised, tokenised record text.  This subpackage provides everything the
@@ -9,11 +9,11 @@ plain Python + numpy:
   suffix normalisation,
 * :mod:`repro.text.tokenize` — word and character n-gram tokenisers plus a
   trainable :class:`~repro.text.tokenize.Vocabulary`,
-* :mod:`repro.text.similarity` — classic string similarity measures,
+* :mod:`repro.text.similarity` — classic string and token-set similarity
+  measures, one pair at a time,
 * :mod:`repro.text.batch_similarity` — the same measures as batched numpy
   kernels over packed codepoint matrices (bitwise-equal to the scalar
   forms),
-* :mod:`repro.text.vectorize` — TF-IDF and hashing vectorisers,
 * :mod:`repro.text.serialize` — record-pair serialisation schemes (plain and
   DITTO-style ``[COL]/[VAL]`` encoding) with token budgets.
 """
@@ -22,12 +22,9 @@ from repro.text.normalize import normalize_text, strip_corporate_terms
 from repro.text.tokenize import (
     Vocabulary,
     char_ngrams,
-    whitespace_tokenize,
     word_tokenize,
 )
 from repro.text.similarity import (
-    cosine_token_similarity,
-    dice_coefficient,
     jaccard_similarity,
     jaro_similarity,
     jaro_winkler_similarity,
@@ -36,7 +33,6 @@ from repro.text.similarity import (
     longest_common_substring,
     overlap_coefficient,
 )
-from repro.text.vectorize import HashingVectorizer, TfidfVectorizer
 from repro.text.serialize import (
     PLAIN_SCHEME,
     DittoSerializer,
@@ -49,10 +45,7 @@ __all__ = [
     "strip_corporate_terms",
     "Vocabulary",
     "char_ngrams",
-    "whitespace_tokenize",
     "word_tokenize",
-    "cosine_token_similarity",
-    "dice_coefficient",
     "jaccard_similarity",
     "jaro_similarity",
     "jaro_winkler_similarity",
@@ -60,8 +53,6 @@ __all__ = [
     "levenshtein_similarity",
     "longest_common_substring",
     "overlap_coefficient",
-    "HashingVectorizer",
-    "TfidfVectorizer",
     "PLAIN_SCHEME",
     "PairSerializer",
     "PlainSerializer",

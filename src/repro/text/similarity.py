@@ -9,9 +9,7 @@ is a raw edit count).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
-from math import sqrt
 
 
 def levenshtein_distance(a: str, b: str) -> int:
@@ -161,37 +159,12 @@ def jaccard_similarity(a: TokenSet, b: TokenSet) -> float:
     return len(set_a & set_b) / len(union)
 
 
-def dice_coefficient(a: TokenSet, b: TokenSet) -> float:
-    """Sørensen–Dice coefficient of two token collections."""
-    set_a, set_b = _as_set(a), _as_set(b)
-    if not set_a and not set_b:
-        return 1.0
-    denominator = len(set_a) + len(set_b)
-    if denominator == 0:
-        return 1.0
-    return 2.0 * len(set_a & set_b) / denominator
-
-
 def overlap_coefficient(a: TokenSet, b: TokenSet) -> float:
     """Overlap (Szymkiewicz–Simpson) coefficient of two token collections."""
     set_a, set_b = _as_set(a), _as_set(b)
     if not set_a or not set_b:
         return 1.0 if not set_a and not set_b else 0.0
     return len(set_a & set_b) / min(len(set_a), len(set_b))
-
-
-def cosine_token_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Cosine similarity between token-count vectors."""
-    counts_a = Counter(a)
-    counts_b = Counter(b)
-    if not counts_a and not counts_b:
-        return 1.0
-    if not counts_a or not counts_b:
-        return 0.0
-    dot = sum(counts_a[token] * counts_b[token] for token in counts_a.keys() & counts_b.keys())
-    norm_a = sqrt(sum(value * value for value in counts_a.values()))
-    norm_b = sqrt(sum(value * value for value in counts_b.values()))
-    return dot / (norm_a * norm_b)
 
 
 def longest_common_substring(a: str, b: str) -> int:

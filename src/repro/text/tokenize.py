@@ -32,11 +32,6 @@ SPECIAL_TOKENS: tuple[str, ...] = (
 )
 
 
-def whitespace_tokenize(text: str) -> list[str]:
-    """Split on whitespace without any normalisation."""
-    return text.split()
-
-
 def word_tokenize(text: str | None) -> list[str]:
     """Normalise and split ``text`` into lower-case word tokens."""
     return normalize_text(text).split()

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
+from repro.core.cleanup import (
+    CleanupConfig,
+    CleanupReport,
+    gralmatch_cleanup,
+    merge_component_cleanups,
+)
 from repro.core.precleanup import PreCleanupConfig, pre_cleanup
 from repro.graphs.graph import canonical_edge
 
@@ -136,6 +141,52 @@ class TestGralmatchCleanup:
         # Removed edges must be a subset of the input edges.
         input_edges = {canonical_edge(u, v) for u, v in edges}
         assert report.removed_edges <= input_edges
+
+
+class TestMergeComponentCleanups:
+    def test_pieces_come_back_in_component_order(self):
+        components, _ = merge_component_cleanups(
+            [
+                ([{"y", "z"}, {"x"}], CleanupReport()),
+                ([{"b", "c", "d"}, {"a", "e"}], CleanupReport()),
+            ],
+            initial_largest_component=5,
+        )
+        assert components == [{"b", "c", "d"}, {"a", "e"}, {"y", "z"}, {"x"}]
+
+    def test_removals_are_summed(self):
+        first = CleanupReport(removed_edges={("a", "b")}, mincut_removals=1)
+        second = CleanupReport(
+            removed_edges={("x", "y"), ("x", "z")}, betweenness_removals=2
+        )
+        _, report = merge_component_cleanups(
+            [([{"a"}, {"b"}], first), ([{"x"}, {"y", "z"}], second)],
+            initial_largest_component=3,
+        )
+        assert report == CleanupReport(
+            removed_edges={("a", "b"), ("x", "y"), ("x", "z")},
+            mincut_removals=1,
+            betweenness_removals=2,
+            initial_largest_component=3,
+            final_largest_component=2,
+        )
+
+    def test_nothing_to_merge(self):
+        assert merge_component_cleanups([], initial_largest_component=0) == (
+            [],
+            CleanupReport(),
+        )
+
+    def test_equals_one_whole_graph_run(self):
+        # Two components, each cleaned on its own, then merged.
+        bridged = clique_edges(range(6)) + clique_edges(range(10, 16)) + [(5, 10)]
+        pendant = clique_edges(range(20, 26)) + [(25, 26)]
+        config = CleanupConfig(gamma=25, mu=5)
+        merged = merge_component_cleanups(
+            [gralmatch_cleanup(bridged, config), gralmatch_cleanup(pendant, config)],
+            initial_largest_component=12,
+        )
+        assert merged == gralmatch_cleanup(bridged + pendant, config)
 
 
 class TestPreCleanup:

@@ -11,6 +11,7 @@ from repro.core.transitive import (
     transitive_matches,
 )
 from repro.datagen import figure2_dataset
+from repro.graphs.graph import canonical_edge
 
 
 class TestTransitiveClosure:
@@ -82,6 +83,30 @@ class TestEntityGroups:
         assert groups.match_edges() == {
             ("a", "b"), ("a", "c"), ("b", "c"), ("x", "y"),
         }
+
+    def test_match_edges_sort_int_labels_numerically(self):
+        groups = EntityGroups([[3, 1, 2], [10, 9]])
+        assert groups.match_edges() == {(1, 2), (1, 3), (2, 3), (9, 10)}
+
+    @given(st.lists(
+        st.lists(st.text(alphabet="abcxyz", min_size=1, max_size=3), unique=True),
+        max_size=4,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_match_edges_are_the_canonical_intra_group_pairs(self, raw):
+        seen: set[str] = set()
+        groups = []
+        for group in raw:
+            fresh = [record for record in group if record not in seen]
+            seen.update(fresh)
+            groups.append(fresh)
+        expected = {
+            canonical_edge(left, right)
+            for group in groups
+            for i, left in enumerate(group)
+            for right in group[i + 1:]
+        }
+        assert EntityGroups(groups).match_edges() == expected
 
     def test_group_sizes_and_largest(self):
         groups = EntityGroups([["a"], ["b", "c", "d"], ["e", "f"]])

@@ -9,21 +9,20 @@ from hypothesis import strategies as st
 from repro.datagen.identifiers import (
     SECURITY_ID_FIELDS,
     corrupt_identifier,
+    cusip_check_digit,
     identifier_overlap,
     is_valid_cusip,
     is_valid_isin,
-    is_valid_lei,
     is_valid_sedol,
     is_valid_valor,
     isin_check_digit,
     make_cusip,
     make_isin,
-    make_lei,
     make_security_identifiers,
     make_sedol,
     make_ticker,
     make_valor,
-    validate_identifier,
+    sedol_check_digit,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -46,6 +45,10 @@ class TestIsin:
 
     def test_lowercase_country_rejected(self):
         assert not is_valid_isin("us0378331005")
+
+    def test_check_digit_of_a_known_body(self):
+        assert isin_check_digit("US037833100") == 5
+        assert isin_check_digit("CH003886335") == 0
 
     def test_check_digit_requires_11_chars(self):
         with pytest.raises(ValueError):
@@ -70,6 +73,10 @@ class TestCusip:
 
     def test_corrupted_fails(self):
         assert not is_valid_cusip("037833101")
+
+    def test_check_digit_of_a_known_body(self):
+        assert cusip_check_digit("03783310") == 0
+        assert cusip_check_digit("17275R10") == 2
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
@@ -96,8 +103,16 @@ class TestSedol:
     def test_vowels_rejected(self):
         assert not is_valid_sedol("A263494")
 
+    def test_check_digit_of_a_known_body(self):
+        assert sedol_check_digit("026349") == 4
 
-class TestValorAndLei:
+    def test_wrong_length(self):
+        assert not is_valid_sedol("026349")
+        assert not is_valid_sedol("02634940")
+        assert not is_valid_sedol(None)
+
+
+class TestValor:
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_generated_valors_are_valid(self, seed):
@@ -107,17 +122,18 @@ class TestValorAndLei:
         assert not is_valid_valor("ABC123")
         assert not is_valid_valor("12")
 
-    def test_known_real_lei_validates(self):
-        # Apple Inc.'s LEI.
-        assert is_valid_lei("HWUPKR0MPOU8FGXBT394")
-
-    def test_corrupted_lei_fails(self):
-        assert not is_valid_lei("HWUPKR0MPOU8FGXBT395")
+    def test_six_to_nine_digits(self):
+        assert is_valid_valor("123456")
+        assert is_valid_valor("123456789")
+        assert not is_valid_valor("12345")
+        assert not is_valid_valor("1234567890")
+        assert not is_valid_valor(None)
+        assert not is_valid_valor("")
 
     @given(seeds)
     @settings(max_examples=50, deadline=None)
-    def test_generated_leis_are_valid(self, seed):
-        assert is_valid_lei(make_lei(random.Random(seed)))
+    def test_generated_valors_have_no_leading_zero(self, seed):
+        assert make_valor(random.Random(seed))[0] != "0"
 
 
 class TestTicker:
@@ -142,12 +158,6 @@ class TestBundlesAndHelpers:
         assert is_valid_sedol(bundle["sedol"])
         assert is_valid_valor(bundle["valor"])
 
-    def test_validate_identifier_dispatch(self):
-        assert validate_identifier("isin", "US0378331005")
-        assert not validate_identifier("cusip", "bad")
-        with pytest.raises(ValueError):
-            validate_identifier("figi", "X")
-
     @given(seeds)
     @settings(max_examples=50, deadline=None)
     def test_corrupt_identifier_changes_value(self, seed):
@@ -164,6 +174,13 @@ class TestBundlesAndHelpers:
         left = {"isin": "A", "cusip": "B", "sedol": None, "valor": "9"}
         right = {"isin": "A", "cusip": "C", "sedol": None, "valor": ""}
         assert identifier_overlap(left, right) == {"isin"}
+
+    def test_identifier_overlap_over_chosen_fields(self):
+        left = {"isin": "A", "cusip": "B", "ticker": "T"}
+        right = {"isin": "A", "cusip": "B", "ticker": "T"}
+        assert identifier_overlap(left, right, fields=("cusip", "ticker")) == {
+            "cusip", "ticker",
+        }
 
     def test_identifier_overlap_ignores_empty(self):
         left = {"isin": None, "cusip": "", "sedol": "X", "valor": "1"}

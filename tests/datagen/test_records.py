@@ -7,7 +7,6 @@ from repro.datagen.records import (
     Dataset,
     ProductRecord,
     SecurityRecord,
-    pair_key,
 )
 
 
@@ -56,12 +55,6 @@ class TestRecords:
         assert data["source"] == "S1"
         assert "name" in data
 
-    def test_pair_key_is_canonical(self):
-        a = make_company("r1", "S1", "e1")
-        b = make_company("r2", "S2", "e1")
-        assert pair_key(a, b) == pair_key(b, a)
-        assert pair_key("r2", "r1") == ("r1", "r2")
-
 
 class TestDataset:
     def build(self):
@@ -107,6 +100,26 @@ class TestDataset:
     def test_true_matches(self):
         matches = self.build().true_matches()
         assert matches == {("r1", "r2"), ("r1", "r4"), ("r2", "r4")}
+
+    def test_true_matches_are_canonical_pairs(self):
+        # Ids are added out of order; every pair still comes sorted.
+        dataset = Dataset("unordered", [
+            make_company("r9", "S1", "e1"),
+            make_company("r10", "S2", "e1"),
+            make_company("r2", "S3", "e1"),
+            make_company("r5", "S1", "e2"),
+            make_company("r1", "S2", "e2"),
+        ])
+        assert dataset.true_matches() == {
+            ("r10", "r2"), ("r10", "r9"), ("r2", "r9"), ("r1", "r5"),
+        }
+
+    def test_true_matches_count_every_pair_of_each_entity(self):
+        dataset = Dataset("sizes", [
+            make_company(f"r{i}", f"S{i}", f"e{i % 3}") for i in range(10)
+        ])
+        sizes = [len(ids) for ids in dataset.entity_groups().values()]
+        assert len(dataset.true_matches()) == sum(n * (n - 1) // 2 for n in sizes)
 
     def test_is_true_match(self):
         dataset = self.build()

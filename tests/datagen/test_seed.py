@@ -2,43 +2,43 @@
 
 import pytest
 
-from repro.datagen.seed import generate_seed_companies, iter_seed_companies
+from repro.datagen.seed import iter_seed_companies
 
 
 class TestSeedGeneration:
     def test_count(self):
-        assert len(generate_seed_companies(50, seed=1)) == 50
+        assert len(list(iter_seed_companies(50, seed=1))) == 50
 
     def test_zero(self):
-        assert generate_seed_companies(0) == []
+        assert list(iter_seed_companies(0)) == []
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            generate_seed_companies(-1)
+            list(iter_seed_companies(-1))
 
     def test_invalid_description_probability(self):
         with pytest.raises(ValueError):
-            generate_seed_companies(1, description_probability=1.5)
+            list(iter_seed_companies(1, description_probability=1.5))
 
     def test_deterministic(self):
-        first = generate_seed_companies(30, seed=7)
-        second = generate_seed_companies(30, seed=7)
+        first = list(iter_seed_companies(30, seed=7))
+        second = list(iter_seed_companies(30, seed=7))
         assert first == second
 
     def test_different_seeds_differ(self):
-        assert generate_seed_companies(30, seed=1) != generate_seed_companies(30, seed=2)
+        assert list(iter_seed_companies(30, seed=1)) != list(iter_seed_companies(30, seed=2))
 
     def test_names_are_unique(self):
-        companies = generate_seed_companies(500, seed=3)
+        companies = list(iter_seed_companies(500, seed=3))
         names = [company.name.lower() for company in companies]
         assert len(names) == len(set(names))
 
     def test_entity_ids_are_unique_and_ordered(self):
-        companies = generate_seed_companies(10, seed=0)
+        companies = list(iter_seed_companies(10, seed=0))
         assert [c.entity_id for c in companies] == [f"E{i:06d}" for i in range(10)]
 
     def test_attributes_populated(self):
-        company = generate_seed_companies(1, seed=5)[0]
+        company = list(iter_seed_companies(1, seed=5))[0]
         assert company.name
         assert company.city
         assert company.region
@@ -46,13 +46,13 @@ class TestSeedGeneration:
         assert company.industry
 
     def test_description_probability_controls_share(self):
-        all_descriptions = generate_seed_companies(200, seed=1, description_probability=1.0)
-        none_descriptions = generate_seed_companies(200, seed=1, description_probability=0.0)
+        all_descriptions = list(iter_seed_companies(200, seed=1, description_probability=1.0))
+        none_descriptions = list(iter_seed_companies(200, seed=1, description_probability=0.0))
         assert all(company.description for company in all_descriptions)
         assert not any(company.description for company in none_descriptions)
 
     def test_description_share_roughly_matches_probability(self):
-        companies = generate_seed_companies(1000, seed=2, description_probability=0.32)
+        companies = list(iter_seed_companies(1000, seed=2, description_probability=0.32))
         share = sum(1 for c in companies if c.description) / len(companies)
         assert 0.22 <= share <= 0.42
 
@@ -61,8 +61,11 @@ class TestSeedGeneration:
         first = next(iterator)
         assert first.entity_id == "E000000"
 
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self):
+        assert list(iter_seed_companies(5, seed=4)) == list(iter_seed_companies(20, seed=4))[:5]
+
     def test_as_attributes(self):
-        company = generate_seed_companies(1, seed=5)[0]
+        company = list(iter_seed_companies(1, seed=5))[0]
         attrs = company.as_attributes()
         assert attrs["name"] == company.name
         assert set(attrs) == {

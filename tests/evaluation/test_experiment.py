@@ -27,7 +27,10 @@ class TestFineTuneEvaluation:
         companies = experiment_benchmark.companies
         splits = split_dataset(companies, seed=0)
         tuner = FineTuner(negative_ratio=3, num_epochs=1, seed=0)
-        evaluation = evaluate_fine_tuning(companies, splits, "logistic", tuner)
+        result = tuner.fine_tune(
+            "logistic", companies, splits.train_entities, splits.validation_entities
+        )
+        evaluation = evaluate_fine_tuning(companies, splits, result, tuner)
         assert evaluation.model == "logistic"
         assert evaluation.num_training_pairs > 0
         assert evaluation.num_test_pairs > 0
@@ -39,9 +42,51 @@ class TestFineTuneEvaluation:
         securities = experiment_benchmark.securities
         splits = split_dataset(securities, seed=0)
         tuner = FineTuner(negative_ratio=3, num_epochs=1, seed=0)
-        evaluation = evaluate_fine_tuning(securities, splits, "id-overlap", tuner)
+        result = tuner.fine_tune(
+            "id-overlap", securities, splits.train_entities, splits.validation_entities
+        )
+        evaluation = evaluate_fine_tuning(securities, splits, result, tuner)
         # The heuristic has high precision on the easy test negatives.
         assert evaluation.scores.precision > 0.9
+
+
+    def test_scores_the_result_without_training_again(
+        self, experiment_benchmark, monkeypatch
+    ):
+        companies = experiment_benchmark.companies
+        splits = split_dataset(companies, seed=0)
+        tuner = FineTuner(negative_ratio=3, num_epochs=1, seed=0)
+        result = tuner.fine_tune(
+            "logistic", companies, splits.train_entities, splits.validation_entities
+        )
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("evaluate_fine_tuning must not fine-tune")
+
+        monkeypatch.setattr(tuner, "fine_tune", no_training)
+        first = evaluate_fine_tuning(companies, splits, result, tuner)
+        second = evaluate_fine_tuning(companies, splits, result, tuner)
+        assert first == second
+        assert first.training_seconds == result.training_seconds
+        assert first.num_training_pairs == result.num_training_pairs
+
+    def test_every_model_is_scored_on_the_same_test_pairs(self, experiment_benchmark):
+        securities = experiment_benchmark.securities
+        splits = split_dataset(securities, seed=0)
+        tuner = FineTuner(negative_ratio=3, num_epochs=1, seed=0)
+        evaluations = [
+            evaluate_fine_tuning(
+                securities,
+                splits,
+                tuner.fine_tune(
+                    model, securities, splits.train_entities, splits.validation_entities
+                ),
+                tuner,
+            )
+            for model in ("logistic", "id-overlap")
+        ]
+        assert [evaluation.model for evaluation in evaluations] == ["logistic", "id-overlap"]
+        assert evaluations[0].num_test_pairs == evaluations[1].num_test_pairs > 0
 
 
 class TestEntityGroupMatchingExperiment:

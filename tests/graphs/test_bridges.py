@@ -1,11 +1,11 @@
-"""Tests for bridge / articulation-point detection (cross-checked vs networkx)."""
+"""Tests for bridge detection (cross-checked vs networkx)."""
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph
-from repro.graphs.bridges import articulation_points, bridges
+from repro.graphs.bridges import bridges
 from repro.graphs.graph import canonical_edge
 
 
@@ -29,28 +29,33 @@ class TestBridges:
     def test_empty_graph(self):
         assert bridges(Graph()) == set()
 
+    def test_isolated_nodes_have_no_bridges(self):
+        g = Graph([(1, 2)])
+        g.add_node(3)
+        g.add_node(4)
+        assert bridges(g) == {(1, 2)}
+
     def test_disconnected_components_handled(self):
         g = Graph([(1, 2), (3, 4), (4, 5), (3, 5)])
         assert bridges(g) == {(1, 2)}
 
-
-class TestArticulationPoints:
-    def test_path_interior_nodes(self):
-        g = Graph([(1, 2), (2, 3), (3, 4)])
-        assert articulation_points(g) == {2, 3}
-
-    def test_cycle_has_none(self):
-        assert articulation_points(Graph([(1, 2), (2, 3), (3, 1)])) == set()
-
-    def test_bridge_endpoint_between_cliques(self):
-        left = [(1, 2), (2, 3), (1, 3)]
-        right = [(4, 5), (5, 6), (4, 6)]
-        g = Graph(left + right + [(3, 4)])
-        assert articulation_points(g) == {3, 4}
-
-    def test_star_center(self):
+    def test_star_every_spoke_is_a_bridge(self):
         g = Graph([(0, 1), (0, 2), (0, 3)])
-        assert articulation_points(g) == {0}
+        assert bridges(g) == {(0, 1), (0, 2), (0, 3)}
+
+    def test_cut_vertex_between_cycles_is_not_a_bridge(self):
+        # Two triangles sharing node 3: removing 3 disconnects the graph,
+        # but every edge lies on a cycle.
+        g = Graph([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
+        assert bridges(g) == set()
+
+    def test_cycle_with_a_pendant_path(self):
+        g = Graph([(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)])
+        assert bridges(g) == {(3, 4), (4, 5)}
+
+    def test_string_labels_give_canonical_edges(self):
+        g = Graph([("b", "a"), ("c", "b"), ("c", "d"), ("d", "e"), ("e", "c")])
+        assert bridges(g) == {("a", "b"), ("b", "c")}
 
 
 @st.composite
@@ -75,13 +80,6 @@ class TestAgainstNetworkx:
         assert ours == theirs
 
     @given(random_graphs())
-    @settings(max_examples=50, deadline=None)
-    def test_articulation_points_match_networkx(self, edges):
-        ours = articulation_points(Graph(edges))
-        theirs = set(nx.articulation_points(nx.Graph(edges)))
-        assert ours == theirs
-
-    @given(random_graphs())
     @settings(max_examples=40, deadline=None)
     def test_removing_a_bridge_disconnects_its_component(self, edges):
         from repro.graphs import connected_components
@@ -92,3 +90,18 @@ class TestAgainstNetworkx:
             mutated = Graph(edges)
             mutated.remove_edge(*bridge)
             assert len(connected_components(mutated)) == before + 1
+
+    @given(random_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_removing_any_other_edge_keeps_its_component_connected(self, edges):
+        from repro.graphs import connected_components
+
+        graph = Graph(edges)
+        before = len(connected_components(graph))
+        found = bridges(graph)
+        for edge in edges:
+            if edge in found:
+                continue
+            mutated = Graph(edges)
+            mutated.remove_edge(*edge)
+            assert len(connected_components(mutated)) == before

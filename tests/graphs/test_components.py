@@ -4,7 +4,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, connected_components, largest_component
+from repro.graphs import Graph, connected_components
 
 
 class TestConnectedComponents:
@@ -29,27 +29,30 @@ class TestConnectedComponents:
         assert {99} in comps
         assert len(comps) == 2
 
+    def test_equal_sizes_order_by_smallest_member(self):
+        # {b, c} is inserted first, but {a, d} holds the smaller member.
+        g = Graph([("b", "c"), ("a", "d")])
+        assert connected_components(g) == [{"a", "d"}, {"b", "c"}]
+
+    def test_order_does_not_depend_on_insertion_order(self):
+        edges = [(5, 6), (1, 2), (7, 8), (8, 9), (3, 4)]
+        expected = [{7, 8, 9}, {1, 2}, {3, 4}, {5, 6}]
+        assert connected_components(Graph(edges)) == expected
+        assert connected_components(Graph(reversed(edges))) == expected
+
+    def test_mixed_labels_order_by_repr(self):
+        # Ties compare the smallest member repr: "'9'" (a string's repr
+        # opens with a quote) sorts before "10", though 9 < 10.
+        g = Graph([(10, 11), ("9", "x")])
+        g.add_node(0)
+        assert connected_components(g) == [{"9", "x"}, {10, 11}, {0}]
+
     def test_long_path_does_not_recurse(self):
         # 10_000-node path: would blow the recursion limit with recursive DFS.
         edges = [(i, i + 1) for i in range(10_000)]
         comps = connected_components(Graph(edges))
         assert len(comps) == 1
         assert len(comps[0]) == 10_001
-
-
-class TestLargestComponent:
-    def test_empty(self):
-        assert largest_component(Graph()) == set()
-
-    def test_picks_biggest(self):
-        g = Graph([(1, 2), (3, 4), (4, 5), (5, 6)])
-        assert largest_component(g) == {3, 4, 5, 6}
-
-    def test_tie_goes_to_the_first_of_connected_components(self):
-        # {b, c} is inserted first, but {a, d} holds the smaller member.
-        g = Graph([("b", "c"), ("a", "d")])
-        assert largest_component(g) == {"a", "d"}
-        assert largest_component(g) == connected_components(g)[0]
 
 
 @st.composite

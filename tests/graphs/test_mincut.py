@@ -1,18 +1,13 @@
-"""Tests for max-flow, minimum s-t cuts and global minimum edge cuts."""
+"""Tests for the unit-capacity residual network and global minimum edge cuts."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import (
-    Graph,
-    connected_components,
-    max_flow,
-    minimum_edge_cut,
-    minimum_st_edge_cut,
-)
+from repro.graphs import Graph, connected_components, minimum_edge_cut
 from repro.graphs.graph import canonical_edge
+from repro.graphs.maxflow import _ResidualNetwork
 
 
 def two_cliques_with_bridge():
@@ -21,51 +16,69 @@ def two_cliques_with_bridge():
     return Graph(left + right + [(3, 4)])
 
 
-class TestMaxFlow:
-    def test_single_edge(self):
-        g = Graph([(1, 2)])
-        assert max_flow(g, 1, 2) == 1
-
-    def test_parallel_paths(self):
-        g = Graph([(1, 2), (2, 4), (1, 3), (3, 4)])
-        assert max_flow(g, 1, 4) == 2
-
-    def test_complete_graph(self):
-        g = Graph.complete(range(5))
-        assert max_flow(g, 0, 4) == 4
-
-    def test_disconnected_nodes_have_zero_flow(self):
-        g = Graph([(1, 2), (3, 4)])
-        assert max_flow(g, 1, 3) == 0
-
-    def test_same_source_sink_raises(self):
-        g = Graph([(1, 2)])
-        with pytest.raises(ValueError):
-            max_flow(g, 1, 1)
-
-    def test_missing_node_raises(self):
-        g = Graph([(1, 2)])
-        with pytest.raises(KeyError):
-            max_flow(g, 1, 99)
+def saturated(graph, source, sink):
+    network = _ResidualNetwork(graph)
+    return network, network.saturate(source, sink)
 
 
-class TestMinimumSTCut:
-    def test_bridge_is_the_cut(self):
-        g = two_cliques_with_bridge()
-        cut = minimum_st_edge_cut(g, 1, 6)
-        assert cut == {(3, 4)}
+class TestResidualNetwork:
+    # Max-flow values and the s-t cuts behind every global minimum cut.
 
-    def test_cut_disconnects(self):
-        g = two_cliques_with_bridge()
-        cut = minimum_st_edge_cut(g, 2, 5)
-        g.remove_edges(cut)
-        comps = connected_components(g)
-        comp_of_2 = next(c for c in comps if 2 in c)
+    def test_single_edge_carries_one_unit(self):
+        _, flow = saturated(Graph([(1, 2)]), 1, 2)
+        assert flow == 1
+
+    def test_parallel_paths_carry_two_units(self):
+        _, flow = saturated(Graph([(1, 2), (2, 4), (1, 3), (3, 4)]), 1, 4)
+        assert flow == 2
+
+    def test_complete_graph_flow_is_the_degree(self):
+        _, flow = saturated(Graph.complete(range(5)), 0, 4)
+        assert flow == 4
+
+    def test_disconnected_nodes_carry_no_flow(self):
+        network, flow = saturated(Graph([(1, 2), (3, 4)]), 1, 3)
+        assert flow == 0
+        assert network.reachable_from(1) == {1, 2}
+
+    def test_pushed_flow_opens_the_reverse_arcs(self):
+        network = _ResidualNetwork(Graph([(1, 2), (2, 3)]))
+        network.push_unit_flow([1, 2, 3])
+        assert network.capacity == {(1, 2): 0, (2, 1): 2, (2, 3): 0, (3, 2): 2}
+        assert network.reachable_from(1) == {1}
+        assert network.bfs_augmenting_path(3, 1) == [3, 2, 1]
+
+    def test_reset_restores_every_arc(self):
+        # minimum_edge_cut reuses one network for every target.
+        graph = Graph.complete(range(4))
+        network, flow = saturated(graph, 0, 3)
+        assert flow == 3
+        assert network.saturate(0, 3) == 0
+        network.reset()
+        assert set(network.capacity.values()) == {1}
+        assert network.saturate(0, 3) == 3
+
+    def test_st_cut_is_the_bridge(self):
+        graph = two_cliques_with_bridge()
+        network, flow = saturated(graph, 1, 6)
+        assert flow == 1
+        assert network.st_cut_edges(graph, 1) == {(3, 4)}
+
+    def test_st_cut_separates_source_from_sink(self):
+        graph = two_cliques_with_bridge()
+        network, _ = saturated(graph, 2, 5)
+        graph.remove_edges(network.st_cut_edges(graph, 2))
+        comp_of_2 = next(c for c in connected_components(graph) if 2 in c)
         assert 5 not in comp_of_2
 
-    def test_cut_size_equals_max_flow(self):
-        g = Graph.complete(range(6))
-        assert len(minimum_st_edge_cut(g, 0, 5)) == max_flow(g, 0, 5)
+    def test_st_cut_size_equals_the_flow(self):
+        graph = Graph.complete(range(6))
+        network, flow = saturated(graph, 0, 5)
+        assert len(network.st_cut_edges(graph, 0)) == flow == 5
+
+    def test_adjacency_is_sorted(self):
+        network = _ResidualNetwork(Graph([(3, 1), (3, 2), (1, 2), (3, 0)]))
+        assert network.adj == {3: [0, 1, 2], 1: [2, 3], 2: [1, 3], 0: [3]}
 
 
 class TestGlobalMinimumEdgeCut:
@@ -102,6 +115,11 @@ class TestGlobalMinimumEdgeCut:
         g = Graph([(1, 2), (3, 4)])
         assert minimum_edge_cut(g) == set()
 
+    def test_string_labels_give_canonical_edges(self):
+        left = [("a", "b"), ("b", "c"), ("a", "c")]
+        right = [("x", "y"), ("y", "z"), ("x", "z")]
+        assert minimum_edge_cut(Graph(left + right + [("x", "c")])) == {("c", "x")}
+
 
 @st.composite
 def connected_graphs(draw):
@@ -135,6 +153,17 @@ class TestMinCutProperties:
         g = Graph(edges)
         cut_value, _ = nx.stoer_wagner(nx.Graph(edges))
         assert len(minimum_edge_cut(g)) == cut_value
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_st_flow_matches_networkx_edge_connectivity(self, edges, data):
+        nodes = sorted({node for edge in edges for node in edge})
+        source = data.draw(st.sampled_from(nodes))
+        sink = data.draw(st.sampled_from([node for node in nodes if node != source]))
+        graph = Graph(edges)
+        network, flow = saturated(graph, source, sink)
+        assert flow == nx.edge_connectivity(nx.Graph(edges), source, sink)
+        assert len(network.st_cut_edges(graph, source)) == flow
 
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)

@@ -9,6 +9,8 @@ off.  After every batch, the state also equals the whole-state
 recomputation in ``tests/incremental/oracle.py``.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
@@ -199,12 +201,13 @@ def test_threshold_matcher_matches_the_batch_run(
 
 
 @pytest.fixture(scope="module")
-def bridge_removal_factory(golden_setup):
-    """The golden pipeline under the component-local ``bridge_removal``
-    strategy, with gamma low enough that its Algorithm 1 fallback cuts."""
+def strategy_factory(golden_setup):
+    """The golden pipeline under another component-local clean-up strategy,
+    with gamma low enough that ``bridge_removal``'s Algorithm 1 fallback
+    cuts (``adaptive`` ignores gamma and mu)."""
     _, matcher = golden_setup
 
-    def make(runtime=None):
+    def make(strategy, runtime=None):
         return EntityGroupMatchingPipeline(
             matcher=matcher,
             blocking=CombinedBlocking(
@@ -213,25 +216,28 @@ def bridge_removal_factory(golden_setup):
             cleanup_config=CleanupConfig(gamma=6, mu=4),
             pre_cleanup_config=PreCleanupConfig(max_component_size=30),
             runtime=runtime,
-            cleanup_strategy="bridge_removal",
+            cleanup_strategy=strategy,
         )
 
     return make
 
 
+@pytest.mark.parametrize("strategy", ["bridge_removal", "adaptive"])
 @pytest.mark.parametrize("num_batches", [1, 2, 7])
-def test_bridge_removal_strategy_matches_the_batch_run(
-    golden_setup, bridge_removal_factory, num_batches
+def test_another_strategy_matches_the_batch_run(
+    golden_setup, strategy_factory, num_batches, strategy
 ):
     companies, _ = golden_setup
-    batch = bridge_removal_factory().run(companies)
+    factory = partial(strategy_factory, strategy)
+    batch = factory().run(companies)
     report = batch.cleanup_report
-    assert report.mincut_removals > 0 and report.betweenness_removals > 0
-    # Bridges are the removals neither phase of the fallback counts.
-    assert report.num_removed > report.mincut_removals + report.betweenness_removals
-    matcher = ingest_in_batches(
-        bridge_removal_factory, partition_records(companies.records, num_batches)
-    )
+    if strategy == "bridge_removal":
+        assert report.mincut_removals > 0 and report.betweenness_removals > 0
+        # Bridges are the removals neither phase of the fallback counts.
+        assert report.num_removed > report.mincut_removals + report.betweenness_removals
+    else:
+        assert report.num_removed == report.betweenness_removals > 0
+    matcher = ingest_in_batches(factory, partition_records(companies.records, num_batches))
     assert_equals_batch(matcher, batch)
     assert matcher.state.cleanup_report == report
     if num_batches > 1:

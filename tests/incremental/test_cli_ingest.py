@@ -13,11 +13,13 @@ import shutil
 import pytest
 
 from repro.cli import main
+from repro.core.cleanup import gralmatch_cleanup
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.io import read_dataset_csv, write_dataset_csv
 from repro.datagen.records import Dataset
-from repro.incremental import read_manifest
+from repro.incremental import IncrementalMatcher, read_manifest
 from repro.obs import read_trace_jsonl
+from repro.registry import CLEANUPS
 from tests.incremental.test_state_io import corrupt_payload
 
 CONFIG_TOML = """
@@ -74,6 +76,33 @@ class TestIngestMatchesRun:
         assert run_groups.read_bytes() == ingest_groups.read_bytes()
         groups = json.loads(run_groups.read_text())["groups"]
         assert groups == sorted(sorted(group) for group in groups)
+
+    def test_split_ingest_equals_one_shot_run_under_adaptive(
+        self, workspace, capsys, tmp_path
+    ):
+        # adaptive cleans each component under its own budget, so ingest
+        # re-cleans only the components a batch touches.
+        _, config, paths = workspace
+        adaptive = tmp_path / "adaptive.toml"
+        adaptive.write_text(
+            config.read_text() + '\n[pipeline.cleanup]\nstrategy = "adaptive"\n'
+        )
+        state = tmp_path / "state"
+        run_groups = tmp_path / "run_groups.json"
+        ingest_groups = tmp_path / "ingest_groups.json"
+
+        assert main(["run", str(adaptive), "--groups-out", str(run_groups)]) == 0
+        assert main([
+            "ingest", str(paths["batch1"]),
+            "--state", str(state), "--config", str(adaptive),
+            "--train-dataset", str(paths["full"]),
+        ]) == 0
+        assert main([
+            "ingest", str(paths["batch2"]),
+            "--state", str(state), "--groups-out", str(ingest_groups),
+        ]) == 0
+        assert run_groups.read_bytes() == ingest_groups.read_bytes()
+        assert read_manifest(state)["cleanup_strategy"] == "adaptive"
 
     def test_state_show_prints_manifest_and_exports_groups(
         self, workspace, capsys
@@ -207,6 +236,41 @@ class TestIngestErrors:
             "--config", str(config), "--train-dataset", str(paths["full"]),
         ]) == 2
         assert "--train-dataset only applies" in capsys.readouterr().err
+
+    def test_unregistered_strategy_fails_clearly(
+        self, workspace, pristine_state, tmp_path, capsys
+    ):
+        # A state saved where the strategy it names is not registered.
+        _, _, paths = workspace
+        state = tmp_path / "state"
+        matcher = IncrementalMatcher.load(pristine_state)
+        matcher.state.cleanup_strategy = "no_such_strategy"
+        matcher.save(state)
+        assert main(["ingest", str(paths["batch2"]), "--state", str(state)]) == 2
+        assert "unknown cleanup 'no_such_strategy'" in capsys.readouterr().err
+
+    def test_strategy_without_the_marker_fails_clearly(
+        self, workspace, pristine_state, tmp_path, capsys
+    ):
+        # A registered strategy ingest cannot run per component.
+        _, _, paths = workspace
+        state = tmp_path / "state"
+        matcher = IncrementalMatcher.load(pristine_state)
+        matcher.state.cleanup_strategy = "unmarked_gralmatch"
+        matcher.save(state)
+        CLEANUPS.register("unmarked_gralmatch")(
+            lambda edges, config: gralmatch_cleanup(edges, config)
+        )
+        try:
+            code = main(["ingest", str(paths["batch2"]), "--state", str(state)])
+        finally:
+            CLEANUPS.unregister("unmarked_gralmatch")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'unmarked_gralmatch' is not marked component_local" in err
+        assert len(IncrementalMatcher.load(state).state.records) == len(
+            matcher.state.records
+        )
 
 
 class TestStateSpecDir:

@@ -11,6 +11,7 @@ import pytest
 import repro.incremental.matcher as incremental_matcher
 from repro.core.cleanup import gralmatch_cleanup
 from repro.incremental import IncrementalMatcher
+from repro.registry import CLEANUPS, RegistryError
 
 
 @pytest.fixture
@@ -114,34 +115,44 @@ class TestCleanupCallCounting:
         )
 
 
-class TestNonLocalStrategyFallback:
-    def test_unmarked_strategy_recleans_the_whole_graph(
-        self, golden_setup, pipeline_factory, monkeypatch
+class TestStrategyValidation:
+    @pytest.mark.parametrize(
+        "strategy, error",
+        [("unmarked_gralmatch", ValueError), ("no_such_strategy", RegistryError)],
+    )
+    def test_a_strategy_ingest_cannot_clean_per_component_is_refused(
+        self, golden_setup, pipeline_factory, tmp_path, strategy, error
     ):
-        # A strategy without the component_local marker gets no memo: every
-        # ingest re-cleans everything (correct, just not delta-proportional)
-        # and the result still matches the marked path.
-        from repro.registry import CLEANUPS
-
+        # Ingest re-cleans only the components a batch touches, so it
+        # refuses a strategy without the component_local marker, and one
+        # that is not registered, before it changes anything: the state
+        # keeps its records and still saves.
         def unmarked(edges, config):
             return gralmatch_cleanup(edges, config)
 
+        companies, _ = golden_setup
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
+        matcher.ingest(companies.records[:50])
         CLEANUPS.register("unmarked_gralmatch")(unmarked)
         try:
-            pipeline = pipeline_factory()
-            pipeline.cleanup_strategy = "unmarked_gralmatch"
-            matcher = IncrementalMatcher.from_pipeline(pipeline)
-            companies, _ = golden_setup
-            first, second = halves(companies.records)
-            matcher.ingest(first)
-            matcher.ingest(second)
-            report = matcher.last_report
-            assert report.components_reused == 0
-            assert report.components_recleaned == report.components_total
-
-            reference = IncrementalMatcher.from_pipeline(pipeline_factory())
-            reference.ingest(first)
-            reference.ingest(second)
-            assert matcher.groups.groups == reference.groups.groups
+            matcher.state.cleanup_strategy = strategy
+            with pytest.raises(error, match=strategy):
+                matcher.ingest(companies.records[50:70])
         finally:
             CLEANUPS.unregister("unmarked_gralmatch")
+        assert len(matcher.state.records) == len(matcher.dataset) == 50
+        assert matcher.last_report.num_records == 50
+        state_dir = matcher.save(tmp_path / "state")
+        assert len(IncrementalMatcher.load(state_dir).state.records) == 50
+
+    def test_an_empty_batch_is_refused_too(self, pipeline_factory):
+        # The strategy is checked before anything else, so even a batch
+        # with nothing to add does not count as an ingest.
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
+        matcher.state.cleanup_strategy = "no_such_strategy"
+        with pytest.raises(RegistryError, match="no_such_strategy"):
+            matcher.ingest([])
+        assert matcher.state.num_ingests == 0
+        matcher.state.cleanup_strategy = "adaptive"
+        matcher.ingest([])
+        assert matcher.state.num_ingests == 1

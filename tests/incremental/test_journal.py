@@ -19,11 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import CombinedBlocking, IdOverlapBlocking, TokenOverlapBlocking
-from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
+from repro.core.cleanup import CleanupConfig
 from repro.core.pipeline import EntityGroupMatchingPipeline
 from repro.core.precleanup import PreCleanupConfig
 from repro.incremental import IncrementalMatcher, MatchStateError, read_manifest
-from repro.registry import CLEANUPS
 from repro.runtime import RuntimeConfig
 from tests.incremental.oracle import ingest_checked
 from tests.incremental.test_batch_equivalence import (
@@ -102,23 +101,6 @@ def make_factory(golden_setup, strategy="gralmatch", max_component_size=6):
     return make
 
 
-def reversed_cleanup(edges, config):
-    """A strategy without ``component_local`` that returns its components in
-    reverse canonical order: the journal must keep the strategy's order."""
-    components, report = gralmatch_cleanup(edges, config)
-    return components[::-1], report
-
-
-_BATCH_RUNS: dict = {}
-
-
-@pytest.fixture(scope="module")
-def reversed_strategy():
-    CLEANUPS.register("reversed_gralmatch")(reversed_cleanup)
-    yield "reversed_gralmatch"
-    CLEANUPS.unregister("reversed_gralmatch")
-
-
 STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("ingest"), st.integers(min_value=0, max_value=40)),
@@ -129,7 +111,20 @@ STEPS = st.lists(
 )
 
 
-@pytest.mark.parametrize("strategy", ["gralmatch", "reversed"])
+@pytest.fixture(scope="module")
+def firing_batch_runs(golden_setup):
+    """The batch run of each strategy, computed once."""
+    runs: dict = {}
+
+    def run(strategy):
+        if strategy not in runs:
+            runs[strategy] = make_factory(golden_setup, strategy)().run(golden_setup[0])
+        return runs[strategy]
+
+    return run
+
+
+@pytest.mark.parametrize("strategy", ["gralmatch", "adaptive"])
 @settings(
     max_examples=25,
     deadline=None,
@@ -137,13 +132,10 @@ STEPS = st.lists(
 )
 @given(steps=STEPS)
 def test_any_interleaving_loads_back_the_in_memory_state(
-    golden_setup, reversed_strategy, tmp_path_factory, strategy, steps
+    golden_setup, firing_batch_runs, tmp_path_factory, strategy, steps
 ):
     records = golden_setup[0].records
-    name = strategy if strategy == "gralmatch" else reversed_strategy
-    factory = make_factory(golden_setup, name)
-    # The oracle recomputes the component-local path only.
-    ingest = ingest_checked if strategy == "gralmatch" else IncrementalMatcher.ingest
+    factory = make_factory(golden_setup, strategy)
     root = tmp_path_factory.mktemp("journal")
     matcher = IncrementalMatcher.from_pipeline(factory(), name="journal")
     directory = root / "state0"
@@ -153,7 +145,7 @@ def test_any_interleaving_loads_back_the_in_memory_state(
             batch = records[fed:fed + size]
             fed += len(batch)
             if batch or matcher.state.num_ingests:
-                ingest(matcher, batch)
+                ingest_checked(matcher, batch)
             continue
         if action == "save_elsewhere":
             directory = root / f"state{number + 1}"
@@ -163,13 +155,11 @@ def test_any_interleaving_loads_back_the_in_memory_state(
         if action == "load" and matcher.state.num_ingests:
             # Go on from the loaded state; an empty ingest brings its
             # indexes forward without touching a record.
-            assert ingest(loaded, []).records_rescored == 0
+            assert ingest_checked(loaded, []).records_rescored == 0
             assert_rebuilt_indexes(loaded, matcher)
             matcher = loaded
     assert fed == len(records)
-    if name not in _BATCH_RUNS:
-        _BATCH_RUNS[name] = factory().run(golden_setup[0])
-    assert_equals_batch(matcher, _BATCH_RUNS[name])
+    assert_equals_batch(matcher, firing_batch_runs(strategy))
 
 
 @pytest.mark.parametrize("runtime", RUNTIMES)

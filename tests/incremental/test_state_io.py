@@ -146,6 +146,17 @@ class TestApiIngestPersistence:
         report = ingest(matcher, companies.records[:5], save=False)
         assert report.num_new_records == 5
 
+    def test_a_loaded_state_saves_again_without_an_ingest(self, saved_state, tmp_path):
+        # Its memo gives the groups back, so no ingest is needed first.
+        matcher, state_dir = saved_state
+        copy = IncrementalMatcher.load(state_dir).save(tmp_path / "copy")
+        reloaded = IncrementalMatcher.load(copy)
+        assert reloaded.groups.groups == matcher.groups.groups
+        assert (
+            reloaded.state.pre_cleanup_groups.groups
+            == matcher.state.pre_cleanup_groups.groups
+        )
+
     def test_save_leaves_no_temp_files(self, saved_state):
         _, state_dir = saved_state
         assert not list(state_dir.glob("*.tmp"))
@@ -271,6 +282,13 @@ class TestFormatMigration:
         reloaded = IncrementalMatcher.load(state_dir)
         assert reloaded.state.part_states == matcher.state.part_states
         assert reloaded.state.journal.state_dir is None
+        # Version 3 wrote both group lists whole; loading takes them as
+        # they are.
+        assert reloaded.groups.groups == matcher.groups.groups
+        assert (
+            reloaded.state.pre_cleanup_groups.groups
+            == matcher.state.pre_cleanup_groups.groups
+        )
         first = ingest_checked(reloaded, records[90:120])
         # The pickled indexes carry the top-n memo: the same rescoring as in
         # the process that saved the state.
@@ -282,6 +300,36 @@ class TestFormatMigration:
         assert [p.name for p in state_dir.glob("rev*")] == ["rev2"]
         reopened = IncrementalMatcher.load(state_dir)
         ingest_checked(reopened, records[120:])
+        assert_equals_batch(reopened, batch_result)
+
+    def test_whole_groups_without_a_memo_save_only_after_an_ingest(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # A state kept under a strategy without component_local was written
+        # with both group lists whole and an empty clean-up memo.  It loads
+        # with its groups and ingests like any other, but a save before the
+        # first ingest, which would leave loading nothing to derive the
+        # groups from, is refused.
+        from tests.incremental.oracle import ingest_checked
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        records = golden_setup[0].records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        matcher.ingest(records[:90])
+        groups = matcher.groups.groups
+        matcher.state.cleanup_memo = {}
+        state_dir = save_v3(matcher.state, tmp_path / "state")
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.groups.groups == groups
+        with pytest.raises(MatchStateError, match="ingest a batch"):
+            reloaded.save(tmp_path / "copy")
+        assert ingest_checked(reloaded, []).components_reused == 0
+        assert reloaded.groups.groups == groups
+        reloaded.save(state_dir)
+        reopened = IncrementalMatcher.load(state_dir)
+        assert reopened.groups.groups == groups
+        ingest_checked(reopened, records[90:])
         assert_equals_batch(reopened, batch_result)
 
     def test_a_v2_state_converts_at_load_and_ingests_identically(

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.matching.attention import TransformerPairClassifier
-from repro.matching.calibration import calibrate_threshold
-from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.nn import cross_entropy
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 
@@ -81,26 +79,3 @@ class TestWeightedCrossEntropy:
         assert np.allclose(weighted_grad[0], base_grad[0])
         assert np.allclose(weighted_grad[1], 3 * base_grad[1])
 
-
-class TestCalibrationWithTrainedMatcher:
-    def test_precision_objective_never_lowers_precision(self, companies):
-        pairs = build_labeled_pairs(companies, negative_ratio=3, seed=14)
-        record_pairs, labels = as_record_pairs(pairs)
-        split = int(len(record_pairs) * 0.7)
-        matcher = LogisticRegressionMatcher(num_iterations=120).fit(
-            record_pairs[:split], labels[:split]
-        )
-
-        validation_pairs = record_pairs[split:]
-        validation_labels = labels[split:]
-        probabilities = matcher.predict_proba(validation_pairs)
-        default_predictions = [p >= 0.5 for p in probabilities]
-        default_tp = sum(1 for p, y in zip(default_predictions, validation_labels) if p and y)
-        default_fp = sum(1 for p, y in zip(default_predictions, validation_labels) if p and not y)
-        default_precision = default_tp / max(default_tp + default_fp, 1)
-
-        best = calibrate_threshold(
-            matcher, validation_pairs, validation_labels, objective="precision"
-        )
-        assert best.precision >= default_precision - 1e-9
-        assert matcher.threshold == best.threshold

@@ -26,6 +26,11 @@ class TestBuiltinRegistrations:
     def test_cleanup_strategies_are_registered(self):
         assert {"gralmatch", "bridge_removal", "adaptive"} <= set(CLEANUPS.names())
 
+    def test_every_builtin_cleanup_strategy_is_component_local(self):
+        # Incremental ingest accepts only marked strategies.
+        for name in ("gralmatch", "bridge_removal", "adaptive"):
+            assert CLEANUPS.get(name).component_local is True, name
+
     def test_lookup_returns_the_component_itself(self):
         assert BLOCKINGS.get("id_overlap") is IdOverlapBlocking
         assert CLEANUPS.get("gralmatch") is gralmatch_cleanup

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text import Vocabulary, char_ngrams, whitespace_tokenize, word_tokenize
+from repro.text import Vocabulary, char_ngrams, word_tokenize
 from repro.text.tokenize import CLS_TOKEN, PAD_TOKEN, SEP_TOKEN, SPECIAL_TOKENS
 
 
@@ -17,8 +17,8 @@ class TestWordTokenize:
     def test_none(self):
         assert word_tokenize(None) == []
 
-    def test_whitespace_tokenize_no_normalisation(self):
-        assert whitespace_tokenize("A  B") == ["A", "B"]
+    def test_runs_of_whitespace_split_once(self):
+        assert word_tokenize("  A \t B\n") == ["a", "b"]
 
 
 class TestCharNgrams:
