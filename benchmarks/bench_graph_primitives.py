@@ -12,30 +12,23 @@ import random
 import pytest
 
 from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
-from repro.graphs import (
-    Graph,
-    connected_components,
-    edge_betweenness_centrality,
-    minimum_edge_cut,
-)
+from repro.graphs import IdGraph, edge_betweenness, union_find_components
 
 
-def bridged_component(group_size: int, seed: int = 0) -> Graph:
+def bridged_component(group_size: int, seed: int = 0) -> list[tuple[str, str]]:
     """Two dense clusters of ``group_size`` records joined by one bridge."""
     rng = random.Random(seed)
-    graph = Graph()
+    edges: set[tuple[str, str]] = set()
     for prefix in ("a", "b"):
         nodes = [f"{prefix}{i}" for i in range(group_size)]
         for i, left in enumerate(nodes):
             for right in nodes[i + 1:]:
                 if rng.random() < 0.6:
-                    graph.add_edge(left, right)
+                    edges.add((left, right))
         # Guarantee connectivity within the cluster.
-        for i in range(group_size - 1):
-            if not graph.has_edge(nodes[i], nodes[i + 1]):
-                graph.add_edge(nodes[i], nodes[i + 1])
-    graph.add_edge(f"a{group_size - 1}", "b0")
-    return graph
+        edges.update(zip(nodes, nodes[1:]))
+    edges.add((f"a{group_size - 1}", "b0"))
+    return sorted(edges)
 
 
 @pytest.fixture(scope="module")
@@ -43,34 +36,42 @@ def component():
     return bridged_component(group_size=25, seed=3)
 
 
+@pytest.fixture(scope="module")
+def graph(component):
+    """The component on int ids; its labels sort naturally, so its
+    adjacency is already the relabelled piece the kernels take."""
+    return IdGraph(component)
+
+
 def test_connected_components_speed(benchmark, component):
-    components = benchmark(lambda: connected_components(component))
+    components = benchmark(lambda: union_find_components(component))
     assert len(components) == 1
 
 
-def test_minimum_edge_cut_speed(benchmark, component):
-    cut = benchmark(lambda: minimum_edge_cut(component.copy()))
+def test_minimum_edge_cut_speed(benchmark, graph):
+    piece = list(range(len(graph.labels)))
+    cut = benchmark(lambda: graph.minimum_edge_cut(piece))
     # The bridge is the unique minimum cut.
-    assert cut == {("a24", "b0")}
+    assert [graph.edge(i, j) for i, j in cut] == [("a24", "b0")]
 
 
-def test_edge_betweenness_speed(benchmark, component):
-    scores = benchmark(lambda: edge_betweenness_centrality(component, normalized=False))
+def test_edge_betweenness_speed(benchmark, graph):
+    scores = benchmark(lambda: edge_betweenness(graph.adjacency))
     best = max(scores, key=scores.get)
-    assert best == ("a24", "b0")
+    assert graph.edge(*best) == ("a24", "b0")
 
 
 def test_gralmatch_cleanup_speed(benchmark, component):
     # Betweenness only (gamma = infinity): the bridge carries every path
     # between the clusters, so it alone is removed and they come back.
     config = CleanupConfig(gamma=None, mu=25)
-    pieces, report = benchmark(lambda: gralmatch_cleanup(component.edges(), config))
+    pieces, report = benchmark(lambda: gralmatch_cleanup(component, config))
     assert pieces == [{f"a{i}" for i in range(25)}, {f"b{i}" for i in range(25)}]
     assert report.removed_edges == {("a24", "b0")}
     assert report.betweenness_removals == 1
 
 
-def test_mincut_faster_than_betweenness_note(benchmark, component):
+def test_mincut_faster_than_betweenness_note(benchmark, graph):
     """Record the relative cost of one MEC step vs one BC step.
 
     The assertion is deliberately loose (both directions are plausible on a
@@ -81,10 +82,10 @@ def test_mincut_faster_than_betweenness_note(benchmark, component):
 
     def measure():
         start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-        minimum_edge_cut(component.copy())
+        graph.minimum_edge_cut(list(range(len(graph.labels))))
         mec_seconds = time.perf_counter() - start  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
         start = time.perf_counter()  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
-        edge_betweenness_centrality(component, normalized=False)
+        edge_betweenness(graph.adjacency)
         bc_seconds = time.perf_counter() - start  # repro-lint: disable=obs-clock-discipline -- wall clock is this benchmark's artefact
         return mec_seconds, bc_seconds
 

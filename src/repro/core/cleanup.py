@@ -16,29 +16,22 @@ the structure of the match graph:
 
 Every removal is chosen from, and applied to, one connected component's
 induced subgraph, and both stopping rules are per component.  So the
-clean-up indexes its edge list once — the nodes, in
-:func:`~repro.graphs.graph.sorted_nodes` order, become the ints
-``0 .. n-1`` and each gets a sorted int adjacency list — finds the
-components by breadth-first search over the ints, and works each one
-down as a list of int *pieces*: a piece larger than ``gamma`` loses a
-minimum edge cut, a piece larger than ``mu`` loses its maximum-betweenness
-edge, and only the piece just cut is split again, never the whole graph.
-The betweenness kernel (:func:`~repro.graphs.betweenness.edge_betweenness`)
-runs on the piece relabelled to ``0 .. k-1``; a :class:`Graph` is built
-only for a piece larger than ``gamma``, for :func:`minimum_edge_cut`.
+clean-up indexes its edge list once as an
+:class:`~repro.graphs.idgraph.IdGraph` (the nodes, in sorted order, become
+the ints ``0 .. n-1``, each with a sorted int adjacency list), finds the
+components by breadth-first search over the ints, and works each one down
+as a list of int *pieces*: a piece larger than ``gamma`` loses a minimum
+edge cut, a piece larger than ``mu`` loses its maximum-betweenness edge,
+and only the piece just cut is split again, never the whole graph.  Both
+kernels run on the piece relabelled to ``0 .. k-1``.
 
 This cannot change the output.  Each cut and each betweenness edge depends
 only on one piece's nodes and edges, taken in sorted order whatever the
-rest of the graph holds, so pieces are cut the same way in any order; int
-ids in sorted order give the betweenness kernel the source and neighbour
-order of the piece's :class:`Graph`, so it makes the same float additions
-and picks the same edge.  (Mixed labels, such as ints with strings, sort
-by ``repr`` only where a set of them does not sort naturally, so there a
-piece and each neighbour list are ordered by their own labels.)
+rest of the graph holds, so pieces are cut the same way in any order.
 :func:`merge_component_cleanups` then puts the final pieces in
-``connected_components`` order, which makes the components, the removed
-edges and every :class:`CleanupReport` field those of the whole-graph loop
-(kept in the tests as the differential oracle).
+:func:`~repro.graphs.union_find.component_order`, which makes the
+components, the removed edges and every :class:`CleanupReport` field those
+of the whole-graph loop (kept in the tests as the differential oracle).
 
 The sensitivity variants of Section 5.2.1 are expressed through
 :class:`CleanupConfig`: ``gamma = mu`` gives the MEC-only variant,
@@ -52,9 +45,8 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable, Set as AbstractSet
 from typing import Protocol
 
-from repro.graphs.betweenness import max_betweenness_pair
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge
-from repro.graphs.mincut import minimum_edge_cut
+from repro.graphs.graph import Edge, Node
+from repro.graphs.idgraph import IdGraph
 from repro.graphs.union_find import component_order
 from repro.registry import register_cleanup
 
@@ -127,7 +119,7 @@ def gralmatch_cleanup(
     groups before transitive-closure expansion) and a :class:`CleanupReport`
     describing the removals.
     """
-    return _clean(_IdGraph(edges), config or CleanupConfig())
+    return clean_components(IdGraph(edges), config or CleanupConfig())
 
 
 # Every removal Algorithm 1 makes is chosen from (and applied to) a single
@@ -139,22 +131,12 @@ def gralmatch_cleanup(
 gralmatch_cleanup.component_local = True
 
 
-def clean_graph(
-    graph: Graph, config: CleanupConfig
+def clean_components(
+    graph: IdGraph, config: CleanupConfig
 ) -> tuple[list[set[Node]], CleanupReport]:
-    """Algorithm 1 on every connected component of ``graph``, one at a time.
-
-    ``graph`` is left untouched.  Isolated nodes come back as singleton
-    components.
-    """
-    return _clean(_IdGraph(graph.edges(), graph.nodes()), config)
-
-
-def _clean(
-    graph: _IdGraph, config: CleanupConfig
-) -> tuple[list[set[Node]], CleanupReport]:
-    """Algorithm 1 on every component of ``graph``; the order in which the
-    components are worked does not matter, the merge sorts the pieces."""
+    """Algorithm 1 on every component of ``graph``, cut in place; the
+    order in which the components are worked does not matter, the merge
+    sorts the pieces.  Isolated nodes come back as singleton components."""
     components = graph.pieces(range(len(graph.labels)))
     return merge_component_cleanups(
         (_clean_component(graph, component, config) for component in components),
@@ -163,7 +145,7 @@ def _clean(
 
 
 def _clean_component(
-    graph: _IdGraph, component: list[int], config: CleanupConfig
+    graph: IdGraph, component: list[int], config: CleanupConfig
 ) -> tuple[list[set[Node]], CleanupReport]:
     """Algorithm 1 on one component of ``graph``, given by its ids.
 
@@ -178,130 +160,25 @@ def _clean_component(
     """
     report = CleanupReport()
     final: list[set[Node]] = []
-    labels = graph.labels
     pending = [component]
     while pending:
         piece = pending.pop()
         size = len(piece)
         if config.gamma is not None and size > config.gamma:
             # A connected piece's minimum cut is never empty: it splits.
-            cut = minimum_edge_cut(graph.subgraph(piece))
-            for u, v in cut:
-                graph.remove_edge(graph.ids[u], graph.ids[v])
-            report.removed_edges.update(cut)
+            cut = graph.minimum_edge_cut(piece)
             report.mincut_removals += len(cut)
         elif size > config.mu:
-            i, j = graph.max_betweenness_edge(piece)
-            graph.remove_edge(i, j)
-            report.removed_edges.add(canonical_edge(labels[i], labels[j]))
+            cut = [graph.max_betweenness_edge(piece)]
             report.betweenness_removals += 1
         else:
-            final.append({labels[i] for i in piece})
+            final.append({graph.labels[i] for i in piece})
             continue
+        for i, j in cut:
+            graph.remove_edge(i, j)
+            report.removed_edges.add(graph.edge(i, j))
         pending.extend(graph.pieces(piece))
     return final, report
-
-
-class _IdGraph:
-    """A match graph on int ids, which Algorithm 1 cuts in place.
-
-    Node ``i`` is ``labels[i]``: ids follow
-    :func:`~repro.graphs.graph.sorted_nodes` order, and
-    ``adjacency[i]`` holds the neighbours of ``i`` by increasing id, which
-    a removal keeps.  A *piece* is a list of the ids of one connected
-    component of the current graph, so every neighbour of a piece's node
-    is in the piece.
-    """
-
-    def __init__(self, edges: Iterable[Edge], nodes: Iterable[Node] = ()) -> None:
-        neighbours: dict[Node, set[Node]] = {node: set() for node in nodes}
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u!r} is not allowed")
-            neighbours.setdefault(u, set()).add(v)
-            neighbours.setdefault(v, set()).add(u)
-        # The order sorted_nodes gives them, noting whether it is the natural
-        # one (see _ordered).
-        try:
-            self.labels: list[Node] = sorted(neighbours)  # type: ignore[type-var]
-            self.natural = True
-        except TypeError:
-            self.labels = sorted(neighbours, key=repr)
-            self.natural = False
-        self.ids = {label: i for i, label in enumerate(self.labels)}
-        self.adjacency = [
-            sorted(self.ids[w] for w in neighbours[label]) for label in self.labels
-        ]
-        #: Scratch: a piece's node ids relabelled to 0 .. k-1.
-        self._position = [0] * len(self.labels)
-
-    def remove_edge(self, i: int, j: int) -> None:
-        self.adjacency[i].remove(j)
-        self.adjacency[j].remove(i)
-
-    def pieces(self, ids: Iterable[int]) -> list[list[int]]:
-        """The connected components holding ``ids``, by breadth-first search."""
-        adjacency = self.adjacency
-        seen: set[int] = set()
-        pieces = []
-        for start in ids:
-            if start in seen:
-                continue
-            seen.add(start)
-            piece = [start]
-            for i in piece:
-                for j in adjacency[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        piece.append(j)
-            pieces.append(piece)
-        return pieces
-
-    def subgraph(self, piece: list[int]) -> Graph:
-        """``piece`` as a :class:`Graph`, its nodes added in sorted order as
-        :meth:`Graph.subgraph` adds them."""
-        labels = self.labels
-        order = self._ordered(sorted(piece))
-        graph = Graph()
-        for i in order:
-            graph.add_node(labels[i])
-        for i in order:
-            for j in self.adjacency[i]:
-                if i < j:
-                    graph.add_edge(labels[i], labels[j])
-        return graph
-
-    def max_betweenness_edge(self, piece: list[int]) -> tuple[int, int]:
-        """The ids of ``piece``'s maximum-betweenness edge.
-
-        The piece is relabelled to ``0 .. k-1`` in sorted order, each
-        neighbour list in the sorted order of its labels: the order
-        :func:`~repro.graphs.betweenness.max_betweenness_edge` gives the
-        same piece as a :class:`Graph`.
-        """
-        order = self._ordered(sorted(piece))
-        position = self._position
-        for local, i in enumerate(order):
-            position[i] = local
-        adjacency = [[position[j] for j in self._ordered(self.adjacency[i])] for i in order]
-        (a, b), _ = max_betweenness_pair(adjacency, [self.labels[i] for i in order])
-        return order[a], order[b]
-
-    def _ordered(self, ids: list[int]) -> list[int]:
-        """``ids``, given by increasing id, in the order
-        :func:`~repro.graphs.graph.sorted_nodes` puts their labels.
-
-        Labels that sort naturally all together sort every subset by id.
-        Labels that do not (ints mixed with strings) are in ``repr`` order,
-        which is id order, only in a subset that does not sort naturally
-        either: a piece or a neighbour list of one type sorts naturally.
-        """
-        if self.natural:
-            return ids
-        try:
-            return sorted(ids, key=self.labels.__getitem__)
-        except TypeError:
-            return ids
 
 
 class ComponentRemovals(Protocol):
@@ -325,8 +202,8 @@ def merge_component_cleanups(
     """Join per-component clean-ups into one whole-graph result.
 
     ``cleaned`` yields each component's final pieces with its removals.
-    The pieces are put in :func:`~repro.graphs.components.connected_components`
-    order (decreasing size, then smallest member repr) and the removals are
+    The pieces are put in :func:`~repro.graphs.union_find.component_order`
+    (decreasing size, then smallest member repr) and the removals are
     summed, so the result equals one clean-up of the whole graph.
     """
     components: list[set[Node]] = []

@@ -22,14 +22,11 @@ from collections.abc import Iterable
 from repro.core.cleanup import (
     CleanupConfig,
     CleanupReport,
-    clean_graph,
+    clean_components,
     merge_component_cleanups,
 )
-from repro.graphs.betweenness import max_betweenness_edge
-from repro.graphs.bridges import bridges
-from repro.graphs.components import connected_components
-from repro.graphs.graph import Graph
-from repro.graphs.validation import density
+from repro.graphs.idgraph import IdGraph
+from repro.graphs.union_find import component_order
 from repro.registry import register_cleanup
 
 
@@ -48,20 +45,17 @@ def bridge_removal_cleanup(
     bridge pass isolates comes back as a singleton component.
     """
     config = config or CleanupConfig()
-    graph = Graph(edges)
-    components = connected_components(graph)
-
+    graph = IdGraph(edges)
+    components = graph.pieces(range(len(graph.labels)))
     removed_bridges = set()
     for component in components:
-        if len(component) <= config.mu:
-            continue
-        subgraph = graph.subgraph(component)
-        for edge in bridges(subgraph):
-            removed_bridges.add(edge)
-    graph.remove_edges(removed_bridges)
+        if len(component) > config.mu:
+            for i, j in graph.bridges(component):
+                graph.remove_edge(i, j)
+                removed_bridges.add(graph.edge(i, j))
 
-    remaining_components, report = clean_graph(graph, config)
-    report.initial_largest_component = len(components[0]) if components else 0
+    remaining_components, report = clean_components(graph, config)
+    report.initial_largest_component = max(map(len, components), default=0)
     report.removed_edges |= removed_bridges
     return remaining_components, report
 
@@ -95,38 +89,53 @@ def adaptive_cleanup(
     """
     if not 0.0 < min_density <= 1.0:
         raise ValueError("min_density must be in (0, 1]")
-    graph = Graph(edges)
-    components = connected_components(graph)
+    graph = IdGraph(edges)
+    components = graph.pieces(range(len(graph.labels)))
     return merge_component_cleanups(
         (
-            _adaptive_component(graph.subgraph(component), min_density, max_iterations)
+            _adaptive_component(graph, component, min_density, max_iterations)
             for component in components
         ),
-        initial_largest_component=len(components[0]) if components else 0,
+        initial_largest_component=max(map(len, components), default=0),
     )
 
 
 def _adaptive_component(
-    graph: Graph, min_density: float, max_iterations: int
+    graph: IdGraph, component: list[int], min_density: float, max_iterations: int
 ) -> tuple[list[set[str]], CleanupReport]:
-    """The density loop on one component's ``graph``, cut in place; the
-    merge fills in the report's component sizes."""
+    """The density loop on one component of ``graph``, cut in place.
+
+    Each round cuts the largest sparse piece, ties going to the first in
+    :func:`~repro.graphs.union_find.component_order`; a dense piece is
+    never cut again, so it is final at once.  The merge fills in the
+    report's component sizes.
+    """
     report = CleanupReport()
+    final: list[set[str]] = []
+    sparse: list[tuple[tuple[int, str], list[int], set[str]]] = []
+
+    def sort_out(pieces: list[list[int]]) -> None:
+        for piece in pieces:
+            labels = {graph.labels[i] for i in piece}
+            n = len(piece)
+            edges = sum(len(graph.adjacency[i]) for i in piece) // 2
+            if n > 2 and edges / (n * (n - 1) / 2) < min_density:
+                sparse.append((component_order(labels), piece, labels))
+            else:
+                final.append(labels)
+
+    sort_out([component])
     for _ in range(max_iterations):
-        sparse = [
-            component
-            for component in connected_components(graph)
-            if len(component) > 2 and density(graph.subgraph(component)) < min_density
-        ]
         if not sparse:
             break
-        target = max(sparse, key=len)
-        subgraph = graph.subgraph(target)
-        edge, _ = max_betweenness_edge(subgraph)
-        graph.remove_edge(*edge)
-        report.removed_edges.add(edge)
+        _, piece, _ = sparse.pop(min(range(len(sparse)), key=lambda k: sparse[k][0]))
+        i, j = graph.max_betweenness_edge(piece)
+        graph.remove_edge(i, j)
+        report.removed_edges.add(graph.edge(i, j))
         report.betweenness_removals += 1
-    return connected_components(graph), report
+        sort_out(graph.pieces(piece))
+    final.extend(labels for _, _, labels in sparse)
+    return final, report
 
 
 @register_cleanup("adaptive")

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.graphs.components import connected_components
-from repro.graphs.graph import Edge, Graph, canonical_edge
+from repro.graphs.graph import Edge, canonical_edge
+from repro.graphs.union_find import union_find_components
 
 
 def transitive_closure_edges(edges: Iterable[tuple[str, str]]) -> set[Edge]:
@@ -23,9 +23,8 @@ def transitive_closure_edges(edges: Iterable[tuple[str, str]]) -> set[Edge]:
     The result *includes* the original edges: it is the full set of matches
     implied by the pairwise predictions (predicted + transitive).
     """
-    graph = Graph(edges)
     closure: set[Edge] = set()
-    for component in connected_components(graph):
+    for component in union_find_components(edges):
         members = sorted(component, key=repr)
         for i, left in enumerate(members):
             for right in members[i + 1:]:
@@ -50,8 +49,7 @@ def groups_from_edges(
     match are appended as singleton groups, so the output is a partition of
     the full record set (what a downstream consumer of the matching needs).
     """
-    graph = Graph(edges)
-    groups = [set(component) for component in connected_components(graph)]
+    groups = union_find_components(edges)
     if all_records is not None:
         covered = {record for group in groups for record in group}
         for record in all_records:

@@ -14,21 +14,20 @@ One kernel, :func:`edge_betweenness`, does the work on a graph relabelled
 to the ints ``0 .. n-1``: one adjacency list per node, ``dist``, ``sigma``
 and ``delta`` as plain lists, and scores keyed by an int pair.  The sources
 run in id order and each breadth-first search expands a node's neighbours
-in list order.  :func:`edge_betweenness_centrality` and
-:func:`max_betweenness_edge` relabel a :class:`Graph` so that ids follow
-:func:`sorted_nodes` order and each list follows the sorted order of that
-node's neighbours; :mod:`repro.core.cleanup` relabels its own int pieces
-the same way.  The kernel makes the same float additions in the same order
-as a dict-of-nodes formulation of Brandes over that order (kept in the
-tests as the reference), so every score is bitwise the same and no
-near-tie between edges depends on ``PYTHONHASHSEED``.
+in list order.  :class:`~repro.graphs.idgraph.IdGraph` relabels a piece so
+that ids follow the sorted order of the labels and each list follows the
+sorted order of that node's neighbours.  The kernel makes
+the same float additions in the same order as a dict-of-nodes formulation
+of Brandes over that order (kept in the tests as the reference), so every
+score is bitwise the same and no near-tie between edges depends on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge, sorted_nodes
+from repro.graphs.graph import Edge, Node, canonical_edge
 
 
 def edge_betweenness(adjacency: Sequence[Sequence[int]]) -> dict[tuple[int, int], float]:
@@ -105,63 +104,6 @@ def max_betweenness_pair(
         key=lambda pair: _edge_key(canonical_edge(labels[pair[0]], labels[pair[1]])),
     )
     return pair, best
-
-
-def edge_betweenness_centrality(
-    graph: Graph,
-    normalized: bool = True,
-) -> dict[Edge, float]:
-    """Compute betweenness centrality for every edge of ``graph``.
-
-    Parameters
-    ----------
-    graph:
-        The (undirected, unweighted) graph to analyse.
-    normalized:
-        If true, scores are divided by the number of node pairs
-        ``n * (n - 1) / 2`` so that values are comparable across components
-        of different sizes.  GraLMatch only uses the arg-max per component,
-        for which normalisation is irrelevant, but the normalised values are
-        what networkx reports and what the tests compare against.
-
-    Returns
-    -------
-    dict
-        Mapping from canonical edge to its centrality score, in
-        :meth:`Graph.edges` order.  Every edge of the graph is present.
-    """
-    labels, adjacency = _relabel(graph)
-    scores = edge_betweenness(adjacency)
-    ids = {label: i for i, label in enumerate(labels)}
-    n = graph.num_nodes
-    scale = (n * (n - 1)) / 2.0
-    centrality: dict[Edge, float] = {}
-    for u, v in graph.edges():
-        i, j = ids[u], ids[v]
-        score = scores[(i, j) if i < j else (j, i)]
-        centrality[(u, v)] = score / scale if normalized and scale > 0 else score
-    return centrality
-
-
-def max_betweenness_edge(graph: Graph) -> tuple[Edge, float]:
-    """Return the edge with the highest betweenness centrality.
-
-    Ties are broken as in :func:`max_betweenness_pair`.  Raises
-    ``ValueError`` on graphs without edges.
-    """
-    if graph.num_edges == 0:
-        raise ValueError("graph has no edges")
-    labels, adjacency = _relabel(graph)
-    (i, j), score = max_betweenness_pair(adjacency, labels)
-    return canonical_edge(labels[i], labels[j]), score
-
-
-def _relabel(graph: Graph) -> tuple[list[Node], list[list[int]]]:
-    """``graph`` on ints: the nodes in :func:`sorted_nodes` order, and each
-    node's neighbours in :meth:`Graph.sorted_neighbors` order."""
-    labels = sorted_nodes(graph.nodes())
-    ids = {label: i for i, label in enumerate(labels)}
-    return labels, [[ids[w] for w in graph.sorted_neighbors(label)] for label in labels]
 
 
 def _edge_key(edge: Edge) -> tuple[str, str]:

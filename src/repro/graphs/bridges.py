@@ -1,4 +1,4 @@
-"""Bridge detection (Tarjan's algorithm, iterative).
+"""Bridge detection (Tarjan's algorithm, iterative), on integer node ids.
 
 A *bridge* is an edge whose removal disconnects its component.  False
 positive pairwise predictions frequently are bridges (a single spurious edge
@@ -11,26 +11,29 @@ benchmark compares it against the paper's algorithm.
 
 from __future__ import annotations
 
-from repro.graphs.graph import Edge, Graph, Node, canonical_edge
+from collections.abc import Iterator, Sequence
 
 
-def bridges(graph: Graph) -> set[Edge]:
-    """Return all bridge edges of ``graph``.
+def bridges(adjacency: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """All bridges of the graph on the ints ``0 .. n-1`` whose node ``i``
+    has the neighbours ``adjacency[i]``, as ``(parent, child)`` id pairs of
+    the depth-first search.
 
     Iterative Tarjan low-link computation (no recursion, so the huge
     connected components the clean-up deals with cannot overflow the stack).
+    Which edges are bridges does not depend on the search order.
     """
-    discovery: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    parent: dict[Node, Node | None] = {}
-    result: set[Edge] = set()
+    n = len(adjacency)
+    discovery = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    result: list[tuple[int, int]] = []
     counter = 0
 
-    for root in graph.nodes():
-        if root in discovery:
+    for root in range(n):
+        if discovery[root] != -1:
             continue
-        parent[root] = None
-        stack: list[tuple[Node, iter]] = [(root, iter(sorted(graph.neighbors(root), key=repr)))]
+        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adjacency[root]))]
         discovery[root] = low[root] = counter
         counter += 1
 
@@ -38,13 +41,11 @@ def bridges(graph: Graph) -> set[Edge]:
             node, neighbours = stack[-1]
             advanced = False
             for neighbour in neighbours:
-                if neighbour not in discovery:
+                if discovery[neighbour] == -1:
                     parent[neighbour] = node
                     discovery[neighbour] = low[neighbour] = counter
                     counter += 1
-                    stack.append(
-                        (neighbour, iter(sorted(graph.neighbors(neighbour), key=repr)))
-                    )
+                    stack.append((neighbour, iter(adjacency[neighbour])))
                     advanced = True
                     break
                 if neighbour != parent[node]:
@@ -56,6 +57,5 @@ def bridges(graph: Graph) -> set[Edge]:
                 parent_node = stack[-1][0]
                 low[parent_node] = min(low[parent_node], low[node])
                 if low[node] > discovery[parent_node]:
-                    result.add(canonical_edge(parent_node, node))
+                    result.append((parent_node, node))
     return result
-

@@ -1,15 +1,14 @@
 """Disjoint-set union (union-find) over hashable nodes.
 
 Connected components are computed for the pre-cleanup sizing rule, for
-the transitive closure, for the incremental matcher's positive graph and
-inside the clean-up variants (Algorithm 1 keeps int adjacency lists and
-splits its pieces by breadth-first search over them, in
-:mod:`repro.core.cleanup`).  A disjoint-set forest
-with path compression and union by rank answers the same question in
-near-linear time — O(m α(n)) over m edges — without materialising adjacency
-sets or re-walking the graph per component, unlike the BFS sweep it
-replaced.  The property-based tests cross-check the components and their
-order against networkx's BFS components sorted by :func:`component_order`.
+the transitive closure and batch grouping, and for the incremental
+matcher's positive graph.  (The clean-ups split their int pieces by
+breadth-first search instead, in :class:`~repro.graphs.idgraph.IdGraph`.)
+A disjoint-set forest with path compression and union by rank answers the
+question in near-linear time — O(m α(n)) over m edges — without
+materialising adjacency sets or re-walking the graph per component.  The
+property-based tests cross-check the components and their order against
+networkx's BFS components sorted by :func:`component_order`.
 """
 
 from __future__ import annotations
@@ -94,11 +93,8 @@ class DisjointSet:
         return self._size[self.find(node)]
 
     def components(self) -> list[set[Node]]:
-        """All sets, ordered by decreasing size then smallest member repr.
-
-        The ordering matches :func:`repro.graphs.components.connected_components`
-        exactly, so the two implementations are drop-in interchangeable.
-        """
+        """All sets, ordered by decreasing size then smallest member repr
+        (:func:`component_order`)."""
         by_root: dict[Node, set[Node]] = {}
         for node in self._parent:
             by_root.setdefault(self.find(node), set()).add(node)
@@ -113,8 +109,8 @@ def union_find_components(
     """Connected components of an edge list via union-find.
 
     ``nodes`` adds isolated nodes (no incident edge) as singleton sets.
-    Ordering matches the BFS implementation: decreasing size, then the
-    smallest member repr.
+    The components come in :func:`component_order`: decreasing size, then
+    the smallest member repr.
     """
     dsu = DisjointSet(nodes)
     for u, v in edges:

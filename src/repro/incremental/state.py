@@ -64,6 +64,7 @@ import shutil
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 from repro.blocking.base import Blocking
@@ -121,7 +122,17 @@ _STATE_FILES = (
 
 
 class MatchStateError(RuntimeError):
-    """A state directory is missing, incomplete, or of the wrong format."""
+    """A state directory is missing, incomplete, or of the wrong format, or
+    a state was asked for a change it cannot keep."""
+
+
+#: The components that decide a state's results.  They are written with a
+#: base only, never with a journal segment, so :class:`MatchState` fixes
+#: them at creation: a change would persist on some save paths and not on
+#: others.
+_FIXED_COMPONENTS = frozenset(
+    {"matcher", "blocking", "cleanup_config", "pre_cleanup_config", "cleanup_strategy"}
+)
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,13 @@ class Journal:
 
 @dataclass
 class MatchState:
-    """In-memory form of one persistent matching task."""
+    """In-memory form of one persistent matching task.
+
+    The components that decide results (matcher, blocking, both clean-up
+    configs and the strategy) are chosen at creation: reassigning one
+    raises :class:`MatchStateError`.  ``runtime_config`` sets only engine
+    defaults and stays assignable.
+    """
 
     name: str
 
@@ -253,6 +270,15 @@ class MatchState:
     # -- persistence ---------------------------------------------------------
     #: The committed form and the changes since (never saved).
     journal: Journal = field(default_factory=Journal, compare=False, repr=False)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name in _FIXED_COMPONENTS and name in self.__dict__:
+            raise MatchStateError(
+                f"cannot reassign {name!r} of match state {self.name!r}: the "
+                "components that decide results are fixed when a state is "
+                "created; create a new state to change one"
+            )
+        super().__setattr__(name, value)
 
     def __post_init__(self) -> None:
         # A trace path names one invocation's output file, not an engine
@@ -722,6 +748,17 @@ def _segment_file(index: int) -> str:
     return f"segment-{index:06d}.pkl"
 
 
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickles a payload an earlier version may have written with an
+    instance of a class the library no longer has: the logistic matcher's
+    loss history, which the matcher drops when it is restored."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("repro.matching.logistic", "LogisticTrainingHistory"):
+            return SimpleNamespace
+        return super().find_class(module, name)
+
+
 def _read_payload(state_dir: Path, path: Path) -> Any:
     """Unpickle one committed file, naming it in any failure."""
     if not path.exists():
@@ -731,7 +768,7 @@ def _read_payload(state_dir: Path, path: Path) -> Any:
         )
     try:
         with path.open("rb") as handle:
-            return pickle.load(handle)
+            return _PayloadUnpickler(handle).load()
     # Unpickling runs the payload classes' own restore code, so a damaged
     # file can fail with any exception type.
     except Exception as error:

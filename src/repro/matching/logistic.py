@@ -15,7 +15,6 @@ feature dimensionality is tiny, so nothing fancier is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -53,14 +52,6 @@ def _targets(
     return targets
 
 
-@dataclass
-class LogisticTrainingHistory:
-    """Loss trajectory of one fit, useful for tests and diagnostics."""
-
-    train_loss: list[float] = field(default_factory=list)
-    validation_loss: list[float] = field(default_factory=list)
-
-
 class LogisticRegressionMatcher(TrainablePairwiseMatcher):
     """Binary logistic regression over pair similarity features."""
 
@@ -96,7 +87,11 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         self._bias: float = 0.0
         self._feature_means: np.ndarray | None = None
         self._feature_scales: np.ndarray | None = None
-        self.history = LogisticTrainingHistory()
+
+    def __setstate__(self, state: dict) -> None:
+        # A matcher pickled before the loss history was dropped carries it.
+        state.pop("history", None)
+        self.__dict__.update(state)
 
     # -- training ---------------------------------------------------------------
 
@@ -139,36 +134,22 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         :meth:`~repro.matching.features.PairFeatureExtractor.extract_sliced`
         on ``profiles``, which may hold more records than the pairs use
         (the experiment passes its corpus store, which the matching stage
-        then reuses).  Validation pairs only record a loss history.
-        Validation input is checked like the training set (equal lengths,
-        labels 0 or 1); an empty validation set counts as absent.
+        then reuses).  The fit keeps its last iterate, so validation pairs
+        play no part in it; they are checked like the training set (equal
+        lengths, labels 0 or 1) all the same.
         """
         targets = _targets(id_pairs, labels, "pairs", "labels")
         if not len(targets):
             raise ValueError("cannot fit on an empty training set")
-        validation_targets = _targets(
+        _targets(
             () if validation_id_pairs is None else validation_id_pairs,
             () if validation_labels is None else validation_labels,
             "validation_pairs",
             "validation_labels",
         )
-        features = self.extractor.extract_sliced(profiles, id_pairs)
-        validation_features = None
-        if len(validation_targets):
-            validation_features = self.extractor.extract_sliced(
-                profiles, validation_id_pairs
-            )
-        return self._fit_matrix(
-            features, targets, validation_features, validation_targets
-        )
+        return self._fit_matrix(self.extractor.extract_sliced(profiles, id_pairs), targets)
 
-    def _fit_matrix(
-        self,
-        features: np.ndarray,
-        targets: np.ndarray,
-        validation_features: np.ndarray | None,
-        validation_targets: np.ndarray,
-    ) -> "LogisticRegressionMatcher":
+    def _fit_matrix(self, features: np.ndarray, targets: np.ndarray) -> "LogisticRegressionMatcher":
         """Fit the scaler, then run full-batch gradient descent.
 
         The loop's arithmetic — the three matrix products, their shapes and
@@ -177,8 +158,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         """
         self._fit_scaler(features)
         features = self._scale(features)
-        if validation_features is not None:
-            validation_features = self._scale(validation_features)
 
         rng = np.random.default_rng(self.seed)
         num_features = features.shape[1]
@@ -186,9 +165,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         bias = 0.0
 
         sample_weights = self._sample_weights(targets)
-        validation_weights = np.ones_like(validation_targets)
-        self.history = LogisticTrainingHistory()
-
         for _ in range(self.num_iterations):
             logits = features @ weights + bias
             probabilities = _sigmoid(logits)
@@ -197,20 +173,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             gradient_bias = float(errors.mean())
             weights -= self.learning_rate * gradient_weights
             bias -= self.learning_rate * gradient_bias
-
-            self.history.train_loss.append(
-                self._loss(probabilities, targets, sample_weights, weights)
-            )
-            if validation_features is not None:
-                validation_probabilities = _sigmoid(validation_features @ weights + bias)
-                self.history.validation_loss.append(
-                    self._loss(
-                        validation_probabilities,
-                        validation_targets,
-                        validation_weights,
-                        weights,
-                    )
-                )
 
         self._weights = weights
         self._bias = bias
@@ -227,24 +189,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         positive_weight = len(targets) / (2.0 * num_positive)
         negative_weight = len(targets) / (2.0 * num_negative)
         return np.where(targets == 1.0, positive_weight, negative_weight)
-
-    def _loss(
-        self,
-        probabilities: np.ndarray,
-        targets: np.ndarray,
-        sample_weights: np.ndarray,
-        weights: np.ndarray,
-    ) -> float:
-        # Targets are exactly 0.0 or 1.0 (``_targets`` checks), so the log of
-        # the selected term is bitwise t·log(p+ε) + (1−t)·log(1−p+ε), signed
-        # zeros included, at one log per pair instead of two.
-        eps = 1e-12
-        cross_entropy = -np.log(
-            np.where(targets == 1.0, probabilities + eps, 1.0 - probabilities + eps)
-        )
-        return float(
-            (cross_entropy * sample_weights).mean() + 0.5 * self.l2 * (weights @ weights)
-        )
 
     # -- feature scaling -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ paper's fine-tuning protocol (Section 5.1.3 / 5.2):
   subset only, capped at a pair budget,
 * training runs for a fixed number of epochs; the transformer matchers keep
   the epoch with the lowest validation loss, while the logistic matcher
-  keeps its last iterate (it only records the validation loss),
+  keeps its last iterate (validation pairs play no part in its fit),
 * wall-clock training time is recorded (the paper's "Training Time" column).
 """
 

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from repro.core.cleanup import CleanupConfig, gralmatch_cleanup
-from repro.graphs.graph import Graph
+from repro.graphs import IdGraph
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -84,8 +84,9 @@ def test_cleanup_in_process_matches_subprocess_runs():
 
 
 def test_graph_iteration_is_sorted():
-    graph = Graph([("b", "a"), ("c", "a"), ("b", "c"), ("d", "b")])
-    assert graph.edges() == sorted(graph.edges())
-    assert graph.sorted_neighbors("b") == ["a", "c", "d"]
-    sub = graph.subgraph({"d", "c", "b"})
-    assert sub.nodes() == ["b", "c", "d"]
+    graph = IdGraph([("b", "a"), ("c", "a"), ("b", "c"), ("d", "b")])
+    assert graph.labels == ["a", "b", "c", "d"]
+    assert graph.adjacency == [[1, 2], [0, 2, 3], [0, 1], [1]]
+    graph.remove_edge(1, 0)
+    assert graph.adjacency == [[2], [2, 3], [0, 1], [1]]
+    assert graph.pieces([3]) == [[3, 1, 2, 0]]

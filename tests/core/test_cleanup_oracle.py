@@ -1,13 +1,13 @@
 """The per-component clean-up against the whole-graph loop it replaced.
 
-``gralmatch_cleanup`` runs Algorithm 1 one component at a time.  The
-whole-graph formulation it replaced — find the largest component of the
-whole graph after every removal — is kept below verbatim as the
-differential oracle.  Both must return the same components in the same
-order and the same :class:`CleanupReport`, on random planted-partition
-graphs large enough for the min-cut phase to run and on the kept edges of
-the golden dataset, under the base thresholds and every sensitivity
-variant.
+``gralmatch_cleanup`` runs Algorithm 1 one component at a time, on int
+ids.  The whole-graph formulation it replaced — find the largest component
+of the whole graph after every removal — is kept below as the differential
+oracle, on the dict-of-sets graph code of ``tests/graphs/reference.py``.
+Both must return the same components in the same order and the same
+:class:`CleanupReport`, on random planted-partition graphs large enough for
+the min-cut phase to run and on the kept edges of the golden dataset, under
+the base thresholds and every sensitivity variant.
 """
 
 import pytest
@@ -20,20 +20,26 @@ from repro.core.pipeline import EntityGroupMatchingPipeline
 from repro.core.precleanup import PreCleanupConfig
 from repro.core.stages import apply_pre_cleanup
 from repro.datagen import GenerationConfig, generate_benchmark
-from repro.graphs.betweenness import max_betweenness_edge
-from repro.graphs.components import connected_components
-from repro.graphs.graph import Graph
-from repro.graphs.mincut import minimum_edge_cut
 from repro.matching import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
+from tests.graphs.reference import (
+    Graph,
+    connected_components,
+    reference_max_edge,
+    reference_minimum_edge_cut,
+)
 
 
 # -- the oracle: Algorithm 1 with whole-graph rescans ---------------------------
 
 
 def oracle_cleanup(edges, config=None):
-    config = config or CleanupConfig()
-    graph = Graph(edges)
+    return oracle_clean_graph(Graph(edges), config or CleanupConfig())
+
+
+def oracle_clean_graph(graph, config):
+    """Algorithm 1 on ``graph``, cut in place; isolated nodes come back as
+    singleton components."""
     report = CleanupReport()
 
     components = connected_components(graph)
@@ -59,7 +65,7 @@ def _split_with_minimum_cuts(graph, gamma, report):
         if largest is None or len(largest) <= gamma:
             return
         subgraph = graph.subgraph(largest)
-        cut = minimum_edge_cut(subgraph)
+        cut = reference_minimum_edge_cut(subgraph)
         if not cut:
             return
         graph.remove_edges(cut)
@@ -73,7 +79,7 @@ def _refine_with_betweenness(graph, mu, report):
         if largest is None or len(largest) <= mu:
             return
         subgraph = graph.subgraph(largest)
-        edge, _ = max_betweenness_edge(subgraph)
+        edge, _ = reference_max_edge(subgraph)
         graph.remove_edge(*edge)
         report.removed_edges.add(edge)
         report.betweenness_removals += 1

@@ -1,36 +1,90 @@
 """Tests for the alternative clean-up strategies.
 
-``adaptive_cleanup`` cleans each connected component on its own, under its
-own ``max_iterations`` budget.  The whole-graph loop it replaced — one
-budget shared by the whole graph, the largest sparse component cut first —
-is kept below verbatim as the differential oracle.
+Both strategies cut an :class:`~repro.graphs.idgraph.IdGraph` one connected
+component at a time.  The dict-of-sets implementations they replaced are
+kept below as differential oracles, on the graph code of
+``tests/graphs/reference.py``: bridge removal followed by Algorithm 1, and
+the density loop run on each component under its own ``max_iterations``
+budget.  The whole-graph density loop before that (one budget shared by
+the whole graph, the largest sparse component cut first) is kept as well.
 """
 
+import math
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cleanup import CleanupConfig, CleanupReport, gralmatch_cleanup
 from repro.core.cleanup_variants import adaptive_cleanup, bridge_removal_cleanup
-from repro.graphs.betweenness import max_betweenness_edge
-from repro.graphs.components import connected_components
-from repro.graphs.graph import Graph, canonical_edge
-from repro.graphs.validation import density
+from repro.graphs.graph import canonical_edge
+from repro.graphs.union_find import component_order
 from repro.registry import CLEANUPS
-from tests.core.test_cleanup_oracle import mixed_label
+from tests.core.test_cleanup_oracle import mixed_label, oracle_clean_graph, planted_partitions
+from tests.graphs.test_betweenness import connected_graphs
+from tests.graphs.reference import (
+    Graph,
+    connected_components,
+    density,
+    reference_bridges,
+    reference_max_edge,
+)
 
 
-# -- the oracle: the density loop over the whole graph, one shared budget -------
+# -- the oracles -------------------------------------------------------------------
+
+
+def reference_bridge_removal_cleanup(edges, config):
+    """Bridges out of every component above ``mu``, then Algorithm 1."""
+    graph = Graph(edges)
+    components = connected_components(graph)
+    removed_bridges = set()
+    for component in components:
+        if len(component) > config.mu:
+            removed_bridges |= reference_bridges(graph.subgraph(component))
+    graph.remove_edges(removed_bridges)
+    remaining_components, report = oracle_clean_graph(graph, config)
+    report.initial_largest_component = len(components[0]) if components else 0
+    report.removed_edges |= removed_bridges
+    return remaining_components, report
 
 
 def reference_adaptive_cleanup(edges, min_density=0.6, max_iterations=10_000):
+    """The density loop on each component's subgraph, under its own budget."""
     if not 0.0 < min_density <= 1.0:
         raise ValueError("min_density must be in (0, 1]")
     graph = Graph(edges)
-    report = CleanupReport()
     components = connected_components(graph)
-    report.initial_largest_component = len(components[0]) if components else 0
+    final = []
+    report = CleanupReport(
+        initial_largest_component=len(components[0]) if components else 0
+    )
+    for component in components:
+        subgraph = graph.subgraph(component)
+        _density_loop(subgraph, min_density, max_iterations, report)
+        final.extend(connected_components(subgraph))
+    final.sort(key=component_order)
+    report.final_largest_component = len(final[0]) if final else 0
+    return final, report
 
+
+def shared_budget_adaptive_cleanup(edges, min_density=0.6, max_iterations=10_000):
+    """The density loop over the whole graph, one budget shared by it."""
+    graph = Graph(edges)
+    components = connected_components(graph)
+    report = CleanupReport(
+        initial_largest_component=len(components[0]) if components else 0
+    )
+    _density_loop(graph, min_density, max_iterations, report)
+    final_components = connected_components(graph)
+    report.final_largest_component = len(final_components[0]) if final_components else 0
+    return final_components, report
+
+
+def _density_loop(graph, min_density, max_iterations, report):
+    """Cut the largest sparse component of ``graph`` (in place) until none
+    is left or ``max_iterations`` edges are gone."""
     for _ in range(max_iterations):
         sparse = [
             component
@@ -38,17 +92,12 @@ def reference_adaptive_cleanup(edges, min_density=0.6, max_iterations=10_000):
             if len(component) > 2 and density(graph.subgraph(component)) < min_density
         ]
         if not sparse:
-            break
+            return
         target = max(sparse, key=len)
-        subgraph = graph.subgraph(target)
-        edge, _ = max_betweenness_edge(subgraph)
+        edge, _ = reference_max_edge(graph.subgraph(target))
         graph.remove_edge(*edge)
         report.removed_edges.add(edge)
         report.betweenness_removals += 1
-
-    final_components = connected_components(graph)
-    report.final_largest_component = len(final_components[0]) if final_components else 0
-    return [set(component) for component in final_components], report
 
 
 def clique_edges(nodes):
@@ -132,6 +181,35 @@ class TestAdaptiveCleanup:
         with pytest.raises(ValueError):
             adaptive_cleanup([("a", "b")], min_density=1.5)
 
+    def test_complete_groups_of_every_size_are_dense(self):
+        # Density 1.0 is never below the highest threshold.
+        for size in range(3, 9):
+            edges = clique_edges(range(size))
+            assert adaptive_cleanup(edges, min_density=1.0) == (
+                [set(range(size))],
+                CleanupReport(initial_largest_component=size, final_largest_component=size),
+            )
+
+    def test_a_piece_at_the_threshold_is_dense_enough(self):
+        # A path of four records has 3 of 6 pairs: density 0.5 exactly.
+        path = [(1, 2), (2, 3), (3, 4)]
+        assert adaptive_cleanup(path, min_density=0.5)[1].num_removed == 0
+        _, report = adaptive_cleanup(path, min_density=0.51)
+        assert report.removed_edges == {(2, 3)}
+
+    @given(connected_graphs(max_nodes=10, max_extra=20), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_density_matches_networkx(self, edges, data):
+        # In one round, a component of three or more records is cut exactly
+        # when networkx finds it below the threshold, at it and just above.
+        graph = nx.Graph(edges)
+        actual = nx.density(graph)
+        min_density = data.draw(
+            st.sampled_from([actual, min(1.0, math.nextafter(actual, 2.0)), 0.5, 0.6, 1.0])
+        )
+        _, report = adaptive_cleanup(edges, min_density, max_iterations=1)
+        assert report.betweenness_removals == int(len(graph) > 2 and actual < min_density)
+
     def test_pairs_always_kept(self):
         components, report = adaptive_cleanup([("a", "b")], min_density=0.9)
         assert components == [{"a", "b"}]
@@ -195,14 +273,58 @@ def labelled_graphs(draw):
     return [(label(u), label(v)) for u, v in pairs if u != v]
 
 
+class TestBridgeRemovalOracle:
+    @given(
+        st.one_of(labelled_graphs(), planted_partitions()),
+        st.integers(2, 5),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference(self, edges, mu, gamma_slack):
+        # The components, their order and the whole report.
+        config = CleanupConfig(gamma=mu + gamma_slack, mu=mu)
+        assert bridge_removal_cleanup(edges, config) == reference_bridge_removal_cleanup(
+            edges, config
+        )
+
+    def test_the_min_cut_fallback_matches_the_reference(self):
+        # Two cliques joined by two parallel false positives: no bridge, so
+        # Algorithm 1's minimum cut splits them.
+        edges, left, right = two_cliques_with_bridge()
+        edges.append((left[0], right[1]))
+        config = CleanupConfig(gamma=8, mu=6)
+        result = bridge_removal_cleanup(edges, config)
+        assert result == reference_bridge_removal_cleanup(edges, config)
+        assert result[1].mincut_removals == 2
+
+
 class TestAdaptiveOracle:
+    @given(labelled_graphs(), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 30))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_component_reference(self, edges, min_density, max_iterations):
+        # The components, their order and the whole report, also where a
+        # component's budget runs out.
+        assert adaptive_cleanup(edges, min_density, max_iterations) == (
+            reference_adaptive_cleanup(edges, min_density, max_iterations)
+        )
+
+    def test_a_budget_that_runs_out_matches_the_reference(self):
+        # Two paths of seven records need two removals each; one each is
+        # all the budget allows, which leaves a sparse piece in both.
+        edges = [(f"a{i}", f"a{i + 1}") for i in range(6)]
+        edges += [(f"b{i}", f"b{i + 1}") for i in range(6)]
+        components, report = adaptive_cleanup(edges, max_iterations=1)
+        assert (components, report) == reference_adaptive_cleanup(edges, max_iterations=1)
+        assert report.betweenness_removals == 2
+        assert report.final_largest_component == 4
+
     @given(labelled_graphs(), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 30))
     @settings(max_examples=60, deadline=None)
     def test_per_component_budgets_match_the_whole_graph_loop(
         self, edges, min_density, max_iterations
     ):
         components, report = adaptive_cleanup(edges, min_density, max_iterations)
-        expected_components, expected = reference_adaptive_cleanup(
+        expected_components, expected = shared_budget_adaptive_cleanup(
             edges, min_density, max_iterations
         )
         if expected.betweenness_removals < max_iterations:
@@ -244,6 +366,6 @@ class TestAdaptiveOracle:
         edges = [(f"a{i}", f"a{i + 1}") for i in range(6)]
         edges += [(f"b{i}", f"b{i + 1}") for i in range(6)]
         _, report = adaptive_cleanup(edges, max_iterations=2)
-        _, shared = reference_adaptive_cleanup(edges, max_iterations=2)
+        _, shared = shared_budget_adaptive_cleanup(edges, max_iterations=2)
         assert (report.betweenness_removals, shared.betweenness_removals) == (4, 2)
         assert (report.final_largest_component, shared.final_largest_component) == (3, 4)

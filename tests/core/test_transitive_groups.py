@@ -58,6 +58,12 @@ class TestGroupsFromEdges:
         groups = groups_from_edges([("a", "b")], all_records=["a", "b", "z"])
         assert {frozenset(g) for g in groups} == {frozenset("ab"), frozenset("z")}
 
+    def test_a_self_match_is_the_record_alone(self):
+        # Union-find puts a record matched with itself in a group of its
+        # own, and the closure implies no pair from it.
+        assert groups_from_edges([("a", "a"), ("c", "b")]) == [{"b", "c"}, {"a"}]
+        assert transitive_closure_edges([("a", "a")]) == set()
+
 
 class TestEntityGroups:
     def test_basic_accessors(self):

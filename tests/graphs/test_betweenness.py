@@ -1,86 +1,50 @@
 """Tests for edge betweenness centrality.
 
 The int kernel is checked bitwise against the dict-of-nodes Brandes loop it
-replaced (:func:`reference_edge_betweenness`), and approximately against
-networkx.
+replaced (:func:`~tests.graphs.reference.reference_edge_betweenness`), and
+approximately against networkx.
 """
-
-from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, connected_components, edge_betweenness_centrality
-from repro.graphs.betweenness import max_betweenness_edge
-from repro.graphs.graph import canonical_edge, sorted_nodes
+from repro.graphs import IdGraph, edge_betweenness
+from repro.graphs.graph import canonical_edge
 from tests.core.test_cleanup_determinism import tie_heavy_edges
+from tests.graphs.reference import (
+    Graph,
+    reference_edge_betweenness,
+    reference_max_edge,
+    sorted_nodes,
+)
 
 
-# -- the reference: Brandes over dicts of nodes -------------------------------
-
-
-def reference_edge_betweenness(graph, normalized=True):
-    """Edge betweenness with dict-keyed ``sigma``/``distance``/``delta``.
-
-    Sources in sorted order, neighbours expanded in sorted order.  The
-    library's int kernel must make the same float additions in the same
-    order, so its scores equal these exactly.
-    """
-    centrality = {edge: 0.0 for edge in graph.edges()}
-    adjacency = {
-        node: graph.sorted_neighbors(node) for node in sorted_nodes(graph.nodes())
-    }
-    for source in adjacency:
-        _accumulate_single_source(adjacency, source, centrality)
-
-    # Each undirected pair (s, t) is counted twice (once from s, once from t).
-    for edge in centrality:
-        centrality[edge] /= 2.0
-
-    if normalized:
-        n = graph.num_nodes
-        scale = (n * (n - 1)) / 2.0
-        if scale > 0:
-            for edge in centrality:
-                centrality[edge] /= scale
+def edge_betweenness_centrality(graph, normalized=True):
+    """The kernel's scores for ``graph``, keyed by named edge in
+    :meth:`Graph.edges` order: the graph relabelled to ints, nodes in
+    sorted order and each node's neighbours in sorted order."""
+    labels = sorted_nodes(graph.nodes())
+    ids = {label: i for i, label in enumerate(labels)}
+    scores = edge_betweenness(
+        [[ids[w] for w in graph.sorted_neighbors(label)] for label in labels]
+    )
+    n = graph.num_nodes
+    scale = (n * (n - 1)) / 2.0
+    centrality = {}
+    for u, v in graph.edges():
+        i, j = ids[u], ids[v]
+        score = scores[(i, j) if i < j else (j, i)]
+        centrality[(u, v)] = score / scale if normalized and scale > 0 else score
     return centrality
 
 
-def _accumulate_single_source(adjacency, source, centrality):
-    stack = []
-    predecessors = {node: [] for node in adjacency}
-    sigma = {node: 0.0 for node in adjacency}
-    distance = {node: -1 for node in adjacency}
-    sigma[source] = 1.0
-    distance[source] = 0
-
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        stack.append(node)
-        for neighbour in adjacency[node]:
-            if distance[neighbour] < 0:
-                distance[neighbour] = distance[node] + 1
-                queue.append(neighbour)
-            if distance[neighbour] == distance[node] + 1:
-                sigma[neighbour] += sigma[node]
-                predecessors[neighbour].append(node)
-
-    delta = {node: 0.0 for node in adjacency}
-    while stack:
-        node = stack.pop()
-        for pred in predecessors[node]:
-            contribution = (sigma[pred] / sigma[node]) * (1.0 + delta[node])
-            centrality[canonical_edge(pred, node)] += contribution
-            delta[pred] += contribution
-
-
-def reference_max_edge(graph):
-    """The highest reference score; ties go to the highest edge repr."""
-    scores = reference_edge_betweenness(graph, normalized=False)
-    return max(scores.items(), key=lambda item: (item[1], repr(item[0][0]), repr(item[0][1])))
+def max_betweenness_edge(edges):
+    """The maximum-betweenness edge :class:`IdGraph` picks for the connected
+    graph of ``edges``, named."""
+    graph = IdGraph(edges)
+    return graph.edge(*graph.max_betweenness_edge(list(range(len(graph.labels)))))
 
 
 class TestEdgeBetweenness:
@@ -106,15 +70,17 @@ class TestEdgeBetweenness:
         assert max(scores, key=scores.get) == (3, 4)
 
     def test_max_betweenness_edge_matches_scores(self):
-        g = Graph([(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
-        edge, score = max_betweenness_edge(g)
-        scores = edge_betweenness_centrality(g, normalized=False)
-        assert edge == (3, 4)
-        assert score == pytest.approx(max(scores.values()))
+        edges = [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
+        scores = edge_betweenness_centrality(Graph(edges), normalized=False)
+        assert max_betweenness_edge(edges) == (3, 4)
+        assert scores[(3, 4)] == max(scores.values())
 
     def test_max_betweenness_edge_empty_graph_raises(self):
+        # A piece without edges.
+        graph = IdGraph([(1, 2)])
+        graph.remove_edge(0, 1)
         with pytest.raises(ValueError):
-            max_betweenness_edge(Graph())
+            graph.max_betweenness_edge([0])
 
     def test_normalization(self):
         g = Graph([(1, 2), (2, 3), (3, 4)])
@@ -174,7 +140,7 @@ class TestBitwiseAgainstTheReference:
             expected = reference_edge_betweenness(graph, normalized=normalized)
             assert list(ours) == list(expected)
             assert ours == expected  # exact, not approx
-        assert max_betweenness_edge(graph) == reference_max_edge(graph)
+        assert max_betweenness_edge(edges) == reference_max_edge(graph)[0]
 
     def test_tie_heavy_graph(self):
         graph = Graph(tie_heavy_edges())
@@ -182,10 +148,10 @@ class TestBitwiseAgainstTheReference:
             assert edge_betweenness_centrality(
                 graph, normalized=normalized
             ) == reference_edge_betweenness(graph, normalized=normalized)
-        assert max_betweenness_edge(graph) == reference_max_edge(graph)
-        for component in connected_components(graph):
-            piece = graph.subgraph(component)
-            assert max_betweenness_edge(piece) == reference_max_edge(piece)
+        ids = IdGraph(tie_heavy_edges())
+        for piece in ids.pieces(range(len(ids.labels))):
+            expected, _ = reference_max_edge(graph.subgraph(ids.labels[i] for i in piece))
+            assert ids.edge(*ids.max_betweenness_edge(piece)) == expected
 
 
 class TestBetweennessAgainstNetworkx:

@@ -1,9 +1,9 @@
-"""Unit tests for the Graph data structure."""
+"""Unit tests for the edge helpers and the int-id match graph."""
 
 import pytest
 
-from repro.graphs import Graph
-from repro.graphs.graph import canonical_edge
+from repro.graphs import IdGraph
+from repro.graphs.graph import canonical_edge, sorted_edges
 
 
 class TestCanonicalEdge:
@@ -20,149 +20,66 @@ class TestCanonicalEdge:
         assert edge == canonical_edge(1, "a")
 
 
+class TestSortedEdges:
+    def test_orders_comparable_edges(self):
+        assert sorted_edges([(2, 3), (1, 4), (1, 2)]) == [(1, 2), (1, 4), (2, 3)]
+
+    def test_mixed_types_fall_back_to_repr(self):
+        # A string's repr opens with a quote, which sorts before digits.
+        assert sorted_edges([(2, "b"), ("a", 1)]) == [("a", 1), (2, "b")]
+
+
 class TestGraphBasics:
+    # The int-id match graph the clean-ups cut.
+
     def test_empty_graph(self):
-        g = Graph()
-        assert g.num_nodes == 0
-        assert g.num_edges == 0
-        assert g.nodes() == []
-        assert g.edges() == []
-
-    def test_add_edge_creates_nodes(self):
-        g = Graph()
-        g.add_edge("a", "b")
-        assert g.has_node("a")
-        assert g.has_node("b")
-        assert g.has_edge("a", "b")
-        assert g.has_edge("b", "a")
-        assert g.num_edges == 1
-
-    def test_add_duplicate_edge_is_idempotent(self):
-        g = Graph()
-        g.add_edge(1, 2)
-        g.add_edge(2, 1)
-        assert g.num_edges == 1
-
-    def test_self_loop_rejected(self):
-        g = Graph()
-        with pytest.raises(ValueError):
-            g.add_edge("x", "x")
+        g = IdGraph([])
+        assert g.labels == []
+        assert g.adjacency == []
+        assert g.pieces(range(0)) == []
 
     def test_construct_from_edges(self):
-        g = Graph([(1, 2), (2, 3)])
-        assert g.num_nodes == 3
-        assert g.num_edges == 2
+        # Ids follow the sorted labels; each adjacency list is sorted.
+        g = IdGraph([("c", "a"), ("b", "c"), ("a", "d")])
+        assert g.labels == ["a", "b", "c", "d"]
+        assert g.ids == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert g.adjacency == [[2, 3], [2], [0, 1], [0]]
+
+    def test_add_duplicate_edge_is_idempotent(self):
+        assert IdGraph([(1, 2), (2, 1)]).adjacency == [[1], [0]]
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            IdGraph([("x", "x")])
 
     def test_remove_edge(self):
-        g = Graph([(1, 2), (2, 3)])
-        g.remove_edge(1, 2)
-        assert not g.has_edge(1, 2)
-        assert g.has_node(1)
-        assert g.num_edges == 1
+        g = IdGraph([(1, 2), (2, 3), (1, 3)])
+        g.remove_edge(2, 0)
+        assert g.adjacency == [[1], [0, 2], [1]]
 
     def test_remove_missing_edge_raises(self):
-        g = Graph([(1, 2)])
-        with pytest.raises(KeyError):
-            g.remove_edge(1, 3)
+        g = IdGraph([(1, 2), (3, 4)])
+        with pytest.raises(ValueError):
+            g.remove_edge(0, 2)
 
-    def test_remove_edges_ignores_missing(self):
-        g = Graph([(1, 2), (2, 3)])
-        g.remove_edges([(1, 2), (5, 6)])
-        assert g.num_edges == 1
+    def test_edges_are_named_by_their_labels(self):
+        g = IdGraph([("b", "a"), (1, "a")])
+        assert g.edge(g.ids["b"], g.ids["a"]) == ("a", "b")
+        assert g.edge(g.ids["a"], g.ids[1]) == canonical_edge(1, "a")
 
-    def test_remove_node_removes_incident_edges(self):
-        g = Graph([(1, 2), (2, 3), (1, 3)])
-        g.remove_node(2)
-        assert not g.has_node(2)
-        assert g.num_edges == 1
-        assert g.has_edge(1, 3)
+    def test_pieces_hold_the_given_ids(self):
+        g = IdGraph([(1, 2), (2, 3), (4, 5), (6, 7)])
+        assert g.pieces(range(7)) == [[0, 1, 2], [3, 4], [5, 6]]
+        assert g.pieces([4, 2]) == [[4, 3], [2, 1, 0]]
+        g.remove_edge(0, 1)
+        assert g.pieces([0, 1]) == [[0], [1, 2]]
 
-    def test_remove_missing_node_raises(self):
-        g = Graph()
-        with pytest.raises(KeyError):
-            g.remove_node("ghost")
-
-    def test_degree_and_neighbors(self):
-        g = Graph([(1, 2), (1, 3), (1, 4)])
-        assert g.degree(1) == 3
-        assert g.neighbors(1) == {2, 3, 4}
-        assert g.degree(2) == 1
-
-    def test_degree_of_missing_node_raises(self):
-        g = Graph()
-        with pytest.raises(KeyError):
-            g.degree(1)
-
-    def test_contains_iter_len(self):
-        g = Graph([(1, 2)])
-        assert 1 in g
-        assert 3 not in g
-        assert set(iter(g)) == {1, 2}
-        assert len(g) == 2
-
-
-class TestGraphAttributes:
-    def test_node_attrs_round_trip(self):
-        g = Graph()
-        g.add_node("r1", source="S1")
-        assert g.node_attrs("r1")["source"] == "S1"
-
-    def test_edge_attrs_round_trip(self):
-        g = Graph()
-        g.add_edge("a", "b", blocking="token_overlap", score=0.91)
-        attrs = g.edge_attrs("b", "a")
-        assert attrs["blocking"] == "token_overlap"
-        assert attrs["score"] == pytest.approx(0.91)
-
-    def test_edge_attrs_missing_edge_raises(self):
-        g = Graph([(1, 2)])
-        with pytest.raises(KeyError):
-            g.edge_attrs(1, 3)
-
-    def test_attrs_removed_with_edge(self):
-        g = Graph()
-        g.add_edge(1, 2, score=0.5)
-        g.remove_edge(1, 2)
-        g.add_edge(1, 2)
-        assert g.edge_attrs(1, 2) == {}
-
-
-class TestDerivedGraphs:
-    def test_copy_is_independent(self):
-        g = Graph([(1, 2), (2, 3)])
-        h = g.copy()
-        h.remove_edge(1, 2)
-        assert g.has_edge(1, 2)
-        assert not h.has_edge(1, 2)
-
-    def test_copy_preserves_attrs(self):
-        g = Graph()
-        g.add_edge(1, 2, kind="id_overlap")
-        g.add_node(3, source="S2")
-        h = g.copy()
-        assert h.edge_attrs(1, 2)["kind"] == "id_overlap"
-        assert h.node_attrs(3)["source"] == "S2"
-
-    def test_subgraph_induces_edges(self):
-        g = Graph([(1, 2), (2, 3), (3, 4), (4, 1)])
-        sub = g.subgraph([1, 2, 3])
-        assert sub.num_nodes == 3
-        assert sub.has_edge(1, 2)
-        assert sub.has_edge(2, 3)
-        assert not sub.has_edge(3, 4)
-
-    def test_subgraph_with_unknown_nodes(self):
-        g = Graph([(1, 2)])
-        sub = g.subgraph([1, 99])
-        assert sub.num_nodes == 1
-        assert sub.num_edges == 0
-
-    def test_complete_graph(self):
-        g = Graph.complete(["a", "b", "c", "d"])
-        assert g.num_nodes == 4
-        assert g.num_edges == 6
-
-    def test_complete_graph_single_node(self):
-        g = Graph.complete(["only"])
-        assert g.num_nodes == 1
-        assert g.num_edges == 0
+    def test_mixed_labels_order_each_piece_by_its_own_labels(self):
+        # The whole graph sorts by repr ("'a'" < "1" < "10" < "2"), but a
+        # piece of ints, and each neighbour list of ints, sorts naturally.
+        g = IdGraph([(1, 2), (2, 10), (10, 1), ("a", "b")])
+        assert g.labels == ["a", "b", 1, 10, 2]
+        assert not g.natural
+        order, adjacency = g._relabel(g.pieces([g.ids[1]])[0])
+        assert [g.labels[i] for i in order] == [1, 2, 10]
+        assert adjacency == [[1, 2], [0, 2], [0, 1]]

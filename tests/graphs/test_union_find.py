@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import (
-    DisjointSet,
-    Graph,
-    connected_components,
-    union_find_components,
-)
+from repro.graphs import DisjointSet, union_find_components
 from repro.graphs.union_find import component_order
 
 nodes = st.integers(min_value=0, max_value=30).map(lambda i: f"n{i:02d}")
@@ -66,11 +61,11 @@ class TestDisjointSet:
         assert dsu.components() == [{"d", "e", "f"}, {"b", "c"}, {"z"}]
 
 
-def networkx_components(graph: Graph) -> list[set]:
+def networkx_components(edges, nodes=()) -> list[set]:
     """networkx's BFS components, sorted into the canonical order."""
     reference = nx.Graph()
-    reference.add_nodes_from(graph.nodes())
-    reference.add_edges_from(graph.edges())
+    reference.add_nodes_from(nodes)
+    reference.add_edges_from(edges)
     return sorted(nx.connected_components(reference), key=component_order)
 
 
@@ -81,32 +76,27 @@ class TestUnionFindEqualsBfs:
     @given(edges=edges)
     @settings(max_examples=200, deadline=None)
     def test_same_components_same_order(self, edges):
-        graph = Graph(edges)
-        assert union_find_components(graph.edges(), graph.nodes()) == (
-            networkx_components(graph)
-        )
+        assert union_find_components(edges) == networkx_components(edges)
 
     @given(edges=edges, isolated=st.sets(nodes, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_isolated_nodes_become_singletons(self, edges, isolated):
-        graph = Graph(edges)
-        for node in isolated:
-            graph.add_node(node)
-        assert union_find_components(graph.edges(), graph.nodes()) == (
-            networkx_components(graph)
+        isolated = sorted(isolated)
+        assert union_find_components(edges, isolated) == (
+            networkx_components(edges, isolated)
         )
 
-    def test_connected_components_uses_union_find_result(self):
+    def test_a_random_string_graph_matches_networkx(self):
         rng = random.Random(5)
-        graph = Graph()
+        edges = []
         for _ in range(300):
             u, v = rng.sample(range(80), 2)
-            graph.add_edge(f"r{u}", f"r{v}")
-        assert connected_components(graph) == networkx_components(graph)
+            edges.append((f"r{u}", f"r{v}"))
+        assert union_find_components(edges) == networkx_components(edges)
 
     def test_mixed_node_types_fall_back_to_repr_ordering(self):
-        graph = Graph([(1, "a"), ("b", 2.5)])
-        assert connected_components(graph) == networkx_components(graph)
+        edges = [(1, "a"), ("b", 2.5)]
+        assert union_find_components(edges) == networkx_components(edges)
 
 
 class TestIncrementalGrowthEqualsRebuild:

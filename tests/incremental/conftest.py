@@ -31,10 +31,11 @@ def golden_setup():
 
 @pytest.fixture(scope="package")
 def pipeline_factory(golden_setup):
-    """Factory for the golden batch pipeline (runtime config optional)."""
+    """Factory for the golden batch pipeline (runtime config and clean-up
+    strategy optional)."""
     _, matcher = golden_setup
 
-    def make(runtime=None):
+    def make(runtime=None, cleanup_strategy="gralmatch"):
         return EntityGroupMatchingPipeline(
             matcher=matcher,
             blocking=CombinedBlocking(
@@ -43,6 +44,7 @@ def pipeline_factory(golden_setup):
             cleanup_config=CleanupConfig.for_num_sources(4),
             pre_cleanup_config=PreCleanupConfig(max_component_size=30),
             runtime=runtime,
+            cleanup_strategy=cleanup_strategy,
         )
 
     return make

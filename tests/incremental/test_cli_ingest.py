@@ -240,24 +240,28 @@ class TestIngestErrors:
     def test_unregistered_strategy_fails_clearly(
         self, workspace, pristine_state, tmp_path, capsys
     ):
-        # A state saved where the strategy it names is not registered.
+        # A state created where the strategy it names was registered.
         _, _, paths = workspace
-        state = tmp_path / "state"
-        matcher = IncrementalMatcher.load(pristine_state)
-        matcher.state.cleanup_strategy = "no_such_strategy"
-        matcher.save(state)
+        CLEANUPS.register("no_such_strategy")(marked_gralmatch)
+        try:
+            state = created_under("no_such_strategy", pristine_state, paths, tmp_path / "state")
+        finally:
+            CLEANUPS.unregister("no_such_strategy")
         assert main(["ingest", str(paths["batch2"]), "--state", str(state)]) == 2
         assert "unknown cleanup 'no_such_strategy'" in capsys.readouterr().err
 
     def test_strategy_without_the_marker_fails_clearly(
         self, workspace, pristine_state, tmp_path, capsys
     ):
-        # A registered strategy ingest cannot run per component.
+        # A registered strategy ingest cannot run per component, where the
+        # state was created under a marked one of that name.
         _, _, paths = workspace
-        state = tmp_path / "state"
-        matcher = IncrementalMatcher.load(pristine_state)
-        matcher.state.cleanup_strategy = "unmarked_gralmatch"
-        matcher.save(state)
+        CLEANUPS.register("unmarked_gralmatch")(marked_gralmatch)
+        try:
+            state = created_under("unmarked_gralmatch", pristine_state, paths, tmp_path / "state")
+        finally:
+            CLEANUPS.unregister("unmarked_gralmatch")
+        num_records = len(IncrementalMatcher.load(state).state.records)
         CLEANUPS.register("unmarked_gralmatch")(
             lambda edges, config: gralmatch_cleanup(edges, config)
         )
@@ -268,9 +272,29 @@ class TestIngestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "'unmarked_gralmatch' is not marked component_local" in err
-        assert len(IncrementalMatcher.load(state).state.records) == len(
-            matcher.state.records
-        )
+        assert len(IncrementalMatcher.load(state).state.records) == num_records
+
+
+def marked_gralmatch(edges, config):
+    return gralmatch_cleanup(edges, config)
+
+
+marked_gralmatch.component_local = True
+
+
+def created_under(strategy, pristine_state, paths, state_dir):
+    """A state with the pristine state's fitted components but created
+    under ``strategy``, fed the first batch and saved in ``state_dir``."""
+    pristine = IncrementalMatcher.load(pristine_state).state
+    matcher = IncrementalMatcher.create(
+        pristine.matcher,
+        pristine.blocking,
+        cleanup_config=pristine.cleanup_config,
+        pre_cleanup_config=pristine.pre_cleanup_config,
+        cleanup_strategy=strategy,
+    )
+    matcher.ingest(read_dataset_csv(paths["batch1"]).records)
+    return matcher.save(state_dir)
 
 
 class TestStateSpecDir:

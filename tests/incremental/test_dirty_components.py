@@ -115,31 +115,54 @@ class TestCleanupCallCounting:
         )
 
 
+def marked_gralmatch(edges, config):
+    return gralmatch_cleanup(edges, config)
+
+
+marked_gralmatch.component_local = True
+
+
+def unmarked_gralmatch(edges, config):
+    return gralmatch_cleanup(edges, config)
+
+
 class TestStrategyValidation:
     @pytest.mark.parametrize(
-        "strategy, error",
-        [("unmarked_gralmatch", ValueError), ("no_such_strategy", RegistryError)],
+        "strategy, replacement, error",
+        [
+            pytest.param(
+                "unmarked_gralmatch", unmarked_gralmatch, ValueError,
+                id="unmarked_gralmatch-ValueError",
+            ),
+            pytest.param("no_such_strategy", None, RegistryError, id="no_such_strategy-RegistryError"),
+        ],
     )
     def test_a_strategy_ingest_cannot_clean_per_component_is_refused(
-        self, golden_setup, pipeline_factory, tmp_path, strategy, error
+        self, golden_setup, pipeline_factory, tmp_path, strategy, replacement, error
     ):
         # Ingest re-cleans only the components a batch touches, so it
         # refuses a strategy without the component_local marker, and one
         # that is not registered, before it changes anything: the state
-        # keeps its records and still saves.
-        def unmarked(edges, config):
-            return gralmatch_cleanup(edges, config)
-
+        # keeps its records and still saves.  The state is created and fed
+        # under a marked strategy of that name, which is then unregistered
+        # (and replaced by an unmarked one).
         companies, _ = golden_setup
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
-        matcher.ingest(companies.records[:50])
-        CLEANUPS.register("unmarked_gralmatch")(unmarked)
+        CLEANUPS.register(strategy)(marked_gralmatch)
         try:
-            matcher.state.cleanup_strategy = strategy
+            matcher = IncrementalMatcher.from_pipeline(
+                pipeline_factory(cleanup_strategy=strategy)
+            )
+            matcher.ingest(companies.records[:50])
+        finally:
+            CLEANUPS.unregister(strategy)
+        if replacement is not None:
+            CLEANUPS.register(strategy)(replacement)
+        try:
             with pytest.raises(error, match=strategy):
                 matcher.ingest(companies.records[50:70])
         finally:
-            CLEANUPS.unregister("unmarked_gralmatch")
+            if replacement is not None:
+                CLEANUPS.unregister(strategy)
         assert len(matcher.state.records) == len(matcher.dataset) == 50
         assert matcher.last_report.num_records == 50
         state_dir = matcher.save(tmp_path / "state")
@@ -148,11 +171,12 @@ class TestStrategyValidation:
     def test_an_empty_batch_is_refused_too(self, pipeline_factory):
         # The strategy is checked before anything else, so even a batch
         # with nothing to add does not count as an ingest.
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
-        matcher.state.cleanup_strategy = "no_such_strategy"
+        matcher = IncrementalMatcher.from_pipeline(
+            pipeline_factory(cleanup_strategy="no_such_strategy")
+        )
         with pytest.raises(RegistryError, match="no_such_strategy"):
             matcher.ingest([])
         assert matcher.state.num_ingests == 0
-        matcher.state.cleanup_strategy = "adaptive"
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(cleanup_strategy="adaptive"))
         matcher.ingest([])
         assert matcher.state.num_ingests == 1

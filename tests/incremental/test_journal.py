@@ -528,3 +528,51 @@ class TestJournalRobustness:
         loaded.save()
         assert len(read_manifest(copy)["segments"]) == 3
         assert len(read_manifest(state_dir)["segments"]) == 2
+
+
+class TestFixedComponents:
+    """A save appends a segment, which never holds the components that
+    decide results, unless it writes a base; so reassigning one is
+    refused, and nothing a save or a load sees changes."""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("matcher", None),
+            ("blocking", IdOverlapBlocking()),
+            ("cleanup_config", CleanupConfig(gamma=6, mu=4)),
+            ("pre_cleanup_config", PreCleanupConfig(max_component_size=4)),
+            ("cleanup_strategy", "adaptive"),
+        ],
+        ids=["matcher", "blocking", "cleanup_config", "pre_cleanup_config", "cleanup_strategy"],
+    )
+    def test_reassigning_a_component_is_refused(self, pipeline_factory, field, value):
+        state = IncrementalMatcher.from_pipeline(pipeline_factory()).state
+        before = getattr(state, field)
+        with pytest.raises(MatchStateError, match=f"cannot reassign '{field}'"):
+            setattr(state, field, value)
+        assert getattr(state, field) is before
+
+    def test_a_refused_strategy_change_leaves_the_saved_state_alone(
+        self, golden_setup, pipeline_factory, tmp_path
+    ):
+        records = golden_setup[0].records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory())
+        state_dir = tmp_path / "state"
+        matcher.ingest(records[:40])
+        matcher.save(state_dir)
+        matcher.ingest(records[40:60])
+        with pytest.raises(MatchStateError, match="cleanup_strategy"):
+            matcher.state.cleanup_strategy = "adaptive"
+        matcher.save(state_dir)
+        manifest = read_manifest(state_dir)
+        assert len(manifest["segments"]) == 1
+        assert manifest["cleanup_strategy"] == "gralmatch"
+        loaded = IncrementalMatcher.load(state_dir).state
+        assert loaded.cleanup_strategy == "gralmatch"
+        assert_same_state(loaded, matcher.state)
+
+    def test_the_engine_defaults_stay_assignable(self, pipeline_factory):
+        state = IncrementalMatcher.from_pipeline(pipeline_factory()).state
+        state.runtime_config = RuntimeConfig(batch_size=64)
+        assert state.runtime_config == RuntimeConfig(batch_size=64)

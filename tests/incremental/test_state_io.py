@@ -8,6 +8,7 @@ pickling (worker-shipping) path.
 import json
 import pickle
 import re
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.incremental import (
     read_manifest,
 )
 from repro.incremental.state import MANIFEST_FILE
+from repro.matching import logistic
 from repro.matching.profiles import ProfileStore
 from repro.runtime import PipelineRuntime, RuntimeConfig
 from tests.incremental.legacy_state import save_v3
@@ -524,6 +526,36 @@ class TestTracePath:
         assert reloaded.state.runtime_config == RuntimeConfig(batch_size=64)
         assert not reloaded.runtime.recorder.enabled
         assert not stale.exists()
+
+
+class TestRetiredPayloadClasses:
+    def test_a_matcher_saved_with_its_loss_history_loads_without_it(
+        self, saved_state, tmp_path, monkeypatch
+    ):
+        # Earlier builds pickled the logistic matcher's per-iteration loss
+        # history, an instance of a class the library no longer has.
+        @dataclass
+        class LogisticTrainingHistory:
+            train_loss: list[float] = field(default_factory=list)
+            validation_loss: list[float] = field(default_factory=list)
+
+        LogisticTrainingHistory.__module__ = "repro.matching.logistic"
+        LogisticTrainingHistory.__qualname__ = "LogisticTrainingHistory"
+        matcher, _ = saved_state
+        fitted = matcher.state.matcher
+        monkeypatch.setattr(
+            logistic, "LogisticTrainingHistory", LogisticTrainingHistory, raising=False
+        )
+        monkeypatch.setattr(
+            fitted, "history", LogisticTrainingHistory([0.7, 0.5], [0.8]), raising=False
+        )
+        state_dir = matcher.save(tmp_path / "fresh")
+        monkeypatch.undo()
+        assert not hasattr(logistic, "LogisticTrainingHistory")
+
+        loaded = IncrementalMatcher.load(state_dir).state.matcher
+        assert not hasattr(loaded, "history")
+        assert loaded._weights.tobytes() == fitted._weights.tobytes()
 
 
 class TestProfileStoreRoundTrip:

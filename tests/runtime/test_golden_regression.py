@@ -12,14 +12,16 @@ these numbers, this suite fails and the pinned values must be re-derived
 consciously (PYTHONPATH=src python -m pytest tests/runtime -q will print the
 observed values on failure).
 
-Tie-breaking note: the graphs layer iterates adjacency in sorted order
-(``Graph.edges`` / ``Graph.subgraph`` / ``sorted_neighbors`` and the
-maxflow/betweenness traversals built on them), so clean-up tie-breaks no
-longer depend on ``PYTHONHASHSEED``.  The pins below were re-derived after
-that change landed and came out identical — the golden dataset has no
-minimum-cut or betweenness ties — but tie-prone datasets now reproduce
+Tie-breaking note: the clean-ups number the nodes in sorted order and keep
+each adjacency list sorted (``IdGraph``), and the minimum-cut, bridge and
+betweenness kernels search a piece in that order, so clean-up tie-breaks do
+not depend on ``PYTHONHASHSEED``.  The pins below were re-derived when
+sorted traversal landed and came out identical — the golden dataset has no
+minimum-cut or betweenness ties — but tie-prone datasets reproduce
 bit-for-bit under any hash seed (see
-``tests/core/test_cleanup_determinism.py``).
+``tests/core/test_cleanup_determinism.py``).  ``CLEANUP_PATHS`` pins the
+min-cut phase, the MEC-only variant and both alternative strategies, which
+the golden run does not reach.
 """
 
 import pytest
@@ -46,6 +48,20 @@ GOLDEN = {
     "post_cleanup_precision": 0.986175115,
     "num_groups": 51,
     "num_pre_cleanup_groups": 46,
+}
+
+#: The clean-up paths the golden run does not take: the same pipeline with
+#: only the clean-up thresholds or strategy changed.  Each pins the
+#: min-cut removals, betweenness removals, edges removed, groups and the
+#: post-cleanup F1.  (The golden run itself, γ = 20, makes 9 betweenness
+#: removals and no cut.)
+CLEANUP_PATHS = {
+    "gralmatch-gamma-6": ("gralmatch", CleanupConfig(gamma=6, mu=4), (3, 8, 11, 52, 0.963636364)),
+    "mec-only": ("gralmatch", CleanupConfig(gamma=4, mu=4), (13, 0, 13, 54, 0.95890411)),
+    "bridge_removal": (
+        "bridge_removal", CleanupConfig.for_num_sources(4), (0, 7, 9, 51, 0.968325792)
+    ),
+    "adaptive": ("adaptive", CleanupConfig.for_num_sources(4), (0, 4, 4, 49, 0.969162996)),
 }
 
 RUNTIMES = [
@@ -76,14 +92,17 @@ def golden_setup():
     return companies, matcher
 
 
-def run_golden_pipeline(golden_setup, runtime):
+def run_golden_pipeline(
+    golden_setup, runtime, cleanup_config=None, cleanup_strategy="gralmatch"
+):
     companies, matcher = golden_setup
     pipeline = EntityGroupMatchingPipeline(
         matcher=matcher,
         blocking=CombinedBlocking([IdOverlapBlocking(), TokenOverlapBlocking(top_n=3)]),
-        cleanup_config=CleanupConfig.for_num_sources(4),
+        cleanup_config=cleanup_config or CleanupConfig.for_num_sources(4),
         pre_cleanup_config=PreCleanupConfig(max_component_size=30),
         runtime=runtime,
+        cleanup_strategy=cleanup_strategy,
     )
     return pipeline.run(companies)
 
@@ -153,3 +172,20 @@ def test_runs_record_chunk_timings(golden_setup, workers):
     # 272 candidates at batch size 64 -> 5 chunks, serial and parallel alike.
     assert len(chunk_keys) == 5
     assert {"blocking", "pairwise_matching", "graph_cleanup"} <= set(result.timings)
+
+
+@pytest.mark.parametrize("path", list(CLEANUP_PATHS))
+def test_cleanup_path_pins(golden_setup, path):
+    companies, _ = golden_setup
+    strategy, config, expected = CLEANUP_PATHS[path]
+    result = run_golden_pipeline(golden_setup, None, config, strategy)
+    report = result.cleanup_report
+    post = group_matching_scores(result.groups, companies.true_matches())
+    observed = (
+        report.mincut_removals,
+        report.betweenness_removals,
+        report.num_removed,
+        len(result.groups),
+        round(post.f1, 9),
+    )
+    assert observed == expected
