@@ -69,7 +69,8 @@ class Blocking:
 
     A custom blocking implements :meth:`prepare` and :meth:`candidates_for`;
     it may override :meth:`owned_candidates` to score a span at once,
-    :meth:`delta_update` to fold new records into its state locally, and
+    :meth:`delta_update` (and :meth:`extend_index`) to fold new records
+    into its state locally, and
     :meth:`rescore` / :meth:`note_rescored` to keep what its next
     :meth:`delta_update` needs.  A composite blocking overrides
     :meth:`partition` instead.
@@ -157,12 +158,26 @@ class Blocking:
 
         A journal segment never holds the index: the first ingest after
         loading brings the base's index forward over the records appended
-        since with :meth:`delta_update` and folds these notes back in with
+        since with :meth:`extend_index` and folds these notes back in with
         :meth:`note_rescored`, as one entry.  That must give back
         ``shared``: the index by the :meth:`delta_update` contract, the
         notes by this method's.  The default keeps none.
         """
         return None
+
+    def extend_index(
+        self, shared: Any, dataset: Dataset, new_records: Sequence[Record]
+    ) -> Any:
+        """The shared state :meth:`delta_update` returns, without its dirty
+        set.
+
+        Loading a journal brings an index forward over records that were
+        rescored before the save, so nothing is dirty and any notes come
+        back through :meth:`note_rescored`.  The default runs
+        :meth:`delta_update` and drops the rest; a blocking whose dirty set
+        costs work overrides it.
+        """
+        return self.delta_update(shared, dataset, new_records).shared
 
     def delta_update(
         self, shared: Any, dataset: Dataset, new_records: Sequence[Record]

@@ -12,22 +12,25 @@ not dominate) and keeps the top-n per record.  This is the blocking that
 creates the hard look-alike candidates (Crowdstrike vs Crowdstreet) that the
 GraLMatch clean-up later has to deal with.
 
-Scoring is set-at-a-time: :meth:`TokenOverlapBlocking.owned_candidates`
-turns the index into integer arrays once per call, expands chunks of query
-records into (query, candidate, weight) entries and sums, ranks and cuts
-them with numpy.  Each score is the same sequence of float additions as a
-per-record dictionary walk over the postings, so the candidates do not
-depend on how the records are chunked.
+The index is integer arrays (:class:`TokenIndex`).
+:meth:`TokenOverlapBlocking.prepare` builds it once, and
+:meth:`TokenOverlapBlocking.delta_update` appends a batch of records to it
+as its last rows, tokenising only the batch.  Scoring is set-at-a-time:
+:meth:`TokenOverlapBlocking.owned_candidates` reads the index in place,
+expands chunks of query records into (query, candidate, weight) entries and
+sums, ranks and cuts them with numpy.  Each score is the same sequence of
+float additions as a per-record dictionary walk over the postings, so the
+candidates do not depend on how the records are chunked.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter, defaultdict
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from dataclasses import dataclass, field, fields, replace
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -55,123 +58,321 @@ _UNIT_ROUNDOFF = 2.0**-53
 class TopNMemo:
     """What the ingest path remembers of each record's last scoring.
 
-    Row-aligned with :attr:`TokenIndex.record_tokens`.  ``tops[row]`` holds
-    the rows of the record's owned candidates in rank order, padded with -1
-    when it has fewer than ``top_n``.  ``ceilings[row]`` bounds from above
-    the score of every lower-ranked candidate whose shared-token set differs
-    from the n-th candidate's: ``-inf`` when there is none, NaN when the
-    record was never scored on the ingest path.
+    Row-aligned with :attr:`TokenIndex.ids`.  ``tops[row]`` holds the rows
+    of the record's owned candidates in rank order, padded with -1 when it
+    has fewer than ``top_n``.  ``ceilings[row]`` bounds from above the score
+    of every lower-ranked candidate whose shared-token set differs from the
+    n-th candidate's: ``-inf`` when there is none, NaN when the record was
+    never scored on the ingest path.
+
+    ``shared`` holds, for each cell of ``tops``, the record's surviving
+    tokens that the candidate carries, in sorted-token order: the sets
+    whose weights rule (b) of :meth:`TokenOverlapBlocking.delta_update`
+    adds up.  It is ``(starts, lengths, pool)``: cell ``(r, k)``'s tokens
+    are ``pool[starts[r, k]:starts[r, k] + lengths[r, k]]``, so a rescored
+    row's cells are appended to the pool rather than spliced in.  A
+    function of ``tops`` and the index, it is never pickled, and None until
+    a ``delta_update`` computes it.
     """
 
     tops: np.ndarray
     ceilings: np.ndarray
-
-
-@dataclass(frozen=True)
-class TokenIndex:
-    """Prepared state: one global pass over the data.
-
-    Built once by :meth:`TokenOverlapBlocking.prepare`; scoring spans read
-    it without touching the dataset again.  Global on purpose: document
-    frequencies and the frequency cutoff computed per span would differ
-    from the serial run and change per-record top-n selections.
-    """
-
-    #: record id -> sorted token tuple, in dataset order.  Sorted (not a
-    #: set) so iteration — and therefore the order IDF weights are summed
-    #: in — is identical in the parent and in spawn-started pool workers,
-    #: where an unpickled set would iterate under a different hash seed and
-    #: 1-ULP summation differences could flip top-n boundary candidates.
-    record_tokens: dict[str, tuple[str, ...]]
-    #: token -> number of tokenised records containing it.
-    document_frequency: Counter
-    #: token -> record ids containing it (frequency-cutoff survivors only),
-    #: in dataset order.
-    token_index: dict[str, list[str]]
-    #: record id -> source name.
-    sources: dict[str, str]
-    #: IDF denominator: records with at least one token.  Token-less records
-    #: can never be candidates, so counting them would only dilute the IDF
-    #: weights and inflate the frequency cutoff.
-    num_tokenised: int
-    #: The ingest path's per-record top-n memo; None on a prepared index and
-    #: on one saved before the memo existed.  Not compared: an index equals
-    #: ``prepare(dataset)`` whatever memo it carries.
-    memo: TopNMemo | None = field(default=None, compare=False, repr=False)
-    #: The index's scoring arrays when :meth:`TokenOverlapBlocking.
-    #: delta_update` built them already, so the rescoring that follows does
-    #: not build them again.  Never pickled, and dropped by ``replace``.
-    arrays: _ScoringArrays | None = field(
-        default=None, init=False, compare=False, repr=False
+    shared: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
     )
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("arrays", None)
-        return state
+        return {"tops": self.tops, "ceilings": self.ceilings}
 
 
-@dataclass(frozen=True)
-class _ScoringArrays:
-    """The integer-array form of a :class:`TokenIndex`, built per call.
+@dataclass(frozen=True, eq=False)
+class TokenIndex:
+    """Prepared state: every record's tokens and every token's postings, as
+    integer arrays.
 
-    Rows follow ``record_tokens`` order, tokens follow ``token_index``
-    order; postings are CSR row numbers (token ``t``'s records are
-    ``postings[offsets[t]:offsets[t + 1]]``, in dataset order).
+    :meth:`TokenOverlapBlocking.prepare` builds it, and
+    :meth:`TokenOverlapBlocking.delta_update` appends a batch as its last
+    rows; scoring spans read it without touching the dataset again.  Global
+    on purpose: document frequencies and the frequency cutoff computed per
+    span would differ from the serial run and change per-record top-n
+    selections.
+
+    Rows follow dataset order.  Tokens are numbered in order of first
+    appearance (rows in order, each row's tokens in sorted order), so an
+    index grown batch by batch equals ``prepare`` of the same records array
+    for array.  No field depends on the iteration order of a set: the index
+    is the same in the parent and in spawn-started pool workers, whose hash
+    seed differs, and so is the order each score adds its weights in (a
+    1-ULP difference there could flip a top-n boundary candidate).
+
+    Two indexes are equal when their arrays are bitwise equal and their
+    other fields equal; the memo and the lookups are not compared.  A batch
+    never writes to an array of the index it extends, so that index stays
+    valid.
     """
 
+    #: row -> record id.
     ids: list[str]
-    row_of: dict[str, int]
+    #: source name -> code, codes in order of first appearance.
+    source_codes: dict[str, int]
     #: row -> source code.
     source: np.ndarray
     #: row -> rank of its id in ``sorted()`` order, so comparing ranks
     #: compares ids the way Python compares ``str``.
     rank: np.ndarray
-    token_of: dict[str, int]
-    offsets: np.ndarray
+    #: token number -> token.
+    tokens: list[str]
+    #: Each row's token numbers as CSR: row ``r``'s are
+    #: ``token_ids[token_offsets[r]:token_offsets[r + 1]]``, in sorted token
+    #: order, which is the order a query's score adds its weights in.
+    token_offsets: np.ndarray
+    token_ids: np.ndarray
+    #: token -> number of rows carrying it.
+    frequency: np.ndarray
+    #: Each token's rows as CSR over every token, surviving or not: token
+    #: ``t``'s are ``postings[posting_offsets[t]:posting_offsets[t + 1]]``,
+    #: ascending (dataset order).
+    posting_offsets: np.ndarray
     postings: np.ndarray
-    #: token -> IDF weight.
+    #: IDF denominator: rows with at least one token, and at least 1.
+    #: Token-less records can never be candidates, so counting them would
+    #: only dilute the IDF weights and inflate the frequency cutoff.
+    num_tokenised: int
+    #: token -> whether its frequency is within the cutoff
+    #: ``max_token_frequency * num_tokenised``; only surviving tokens score.
+    survives: np.ndarray
+    #: token -> IDF weight ``1 + log(num_tokenised / frequency)``.
     weights: np.ndarray
+    #: Lookups derived from the fields above, never pickled: record id ->
+    #: row, token -> number, and the ids in sorted order.
+    row_of: dict[str, int] = field(repr=False)
+    token_of: dict[str, int] = field(repr=False)
+    sorted_ids: list[str] = field(repr=False)
+    #: The ingest path's per-record top-n memo; None on a prepared index and
+    #: on one saved before the memo existed.
+    memo: TopNMemo | None = field(default=None, repr=False)
 
-    @classmethod
-    def build(cls, shared: TokenIndex) -> "_ScoringArrays":
-        ids = list(shared.record_tokens)
-        row_of = {record_id: row for row, record_id in enumerate(ids)}
-        source_codes: dict[str, int] = {}
-        source = np.array(
-            [
-                source_codes.setdefault(shared.sources[record_id], len(source_codes))
-                for record_id in ids
-            ],
-            dtype=np.int64,
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TokenIndex):
+            return NotImplemented
+        return all(
+            _equal(getattr(self, name), getattr(other, name)) for name in _COMPARED_FIELDS
         )
-        rank = np.empty(len(ids), dtype=np.int64)
-        rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
-        token_of: dict[str, int] = {}
-        lengths: list[int] = []
-        rows: list[int] = []
-        weights: list[float] = []
-        for token, record_ids in shared.token_index.items():  # repro-lint: disable=unordered-iteration -- insertion-ordered (dataset order); numbers the tokens only, scores follow each query's sorted tokens
-            token_of[token] = len(token_of)
-            lengths.append(len(record_ids))
-            rows.extend(row_of[record_id] for record_id in record_ids)
-            # math.log, not np.log: the two differ in the last bit on some
-            # inputs, and the weights must equal the per-record walk's.
-            weights.append(
-                1.0
-                + math.log(shared.num_tokenised / shared.document_frequency[token])
-            )
-        return cls(
-            ids=ids,
-            row_of=row_of,
-            source=source,
-            rank=rank,
-            token_of=token_of,
-            offsets=_offsets(lengths),
-            postings=np.array(rows, dtype=np.int64),
-            weights=np.array(weights, dtype=np.float64),
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in _LOOKUP_FIELDS:
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "record_tokens" in state:
+            # Pickled by format 4 and earlier, as dictionaries.
+            self.__dict__.update(vars(_from_dict_form(state)))
+            return
+        self.__dict__.update(state)
+        self.__dict__.update(_lookups(state["ids"], state["tokens"], state["rank"]))
+
+
+_LOOKUP_FIELDS = ("row_of", "token_of", "sorted_ids")
+_COMPARED_FIELDS = tuple(
+    spec.name
+    for spec in fields(TokenIndex)
+    if spec.name not in _LOOKUP_FIELDS and spec.name != "memo"
+)
+
+
+def _equal(ours: object, theirs: object) -> bool:
+    """Field equality; arrays compare bitwise, dtype and shape included."""
+    if isinstance(ours, np.ndarray):
+        return (
+            isinstance(theirs, np.ndarray)
+            and ours.dtype == theirs.dtype
+            and ours.shape == theirs.shape
+            and ours.tobytes() == theirs.tobytes()
         )
+    return ours == theirs
+
+
+def _lookups(ids: list[str], tokens: list[str], rank: np.ndarray) -> dict:
+    """The lookup fields of an index, from its ids, tokens and ranks."""
+    return {
+        "row_of": dict(zip(ids, range(len(ids)))),
+        "token_of": dict(zip(tokens, range(len(tokens)))),
+        "sorted_ids": list(map(ids.__getitem__, np.argsort(rank).tolist())),
+    }
+
+
+def _empty_index() -> TokenIndex:
+    """The index of no records: what :meth:`TokenOverlapBlocking.prepare`
+    appends a dataset to."""
+    empty = np.zeros(0, dtype=np.int64)
+    return TokenIndex(
+        ids=[],
+        source_codes={},
+        source=empty,
+        rank=empty,
+        tokens=[],
+        token_offsets=np.zeros(1, dtype=np.int64),
+        token_ids=empty,
+        frequency=empty,
+        posting_offsets=np.zeros(1, dtype=np.int64),
+        postings=empty,
+        num_tokenised=1,
+        survives=np.zeros(0, dtype=bool),
+        weights=np.zeros(0, dtype=np.float64),
+        row_of={},
+        token_of={},
+        sorted_ids=[],
+    )
+
+
+def _append(
+    index: TokenIndex,
+    ids: Sequence[str],
+    sources: Sequence[str],
+    token_lists: Sequence[Sequence[str]],
+    max_token_frequency: float,
+) -> TokenIndex:
+    """``index`` with one row appended per record: ``ids``, their
+    ``sources`` and their sorted ``token_lists``.
+
+    Works on the batch and on whole arrays, never per record or per token
+    of the index.  ``index`` is left valid: the arrays a batch changes are
+    new, and the lists and dicts it extends are copied first.
+    """
+    num_old, num_new = len(index.ids), len(ids)
+    num_rows = num_old + num_new
+
+    source_codes = index.source_codes
+    fresh = [name for name in dict.fromkeys(sources) if name not in source_codes]
+    if fresh:
+        source_codes = {**source_codes, **dict(zip(fresh, count(len(source_codes))))}
+    source = np.fromiter(map(source_codes.__getitem__, sources), np.int64, num_new)
+
+    tokens, token_of = index.tokens, index.token_of
+    fresh = [
+        token for token in dict.fromkeys(chain.from_iterable(token_lists))
+        if token not in token_of
+    ]
+    if fresh:
+        token_of = {**token_of, **dict(zip(fresh, count(len(tokens))))}
+        tokens = tokens + fresh
+    num_tokens = len(tokens)
+
+    counts = np.fromiter(map(len, token_lists), np.int64, num_new)
+    token_offsets = np.concatenate([index.token_offsets, index.token_offsets[-1] + np.cumsum(counts)])
+    batch_tokens = np.fromiter(
+        map(token_of.__getitem__, chain.from_iterable(token_lists)),
+        np.int64,
+        int(token_offsets[-1] - index.token_offsets[-1]),
+    )
+    added = np.bincount(batch_tokens, minlength=num_tokens)
+    old_counts = _padded(index.frequency, num_tokens)
+    frequency = old_counts + added
+
+    # Each token's old rows keep their order, and the batch's rows follow
+    # them: they are the largest, so every posting list stays ascending.
+    posting_offsets = _offsets(frequency)
+    postings = np.empty(posting_offsets[-1], dtype=np.int64)
+    postings[_gather(posting_offsets[: len(index.tokens)], index.frequency)] = index.postings
+    by_token = np.argsort(batch_tokens, kind="stable")
+    grouped = batch_tokens[by_token]
+    postings[
+        posting_offsets[grouped]
+        + old_counts[grouped]
+        + np.arange(len(grouped))
+        - _offsets(added)[grouped]
+    ] = np.repeat(np.arange(num_old, num_rows), counts)[by_token]
+
+    num_tokenised = max(int(np.count_nonzero(np.diff(token_offsets))), 1)
+    sorted_ids, rank = _merged_ranks(index.sorted_ids, index.rank, ids)
+    return TokenIndex(
+        ids=index.ids + list(ids),
+        source_codes=source_codes,
+        source=np.concatenate([index.source, source]),
+        rank=rank,
+        tokens=tokens,
+        token_offsets=token_offsets,
+        token_ids=np.concatenate([index.token_ids, batch_tokens]),
+        frequency=frequency,
+        posting_offsets=posting_offsets,
+        postings=postings,
+        num_tokenised=num_tokenised,
+        survives=frequency <= max_token_frequency * num_tokenised,
+        weights=_weights(frequency, num_tokenised),
+        row_of={**index.row_of, **dict(zip(ids, range(num_old, num_rows)))},
+        token_of=token_of,
+        sorted_ids=sorted_ids,
+    )
+
+
+def _weights(frequency: np.ndarray, num_tokenised: int) -> np.ndarray:
+    """Each token's IDF weight ``1 + log(num_tokenised / frequency)``.
+
+    ``math.log``, not ``np.log``: the two differ in the last bit on some
+    inputs, and the weights must equal the per-record walk's.  It runs once
+    per distinct frequency, and the tokens gather from that table.
+    """
+    present = np.bincount(frequency)
+    table = np.zeros(len(present), dtype=np.float64)
+    distinct = np.flatnonzero(present)
+    table[distinct] = [1.0 + math.log(num_tokenised / count) for count in distinct.tolist()]
+    return table[frequency]
+
+
+def _merged_ranks(
+    sorted_ids: list[str], rank: np.ndarray, new_ids: Sequence[str]
+) -> tuple[list[str], np.ndarray]:
+    """The ids in sorted order and every row's rank once ``new_ids`` are
+    appended as the last rows (ids are unique)."""
+    order = sorted(range(len(new_ids)), key=new_ids.__getitem__)
+    batch_sorted = [new_ids[position] for position in order]
+    # How many earlier ids sort before each new one, in sorted batch order.
+    before = np.fromiter(
+        map(bisect_left, repeat(sorted_ids), batch_sorted), np.int64, len(batch_sorted)
+    )
+    new_rank = np.empty(len(new_ids), dtype=np.int64)
+    new_rank[order] = before + np.arange(len(new_ids))
+    return (
+        # Two sorted runs: sorting merges them in linear time.
+        sorted(sorted_ids + batch_sorted),
+        np.concatenate([rank + np.searchsorted(before, rank, side="right"), new_rank]),
+    )
+
+
+def _from_dict_form(state: dict) -> TokenIndex:
+    """The index pickled as dictionaries (format 4 and earlier) as
+    ``state``: ``record_tokens`` (id -> sorted tokens, in dataset order),
+    ``document_frequency``, ``token_index`` (the surviving tokens' ids),
+    ``sources`` (id -> source name) and ``num_tokenised``.
+
+    The dictionaries do not record the cutoff fraction, so survival is read
+    from ``token_index``; everything else is rebuilt as ``prepare`` builds
+    it.
+    """
+    record_tokens = state["record_tokens"]
+    ids = list(record_tokens)
+    index = _append(
+        _empty_index(),
+        ids,
+        [state["sources"][record_id] for record_id in ids],
+        [record_tokens[record_id] for record_id in ids],
+        max_token_frequency=1.0,
+    )
+    surviving = state["token_index"]
+    return replace(
+        index,
+        survives=np.fromiter(map(surviving.__contains__, index.tokens), bool, len(index.tokens)),
+        memo=state.get("memo"),
+    )
+
+
+def _padded(values: np.ndarray, length: int) -> np.ndarray:
+    """``values`` followed by zeros, ``length`` rows long."""
+    padded = np.zeros((length, *values.shape[1:]), dtype=values.dtype)
+    padded[: len(values)] = values
+    return padded
 
 
 def _offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -179,6 +380,26 @@ def _offsets(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
     return offsets
+
+
+def _gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]`` to ``starts[i] + counts[i] - 1`` for every
+    ``i``, concatenated: where a set of CSR slices lies."""
+    ends = _offsets(counts)
+    return np.repeat(starts - ends[:-1], counts) + np.arange(ends[-1])
+
+
+def _surviving_tokens(index: TokenIndex, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surviving token numbers of ``rows``, concatenated in each row's
+    sorted-token order, and how many each row has."""
+    starts = index.token_offsets[rows]
+    counts = index.token_offsets[rows + 1] - starts
+    tokens = index.token_ids[_gather(starts, counts)]
+    surviving = index.survives[tokens]
+    per_row = np.bincount(
+        np.repeat(np.arange(len(rows)), counts)[surviving], minlength=len(rows)
+    )
+    return tokens[surviving], per_row
 
 
 def _chunk_bounds(costs: list[int]) -> list[int]:
@@ -197,8 +418,8 @@ def _chunk_bounds(costs: list[int]) -> list[int]:
 
 
 def _query_chunks(
-    arrays: _ScoringArrays, shared: TokenIndex, record_ids: Sequence[str]
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, list[int]]]:
+    index: TokenIndex, record_ids: Sequence[str]
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Split queries into scoring chunks of at most
     :data:`SCORE_CHUNK_ENTRIES` expanded postings.
 
@@ -206,23 +427,10 @@ def _query_chunks(
     the chunk's slice of ``record_ids``, their row numbers, and their
     concatenated surviving token numbers in each query's sorted-token order.
     """
-    token_of = arrays.token_of
-    rows = np.array(
-        [arrays.row_of[record_id] for record_id in record_ids], dtype=np.int64
-    )
-    tokens: list[int] = []
-    tokens_per_query: list[int] = []
-    for record_id in record_ids:
-        before = len(tokens)
-        tokens.extend(
-            token_of[token]
-            for token in shared.record_tokens[record_id]
-            if token in token_of
-        )
-        tokens_per_query.append(len(tokens) - before)
-    token_ids = np.array(tokens, dtype=np.int64)
+    rows = np.fromiter(map(index.row_of.__getitem__, record_ids), np.int64, len(record_ids))
+    token_ids, tokens_per_query = _surviving_tokens(index, rows)
     tokens_at = _offsets(tokens_per_query)
-    entries_at = _offsets(np.diff(arrays.offsets)[token_ids])
+    entries_at = _offsets(index.frequency[token_ids])
     costs = entries_at[tokens_at[1:]] - entries_at[tokens_at[:-1]]
     bounds = _chunk_bounds(costs.tolist())
     for start, stop in zip(bounds, bounds[1:]):
@@ -236,10 +444,10 @@ def _query_chunks(
 
 
 def _pair_scores(
-    arrays: _ScoringArrays,
+    index: TokenIndex,
     rows: np.ndarray,
     tokens: np.ndarray,
-    tokens_per_query: Sequence[int],
+    tokens_per_query: np.ndarray,
     entries: bool = False,
 ) -> tuple[np.ndarray, ...]:
     """Overlap scores of one chunk of queries against every other source.
@@ -254,22 +462,18 @@ def _pair_scores(
     """
     # Expand to (query, candidate, weight) in (query, sorted token, posting)
     # order.
-    counts = arrays.offsets[tokens + 1] - arrays.offsets[tokens]
-    token_query = np.repeat(np.arange(len(rows)), tokens_per_query)
-    query = np.repeat(token_query, counts)
-    weight = np.repeat(arrays.weights[tokens], counts)
-    candidate = arrays.postings[
-        np.repeat(arrays.offsets[tokens] - _offsets(counts)[:-1], counts)
-        + np.arange(len(query))
-    ]
+    counts = index.frequency[tokens]
+    query = np.repeat(np.repeat(np.arange(len(rows)), tokens_per_query), counts)
+    weight = np.repeat(index.weights[tokens], counts)
+    candidate = index.postings[_gather(index.posting_offsets[tokens], counts)]
     # A query shares its own source, so this drops self pairs too.
-    keep = arrays.source[candidate] != arrays.source[rows[query]]
+    keep = index.source[candidate] != index.source[rows[query]]
     query, candidate, weight = query[keep], candidate[keep], weight[keep]
 
     # np.bincount adds each pair's weights in input order, starting from 0.0:
     # the running sum of a per-record walk.  Segment reductions
     # (np.add.reduceat, np.sum) add pairwise and can differ in the last bit.
-    num_rows = len(arrays.ids)
+    num_rows = len(index.ids)
     keys, inverse = np.unique(query * num_rows + candidate, return_inverse=True)
     scores = np.bincount(inverse, weights=weight, minlength=len(keys))
     query, candidate = np.divmod(keys, num_rows)
@@ -286,16 +490,52 @@ def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 def _memo_rows(
     memo: TopNMemo | None, num_rows: int, top_n: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Writable copies of ``memo``'s tops and ceilings over ``num_rows``
-    rows; rows the memo lacks get no entry (-1 tops, NaN ceiling)."""
+    rows, and of its shared-token cells if it has them; rows the memo lacks
+    get no entry (-1 tops, NaN ceiling, empty cells)."""
     tops = np.full((num_rows, top_n), -1, dtype=np.int32)
     ceilings = np.full(num_rows, np.nan)
+    cells = None
     if memo is not None:
         kept = min(len(memo.ceilings), num_rows)
         tops[:kept] = memo.tops[:kept]
         ceilings[:kept] = memo.ceilings[:kept]
-    return tops, ceilings
+        if memo.shared is not None:
+            starts, lengths, pool = memo.shared
+            cells = (_padded(starts[:kept], num_rows), _padded(lengths[:kept], num_rows), pool)
+    return tops, ceilings, cells
+
+
+def _carried(index: TokenIndex) -> np.ndarray:
+    """Which rows carry which tokens, as sorted ``row * len(tokens) +
+    token`` keys: a memo cell's probes then fall among one row's few keys."""
+    rows = np.repeat(np.arange(len(index.ids)), np.diff(index.token_offsets))
+    return np.sort(rows * len(index.tokens) + index.token_ids)
+
+
+def _cell_tokens(
+    index: TokenIndex, rows: np.ndarray, tops: np.ndarray, carried: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shared tokens of each cell of the memo rows ``tops`` of ``rows``
+    (see :attr:`TopNMemo.shared`): their number per cell, shaped like
+    ``tops``, and the tokens, cell after cell in row-major order.
+    ``carried`` is :func:`_carried` of ``index``."""
+    tokens, per_row = _surviving_tokens(index, rows)
+    cell_row, cell_rank = np.nonzero(tops >= 0)
+    lengths = per_row[cell_row]
+    token = tokens[_gather(_offsets(per_row)[cell_row], lengths)]
+    candidate = np.repeat(tops[cell_row, cell_rank].astype(np.int64), lengths)
+    carries = _contains(carried, candidate * len(index.tokens) + token)
+    cell = np.repeat(cell_row * tops.shape[1] + cell_rank, lengths)[carries]
+    return np.bincount(cell, minlength=tops.size).reshape(tops.shape), token[carries]
+
+
+def _contiguous_cells(
+    lengths: np.ndarray, tokens: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:attr:`TopNMemo.shared` of cells laid out one after another."""
+    return _offsets(lengths.ravel())[:-1].reshape(lengths.shape), lengths, tokens
 
 
 def _sets_differ(
@@ -377,59 +617,39 @@ class TokenOverlapBlocking(Blocking):
         self.max_token_frequency = max_token_frequency
 
     def prepare(self, dataset: Dataset) -> TokenIndex:
-        """Build the inverted token index and document frequencies once."""
-        record_tokens = {
-            record.record_id: tuple(sorted(self._tokens(record)))
-            for record in dataset
-        }
-        document_frequency: Counter[str] = Counter()
-        for tokens in record_tokens.values():  # repro-lint: disable=unordered-iteration -- insertion-ordered (dataset order); counting is order-free
-            document_frequency.update(tokens)
-        sources = {record.record_id: record.source for record in dataset}
-        return self._assemble(record_tokens, document_frequency, sources)
+        """Build the index of every record: the empty index with the
+        dataset appended."""
+        return self._extend(_empty_index(), dataset.records)
 
-    def _assemble(
-        self,
-        record_tokens: dict[str, tuple[str, ...]],
-        document_frequency: Counter,
-        sources: dict[str, str],
-    ) -> TokenIndex:
-        """Assemble the shared state from per-record tokenisations.
-
-        Shared by :meth:`prepare` and :meth:`delta_update`: everything after
-        tokenisation — the IDF denominator, the frequency cutoff and the
-        inverted index — is a pure function of ``record_tokens`` (in dataset
-        order), so building it here from cached tokenisations is identical
-        to a full :meth:`prepare` by construction.
-        """
-        num_tokenised = sum(1 for tokens in record_tokens.values() if tokens)  # repro-lint: disable=unordered-iteration -- integer count; order-free
-        num_tokenised = max(num_tokenised, 1)
-
-        frequency_cutoff = self.max_token_frequency * num_tokenised
-        token_index: dict[str, list[str]] = defaultdict(list)
-        for record_id, tokens in record_tokens.items():  # repro-lint: disable=unordered-iteration -- insertion-ordered: dataset order, then appended new records
-            for token in tokens:
-                if document_frequency[token] <= frequency_cutoff:
-                    token_index[token].append(record_id)
-
-        return TokenIndex(
-            record_tokens=record_tokens,
-            document_frequency=document_frequency,
-            token_index=dict(token_index),
-            sources=sources,
-            num_tokenised=num_tokenised,
+    def _extend(self, index: TokenIndex, records: Sequence[Record]) -> TokenIndex:
+        """``index`` with ``records`` appended, tokenising only them; the
+        result carries no memo."""
+        return _append(
+            index,
+            [record.record_id for record in records],
+            [record.source for record in records],
+            [sorted(self._tokens(record)) for record in records],
+            self.max_token_frequency,
         )
+
+    def extend_index(
+        self, shared: TokenIndex, dataset: Dataset, new_records: Sequence[Record]
+    ) -> TokenIndex:
+        """The index :meth:`delta_update` returns, without its dirty rules
+        or a memo (:meth:`note_rescored` puts one back)."""
+        return self._extend(shared, new_records)
 
     def delta_update(
         self, shared: TokenIndex, dataset: Dataset, new_records: Sequence[Record]
     ) -> BlockingDelta:
         """Fold new records in; dirty only the records whose top n can change.
 
-        Tokenisation runs for the new records only; document frequencies
-        update incrementally and the inverted index is re-assembled from the
-        cached token tuples (a linear pass that cannot be skipped: the IDF
-        denominator and the frequency cutoff both move whenever tokenised
-        records arrive, which can flip any token's cutoff status).
+        Tokenisation runs for the new records only, and they are appended
+        to the index as its last rows: their postings go to the end of each
+        token's list and their tokens' frequencies rise.  The IDF
+        denominator and the frequency cutoff move whenever tokenised records
+        arrive, so every weight and every token's survival is recomputed,
+        as one vector operation each over the tokens.
 
         Any tokenised arrival moves every IDF weight ``1 + log(N / df)``, so
         any record's top n could reorder.  The :class:`TopNMemo` that
@@ -446,7 +666,10 @@ class TokenOverlapBlocking(Blocking):
             order (score descending, then id).  Each shared-token set is
             the record's surviving tokens that the candidate carries, and
             its weights are added from 0.0 in sorted-token order, the
-            scorer's own additions, so the scores are bitwise a rescore's;
+            scorer's own additions, so the scores are bitwise a rescore's.
+            The sets change only when one of the record's own tokens
+            crosses the cutoff, which (a) catches, so the memo keeps them
+            (:attr:`TopNMemo.shared`);
         (c) its raised ceiling reaches the recomputed n-th score, where
             ``raised = (ceiling + spread) * (1 + CEILING_SLACK_ULPS * (m + 2)
             * 2**-53)``, ``spread`` sums ``max(w' - w, 0)`` over its ``m``
@@ -481,79 +704,50 @@ class TokenOverlapBlocking(Blocking):
         every tokenised record is dirty once.  Token-less records never
         are, and a batch of token-less records dirties nothing.
         """
-        new_tokens = {
-            record.record_id: tuple(sorted(self._tokens(record)))
-            for record in new_records
-        }
-        record_tokens = {**shared.record_tokens, **new_tokens}
-        document_frequency: Counter[str] = Counter(shared.document_frequency)
-        for tokens in new_tokens.values():  # repro-lint: disable=unordered-iteration -- insertion-ordered (new_records order); counting is order-free
-            document_frequency.update(tokens)
-        sources = dict(shared.sources)
-        for record in new_records:
-            sources[record.record_id] = record.source
-        updated = self._assemble(record_tokens, document_frequency, sources)
-
-        if not any(new_tokens.values()):
+        updated = self._extend(shared, new_records)
+        if updated.token_offsets[-1] == shared.token_offsets[-1]:
             # No weight, frequency or cutoff moves and no record gains a
             # candidate: nothing is dirty and the memo stays exact.
             return BlockingDelta(shared=replace(updated, memo=shared.memo))
-        arrays = _ScoringArrays.build(updated)
-        dirty, memo = self._dirty_rows(shared, updated, arrays)
-        result = replace(updated, memo=memo)
-        object.__setattr__(result, "arrays", arrays)
-        old_ids = list(shared.record_tokens)
+        dirty, memo = self._dirty_rows(shared, updated)
         return BlockingDelta(
-            shared=result,
-            dirty_record_ids=frozenset(old_ids[row] for row in np.flatnonzero(dirty)),
+            shared=replace(updated, memo=memo),
+            dirty_record_ids=frozenset(map(shared.ids.__getitem__, np.flatnonzero(dirty).tolist())),
         )
 
-    def _dirty_rows(
-        self, old: TokenIndex, new: TokenIndex, arrays: _ScoringArrays
-    ) -> tuple[np.ndarray, TopNMemo]:
+    def _dirty_rows(self, old: TokenIndex, new: TokenIndex) -> tuple[np.ndarray, TopNMemo]:
         """Rules (a)-(d) of :meth:`delta_update` over the pre-existing rows.
 
-        Returns the dirty mask of the rows of ``old`` and the memo of those
-        rows under the new weights: clean rows keep their tops and get the
-        raised ceiling, dirty rows get NaN until their rescore.
+        ``new`` is ``old`` with the batch appended.  Returns the dirty mask
+        of the rows of ``old`` and the memo of those rows under the new
+        weights: clean rows keep their tops and get the raised ceiling,
+        dirty rows get NaN until their rescore.
         """
-        num_old = len(old.record_tokens)
-        tops, ceilings = _memo_rows(old.memo, num_old, self.top_n)
+        num_old = len(old.ids)
+        tops, ceilings, cells = _memo_rows(old.memo, num_old, self.top_n)
 
         # Each pre-existing record's tokens as (row, token number), in its
-        # sorted-token order; -1 marks a token that does not survive now.
-        token_lists = old.record_tokens
-        token_counts = np.fromiter(map(len, token_lists.values()), np.int64, num_old)
+        # sorted-token order.
+        token_counts = np.diff(old.token_offsets)
         entry_row = np.repeat(np.arange(num_old), token_counts)
-        entry_token = np.fromiter(
-            map(arrays.token_of.get, chain.from_iterable(token_lists.values()), repeat(-1)),
-            np.int64,
-            len(entry_row),
+        entry_token = old.token_ids
+
+        # The old weight of every token that survived before; NaN where it
+        # did not (the batch's new tokens did not exist).
+        num_tokens = len(new.tokens)
+        survived = _padded(old.survives, num_tokens)
+        old_weights = np.where(survived, _padded(old.weights, num_tokens), np.nan)
+        rise = np.where(
+            survived & new.survives, np.maximum(new.weights - old_weights, 0.0), 0.0
         )
 
-        # The old weight of every token surviving now (NaN where it did not
-        # survive before: its records are dirty by rule (a)).
-        old_weights = np.array(
-            [
-                1.0 + math.log(old.num_tokenised / old.document_frequency[token])
-                if token in old.token_index
-                else np.nan
-                for token in arrays.token_of
-            ],
-            dtype=np.float64,
-        )
-        survived = ~np.isnan(old_weights)
-        rise = np.where(survived, np.maximum(arrays.weights - old_weights, 0.0), 0.0)
-
-        # (a) Cutoff crossings: a token cut from now on, or surviving from now on.
+        # (a) Cutoff crossings: a token cut from now on, or surviving from
+        # now on.  No pre-existing record carries a new token.
         dirty = np.zeros(num_old, dtype=bool)
-        for token in old.token_index:
-            if token not in new.token_index:
-                dirty[[arrays.row_of[record_id] for record_id in old.token_index[token]]] = True
-        surviving = entry_token >= 0
+        dirty[entry_row[(survived != new.survives)[entry_token]]] = True
+        surviving = new.survives[entry_token]
         row_of_surviving = entry_row[surviving]
         token_of_surviving = entry_token[surviving]
-        dirty[row_of_surviving[~survived[token_of_surviving]]] = True
 
         # Each record's surviving tokens: count m and spread.
         survivors = np.bincount(row_of_surviving, minlength=num_old)
@@ -561,27 +755,22 @@ class TokenOverlapBlocking(Blocking):
             row_of_surviving, weights=rise[token_of_surviving], minlength=num_old
         )
 
-        # (b) Recompute every stored top candidate's score: the record's
-        # surviving tokens the candidate also carries, in sorted-token order.
-        slot_row, slot_rank = np.nonzero(tops >= 0)
-        slot_candidate = tops[slot_row, slot_rank].astype(np.int64)
-        num_tokens = len(arrays.weights)
-        carried = np.sort(row_of_surviving * num_tokens + token_of_surviving)
-        lengths = survivors[slot_row]
-        starts = _offsets(survivors)[slot_row]
-        slot_of_entry = np.repeat(np.arange(len(slot_row)), lengths)
-        token = token_of_surviving[
-            np.repeat(starts - _offsets(lengths)[:-1], lengths)
-            + np.arange(len(slot_of_entry))
-        ]
-        shared_token = _contains(carried, slot_candidate[slot_of_entry] * num_tokens + token)
-        scores = np.full(tops.shape, np.nan)
-        scores[slot_row, slot_rank] = np.bincount(
-            slot_of_entry[shared_token],
-            weights=arrays.weights[token[shared_token]],
-            minlength=len(slot_row),
+        # (b) Recompute every stored top candidate's score: the weights of
+        # the record's surviving tokens the candidate also carries, added in
+        # sorted-token order.  Those sets change only with a cutoff crossing
+        # of the record's own tokens, which dirties it by (a), so the memo
+        # keeps them; a memo that lost them (to a pickle) computes them.
+        carried = _carried(new)
+        if cells is None:
+            cells = _contiguous_cells(*_cell_tokens(new, np.arange(num_old), tops, carried))
+        starts, lengths, pool = cells
+        sums = np.bincount(
+            np.repeat(np.arange(tops.size), lengths.ravel()),
+            weights=new.weights[pool[_gather(starts.ravel(), lengths.ravel())]],
+            minlength=tops.size,
         )
-        ranks = arrays.rank[np.maximum(tops, 0)]
+        scores = np.where(tops >= 0, sums.reshape(tops.shape), np.nan)
+        ranks = new.rank[np.maximum(tops, 0)]
         upper, lower = scores[:, :-1], scores[:, 1:]
         in_order = (upper > lower) | ((upper == lower) & (ranks[:, :-1] < ranks[:, 1:]))
         dirty |= ((tops[:, 1:] >= 0) & ~in_order).any(axis=1)
@@ -600,16 +789,15 @@ class TokenOverlapBlocking(Blocking):
         # good and its id keeps it below.
         nth_candidate = np.maximum(tops[:, -1], 0)
         best_new = np.full(num_old, -np.inf)
-        new_ids = list(new.record_tokens)[num_old:]
-        for _, _, rows, tokens, tokens_per_query in _query_chunks(arrays, new, new_ids):
+        for _, _, rows, tokens, tokens_per_query in _query_chunks(new, new.ids[num_old:]):
             query, row, score, inverse, pair_token = _pair_scores(
-                arrays, rows, tokens, tokens_per_query, entries=True
+                new, rows, tokens, tokens_per_query, entries=True
             )
             existing = row < num_old
             row = np.where(existing, row, 0)
             above = (score > nth[row]) | (
                 (score == nth[row])
-                & (arrays.rank[rows[query]] < arrays.rank[nth_candidate[row]])
+                & (new.rank[rows[query]] < new.rank[nth_candidate[row]])
             )
             dirty[row[existing & (above | ~full[row])]] = True
             below = existing & full[row] & ~above
@@ -629,7 +817,7 @@ class TokenOverlapBlocking(Blocking):
         # Fallback: tokenised records without a memo entry.
         dirty |= np.isnan(ceilings) & (token_counts > 0)
         ceilings = np.where(dirty, np.nan, np.maximum(raised, best_new))
-        return dirty, TopNMemo(tops=tops, ceilings=ceilings)
+        return dirty, TopNMemo(tops=tops, ceilings=ceilings, shared=cells)
 
     def note_rescored(
         self, shared: TokenIndex, notes: Sequence[tuple[np.ndarray | slice, TopNMemo] | None]
@@ -638,14 +826,29 @@ class TokenOverlapBlocking(Blocking):
 
         Rows the notes do not cover keep their entry; rows new to the index
         and not covered get none (NaN), so they fall back to the plain rule.
+        The memo's shared-token cells, when it has them, are recomputed for
+        the covered rows.
         """
-        tops, ceilings = _memo_rows(shared.memo, len(shared.record_tokens), self.top_n)
+        tops, ceilings, cells = _memo_rows(shared.memo, len(shared.ids), self.top_n)
+        covered = np.zeros(len(shared.ids), dtype=bool)
         for note in notes:
             if note is not None:
                 rows, memo = note
                 tops[rows] = memo.tops
                 ceilings[rows] = memo.ceilings
-        return replace(shared, memo=TopNMemo(tops=tops, ceilings=ceilings))
+                covered[rows] = True
+        if cells is not None and covered.any():
+            starts, lengths, pool = cells
+            rows = np.flatnonzero(covered)
+            fresh_lengths, fresh = _cell_tokens(shared, rows, tops[rows], _carried(shared))
+            starts[rows] = len(pool) + _contiguous_cells(fresh_lengths, fresh)[0]
+            lengths[rows] = fresh_lengths
+            pool = np.concatenate([pool, fresh])
+            cells = (starts, lengths, pool)
+            if len(pool) > 2 * lengths.sum():
+                # Drop what the replaced cells left in the pool.
+                cells = _contiguous_cells(lengths, pool[_gather(starts.ravel(), lengths.ravel())])
+        return replace(shared, memo=TopNMemo(tops=tops, ceilings=ceilings, shared=cells))
 
     def saved_notes(self, shared: TokenIndex) -> tuple[slice, TopNMemo] | None:
         """The top-n memo, as a :meth:`rescore` note covering every row.
@@ -704,15 +907,12 @@ class TokenOverlapBlocking(Blocking):
     ) -> tuple[list[tuple[CandidatePair, ...]], tuple[np.ndarray, TopNMemo] | None]:
         if not records:
             return [], None
-        arrays = shared.arrays or _ScoringArrays.build(shared)
         record_ids = [record.record_id for record in records]
         owned: list[tuple[CandidatePair, ...]] = []
         pieces: list[tuple[np.ndarray, TopNMemo]] = []
-        for start, stop, rows, tokens, tokens_per_query in _query_chunks(
-            arrays, shared, record_ids
-        ):
+        for start, stop, rows, tokens, tokens_per_query in _query_chunks(shared, record_ids):
             chunk_owned, piece = self._score_chunk(
-                arrays, record_ids[start:stop], rows, tokens, tokens_per_query, memo
+                shared, record_ids[start:stop], rows, tokens, tokens_per_query, memo
             )
             owned.extend(chunk_owned)
             if piece is not None:
@@ -729,17 +929,17 @@ class TokenOverlapBlocking(Blocking):
 
     def _score_chunk(
         self,
-        arrays: _ScoringArrays,
+        index: TokenIndex,
         record_ids: list[str],
         rows: np.ndarray,
         tokens: np.ndarray,
-        tokens_per_query: list[int],
+        tokens_per_query: np.ndarray,
         memo: bool,
     ) -> tuple[list[tuple[CandidatePair, ...]], TopNMemo | None]:
         """Owned candidates of one chunk of queries, and their memo rows if
         ``memo``."""
-        scored = _pair_scores(arrays, rows, tokens, tokens_per_query, entries=memo)
-        order = np.lexsort((arrays.rank[scored[1]], -scored[2], scored[0]))
+        scored = _pair_scores(index, rows, tokens, tokens_per_query, entries=memo)
+        order = np.lexsort((index.rank[scored[1]], -scored[2], scored[0]))
         query, candidate, scores = scored[0][order], scored[1][order], scored[2][order]
         position = np.arange(len(query)) - np.searchsorted(query, query)
         top = position < self.top_n
@@ -747,8 +947,8 @@ class TokenOverlapBlocking(Blocking):
 
         # canonical_edge order: the candidate comes first iff its id sorts
         # before the query's.
-        candidate_first = arrays.rank[other] < arrays.rank[rows[owner]]
-        ids = arrays.ids
+        candidate_first = index.rank[other] < index.rank[rows[owner]]
+        ids = index.ids
         name = self.name
         pairs = [
             CandidatePair(ids[other_row], record_ids[owner_row], name)
@@ -775,7 +975,7 @@ class TokenOverlapBlocking(Blocking):
             inverse, entry_token = scored[3], scored[4]
             tied = order[below[~differs]]
             differs[~differs] = _sets_differ(
-                scored[0], inverse, entry_token, order[at_nth], tied, len(arrays.weights)
+                scored[0], inverse, entry_token, order[at_nth], tied, len(index.tokens)
             )
         ceilings = np.full(len(rows), -np.inf)
         kept = below[differs]

@@ -8,6 +8,7 @@ generation (or model predictions) can be cached on disk and shared.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 from repro.datagen.records import (
@@ -24,6 +25,14 @@ _RECORD_TYPES: dict[str, type[Record]] = {
     "product": ProductRecord,
 }
 _TYPE_NAMES = {cls: name for name, cls in _RECORD_TYPES.items()}
+#: Each record class's field names, computed once rather than per row.
+_FIELD_NAMES = {
+    cls: frozenset(spec.name for spec in fields(cls)) for cls in _RECORD_TYPES.values()
+}
+#: String fields that read an empty cell as ""; other fields read it as None.
+_REQUIRED_STRING_FIELDS = frozenset(
+    {"record_id", "source", "entity_id", "name", "title", "security_type"}
+)
 
 _TUPLE_FIELDS = {"security_isins"}
 _TUPLE_SEPARATOR = "|"
@@ -79,19 +88,15 @@ def read_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
 
 
 def _row_to_record(record_class: type[Record], row: dict[str, str]) -> Record:
-    import dataclasses
-
     kwargs: dict[str, object] = {}
-    field_names = {f.name for f in dataclasses.fields(record_class)}
+    field_names = _FIELD_NAMES[record_class]
     for column, raw in row.items():
         if column not in field_names:
             continue
         if column in _TUPLE_FIELDS:
             kwargs[column] = tuple(part for part in raw.split(_TUPLE_SEPARATOR) if part)
         elif raw == "":
-            # Required string fields keep "", optional fields become None.
-            kwargs[column] = "" if column in ("record_id", "source", "entity_id", "name",
-                                              "title", "security_type") else None
+            kwargs[column] = "" if column in _REQUIRED_STRING_FIELDS else None
         else:
             kwargs[column] = raw
     return record_class(**kwargs)  # type: ignore[arg-type]

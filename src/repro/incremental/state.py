@@ -45,11 +45,14 @@ by a save that crashed before its commit is not in the manifest, so
 loading ignores it and the next save overwrites it; a compaction's
 leftover directory is swept by the next save.
 
-Loading reads :data:`STATE_FORMAT_VERSION`, loads version 3 (the same base
-layout, always written whole) as a base with an empty journal, and
-converts version 2 once at load; the first save of either writes a
-version 4 base.  Any other version, a missing file or a payload that fails
-to unpickle raises :class:`MatchStateError` naming the path.  So does
+Loading reads :data:`STATE_FORMAT_VERSION`, reads version 4 (the same
+layout, with token overlap's index pickled as dictionaries) with its
+journal, loads version 3 (the same base layout, always written whole) as a
+base with an empty journal, and converts version 2 once at load; an older
+index becomes the array index as it unpickles, and the first save of any
+older state writes a version 5 base.  Any other version, a missing file or
+a payload that fails to unpickle raises :class:`MatchStateError` naming
+the path.  So does
 saving a loaded state whose memo does not give back the whole group lists
 it was loaded with (a state kept under a strategy without the marker)
 before an ingest has rebuilt the memo.
@@ -85,13 +88,25 @@ STATE_FORMAT = "repro-match-state"
 #: :class:`DecisionCache`; version 3 stores owned candidate lists as plain
 #: :data:`OwnedPair` tuples and drops the kept-edge set and union-find;
 #: version 4 adds the journal, and its base leaves out what loading derives
-#: from the clean-up memo.
-STATE_FORMAT_VERSION = 4
+#: from the clean-up memo; version 5 pickles token overlap's index as
+#: integer arrays instead of dictionaries.
+STATE_FORMAT_VERSION = 5
+#: The older version :meth:`MatchState.load` reads with its journal (the
+#: same layout; token overlap's dictionary indexes convert as they
+#: unpickle, as they do in every older version).
+_JOURNAL_FORMAT_VERSION = 4
 #: The older version :meth:`MatchState.load` reads as a base (the same
 #: layout, every result written whole, no journal).
 _BASE_FORMAT_VERSION = 3
 #: The older version :meth:`MatchState.load` converts.
 _CONVERTED_FORMAT_VERSION = 2
+#: Every version :meth:`MatchState.load` reads, newest first.
+_READ_FORMAT_VERSIONS = (
+    STATE_FORMAT_VERSION,
+    _JOURNAL_FORMAT_VERSION,
+    _BASE_FORMAT_VERSION,
+    _CONVERTED_FORMAT_VERSION,
+)
 
 #: One owned candidate pair as stored: ``(left_id, right_id, blocking)``,
 #: the fields of a :class:`~repro.blocking.base.CandidatePair`.
@@ -343,13 +358,13 @@ class MatchState:
         records.
 
         After loading a journal the indexes are the base's.  Each takes the
-        records the journal appended through ``delta_update`` (its dirty
-        set is dropped: those records were rescored before the save), or
-        ``prepare`` when the base held none, and then the notes of the
-        latest segment through ``note_rescored``.  By the ``delta_update``
-        and :meth:`~repro.blocking.base.Blocking.saved_notes` contracts
-        that gives back the index the saving process held, so the next
-        ingest rescores exactly what that process would.
+        records the journal appended through ``extend_index`` (no dirty set:
+        those records were rescored before the save), or ``prepare`` when
+        the base held none, and then the notes of the latest segment through
+        ``note_rescored``.  By the ``delta_update`` and
+        :meth:`~repro.blocking.base.Blocking.saved_notes` contracts that
+        gives back the index the saving process held, so the next ingest
+        rescores exactly what that process would.
         """
         if self.indexed_records >= num_records:
             return
@@ -359,7 +374,7 @@ class MatchState:
             part.note_rescored(
                 part.prepare(dataset)
                 if shared is None
-                else part.delta_update(shared, dataset, appended).shared,
+                else part.extend_index(shared, dataset, appended),
                 [notes],
             )
             for part, shared, notes in zip(self.parts(), self.part_states, self.part_notes)
@@ -680,7 +695,7 @@ class MatchState:
 
         journal = state.journal
         state.indexed_records = len(state.records)
-        if version == STATE_FORMAT_VERSION:
+        if version in (STATE_FORMAT_VERSION, _JOURNAL_FORMAT_VERSION):
             entries = manifest.get("segments", [])
             record_of = (
                 {record.record_id: record for record in state.records} if entries else {}
@@ -689,9 +704,10 @@ class MatchState:
                 state._apply_segment(
                     _read_payload(state_dir, payload_dir / entry["file"]), record_of
                 )
-                journal.segments.append(entry["bytes"])
-            # Only a version 4 base takes segments: an older state's first
-            # save writes a base.
+        if version == STATE_FORMAT_VERSION:
+            # Only a current base takes more segments: an older state's
+            # first save writes a base.
+            journal.segments = [entry["bytes"] for entry in entries]
             journal.state_dir = state_dir.resolve()
             journal.base_bytes = manifest.get("base_bytes", 0)
         # Results exist from the first ingest on; a payload that left the
@@ -829,13 +845,10 @@ def read_manifest(state_dir: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("format_version")
-    if version not in (
-        STATE_FORMAT_VERSION, _BASE_FORMAT_VERSION, _CONVERTED_FORMAT_VERSION
-    ):
+    if version not in _READ_FORMAT_VERSIONS:
+        *newer, oldest = _READ_FORMAT_VERSIONS
         raise MatchStateError(
             f"match state at {state_dir} has format version {version!r}; "
-            f"this build reads versions {STATE_FORMAT_VERSION} and "
-            f"{_BASE_FORMAT_VERSION} and converts version "
-            f"{_CONVERTED_FORMAT_VERSION}"
+            f"this build reads versions {', '.join(map(str, newer))} and {oldest}"
         )
     return manifest

@@ -2,9 +2,11 @@
 
 ``reference_candidates_for`` is that loop, kept verbatim as the oracle: one
 ``scores[other_id] += weight`` dictionary walk over every posting of every
-token of every record.  The array scorer must reproduce it pair for pair,
-order for order and tag for tag, both per record (``owned_candidates``) and
-flattened (``candidates_for``) — at any chunking.
+token of every record, in the dictionary index the arrays replaced
+(:func:`~tests.blocking.reference.dict_index`).  The array scorer must
+reproduce it pair for pair, order for order and tag for tag, both per
+record (``owned_candidates``) and flattened (``candidates_for``) — at any
+chunking.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from hypothesis import strategies as st
 
 from repro.blocking import IdOverlapBlocking, IssuerMatchBlocking, TokenOverlapBlocking
 from repro.blocking import token_overlap
-from repro.blocking.token_overlap import _chunk_bounds, _pair_scores, _ScoringArrays
+from repro.blocking.token_overlap import _chunk_bounds, _pair_scores
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.records import CompanyRecord, Dataset
 from repro.specs import PipelineSpec
+from tests.blocking.reference import dict_index
 
 
 def reference_candidates_for(blocking, shared, records):
@@ -54,9 +57,10 @@ def reference_candidates_for(blocking, shared, records):
 
 def assert_matches_oracle(blocking, dataset):
     shared = blocking.prepare(dataset)
+    reference = dict_index(blocking, dataset)
     records = dataset.records
     expected = [
-        tuple(reference_candidates_for(blocking, shared, [record]))
+        tuple(reference_candidates_for(blocking, reference, [record]))
         for record in records
     ]
     assert blocking.owned_candidates(shared, records) == expected
@@ -90,7 +94,7 @@ def test_generated_corpus_chunked_calls_concatenate():
     blocking = TokenOverlapBlocking(top_n=3)
     shared = blocking.prepare(companies)
     records = companies.records
-    expected = reference_candidates_for(blocking, shared, records)
+    expected = reference_candidates_for(blocking, dict_index(blocking, companies), records)
     for size in (1, 7, 64):
         chunked = []
         for start in range(0, len(records), size):
@@ -200,24 +204,24 @@ class TestEdgeCases:
         dataset = Dataset("long-overlap", records)
         blocking = TokenOverlapBlocking(top_n=3, max_token_frequency=1.0)
         shared = blocking.prepare(dataset)
+        reference = dict_index(blocking, dataset)
         weights = [
-            1.0 + math.log(shared.num_tokenised / shared.document_frequency[token])
-            for token in shared.record_tokens["q"]
+            1.0 + math.log(reference.num_tokenised / reference.document_frequency[token])
+            for token in reference.record_tokens["q"]
         ]
         running = 0.0
         for weight in weights:
             running += weight
         assert running != float(np.sum(np.array(weights)))  # the order matters here
 
-        arrays = _ScoringArrays.build(shared)
-        query_tokens = [arrays.token_of[token] for token in shared.record_tokens["q"]]
+        query_tokens = [shared.token_of[token] for token in reference.record_tokens["q"]]
         query, candidate, scores = _pair_scores(
-            arrays,
-            np.array([arrays.row_of["q"]]),
+            shared,
+            np.array([shared.row_of["q"]]),
             np.array(query_tokens),
-            [len(query_tokens)],
+            np.array([len(query_tokens)]),
         )
-        (match,) = np.flatnonzero(candidate == arrays.row_of["a"])
+        (match,) = np.flatnonzero(candidate == shared.row_of["a"])
         assert scores[match] == running
         assert_matches_oracle(blocking, dataset)
 
@@ -233,13 +237,14 @@ class TestEdgeCases:
         dataset = Dataset("weights", records)
         blocking = TokenOverlapBlocking(max_token_frequency=1.0)
         shared = blocking.prepare(dataset)
-        assert (shared.num_tokenised, shared.document_frequency["common"]) == (21, 20)
-        arrays = _ScoringArrays.build(shared)
+        reference = dict_index(blocking, dataset)
+        assert (reference.num_tokenised, reference.document_frequency["common"]) == (21, 20)
+        assert (shared.num_tokenised, shared.frequency[shared.token_of["common"]]) == (21, 20)
         expected = [
-            1.0 + math.log(shared.num_tokenised / shared.document_frequency[token])
-            for token in shared.token_index
+            1.0 + math.log(reference.num_tokenised / reference.document_frequency[token])
+            for token in shared.tokens
         ]
-        assert arrays.weights.tolist() == expected
+        assert shared.weights.tolist() == expected
         assert_matches_oracle(blocking, dataset)
 
 
@@ -265,9 +270,9 @@ class TestChunkBounds:
         records += [company("tail", "S1", "Acme")]
         dataset = Dataset("chunks", records)
         blocking = TokenOverlapBlocking(top_n=2, max_token_frequency=1.0)
-        shared = blocking.prepare(dataset)
-        big = shared.record_tokens["big"]
-        assert sum(len(shared.token_index[token]) for token in big) > 8
+        reference = dict_index(blocking, dataset)
+        big = reference.record_tokens["big"]
+        assert sum(len(reference.token_index[token]) for token in big) > 8
         assert_matches_oracle(blocking, dataset)
 
 

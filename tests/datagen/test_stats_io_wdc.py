@@ -11,7 +11,7 @@ from repro.datagen import (
 )
 from repro.datagen.config import GenerationConfig
 from repro.datagen.io import read_dataset_csv, write_dataset_csv
-from repro.datagen.records import Dataset
+from repro.datagen.records import CompanyRecord, Dataset, ProductRecord, SecurityRecord
 from repro.datagen.wdc import WdcConfig, WdcProductsGenerator
 
 
@@ -65,6 +65,41 @@ class TestCsvRoundTrip:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_dataset_csv(Dataset("empty", []), tmp_path / "empty.csv")
+
+    def test_every_record_family_round_trips_exactly(self, tmp_path):
+        # Optional fields left None read back as None, string fields left
+        # empty read back as "", and an empty tuple field reads back empty;
+        # in one file or in a mixed one.
+        families = [
+            [
+                CompanyRecord("c1", "S0", "E1", name="Acme Inc", city="Zurich",
+                              security_isins=("CH0001", "CH0002")),
+                CompanyRecord("c2", "S1", "E1"),
+            ],
+            [
+                SecurityRecord("s1", "S0", "E2", name="Acme share", issuer_name="Acme Inc",
+                               issuer_record_id="c1", isin="CH0001", ticker="ACM"),
+                SecurityRecord("s2", "S1", "E2", security_type=""),
+            ],
+            [
+                ProductRecord("p1", "S0", "E3", title="Phone X", brand="Nova", price="9.99"),
+                ProductRecord("p2", "S2", "E3"),
+            ],
+        ]
+        for index, records in enumerate(families):
+            path = write_dataset_csv(Dataset("family", records), tmp_path / f"f{index}.csv")
+            assert read_dataset_csv(path).records == records
+        mixed = [record for records in families for record in records]
+        path = write_dataset_csv(Dataset("mixed", mixed), tmp_path / "mixed.csv")
+        assert read_dataset_csv(path).records == mixed
+
+    def test_an_unknown_record_type_is_a_named_error(self, tmp_path):
+        path = write_dataset_csv(
+            Dataset("one", [CompanyRecord("c1", "S0", "E1", name="Acme")]), tmp_path / "one.csv"
+        )
+        path.write_text(path.read_text().replace("company,", "vendor,", 1))
+        with pytest.raises(ValueError, match=r"unknown record_type 'vendor' in .*one\.csv"):
+            read_dataset_csv(path)
 
 
 class TestWdcGenerator:

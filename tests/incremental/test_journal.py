@@ -1,4 +1,4 @@
-"""State format v4: a base plus a journal of per-save segments.
+"""State format v5 (v4's layout): a base plus a journal of per-save segments.
 
 A save appends what changed since the previous save as a segment, or
 writes a new base when the journal would outgrow the base or the target is
@@ -208,7 +208,7 @@ class TestJournalLayout:
     def test_the_manifest_lists_the_base_and_the_committed_segments(self, journaled):
         _, state_dir = journaled
         manifest = read_manifest(state_dir)
-        assert manifest["format_version"] == 4
+        assert manifest["format_version"] == 5
         assert manifest["payload_dir"] == "rev1"
         files = [entry["file"] for entry in manifest["segments"]]
         assert files == ["segment-000001.pkl", "segment-000002.pkl"]
@@ -222,7 +222,7 @@ class TestJournalLayout:
         _, state_dir = journaled
         payload = pickle.loads((state_dir / "rev1" / "blocking_state.pkl").read_bytes())
         assert set(payload) == {"part_states", "owned_pairs"}
-        assert len(payload["part_states"][1].record_tokens) == 100
+        assert len(payload["part_states"][1].ids) == 100
         segment = pickle.loads((state_dir / "rev1" / "segment-000002.pkl").read_bytes())
         id_notes, token_notes = segment["part_notes"]
         assert id_notes is None
@@ -257,8 +257,22 @@ class TestJournalLayout:
         matcher, state_dir = journaled
         loaded = IncrementalMatcher.load(state_dir)
         assert loaded.state.indexed_records == 100
-        assert len(loaded.state.part_states[1].record_tokens) == 100
+        assert len(loaded.state.part_states[1].ids) == 100
         assert loaded.ingest([]).records_rescored == 0
+        assert_rebuilt_indexes(loaded, matcher)
+
+    def test_the_catch_up_evaluates_no_dirty_rule(self, journaled, monkeypatch):
+        # The journal's records were rescored before the save and the notes
+        # replace the memo, so bringing the index forward only appends.
+        matcher, state_dir = journaled
+        loaded = IncrementalMatcher.load(state_dir)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the catch-up evaluated a dirty rule")
+
+        monkeypatch.setattr(TokenOverlapBlocking, "delta_update", refuse)
+        monkeypatch.setattr(TokenOverlapBlocking, "_dirty_rows", refuse)
+        loaded.state.catch_up_indexes(len(loaded.state.records))
         assert_rebuilt_indexes(loaded, matcher)
 
     def test_a_journal_outgrowing_the_base_compacts(self, golden_setup, journaled):

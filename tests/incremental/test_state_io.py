@@ -10,6 +10,7 @@ import pickle
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from repro.incremental import (
@@ -23,7 +24,7 @@ from repro.incremental.state import MANIFEST_FILE
 from repro.matching import logistic
 from repro.matching.profiles import ProfileStore
 from repro.runtime import PipelineRuntime, RuntimeConfig
-from tests.incremental.legacy_state import save_v3
+from tests.incremental.legacy_state import downgrade_to_v4, save_v3
 
 
 def corrupt_payload(path, keep: float) -> None:
@@ -252,7 +253,7 @@ class TestCrashResilience:
 class TestFormatMigration:
     def test_v1_manifest_is_refused_by_version(self, saved_state):
         # Format v1 stored the decisions as a dict of decision objects; this
-        # build reads versions 4 and 3 and converts version 2 only.
+        # build reads versions 5 to 2 only.
         _, state_dir = saved_state
         manifest_path = state_dir / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
@@ -260,10 +261,7 @@ class TestFormatMigration:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(
             MatchStateError,
-            match=(
-                "format version 1; this build reads versions 4 and 3 and "
-                "converts version 2"
-            ),
+            match="format version 1; this build reads versions 5, 4, 3 and 2",
         ):
             IncrementalMatcher.load(state_dir)
 
@@ -300,6 +298,43 @@ class TestFormatMigration:
         assert manifest["format_version"] == STATE_FORMAT_VERSION
         assert manifest["payload_dir"] == "rev2" and manifest["segments"] == []
         assert [p.name for p in state_dir.glob("rev*")] == ["rev2"]
+        reopened = IncrementalMatcher.load(state_dir)
+        ingest_checked(reopened, records[120:])
+        assert_equals_batch(reopened, batch_result)
+
+    def test_a_v4_journal_converts_at_load_and_ingests_identically(
+        self, golden_setup, pipeline_factory, batch_result, tmp_path
+    ):
+        # Format v4 had v5's layout, base and journal, but pickled the
+        # token-overlap index as dictionaries.  Its base's index converts
+        # to arrays as it loads, the journal's records and notes follow at
+        # the first ingest, and the first save writes a v5 base.
+        from tests.incremental.oracle import ingest_checked
+        from tests.incremental.test_batch_equivalence import assert_equals_batch
+
+        records = golden_setup[0].records
+        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
+        state_dir = tmp_path / "state"
+        matcher.ingest(records[:90])
+        matcher.save(state_dir)
+        base_states = list(matcher.state.part_states)
+        for start in (90, 100):
+            matcher.ingest(records[start:start + 10])
+            matcher.save(state_dir)
+        assert len(read_manifest(state_dir)["segments"]) == 2
+        downgrade_to_v4(state_dir)
+
+        reloaded = IncrementalMatcher.load(state_dir)
+        assert reloaded.state.part_states == base_states
+        assert reloaded.state.indexed_records == 90
+        assert reloaded.state.journal.state_dir is None
+        first = ingest_checked(reloaded, records[110:120])
+        # The same rescoring as in the process that saved the state.
+        assert first.records_rescored == matcher.ingest(records[110:120]).records_rescored
+        reloaded.save(state_dir)
+        manifest = read_manifest(state_dir)
+        assert manifest["format_version"] == STATE_FORMAT_VERSION
+        assert manifest["segments"] == []
         reopened = IncrementalMatcher.load(state_dir)
         ingest_checked(reopened, records[120:])
         assert_equals_batch(reopened, batch_result)
@@ -461,16 +496,12 @@ class TestFormatMigration:
         records = companies.records
         matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
         matcher.ingest(records[:90])
-        state_dir = matcher.save(tmp_path / "state")
-        path = state_dir / read_manifest(state_dir)["payload_dir"] / "blocking_state.pkl"
-        payload = pickle.loads(path.read_bytes())
-        token_index = payload["part_states"][1]
-        del token_index.__dict__["memo"]
-        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        state_dir = save_v3(matcher.state, tmp_path / "state", with_memo=False)
 
         reloaded = IncrementalMatcher.load(state_dir)
         assert reloaded.state.part_states[1].memo is None
-        tokenised = sum(1 for tokens in token_index.record_tokens.values() if tokens)
+        assert reloaded.state.part_states == matcher.state.part_states
+        tokenised = int(np.count_nonzero(np.diff(reloaded.state.part_states[1].token_offsets)))
         first = reloaded.ingest(records[90:95])
         assert first.records_rescored >= tokenised + 5
         second = reloaded.ingest(records[95:100])

@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocking import TokenOverlapBlocking
+from repro.blocking.token_overlap import _carried, _cell_tokens, _contiguous_cells
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.records import CompanyRecord, Dataset
+from tests.blocking.reference import DictFormIndex, dict_index
 
 
 def company(record_id, source, name):
@@ -34,7 +36,9 @@ def oracle_dirty(blocking, shared, new_records):
     if not any(blocking._tokens(record) for record in new_records):
         return frozenset()
     return frozenset(
-        record_id for record_id, tokens in shared.record_tokens.items() if tokens
+        record_id
+        for record_id, num_tokens in zip(shared.ids, np.diff(shared.token_offsets))
+        if num_tokens
     )
 
 
@@ -139,10 +143,69 @@ def test_every_batch_equals_full_rescoring(stream, top_n, max_token_frequency, s
         assert_equals_full_rescoring(blocking, dataset, shared, owned)
         if old_shared is not None:
             new_ids = {record.record_id for record in dataset.records} - set(
-                old_shared.record_tokens
+                old_shared.ids
             )
             batch = [record for record in dataset.records if record.record_id in new_ids]
             assert dirty <= oracle_dirty(blocking, old_shared, batch)
+
+
+def cell_lists(cells):
+    """Each memo cell's shared tokens, as lists."""
+    starts, lengths, pool = cells
+    return [pool[start:start + length].tolist() for start, length in zip(
+        starts.ravel().tolist(), lengths.ravel().tolist()
+    )]
+
+
+def assert_cells_are_fresh(shared):
+    """The memo's kept cells equal cells computed afresh from the index."""
+    fresh = _contiguous_cells(*_cell_tokens(
+        shared, np.arange(len(shared.ids)), shared.memo.tops, _carried(shared)
+    ))
+    assert cell_lists(shared.memo.shared) == cell_lists(fresh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=streams(),
+    top_n=st.integers(min_value=1, max_value=5),
+    max_token_frequency=st.sampled_from((0.2, 0.3, 0.45, 1.0)),
+    spans=st.sampled_from((1, 3)),
+)
+def test_the_memo_cells_carried_between_batches_are_recomputed_ones(
+    stream, top_n, max_token_frequency, spans
+):
+    # The memo keeps each top candidate's shared tokens from batch to batch;
+    # a pickle drops them and the next batch recomputes them.  Both must
+    # give the same dirty sets and memos, and the kept cells must equal
+    # cells computed afresh.
+    batches, _ = stream
+    blocking = TokenOverlapBlocking(top_n=top_n, max_token_frequency=max_token_frequency)
+    kept = ingest_stream(blocking, batches, spans=spans)
+    dropped = ingest_stream(blocking, batches, reload_after=range(len(batches)), spans=spans)
+    for (_, ours, _, our_dirty, _), (_, theirs, _, their_dirty, _) in zip(kept, dropped):
+        assert our_dirty == their_dirty
+        assert np.array_equal(ours.memo.tops, theirs.memo.tops)
+        assert np.array_equal(ours.memo.ceilings, theirs.memo.ceilings, equal_nan=True)
+        if ours.memo.shared is not None:
+            assert_cells_are_fresh(ours)
+
+
+def test_the_memo_cells_stay_exact_through_pool_compaction():
+    # One record per batch into a small corpus: each batch appends the
+    # rescored rows' cells to the pool, which compacts now and then.
+    records = generate_benchmark(
+        GenerationConfig(num_entities=20, num_sources=4, seed=13)
+    ).companies.records
+    batches = [records[:10]] + [[record] for record in records[10:]]
+    blocking = TokenOverlapBlocking(top_n=3)
+    pools = []
+    for dataset, shared, owned, _, _ in ingest_stream(blocking, batches):
+        assert_equals_full_rescoring(blocking, dataset, shared, owned)
+        if shared.memo.shared is not None:
+            assert_cells_are_fresh(shared)
+            pools.append(len(shared.memo.shared[2]))
+    assert any(later < earlier for earlier, later in zip(pools, pools[1:]))
 
 
 def flip_without_a_candidate_case():
@@ -177,7 +240,7 @@ def test_owned_pair_flips_in_a_batch_that_brings_no_candidate():
         dirty_sets.append(dirty)
         if len(dirty_sets) == 2:
             # x scored r below a, so it raised r's ceiling instead.
-            row = list(shared.record_tokens).index("r")
+            row = shared.row_of["r"]
             assert np.isfinite(shared.memo.ceilings[row])
     assert owned_by_r == [[("a", "r")], [("a", "r")], [("r", "x")]]
     assert "r" not in dirty_sets[1]
@@ -196,13 +259,11 @@ class TestMemoFallback:
         )
 
     def test_an_index_pickled_before_the_memo_existed_loads_without_one(self):
+        # Such an index was pickled as dictionaries, without a memo key.
         blocking = TokenOverlapBlocking(top_n=1, max_token_frequency=1.0)
-        shared = blocking.prepare(Dataset("prefix", flip_without_a_candidate_case()[0]))
-        state = dict(shared.__dict__)
-        del state["memo"]
-        old = object.__new__(type(shared))
-        old.__dict__.update(state)
-        loaded = pickle.loads(pickle.dumps(old))
+        prefix = Dataset("prefix", flip_without_a_candidate_case()[0])
+        shared = blocking.prepare(prefix)
+        loaded = pickle.loads(pickle.dumps(DictFormIndex(dict_index(blocking, prefix))))
         assert loaded.memo is None
         assert loaded == shared
 
