@@ -286,11 +286,16 @@ def _run_spec(spec: ExperimentSpec, dataset_path: Path,
               groups_out: Path | None = None) -> int:
     """Shared execution path of ``match`` and ``run``."""
     from repro.api import run_experiment
+    from repro.matching.training import TrainingDataError
 
     dataset = _require_dataset(dataset_path)
     if dataset is None:
         return 2
-    result = run_experiment(spec, dataset=dataset)
+    try:
+        result = run_experiment(spec, dataset=dataset)
+    except TrainingDataError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(format_table([result.as_row()], title="Entity group matching result"))
     if groups_out is not None:
         written = write_groups_json(result.pipeline_result.groups, groups_out)

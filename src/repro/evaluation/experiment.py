@@ -21,6 +21,7 @@ plug in without touching this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.blocking.base import Blocking
 from repro.core.cleanup import CleanupConfig
@@ -37,7 +38,8 @@ from repro.evaluation.splits import DatasetSplits, split_dataset
 from repro.matching.base import PairwiseMatcher
 from repro.matching.models import ModelSpec, resolve_model_spec
 from repro.matching.training import FineTuner, FineTuneResult
-from repro.runtime import RuntimeConfig
+from repro.obs import NULL_RECORDER
+from repro.runtime import PipelineRuntime, RuntimeConfig
 from repro.specs.pipeline import (
     BLOCKING_RECIPES,
     CleanupSpec,
@@ -206,17 +208,28 @@ class EntityGroupMatchingExperiment:
         The store fine-tuning profiled the dataset into rides into the
         pipeline run, so the matching stage scores against it instead of
         profiling the records again.
+
+        The run's runtime exists before fine-tuning, so a traced run records
+        the whole experiment in one ``experiment`` run span: the
+        ``finetune`` stage with its phases, ``pipeline.run`` with its
+        stages, then ``scoring``.
         """
         spec = resolve_model_spec(model or self.config.model)
-        fine_tuned = self._fine_tune(spec)
-        pipeline = self._pipeline_around(fine_tuned.matcher)
+        runtime = PipelineRuntime(self.config.runtime)
+        recorder = runtime.recorder
         try:
-            result = pipeline.run(self.dataset, profiles=fine_tuned.profiles)
+            with recorder.span(
+                "experiment", kind="run", dataset=self.dataset.name, records=len(self.dataset)
+            ):
+                fine_tuned = self._fine_tune(spec, recorder)
+                pipeline = self._pipeline_around(fine_tuned.matcher, runtime)
+                result = pipeline.run(self.dataset, profiles=fine_tuned.profiles)
+                with recorder.span("scoring", kind="stage"):
+                    return self._score(spec, pipeline.cleanup_config, result)
         finally:
-            # The pipeline (and its warm worker pool) lives for this one
-            # run; closing is lazy-respawn-safe even for shared runtimes.
-            pipeline.close()
-        return self._score(spec, pipeline.cleanup_config, result)
+            # The runtime (and its warm worker pool) lives for this one run;
+            # closing it also finishes the trace.
+            runtime.close()
 
     def build_pipeline(
         self, model: str | ModelSpec | None = None
@@ -234,7 +247,7 @@ class EntityGroupMatchingExperiment:
         spec = resolve_model_spec(model or self.config.model)
         return self._pipeline_around(self._fine_tune(spec).matcher)
 
-    def _fine_tune(self, spec: ModelSpec) -> FineTuneResult:
+    def _fine_tune(self, spec: ModelSpec, recorder: Any = NULL_RECORDER) -> FineTuneResult:
         tuner = FineTuner(
             negative_ratio=self.config.negative_ratio,
             num_epochs=self.config.num_epochs,
@@ -245,15 +258,20 @@ class EntityGroupMatchingExperiment:
             self.dataset,
             train_entities=self.splits.train_entities,
             validation_entities=self.splits.validation_entities,
+            recorder=recorder,
         )
 
-    def _pipeline_around(self, matcher: PairwiseMatcher) -> EntityGroupMatchingPipeline:
+    def _pipeline_around(
+        self,
+        matcher: PairwiseMatcher,
+        runtime: PipelineRuntime | RuntimeConfig | None = None,
+    ) -> EntityGroupMatchingPipeline:
         return EntityGroupMatchingPipeline(
             matcher=matcher,
             blocking=self.build_blocking(),
             cleanup_config=self.build_cleanup_config(),
             pre_cleanup_config=self.build_pre_cleanup_config(),
-            runtime=self.config.runtime,
+            runtime=self.config.runtime if runtime is None else runtime,
             cleanup_strategy=self.config.cleanup_strategy,
         )
 

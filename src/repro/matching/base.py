@@ -24,6 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.datagen.records import Record
+from repro.obs import NULL_RECORDER
 
 
 @dataclass(frozen=True)
@@ -171,24 +172,27 @@ class TrainablePairwiseMatcher(PairwiseMatcher):
         labels: Sequence[int],
         validation_id_pairs: Sequence[IdPair] | None = None,
         validation_labels: Sequence[int] | None = None,
+        *,
+        recorder: Any = NULL_RECORDER,
     ) -> "TrainablePairwiseMatcher":
         """Train on labelled id pairs against :meth:`prepare_profiles` state.
 
         Must fit exactly what :meth:`fit` fits on the corresponding record
         pairs.  The default resolves the ids through the id → record
         mapping the base :meth:`prepare_profiles` returns and calls
-        :meth:`fit`; a matcher that overrides :meth:`prepare_profiles`
-        overrides this too.
+        :meth:`fit`, inside one ``optimisation`` span of ``recorder``; a
+        matcher that overrides :meth:`prepare_profiles` overrides this too.
         """
 
         def resolve(pairs: Sequence[IdPair]) -> list[RecordPair]:
             return [(profiles[left_id], profiles[right_id]) for left_id, right_id in pairs]
 
-        return self.fit(
-            resolve(id_pairs),
-            labels,
-            validation_pairs=(
-                None if validation_id_pairs is None else resolve(validation_id_pairs)
-            ),
-            validation_labels=validation_labels,
-        )
+        with recorder.span("optimisation"):
+            return self.fit(
+                resolve(id_pairs),
+                labels,
+                validation_pairs=(
+                    None if validation_id_pairs is None else resolve(validation_id_pairs)
+                ),
+                validation_labels=validation_labels,
+            )

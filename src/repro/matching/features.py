@@ -57,17 +57,39 @@ from repro.text.batch_similarity import (
 _COMPANY_CODE = KIND_NAMES.index(KIND_COMPANY)
 _SECURITY_CODE = KIND_NAMES.index(KIND_SECURITY)
 
-#: Pairs per slice in :meth:`PairFeatureExtractor.extract_sliced`.  The
-#: batch similarity kernels' temporaries grow with the slice: padded
-#: codepoint matrices and DP rows with pairs × string width, and the
-#: bit-parallel equality tables with distinct patterns × alphabet × width.
-#: One call over a 5k-pair training set peaks at ~29 MB of traced memory and
-#: lifted the ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB
-#: (2-core VM).  Fitting's extraction of a ~1k-record corpus's ~5k training
-#: and ~1.7k validation pairs, in 512-pair slices in name-length order,
-#: peaks at 3.3–3.5 MB.
+#: Pair-characters per slice in :meth:`PairFeatureExtractor.extract_sliced`:
+#: a slice takes pairs in order of the longer of their two names while its
+#: pair count times its longest name stays within this budget (a pair longer
+#: than the budget makes a slice of its own).  The batch similarity
+#: kernels' temporaries grow with the slice: padded codepoint matrices and
+#: DP rows with pairs × string width, and the bit-parallel equality tables
+#: with distinct patterns × alphabet × width.  One call over a 5k-pair
+#: training set peaks at ~29 MB of traced memory and lifted the
+#: ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB (2-core
+#: VM).  Each slice also pays fixed costs per DP step, so slices of short
+#: names hold more pairs: on ~1k-record corpora this budget cuts a 5k-pair
+#: training set into 6 slices instead of the 10 of 512 pairs each, ~13%
+#: faster on the same VM, with the traced peak going from 3.2 to 3.8 MB.
 #: Every feature is row-local, so slicing cannot change a value.
-EXTRACT_BATCH_SLICE = 512
+EXTRACT_SLICE_CELLS = 20_480
+
+
+def slice_bounds(widths: np.ndarray, cells: int = EXTRACT_SLICE_CELLS) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each slice over pair widths sorted ascending.
+
+    Each slice is the longest run whose length times its widest pair
+    (counted as at least 1) stays within ``cells``, and holds one pair at
+    least.
+    """
+    sized = np.maximum(widths, 1)
+    bounds: list[tuple[int, int]] = []
+    start = 0
+    while start < len(sized):
+        stops = np.arange(start + 1, min(len(sized), start + cells) + 1)
+        fitting = int(np.count_nonzero((stops - start) * sized[stops - 1] <= cells))
+        bounds.append((start, start + max(fitting, 1)))
+        start = bounds[-1][1]
+    return bounds
 
 
 # -- columnar building blocks -------------------------------------------------
@@ -112,70 +134,37 @@ def _pack_pairs(
     )
 
 
-def _pad_concat(first: np.ndarray, second: np.ndarray, fill: int) -> np.ndarray:
-    """Stack two packed codepoint matrices, padding the narrower with ``fill``."""
-    width = max(first.shape[1], second.shape[1])
-
-    def widen(codes: np.ndarray) -> np.ndarray:
-        if codes.shape[1] == width:
-            return codes
-        out = np.full((codes.shape[0], width), fill, dtype=np.int32)
-        out[:, : codes.shape[1]] = codes
-        return out
-
-    return np.concatenate((widen(first), widen(second)))
-
-
-def _concat_packed(first, second):
-    """Concatenate two ``_pack_pairs`` results into one batch.
-
-    Extra padding columns cannot change any kernel value: the distinct
-    left/right pad codes never compare equal and every kernel is bounded by
-    the per-row lengths, which are carried through unchanged.
-    """
-    return (
-        _pad_concat(first[0], second[0], PAD_LEFT),
-        np.concatenate((first[1], second[1])),
-        _pad_concat(first[2], second[2], PAD_RIGHT),
-        np.concatenate((first[3], second[3])),
-        np.concatenate((first[4], second[4])),
-        np.concatenate((first[5], second[5])),
-        np.concatenate((first[6], second[6])),
-    )
-
-
 def gather_pair_similarities(
     store: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair (name jw, name lev, name lcs, stripped jw) in one sweep.
 
-    The name and stripped-name Jaro–Winkler kernel invocations are fused
-    into one packed batch over both sets of unique pairs — per-DP-step fixed
-    costs are paid once instead of twice on the extraction hot path.
+    The name and the stripped-name pairs are deduplicated together: a name
+    without corporate terms is its own stripped name, so the two often
+    share an interned id pair.  One Jaro–Winkler call scores every distinct
+    pair of either kind; Levenshtein and longest common substring score the
+    distinct name pairs among them.
     """
-    name_left, name_right, name_inverse = _unique_id_pairs(
-        store.name_ids[left_rows], store.name_ids[right_rows]
+    count = len(left_rows)
+    unique_left, unique_right, inverse = _unique_id_pairs(
+        np.concatenate((store.name_ids[left_rows], store.stripped_ids[left_rows])),
+        np.concatenate((store.name_ids[right_rows], store.stripped_ids[right_rows])),
     )
-    stripped_left, stripped_right, stripped_inverse = _unique_id_pairs(
-        store.stripped_ids[left_rows], store.stripped_ids[right_rows]
-    )
-    name_packed = _pack_pairs(store.codepoints, name_left, name_right)
-    merged = _concat_packed(
-        name_packed, _pack_pairs(store.codepoints, stripped_left, stripped_right)
-    )
+    packed = _pack_pairs(store.codepoints, unique_left, unique_right)
     jaro_winkler = jaro_winkler_similarity_packed(
-        *merged[:5], a_ids=merged[5], b_ids=merged[6]
+        *packed[:5], a_ids=packed[5], b_ids=packed[6]
     )
+    names, name_inverse = np.unique(inverse[:count], return_inverse=True)
+    name_packed = tuple(column[names] for column in packed)
     levenshtein = levenshtein_similarity_packed(
         *name_packed[:5], a_ids=name_packed[5], b_ids=name_packed[6]
     )
     lcs = longest_common_substring_similarity_packed(*name_packed[:5])
-    name_count = len(name_left)
     return (
-        jaro_winkler[:name_count][name_inverse],
+        jaro_winkler[inverse[:count]],
         levenshtein[name_inverse],
         lcs[name_inverse],
-        jaro_winkler[name_count:][stripped_inverse],
+        jaro_winkler[inverse[count:]],
     )
 
 
@@ -287,7 +276,7 @@ class PairFeatureExtractor:
 
         The one slicing loop, shared by :meth:`extract_batch` and fitting on
         a prepared store.  Pairs are taken in order of the longer of their
-        two names (a stable sort), :data:`EXTRACT_BATCH_SLICE` at a time,
+        two names (a stable sort), in the slices :func:`slice_bounds` cuts,
         so a slice of short names stops its DP loops at its own longest
         name rather than the batch's; each slice's rows are written back
         to their pairs' positions.  Every feature is row-local, so the
@@ -296,13 +285,11 @@ class PairFeatureExtractor:
         """
         left_rows, right_rows = profiles.row_indices(id_pairs)
         name_lengths = profiles.codepoints.lengths(profiles.name_ids)
-        order = np.argsort(
-            np.maximum(name_lengths[left_rows], name_lengths[right_rows]),
-            kind="stable",
-        )
+        widths = np.maximum(name_lengths[left_rows], name_lengths[right_rows])
+        order = np.argsort(widths, kind="stable")
         matrix = np.empty((len(order), self.num_features), dtype=np.float64)
-        for start in range(0, len(order), EXTRACT_BATCH_SLICE):
-            positions = order[start : start + EXTRACT_BATCH_SLICE]
+        for start, stop in slice_bounds(widths[order]):
+            positions = order[start:stop]
             matrix[positions] = self._extract_rows(
                 profiles, left_rows[positions], right_rows[positions]
             )

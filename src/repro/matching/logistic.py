@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -23,18 +24,22 @@ from repro.datagen.records import Record
 from repro.matching.base import IdPair, RecordPair, TrainablePairwiseMatcher
 from repro.matching.features import PairFeatureExtractor
 from repro.matching.profiles import ProfileStore
+from repro.obs import NULL_RECORDER
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 
-    ``exp`` only ever sees ``-|z|``, so it cannot overflow; each branch is
-    the quotient the sign of ``z`` makes stable.  ``minimum(z, -z)`` rather
-    than ``-abs(z)``: it is the same number, but it keeps a NaN's sign bit,
-    so the result is bitwise the masked two-branch form's on every input.
+    ``exp`` only ever sees ``-|z|``, so it cannot overflow.  The stable
+    quotient is ``1 / (1 + e)`` where ``z >= 0`` and ``e / (1 + e)``
+    elsewhere; ``e`` lies in [0, 1], so ``maximum(e, z >= 0)`` picks that
+    numerator and one correctly rounded division gives both branches.
+    ``minimum(z, -z)`` rather than ``-abs(z)``: it is the same number, but
+    it keeps a NaN's sign bit, so the result is bitwise the masked
+    two-branch form's on every input.
     """
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _targets(
@@ -75,6 +80,8 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             raise ValueError(f"l2 must be finite and non-negative, got {l2!r}")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed!r}")
         self.learning_rate = learning_rate
         self.num_iterations = num_iterations
         self.l2 = l2
@@ -127,6 +134,8 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         labels: Sequence[int],
         validation_id_pairs: Sequence[IdPair] | None = None,
         validation_labels: Sequence[int] | None = None,
+        *,
+        recorder: Any = NULL_RECORDER,
     ) -> "LogisticRegressionMatcher":
         """Fit on labelled id pairs against a prepared store.
 
@@ -136,7 +145,8 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         (the experiment passes its corpus store, which the matching stage
         then reuses).  The fit keeps its last iterate, so validation pairs
         play no part in it; they are checked like the training set (equal
-        lengths, labels 0 or 1) all the same.
+        lengths, labels 0 or 1) all the same.  ``recorder`` gets a
+        ``features`` and an ``optimisation`` span.
         """
         targets = _targets(id_pairs, labels, "pairs", "labels")
         if not len(targets):
@@ -147,14 +157,19 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             "validation_pairs",
             "validation_labels",
         )
-        return self._fit_matrix(self.extractor.extract_sliced(profiles, id_pairs), targets)
+        with recorder.span("features", pairs=len(targets)):
+            features = self.extractor.extract_sliced(profiles, id_pairs)
+        with recorder.span("optimisation", iterations=self.num_iterations):
+            return self._fit_matrix(features, targets)
 
     def _fit_matrix(self, features: np.ndarray, targets: np.ndarray) -> "LogisticRegressionMatcher":
         """Fit the scaler, then run full-batch gradient descent.
 
         The loop's arithmetic — the three matrix products, their shapes and
         the update order — is pinned bitwise by the ``reference_fit`` oracle
-        in ``tests/matching/test_logistic_oracle.py``.
+        in ``tests/matching/test_logistic_oracle.py``.  Each iteration makes
+        the operations of ``_sigmoid`` and the error term in that order,
+        writing every per-pair value into buffers allocated once.
         """
         self._fit_scaler(features)
         features = self._scale(features)
@@ -165,12 +180,26 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         bias = 0.0
 
         sample_weights = self._sample_weights(targets)
+        logits = np.empty(len(targets))
+        exps = np.empty(len(targets))
+        denominators = np.empty(len(targets))
+        errors = np.empty(len(targets))
+        non_negative = np.empty(len(targets), dtype=np.bool_)
         for _ in range(self.num_iterations):
-            logits = features @ weights + bias
-            probabilities = _sigmoid(logits)
-            errors = (probabilities - targets) * sample_weights
+            np.matmul(features, weights, out=logits)
+            logits += bias
+            # errors = (_sigmoid(logits) - targets) * sample_weights
+            np.negative(logits, out=exps)
+            np.minimum(logits, exps, out=exps)
+            np.exp(exps, out=exps)
+            np.greater_equal(logits, 0, out=non_negative)
+            np.maximum(exps, non_negative, out=errors)
+            np.add(1.0, exps, out=denominators)
+            errors /= denominators
+            errors -= targets
+            errors *= sample_weights
             gradient_weights = features.T @ errors / len(targets) + self.l2 * weights
-            gradient_bias = float(errors.mean())
+            gradient_bias = float(np.add.reduce(errors)) / len(targets)
             weights -= self.learning_rate * gradient_weights
             bias -= self.learning_rate * gradient_bias
 

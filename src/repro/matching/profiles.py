@@ -38,12 +38,13 @@ golden runtime suite and a hypothesis equivalence test pin this.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
 
 import numpy as np
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, Record, SecurityRecord
-from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
+from repro.text.normalize import drop_corporate_terms, normalize_identifier, normalize_text
 from repro.text.tokenize import word_tokenize
 
 #: Record-kind discriminators, one per row in ``kind_codes``.  Identifier
@@ -123,7 +124,7 @@ class _ProfileBuilder:
     pairwise-recompute path makes.
     """
 
-    __slots__ = ("_intern", "_names", "_descriptions", "_texts", "_identifiers")
+    __slots__ = ("_intern", "_names", "_descriptions", "texts", "_identifiers")
 
     def __init__(self, intern: Callable[[str], int]) -> None:
         self._intern = intern
@@ -132,7 +133,7 @@ class _ProfileBuilder:
         #: raw description -> description token ids
         self._descriptions: dict[str, list[int]] = {}
         #: raw attribute value -> id of normalize_text(value)
-        self._texts: dict[str, int] = {}
+        self.texts: dict[str, int] = {}
         #: raw identifier -> normalize_identifier(value)
         self._identifiers: dict[str, str] = {}
 
@@ -148,7 +149,7 @@ class _ProfileBuilder:
         ids = self._names.get(name)
         if ids is None:
             name_norm = normalize_text(name)
-            stripped = strip_corporate_terms(name)
+            stripped = drop_corporate_terms(name_norm)
             ids = self._names[name] = (
                 self._intern(name_norm),
                 self._intern(stripped),
@@ -165,12 +166,6 @@ class _ProfileBuilder:
             )
         return ids
 
-    def text(self, value: str) -> int:
-        index = self._texts.get(value)
-        if index is None:
-            index = self._texts[value] = self._intern(normalize_text(value))
-        return index
-
     def identifier(self, value: str) -> str:
         normalized = self._identifiers.get(value)
         if normalized is None:
@@ -182,11 +177,12 @@ class IdSetColumn:
     """Ragged int32 rows in one contiguous CSR buffer.
 
     ``values`` holds every row's entries back to back; ``offsets[row]`` /
-    ``offsets[row + 1]`` delimit one row.  The set columns hold interned
-    string ids, sorted ascending per row, which is what lets pairwise set
-    overlaps run as sorted-id intersection counts without touching the
-    strings; the store's ``codepoints`` column holds one string's
-    codepoints per row.
+    ``offsets[row + 1]`` delimit one row.  The set columns hold distinct
+    interned string ids per row, which is what lets pairwise set overlaps
+    run as intersection counts without touching the strings.  The token
+    sets are sorted by id; ``isin_sets`` rows are in ISIN string order, so
+    an id order cannot be assumed.  The store's ``codepoints`` column holds
+    one string's codepoints per row.
     """
 
     __slots__ = ("values", "offsets")
@@ -217,6 +213,15 @@ class IdSetColumn:
             [self.offsets, self.offsets[-1] + np.cumsum(lengths)]
         )
 
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in ``rows``, value) of every entry of the selected rows,
+        rows in the given order and each row's entries in stored order."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        owners = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
+        shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return owners, self.values[np.arange(len(owners), dtype=np.int64) + shifts]
+
     def padded_rows(self, rows: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
         """``(len(rows), width)`` int32 matrix of the rows + their lengths.
 
@@ -232,42 +237,28 @@ class IdSetColumn:
         return matrix, lengths
 
 
-_SENTINEL = np.iinfo(np.int32).max
-
-
 def sorted_intersection_counts(
     column: IdSetColumn, left_rows: np.ndarray, right_rows: np.ndarray
 ) -> np.ndarray:
     """Per-pair ``|row(left) ∩ row(right)|`` over a set-valued column.
 
-    Ids within a set row are unique, so after concatenating both sides into
-    one padded buffer and sorting each pair's row, every adjacent duplicate
-    is exactly one shared id — an exact integer count, equal to
-    ``len(set_a & set_b)`` on the underlying strings because interning is a
-    bijection.  (The sentinel never collides with a real id: ids are table
-    indexes, far below int32 max.)
+    Each side's entries become one key per (pair, id), the pair number in
+    the high 32 bits.  Ids within a set row are unique, so a right key
+    found among the sorted left keys is exactly one shared id — an exact
+    integer count, equal to ``len(set_a & set_b)`` on the underlying
+    strings because interning is a bijection.
     """
     n = len(left_rows)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    len_l = column.lengths(left_rows)
-    len_r = column.lengths(right_rows)
-    total = len_l + len_r
-    width = int(total.max())
-    if width == 0:
+    left_pairs, left_ids = column.entries(left_rows)
+    right_pairs, right_ids = column.entries(right_rows)
+    if not len(left_ids) or not len(right_ids):
         return np.zeros(n, dtype=np.int64)
-    positions = np.arange(width, dtype=np.int64)
-    buffer = np.full((n, width), _SENTINEL, dtype=np.int32)
-    mask_l = positions < len_l[:, None]
-    source_l = column.offsets[left_rows][:, None] + positions
-    buffer[mask_l] = column.values[source_l[mask_l]]
-    mask_r = (positions >= len_l[:, None]) & (positions < total[:, None])
-    source_r = column.offsets[right_rows][:, None] + (positions - len_l[:, None])
-    buffer[mask_r] = column.values[source_r[mask_r]]
-    buffer.sort(axis=1)
-    return ((buffer[:, 1:] == buffer[:, :-1]) & (buffer[:, :-1] != _SENTINEL)).sum(
-        axis=1, dtype=np.int64
-    )
+    left_keys = np.sort((left_pairs << 32) | left_ids)
+    right_keys = (right_pairs << 32) | right_ids
+    found = np.searchsorted(left_keys, right_keys)
+    np.minimum(found, len(left_keys) - 1, out=found)
+    shared = left_keys[found] == right_keys
+    return np.bincount(right_pairs[shared], minlength=n)
 
 
 class ProfileStore:
@@ -414,6 +405,7 @@ class ProfileStore:
         no_identifiers = [0] * len(SECURITY_ID_FIELDS)
         intern = self._intern
         builder = _ProfileBuilder(intern)
+        texts = builder.texts
 
         for record in new:
             self._row_of[record.record_id] = len(self._record_ids)
@@ -427,11 +419,19 @@ class ProfileStore:
             description = _attribute_of(record, "description")
             has_description.append(bool(description))
             description_sets.append(builder.description(description))
-            attr_rows.append(
-                [builder.text(_attribute_of(record, attr)) for attr in EQUALITY_ATTRIBUTES]
-            )
+            attr_row = []
+            for attr in EQUALITY_ATTRIBUTES:
+                # The builder's memo of normalised attribute values, read
+                # inline: this runs six times per record.
+                value = getattr(record, attr, None)
+                value = str(value) if value else ""
+                index = texts.get(value)
+                if index is None:
+                    index = texts[value] = intern(normalize_text(value))
+                attr_row.append(index)
+            attr_rows.append(attr_row)
             identifiers = no_identifiers
-            isins: set[str] = set()
+            isin_row: list[int] = []
             if isinstance(record, SecurityRecord):
                 kind = KIND_SECURITY
                 identifiers = [
@@ -440,18 +440,20 @@ class ProfileStore:
                 ]
             elif isinstance(record, CompanyRecord):
                 kind = KIND_COMPANY
-                isins = {
-                    builder.identifier(str(value) if value else "")
-                    for value in record.security_isins
-                }
-                isins.discard("")
+                if record.security_isins:
+                    isins = {
+                        builder.identifier(str(value) if value else "")
+                        for value in record.security_isins
+                    }
+                    isins.discard("")
+                    # Sorted for deterministic interning: a set's iteration
+                    # order would leak PYTHONHASHSEED into the table.
+                    isin_row = [intern(value) for value in sorted(isins)]
             else:
                 kind = KIND_OTHER
             kind_codes.append(_KIND_CODES[kind])
             identifier_rows.append(identifiers)
-            # Sorted for deterministic interning: a set's iteration order
-            # would leak PYTHONHASHSEED into the table.
-            isin_rows.append([intern(value) for value in sorted(isins)])
+            isin_rows.append(isin_row)
 
         added = len(new)
         self.kind_codes = np.concatenate(
@@ -575,9 +577,8 @@ class ProfileStore:
 
         Raises ``KeyError`` for unknown ids.
         """
-        row_of = self._row_of
         flat = np.fromiter(
-            (row_of[record_id] for pair in id_pairs for record_id in pair),
+            map(self._row_of.__getitem__, chain.from_iterable(id_pairs)),
             dtype=np.int64,
             count=2 * len(id_pairs),
         )

@@ -78,6 +78,12 @@ class ExperimentSpec:
                 "experiment.kind",
                 f"expected one of {sorted(BLOCKING_RECIPES)}, got {self.kind!r}",
             )
+        # The seed drives the split, the pair sampling and the matcher's
+        # initial weights; numpy's generators refuse a negative one.
+        if self.seed < 0:
+            raise SpecValidationError(
+                "experiment.seed", f"expected a non-negative integer, got {self.seed!r}"
+            )
         # Validate the model name here so a typo fails as a named-key spec
         # error (everywhere: file loading and programmatic construction)
         # rather than a KeyError deep inside the fine-tuning run.  Imported

@@ -150,10 +150,19 @@ def _equality_bitmasks(
     distinct_text = text_codes[text_first]
     alphabet, char_index = np.unique(distinct_text, return_inverse=True)
     char_index = char_index.reshape(distinct_text.shape)
-    masks = _pack_bit_rows(
-        distinct_patterns[:, None, :] == alphabet[None, :, None]
+    # Scatter each pattern position's bit into the mask of its character.
+    # A pattern character outside the text alphabet sets nothing; padding
+    # is one of them, since the two sides pad with distinct codes.
+    size = len(alphabet)
+    columns = np.minimum(np.searchsorted(alphabet, distinct_patterns), size - 1)
+    rows, positions = np.nonzero(alphabet[columns] == distinct_patterns)
+    masks = np.zeros(len(pattern_first) * size, dtype=np.uint64)
+    np.bitwise_or.at(
+        masks,
+        rows * size + columns[rows, positions],
+        np.uint64(1) << positions.astype(np.uint64),
     )
-    return masks[pattern_index.reshape(-1)[:, None], char_index[text_index]]
+    return masks[pattern_index.reshape(-1)[:, None] * size + char_index[text_index]]
 
 
 # -- Levenshtein -------------------------------------------------------------
@@ -482,17 +491,29 @@ def _jaro_batch_core(
         )
         one = np.uint64(1)
         b_mask = np.zeros(n, dtype=np.uint64)
-        for i in range(iterations):
-            active = np.searchsorted(sort_keys, -(i + 1), side="right")
-            start = np.maximum(0, i - match_window[:active]).astype(np.uint64)
-            end = np.minimum(
-                i + match_window[:active] + 1, b_lengths_sorted[:active]
-            ).astype(np.uint64)
-            window = (one << end) - (one << start)
+        # Step i's window is (1 << end) - (1 << start) with start =
+        # max(0, i - match_window) and end = min(i + match_window + 1,
+        # len(b)); both bounds move up one bit per step until they stop, so
+        # the two powers are shifted along instead of recomputed.
+        start_bit = np.ones(n, dtype=np.uint64)
+        end_bit = one << np.minimum(match_window + 1, b_lengths_sorted).astype(np.uint64)
+        end_stops = b_lengths_sorted - match_window - 1
+        actives = np.searchsorted(
+            sort_keys, -np.arange(1, iterations + 1), side="right"
+        ).tolist()
+        for i, active in enumerate(actives):
+            window = end_bit[:active] - start_bit[:active]
             candidates = table[:active, i] & window & ~b_mask[:active]
             b_mask[:active] |= candidates & (~candidates + one)
             a_matched[:active, i] = candidates != 0
-        b_matched = (b_mask[:, None] >> b_positions.astype(np.uint64)) & one != 0
+            start_bit[:active] <<= match_window[:active] <= i
+            end_bit[:active] <<= end_stops[:active] > i
+        b_matched = np.unpackbits(
+            b_mask.astype("<u8").view(np.uint8).reshape(n, 8),
+            axis=1,
+            count=b_width,
+            bitorder="little",
+        ).view(np.bool_)
     else:
         b_matched = np.zeros(b_codes.shape, dtype=np.bool_)
         scratch = np.empty((n, b_width), dtype=np.bool_)
@@ -521,20 +542,13 @@ def _jaro_batch_core(
         return jaro
 
     # Transpositions: compare the matched characters of both sides in
-    # order.  Scatter each side's matched codepoints into dense per-pair
-    # rows (position = rank among that side's matches), then count
-    # rank-wise mismatches — exactly the scalar two-pointer walk.
-    max_matches = int(matches.max())
-    a_rank = np.cumsum(a_matched, axis=1) - 1
-    b_rank = np.cumsum(b_matched, axis=1) - 1
-    a_in_order = np.zeros((n, max_matches), dtype=np.int32)
-    b_in_order = np.zeros((n, max_matches), dtype=np.int32)
-    a_rows, a_cols = np.nonzero(a_matched)
-    b_rows, b_cols = np.nonzero(b_matched)
-    a_in_order[a_rows, a_rank[a_rows, a_cols]] = a_codes[a_rows, a_cols]
-    b_in_order[b_rows, b_rank[b_rows, b_cols]] = b_codes[b_rows, b_cols]
-    rank_valid = np.arange(max_matches, dtype=np.int64) < matches[:, None]
-    transpositions = ((a_in_order != b_in_order) & rank_valid).sum(axis=1) // 2
+    # order — exactly the scalar two-pointer walk.  Each match pairs one
+    # character of each side, so both sides have ``matches`` of them per
+    # pair, and the row-major masked reads line the k-th of one side up
+    # with the k-th of the other.
+    mismatched = a_codes[a_matched] != b_codes[b_matched]
+    owners = np.repeat(np.arange(n), matches)
+    transpositions = np.bincount(owners[mismatched], minlength=n) // 2
 
     m = matches[scored].astype(np.float64)
     t = transpositions[scored].astype(np.float64)

@@ -77,7 +77,13 @@ def strip_corporate_terms(name: str | None) -> str:
     Inc."), the normalised name is returned unchanged so that records never
     end up with an empty key.
     """
-    normalized = normalize_text(name)
+    return drop_corporate_terms(normalize_text(name))
+
+
+def drop_corporate_terms(normalized: str) -> str:
+    """:func:`strip_corporate_terms` of a name already through
+    :func:`normalize_text`, which leaves its output unchanged, so this
+    skips normalising it a second time."""
     if not normalized:
         return ""
     kept = [token for token in normalized.split() if token not in CORPORATE_TERMS]

@@ -10,49 +10,57 @@ from repro.matching.pairs import (
 )
 
 
+def _split(pairs):
+    return (
+        [pair for pair in pairs if pair.label == 1],
+        [pair for pair in pairs if pair.label == 0],
+    )
+
+
 class TestPositivePairs:
     def test_all_positive_pairs_are_true_matches(self, companies):
-        positives = PairSampler().positive_pairs(companies)
+        positives, _ = _split(PairSampler().build(companies))
         assert positives
-        assert all(pair.label == 1 for pair in positives)
         assert all(
             companies.is_true_match(pair.left.record_id, pair.right.record_id)
             for pair in positives
         )
 
     def test_positive_count_matches_ground_truth(self, companies):
-        positives = PairSampler().positive_pairs(companies)
+        positives, _ = _split(PairSampler().build(companies))
         assert len(positives) == len(companies.true_matches())
 
     def test_entity_restriction(self, companies):
         entity = next(iter(companies.entity_groups()))
-        positives = PairSampler().positive_pairs(companies, entity_ids=[entity])
-        assert all(pair.left.entity_id == entity for pair in positives)
+        pairs = PairSampler().build(companies, entity_ids=[entity])
+        assert pairs
+        assert all(pair.left.entity_id == entity for pair in pairs)
 
 
 class TestNegativePairs:
     def test_negatives_are_non_matches(self, companies):
-        negatives = PairSampler(seed=1).negative_pairs(companies, 50)
-        assert len(negatives) == 50
-        assert all(pair.label == 0 for pair in negatives)
+        positives, negatives = _split(PairSampler(seed=1).build(companies))
+        assert len(negatives) == 5 * len(positives)
         assert all(
             not companies.is_true_match(pair.left.record_id, pair.right.record_id)
             for pair in negatives
         )
 
     def test_negatives_are_unique(self, companies):
-        negatives = PairSampler(seed=2).negative_pairs(companies, 80)
+        _, negatives = _split(PairSampler(seed=2).build(companies))
         keys = [pair.key for pair in negatives]
         assert len(keys) == len(set(keys))
 
     def test_negative_sampling_deterministic(self, companies):
-        first = PairSampler(seed=3).negative_pairs(companies, 30)
-        second = PairSampler(seed=3).negative_pairs(companies, 30)
-        assert [p.key for p in first] == [p.key for p in second]
+        first = PairSampler(seed=3).sample(companies)
+        second = PairSampler(seed=3).sample(companies)
+        for name in ("left", "right", "labels"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
     def test_tiny_dataset_returns_empty(self, companies):
         subset = companies.subset_by_records(companies.records[0].record_id)
-        assert PairSampler().negative_pairs(subset, 10) == []
+        assert len(PairSampler().sample(subset)) == 0
+        assert PairSampler().build(subset) == []
 
 
 class TestBuild:

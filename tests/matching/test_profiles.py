@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, ProductRecord, Record, SecurityRecord
-from repro.matching.features import EXTRACT_BATCH_SLICE, PairFeatureExtractor, _pack_pairs
+from repro.matching.features import PairFeatureExtractor, _pack_pairs, slice_bounds
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import (
@@ -503,12 +503,12 @@ class TestSingleFeaturePath:
 
     def test_extract_batch_across_slice_boundaries(self, companies, securities):
         records = companies.records + securities.records
-        count = 2 * EXTRACT_BATCH_SLICE + 76
-        assert count >= 1100 and count % EXTRACT_BATCH_SLICE
+        count = 1100
         pairs = [
             (records[index % len(records)], records[(7 * index + 1) % len(records)])
             for index in range(count)
         ]
+        assert slice_count(pairs) >= 2
         matrix = PairFeatureExtractor().extract_batch(pairs)
         assert matrix.shape == (count, PairFeatureExtractor().num_features)
         for row, (left, right) in zip(matrix, pairs):
@@ -570,6 +570,17 @@ class TestSingleFeaturePath:
             )
 
 
+def slice_count(pairs) -> int:
+    """How many slices ``extract_sliced`` cuts the pairs into."""
+    store = ProfileStore.prepare(record for pair in pairs for record in pair)
+    left_rows, right_rows = store.row_indices(
+        [(left.record_id, right.record_id) for left, right in pairs]
+    )
+    name_lengths = store.codepoints.lengths(store.name_ids)
+    widths = np.maximum(name_lengths[left_rows], name_lengths[right_rows])
+    return len(slice_bounds(np.sort(widths)))
+
+
 def _mixed_length_pairs(records, count: int, seed: int):
     """Pairs whose names are short, long (past 63 codepoints) and mixed."""
     rng = np.random.default_rng(seed)
@@ -593,22 +604,24 @@ class TestNameLengthOrder:
     """Slices are taken in name-length order; rows land where their pairs are."""
 
     def test_shuffled_pairs_give_the_same_rows(self, companies):
-        count = 3 * EXTRACT_BATCH_SLICE + 17
+        count = 1553
         pairs = _mixed_length_pairs(companies.records, count, seed=1)
         lengths = [max(len(left.name), len(right.name)) for left, right in pairs]
         assert min(lengths) < 20 and max(lengths) > 63
+        assert slice_count(pairs) >= 3
         extractor = PairFeatureExtractor()
         matrix = extractor.extract_batch(pairs)
         permutation = np.random.default_rng(2).permutation(count)
         shuffled = extractor.extract_batch([pairs[index] for index in permutation])
         for row, index in enumerate(permutation):
             assert shuffled[row].tobytes() == matrix[index].tobytes()
-        for row in (0, EXTRACT_BATCH_SLICE - 1, EXTRACT_BATCH_SLICE, count - 1):
+        for row in (0, count // 3, count // 2, count - 1):
             left, right = pairs[row]
             assert matrix[row].tobytes() == reference_extract(left, right).tobytes()
 
     def test_sliced_equals_one_unsliced_call(self, companies):
-        pairs = _mixed_length_pairs(companies.records, 2 * EXTRACT_BATCH_SLICE + 5, seed=3)
+        pairs = _mixed_length_pairs(companies.records, 1029, seed=3)
+        assert slice_count(pairs) >= 2
         extractor = PairFeatureExtractor()
         store = ProfileStore.prepare(record for pair in pairs for record in pair)
         id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
@@ -616,6 +629,11 @@ class TestNameLengthOrder:
             extractor.extract_sliced(store, id_pairs).tobytes()
             == extractor.extract_batch_profiles(store, id_pairs).tobytes()
         )
+
+    def test_slice_bounds_fill_the_cell_budget(self):
+        widths = np.array([0, 2, 2, 3, 5, 40])
+        assert slice_bounds(widths, cells=10) == [(0, 3), (3, 5), (5, 6)]
+        assert slice_bounds(widths[:0], cells=10) == []
 
     def test_empty(self):
         store = ProfileStore.prepare([])

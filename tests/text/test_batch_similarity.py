@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.text.batch_similarity import (
     _BIT_WIDTH,
+    _equality_bitmasks,
     PAD_LEFT,
     PAD_RIGHT,
     jaro_winkler_similarity_packed,
@@ -274,6 +275,31 @@ class TestInternedIdPath:
             a_codes, a_lengths, b_codes, b_lengths, equal, a_ids=a_ids, b_ids=b_ids
         )
         assert np.array_equal(plain, with_ids)
+
+
+    @given(
+        st.lists(st.text("abcéz\U0001d518", max_size=_BIT_WIDTH), min_size=1, max_size=12),
+        st.lists(st.integers(0, 11), min_size=1, max_size=30),
+        st.lists(st.integers(0, 11), min_size=1, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_deduplicated_table_equals_the_direct_table(self, strings, patterns, texts):
+        # The id path scatters each distinct pattern's bits once; the direct
+        # path compares every row's pattern with every row's text.
+        rows = min(len(patterns), len(texts))
+        pattern_strings = [strings[index % len(strings)] for index in patterns[:rows]]
+        text_strings = [strings[index % len(strings)] for index in texts[:rows]]
+        pattern_codes, _ = pack_codepoints(pattern_strings, fill=PAD_RIGHT)
+        text_codes, _ = pack_codepoints(text_strings, fill=PAD_LEFT)
+        ids = {value: index for index, value in enumerate(dict.fromkeys(strings))}
+        direct = _equality_bitmasks(pattern_codes, text_codes)
+        deduplicated = _equality_bitmasks(
+            pattern_codes,
+            text_codes,
+            np.asarray([ids[value] for value in pattern_strings]),
+            np.asarray([ids[value] for value in text_strings]),
+        )
+        assert deduplicated.tobytes() == direct.tobytes()
 
 
 class TestPathBoundary:

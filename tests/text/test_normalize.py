@@ -1,7 +1,10 @@
 """Tests for text normalisation."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.text import normalize_text, strip_corporate_terms
-from repro.text.normalize import acronym_of, normalize_identifier
+from repro.text.normalize import acronym_of, drop_corporate_terms, normalize_identifier
 
 
 class TestNormalizeText:
@@ -57,3 +60,12 @@ class TestNormalizeIdentifier:
 
     def test_none(self):
         assert normalize_identifier(None) == ""
+
+
+@given(st.one_of(st.text(), st.text("Inc. ltd HOLDINGS ag Corp- \t\u00e9\u0130\u00df1_")))
+@settings(max_examples=300, deadline=None)
+def test_normalised_text_is_a_fixed_point_and_strips_the_same(text):
+    # Profiling strips corporate terms from the name it already normalised.
+    normalized = normalize_text(text)
+    assert normalize_text(normalized) == normalized
+    assert drop_corporate_terms(normalized) == strip_corporate_terms(text)
