@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import time
 from pathlib import Path
 from collections.abc import Sequence
@@ -497,6 +498,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "repeats": args.repeats,
             "cpu_count": effective_cpu_count(),
             "peak_rss_bytes": peak_rss_bytes(),
+        },
+        "machine": {
+            "platform": platform.platform(),
+            "processor": platform.processor() or platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
         "extraction": {
             "rows": extraction_rows,

@@ -10,7 +10,28 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from repro.graphs.graph import Edge
+from repro.graphs.graph import Edge, Node, canonical_edge
+
+
+def member_pairs(group: Iterable[Node]) -> list[Edge]:
+    """Every pair of ``group``'s members, each as :func:`canonical_edge`
+    orients it.
+
+    Members that sort naturally make every pair canonical as it is built.
+    Mixed labels (ints with strings) do not sort, so, as in
+    :class:`~repro.graphs.idgraph.IdGraph`, they are ordered by ``repr``
+    and each pair is oriented by :func:`canonical_edge`.
+    """
+    try:
+        members = sorted(group)  # type: ignore[type-var]
+    except TypeError:
+        members = sorted(group, key=repr)
+        return [
+            canonical_edge(left, right)
+            for i, left in enumerate(members)
+            for right in members[i + 1:]
+        ]
+    return [(left, right) for i, left in enumerate(members) for right in members[i + 1:]]
 
 
 class EntityGroups:
@@ -67,11 +88,7 @@ class EntityGroups:
         """All intra-group record pairs (the complete-graph interpretation)."""
         edges: set[Edge] = set()
         for group in self._groups:
-            # Sorted members make every pair canonical as it is built.
-            members = sorted(group)
-            for i, left in enumerate(members):
-                for right in members[i + 1:]:
-                    edges.add((left, right))
+            edges.update(member_pairs(group))
         return edges
 
     def group_sizes(self) -> list[int]:

@@ -13,6 +13,12 @@ The experiments score three stages (Section 5.3.2):
 All three use precision / recall / F1 over unordered record pairs.  The
 group stages additionally report the Cluster Purity Score (Section 5.3.3):
 the size-weighted average share of true-positive pairs per produced group.
+
+Every function orients the pairs it is given with
+:func:`~repro.graphs.graph.canonical_edge`, unless they come as
+:class:`CanonicalEdges`, which :func:`canonical_edges` returns: an
+experiment orients its ground truth once and scores all three stages
+against it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.core.groups import EntityGroups
+from repro.core.groups import EntityGroups, member_pairs
 from repro.graphs.graph import Edge, canonical_edge
 
 
@@ -63,8 +69,16 @@ class GroupMatchingScores:
         }
 
 
-def _canonicalise(edges: Iterable[tuple[str, str]]) -> set[Edge]:
-    return {canonical_edge(left, right) for left, right in edges}
+class CanonicalEdges(frozenset):
+    """A set of edges, each already as :func:`canonical_edge` orients it."""
+
+
+def canonical_edges(edges: Iterable[tuple[str, str]]) -> CanonicalEdges:
+    """``edges`` oriented by :func:`canonical_edge`; :class:`CanonicalEdges`
+    come back as they are."""
+    if isinstance(edges, CanonicalEdges):
+        return edges
+    return CanonicalEdges(canonical_edge(left, right) for left, right in edges)
 
 
 def precision_recall_f1(
@@ -98,8 +112,8 @@ def pairwise_scores(
     true_matches: Iterable[tuple[str, str]],
 ) -> PairwiseScores:
     """Score a set of predicted match pairs against the ground truth."""
-    predicted = _canonicalise(predicted_matches)
-    truth = _canonicalise(true_matches)
+    predicted = canonical_edges(predicted_matches)
+    truth = canonical_edges(true_matches)
     precision, recall, f1, tp, fp, fn = precision_recall_f1(predicted, truth)
     return PairwiseScores(precision, recall, f1, tp, fp, fn)
 
@@ -116,7 +130,7 @@ def cluster_purity(
     counted as pure, which matches the intuition that an unmatched record
     cannot contaminate any downstream aggregation.
     """
-    truth = _canonicalise(true_matches)
+    truth = canonical_edges(true_matches)
     total_weight = 0
     weighted_purity = 0.0
     for group in groups:
@@ -126,12 +140,7 @@ def cluster_purity(
         if num_edges == 0:
             weighted_purity += size * 1.0
             continue
-        members = sorted(group)
-        true_pairs = 0
-        for i, left in enumerate(members):
-            for right in members[i + 1:]:
-                if canonical_edge(left, right) in truth:
-                    true_pairs += 1
+        true_pairs = len(truth.intersection(member_pairs(group)))
         weighted_purity += size * (true_pairs / num_edges)
     if total_weight == 0:
         return 1.0
@@ -143,7 +152,7 @@ def group_matching_scores(
     true_matches: Iterable[tuple[str, str]],
 ) -> GroupMatchingScores:
     """Score a group assignment: pair precision / recall / F1 + Cluster Purity."""
-    truth = _canonicalise(true_matches)
+    truth = canonical_edges(true_matches)
     predicted = groups.match_edges()
     precision, recall, f1, *_ = precision_recall_f1(predicted, truth)
     purity = cluster_purity(groups, truth)

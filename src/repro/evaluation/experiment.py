@@ -28,6 +28,7 @@ from repro.core.cleanup import CleanupConfig
 from repro.core.metrics import (
     GroupMatchingScores,
     PairwiseScores,
+    canonical_edges,
     group_matching_scores,
     pairwise_scores,
 )
@@ -281,7 +282,7 @@ class EntityGroupMatchingExperiment:
         cleanup_config: CleanupConfig,
         result: PipelineResult,
     ) -> ExperimentResult:
-        truth = self.dataset.true_matches()
+        truth = canonical_edges(self.dataset.true_matches())
         return ExperimentResult(
             dataset=self.dataset.name,
             model=spec.name,

@@ -15,13 +15,16 @@ identifier canonicalisation) once per record, and computes each
 features run as sorted-id intersection counts over the store's CSR columns,
 attribute agreements as interned-id equality, and the string similarities as
 batched kernels (:mod:`repro.text.batch_similarity`) over the
-*deduplicated* unique string pairs of each batch, gathered back per pair;
-the kernels read padded codepoint rows gathered from the store's
-``codepoints`` column, where each interned string was packed once.
-:meth:`PairFeatureExtractor.extract_sliced` runs it over any number of
-pairs in bounded-memory slices — fitting calls it on a prepared store —
-and :meth:`PairFeatureExtractor.extract_batch`, the record-pair entry point,
-profiles the pairs' records into a store and calls it.
+*deduplicated* distinct string pairs of the whole call, gathered back per
+pair.  The kernels read the store's ``kernel_strings`` table, where each
+name and stripped name got its padded characters and position masks once,
+when the store interned it, and they cut the distinct pairs into slices of
+bounded memory themselves.  The row features (set overlaps, attributes,
+identifiers) run over all pairs at once: their temporaries are a small
+multiple of the output matrix.  Fitting calls the same method on the
+experiment's store, and :meth:`PairFeatureExtractor.extract_batch`, the
+record-pair entry point, profiles the pairs' records into a store and calls
+it.
 
 Every column replays the same float64 operations on the same values as
 scoring each pair from its two records (int→float divisions of exact
@@ -46,92 +49,27 @@ from repro.matching.profiles import (
     ProfileStore,
     sorted_intersection_counts,
 )
-from repro.text.batch_similarity import (
-    PAD_LEFT,
-    PAD_RIGHT,
-    jaro_winkler_similarity_packed,
-    levenshtein_similarity_packed,
-    longest_common_substring_similarity_packed,
-)
+from repro.text.batch_similarity import pair_scores, pair_similarities
 
 _COMPANY_CODE = KIND_NAMES.index(KIND_COMPANY)
 _SECURITY_CODE = KIND_NAMES.index(KIND_SECURITY)
 
-#: Pair-characters per slice in :meth:`PairFeatureExtractor.extract_sliced`:
-#: a slice takes pairs in order of the longer of their two names while its
-#: pair count times its longest name stays within this budget (a pair longer
-#: than the budget makes a slice of its own).  The batch similarity
-#: kernels' temporaries grow with the slice: padded codepoint matrices and
-#: DP rows with pairs × string width, and the bit-parallel equality tables
-#: with distinct patterns × alphabet × width.  One call over a 5k-pair
-#: training set peaks at ~29 MB of traced memory and lifted the
-#: ``experiment-1k`` benchmark's peak RSS from ~62 MB to 84–89 MB (2-core
-#: VM).  Each slice also pays fixed costs per DP step, so slices of short
-#: names hold more pairs: on ~1k-record corpora this budget cuts a 5k-pair
-#: training set into 6 slices instead of the 10 of 512 pairs each, ~13%
-#: faster on the same VM, with the traced peak going from 3.2 to 3.8 MB.
-#: Every feature is row-local, so slicing cannot change a value.
-EXTRACT_SLICE_CELLS = 20_480
-
-
-def slice_bounds(widths: np.ndarray, cells: int = EXTRACT_SLICE_CELLS) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each slice over pair widths sorted ascending.
-
-    Each slice is the longest run whose length times its widest pair
-    (counted as at least 1) stays within ``cells``, and holds one pair at
-    least.
-    """
-    sized = np.maximum(widths, 1)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    while start < len(sized):
-        stops = np.arange(start + 1, min(len(sized), start + cells) + 1)
-        fitting = int(np.count_nonzero((stops - start) * sized[stops - 1] <= cells))
-        bounds.append((start, start + max(fitting, 1)))
-        start = bounds[-1][1]
-    return bounds
-
-
 # -- columnar building blocks -------------------------------------------------
 
 
-def _unique_id_pairs(
-    left_ids: np.ndarray, right_ids: np.ndarray
+def _unique_pairs(
+    left: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unique left ids, unique right ids, inverse) for an ordered id-pair list.
+    """(unique left, unique right, inverse) for an ordered pair list of
+    non-negative int32-range ids.
 
-    Packs each (left, right) interned-id pair into one int64 key (ids are
-    int32, so the shift is lossless); the expensive string work then runs
-    once per *distinct* pair and is gathered back through ``inverse``.
+    Packs each (left, right) pair into one int64 key (the shift is
+    lossless); the expensive string work then runs once per *distinct*
+    pair and is gathered back through ``inverse``.
     """
-    keys = (left_ids.astype(np.int64) << 32) | right_ids.astype(np.int64)
+    keys = (left.astype(np.int64) << 32) | right.astype(np.int64)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     return (unique_keys >> 32), (unique_keys & 0xFFFFFFFF), inverse
-
-
-def _pack_pairs(
-    codepoints: IdSetColumn, left_ids: np.ndarray, right_ids: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Packed codepoint matrices + ids for interned-id string pairs.
-
-    Gathers each pair's two padded rows from a store's ``codepoints``
-    column — the same codes, fill, lengths and width as packing the strings
-    afresh — so no string is packed again per batch.  Also returns the
-    pair-equality mask, decided on interned ids without touching
-    characters, and the per-row interned ids themselves, which the
-    bit-parallel kernels use to dedup their equality tables exactly.
-    """
-    left_codes, left_lengths = codepoints.padded_rows(left_ids, PAD_LEFT)
-    right_codes, right_lengths = codepoints.padded_rows(right_ids, PAD_RIGHT)
-    return (
-        left_codes,
-        left_lengths,
-        right_codes,
-        right_lengths,
-        left_ids == right_ids,
-        left_ids,
-        right_ids,
-    )
 
 
 def gather_pair_similarities(
@@ -139,47 +77,43 @@ def gather_pair_similarities(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pair (name jw, name lev, name lcs, stripped jw) in one sweep.
 
-    The name and the stripped-name pairs are deduplicated together: a name
-    without corporate terms is its own stripped name, so the two often
-    share an interned id pair.  One Jaro–Winkler call scores every distinct
-    pair of either kind; Levenshtein and longest common substring score the
-    distinct name pairs among them.
+    The name and the stripped-name pairs of every record pair are
+    deduplicated together, as rows of the store's ``kernel_strings``: a
+    name without corporate terms is its own stripped name, so the two often
+    share a string pair.  One kernel call scores every distinct pair of
+    either kind with Jaro–Winkler, and the distinct name pairs among them
+    with Levenshtein and longest common substring too.
     """
     count = len(left_rows)
-    unique_left, unique_right, inverse = _unique_id_pairs(
-        np.concatenate((store.name_ids[left_rows], store.stripped_ids[left_rows])),
-        np.concatenate((store.name_ids[right_rows], store.stripped_ids[right_rows])),
+    rows = store.kernel_rows
+    unique_left, unique_right, inverse = _unique_pairs(
+        rows[np.concatenate((store.name_ids[left_rows], store.stripped_ids[left_rows]))],
+        rows[np.concatenate((store.name_ids[right_rows], store.stripped_ids[right_rows]))],
     )
-    packed = _pack_pairs(store.codepoints, unique_left, unique_right)
-    jaro_winkler = jaro_winkler_similarity_packed(
-        *packed[:5], a_ids=packed[5], b_ids=packed[6]
+    names = inverse[:count]
+    edit = np.zeros(len(unique_left), dtype=np.bool_)
+    edit[names] = True
+    jaro_winkler, levenshtein, lcs = pair_similarities(
+        store.kernel_strings, unique_left, unique_right, edit
     )
-    names, name_inverse = np.unique(inverse[:count], return_inverse=True)
-    name_packed = tuple(column[names] for column in packed)
-    levenshtein = levenshtein_similarity_packed(
-        *name_packed[:5], a_ids=name_packed[5], b_ids=name_packed[6]
-    )
-    lcs = longest_common_substring_similarity_packed(*name_packed[:5])
-    return (
-        jaro_winkler[inverse[:count]],
-        levenshtein[name_inverse],
-        lcs[name_inverse],
-        jaro_winkler[inverse[count:]],
-    )
+    return jaro_winkler[names], levenshtein[names], lcs[names], jaro_winkler[inverse[count:]]
 
 
 def gather_stripped_similarities(
     store: ProfileStore, left_rows: np.ndarray, right_rows: np.ndarray
 ) -> np.ndarray:
     """Per-pair Jaro–Winkler over corporate-term-stripped names."""
-    unique_left, unique_right, inverse = _unique_id_pairs(
-        store.stripped_ids[left_rows], store.stripped_ids[right_rows]
+    rows = store.kernel_rows
+    unique_left, unique_right, inverse = _unique_pairs(
+        rows[store.stripped_ids[left_rows]], rows[store.stripped_ids[right_rows]]
     )
-    packed = _pack_pairs(store.codepoints, unique_left, unique_right)
-    similarities = jaro_winkler_similarity_packed(
-        *packed[:5], a_ids=packed[5], b_ids=packed[6]
+    jaro_winkler, _, _ = pair_scores(
+        store.kernel_strings,
+        unique_left,
+        unique_right,
+        np.zeros(len(unique_left), dtype=np.bool_),
     )
-    return similarities[inverse]
+    return jaro_winkler[inverse]
 
 
 def _jaccard_counts(
@@ -260,53 +194,28 @@ class PairFeatureExtractor:
 
         Profiles the distinct records of the pairs once into a
         :class:`~repro.matching.profiles.ProfileStore` and scores the id
-        pairs with :meth:`extract_sliced`.  The store keys profiles by
-        record id, so two different records sharing an id in one call raise
-        ``ValueError`` (equal copies are fine).
+        pairs with :meth:`extract_batch_profiles`.  The store keys profiles
+        by record id, so two different records sharing an id in one call
+        raise ``ValueError`` (equal copies are fine).
         """
         store = ProfileStore.prepare(record for pair in pairs for record in pair)
-        return self.extract_sliced(
+        return self.extract_batch_profiles(
             store, [(left.record_id, right.record_id) for left, right in pairs]
         )
-
-    def extract_sliced(
-        self, profiles: ProfileStore, id_pairs: Sequence[tuple[str, str]]
-    ) -> np.ndarray:
-        """Feature matrix for any number of id pairs, in bounded slices.
-
-        The one slicing loop, shared by :meth:`extract_batch` and fitting on
-        a prepared store.  Pairs are taken in order of the longer of their
-        two names (a stable sort), in the slices :func:`slice_bounds` cuts,
-        so a slice of short names stops its DP loops at its own longest
-        name rather than the batch's; each slice's rows are written back
-        to their pairs' positions.  Every feature is row-local, so the
-        matrix is bitwise the one :meth:`extract_batch_profiles` returns
-        for all pairs at once.
-        """
-        left_rows, right_rows = profiles.row_indices(id_pairs)
-        name_lengths = profiles.codepoints.lengths(profiles.name_ids)
-        widths = np.maximum(name_lengths[left_rows], name_lengths[right_rows])
-        order = np.argsort(widths, kind="stable")
-        matrix = np.empty((len(order), self.num_features), dtype=np.float64)
-        for start, stop in slice_bounds(widths[order]):
-            positions = order[start:stop]
-            matrix[positions] = self._extract_rows(
-                profiles, left_rows[positions], right_rows[positions]
-            )
-        return matrix
 
     def extract_batch_profiles(
         self, profiles: ProfileStore, id_pairs: Sequence[tuple[str, str]]
     ) -> np.ndarray:
-        """Feature matrix for id pairs, vectorised over the columnar store.
+        """Feature matrix for any number of id pairs against a prepared store.
 
-        The one feature implementation, used by the execution engine and,
-        through :meth:`extract_sliced`, by fitting: each feature column is
-        one array expression over the row-index pairs, and only the
-        deduplicated distinct string pairs reach the batched kernels.
-        Bitwise identical to scoring each pair from its two records — dtype
-        float64 throughout, the same left-to-right scalar operations per
-        value — which the golden suites and a hypothesis test pin.
+        The one feature implementation, used by the execution engine, by
+        fitting and by :meth:`extract_batch`: each feature column is one
+        array expression over all the row-index pairs, and only the distinct
+        string pairs of the whole call reach the batched kernels, which cut
+        them into slices of bounded memory themselves.  Bitwise identical to
+        scoring each pair from its two records — dtype float64 throughout,
+        the same left-to-right scalar operations per value — which the
+        golden suites and a hypothesis test pin.
         """
         if not id_pairs:
             return np.zeros((0, self.num_features), dtype=np.float64)

@@ -140,7 +140,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         """Fit on labelled id pairs against a prepared store.
 
         Features come from
-        :meth:`~repro.matching.features.PairFeatureExtractor.extract_sliced`
+        :meth:`~repro.matching.features.PairFeatureExtractor.extract_batch_profiles`
         on ``profiles``, which may hold more records than the pairs use
         (the experiment passes its corpus store, which the matching stage
         then reuses).  The fit keeps its last iterate, so validation pairs
@@ -158,7 +158,7 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
             "validation_labels",
         )
         with recorder.span("features", pairs=len(targets)):
-            features = self.extractor.extract_sliced(profiles, id_pairs)
+            features = self.extractor.extract_batch_profiles(profiles, id_pairs)
         with recorder.span("optimisation", iterations=self.num_iterations):
             return self._fit_matrix(features, targets)
 

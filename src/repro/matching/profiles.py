@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, Record, SecurityRecord
+from repro.text.batch_similarity import StringTable
 from repro.text.normalize import drop_corporate_terms, normalize_identifier, normalize_text
 from repro.text.tokenize import word_tokenize
 
@@ -181,8 +182,7 @@ class IdSetColumn:
     interned string ids per row, which is what lets pairwise set overlaps
     run as intersection counts without touching the strings.  The token
     sets are sorted by id; ``isin_sets`` rows are in ISIN string order, so
-    an id order cannot be assumed.  The store's ``codepoints`` column holds
-    one string's codepoints per row.
+    an id order cannot be assumed.
     """
 
     __slots__ = ("values", "offsets")
@@ -204,11 +204,7 @@ class IdSetColumn:
             return
         lengths = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
         flat = [value for row in rows for value in row]
-        self.extend_flat(np.asarray(flat, dtype=np.int32), lengths)
-
-    def extend_flat(self, values: np.ndarray, lengths: np.ndarray) -> None:
-        """Append rows given as one flat int32 buffer plus per-row lengths."""
-        self.values = np.concatenate([self.values, values])
+        self.values = np.concatenate([self.values, np.asarray(flat, dtype=np.int32)])
         self.offsets = np.concatenate(
             [self.offsets, self.offsets[-1] + np.cumsum(lengths)]
         )
@@ -221,20 +217,6 @@ class IdSetColumn:
         owners = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
         shifts = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         return owners, self.values[np.arange(len(owners), dtype=np.int64) + shifts]
-
-    def padded_rows(self, rows: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(len(rows), width)`` int32 matrix of the rows + their lengths.
-
-        ``width`` is the longest selected row (at least 1) and positions
-        past a row's length hold ``fill``.
-        """
-        lengths = self.lengths(rows)
-        width = max(int(lengths.max()) if len(rows) else 0, 1)
-        positions = np.arange(width, dtype=np.int64)
-        inside = positions < lengths[:, None]
-        matrix = np.full((len(rows), width), fill, dtype=np.int32)
-        matrix[inside] = self.values[(self.offsets[rows][:, None] + positions)[inside]]
-        return matrix, lengths
 
 
 def sorted_intersection_counts(
@@ -285,13 +267,14 @@ class ProfileStore:
       ``description_token_sets`` / ``isin_sets`` — sorted-id
       :class:`IdSetColumn` sets.
 
-    One column is indexed by interned string id instead of by row:
-    ``codepoints`` holds each interned string's int32 codepoints (row ``i``
-    is ``strings[i]``), packed once when the string is interned, so the
-    similarity kernels gather padded rows from it instead of packing every
-    string again per batch.  It is derived from the string table: never
-    pickled, rebuilt on load, and built eagerly — scoring only reads it, so
-    thread-pool chunks can share a store.
+    The string-similarity kernels read two derived structures:
+    ``kernel_strings``, a :class:`~repro.text.batch_similarity.StringTable`
+    of the name and stripped-name strings (lengths, padded character
+    numbers and uint64 position masks), and ``kernel_rows``, which maps an
+    interned string id to its row there (-1 for every other string).  Both
+    are built when the strings are interned, grow with the store and are
+    rebuilt on load, never pickled; they are built eagerly because scoring
+    only reads them, so thread-pool chunks can share a store.
     """
 
     __slots__ = (
@@ -310,7 +293,8 @@ class ProfileStore:
         "stripped_token_sets",
         "description_token_sets",
         "isin_sets",
-        "codepoints",
+        "kernel_strings",
+        "kernel_rows",
         "revision",
     )
 
@@ -332,13 +316,13 @@ class ProfileStore:
         self.stripped_token_sets = IdSetColumn()
         self.description_token_sets = IdSetColumn()
         self.isin_sets = IdSetColumn()
-        self.codepoints = IdSetColumn()
+        self.kernel_strings = StringTable()
+        self.kernel_rows = np.zeros(0, dtype=np.int64)
         #: Content revision, bumped whenever :meth:`add_records` grows the
         #: store.  The worker pool's epoch protocol compares it to decide
         #: whether an already-shipped store is still current — a store
         #: therefore ships once per revision, not once per matching call.
         self.revision = 0
-        self._pack_new_strings()
 
     # -- construction --------------------------------------------------------
 
@@ -491,34 +475,30 @@ class ProfileStore:
         self.stripped_token_sets.extend(stripped_sets)
         self.description_token_sets.extend(description_sets)
         self.isin_sets.extend(isin_rows)
-        self._pack_new_strings()
+        self._add_kernel_strings(
+            np.concatenate((self.name_ids[-added:], self.stripped_ids[-added:]))
+        )
         return added
 
-    def _pack_new_strings(self) -> None:
-        """Append the ``codepoints`` rows of strings interned since the last call.
+    def _add_kernel_strings(self, ids: np.ndarray) -> None:
+        """Give each string id in ``ids`` without one a ``kernel_strings`` row.
 
-        One UTF-32 encode of the new strings back to back: its code units
-        are each string's codepoints, string after string.  Every interned
-        string is packed, tokens and attributes included, so
-        ``surrogatepass`` keeps a lone surrogate in text the kernels never
-        compare from failing the profiling step.
+        New rows follow increasing string id, and existing rows never
+        move, so growing the store appends only the new strings' rows.
         """
-        new = self._strings[len(self.codepoints):]
-        if not new:
-            return
-        codes = np.frombuffer(
-            "".join(new).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-        ).astype(np.int32)
-        self.codepoints.extend_flat(
-            codes, np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+        self.kernel_rows = np.concatenate(
+            (self.kernel_rows, np.full(len(self._strings) - len(self.kernel_rows), -1))
         )
+        new = np.unique(ids[self.kernel_rows[ids] < 0])
+        self.kernel_rows[new] = len(self.kernel_strings) + np.arange(len(new))
+        self.kernel_strings.extend([self._strings[index] for index in new.tolist()])
 
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> dict[str, object]:
         # Ship the columnar arrays themselves — the epoch protocol publishes
-        # exactly these bytes once per revision.  The derived ``codepoints``
-        # column stays out: it is rebuilt from the string table on load.
+        # exactly these bytes once per revision.  The derived kernel tables
+        # stay out: they are rebuilt from the string table on load.
         return {
             "format": _COLUMNAR_PICKLE_FORMAT,
             "record_ids": self._record_ids,
@@ -566,7 +546,7 @@ class ProfileStore:
         self.stripped_token_sets = IdSetColumn(*state["stripped_token_sets"])
         self.description_token_sets = IdSetColumn(*state["description_token_sets"])
         self.isin_sets = IdSetColumn(*state["isin_sets"])
-        self._pack_new_strings()
+        self._add_kernel_strings(np.concatenate((self.name_ids, self.stripped_ids)))
 
     # -- row access ----------------------------------------------------------
 

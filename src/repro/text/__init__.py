@@ -11,9 +11,9 @@ plain Python + numpy:
   trainable :class:`~repro.text.tokenize.Vocabulary`,
 * :mod:`repro.text.similarity` — classic string and token-set similarity
   measures, one pair at a time,
-* :mod:`repro.text.batch_similarity` — the same measures as batched numpy
-  kernels over packed codepoint matrices (bitwise-equal to the scalar
-  forms),
+* :mod:`repro.text.batch_similarity` — the string measures as batched
+  numpy kernels over row pairs of a table of strings (bitwise-equal to the
+  scalar forms),
 * :mod:`repro.text.serialize` — record-pair serialisation schemes (plain and
   DITTO-style ``[COL]/[VAL]`` encoding) with token budgets.
 """

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.groups import EntityGroups
 from repro.core.metrics import (
+    CanonicalEdges,
+    canonical_edges,
     cluster_purity,
     group_matching_scores,
     pairwise_scores,
@@ -120,3 +122,88 @@ class TestGroupMatchingScores:
         groups = EntityGroups([["a", "b"]])
         row = group_matching_scores(groups, [("a", "b")]).as_row()
         assert row["cluster_purity"] == 1.0
+
+
+def _reference_group_scores(groups, truth):
+    """The scores as every pair of every group, oriented one at a time."""
+    from repro.graphs.graph import canonical_edge
+
+    truth = {canonical_edge(left, right) for left, right in truth}
+    predicted = set()
+    weighted, total = 0.0, 0
+    for group in groups:
+        members = list(group)
+        pairs = {
+            canonical_edge(left, right)
+            for i, left in enumerate(members)
+            for right in members[i + 1:]
+        }
+        predicted |= pairs
+        total += len(group)
+        weighted += len(group) * (len(pairs & truth) / len(pairs) if pairs else 1.0)
+    return predicted, (weighted / total if total else 1.0)
+
+
+class TestLabels:
+    """Groups of any hashable labels score; string scores are unchanged."""
+
+    labels = st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "c", "10", "2"]))
+
+    @given(
+        st.lists(st.sets(labels, min_size=1, max_size=5), max_size=5),
+        st.lists(st.tuples(labels, labels), max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_labels_score_like_the_reference(self, raw_groups, raw_truth):
+        seen: set = set()
+        groups = []
+        for group in raw_groups:
+            group = group - seen
+            seen |= group
+            groups.append(group)
+        groups = EntityGroups(groups)
+        truth = [(left, right) for left, right in raw_truth if left != right]
+        predicted, purity = _reference_group_scores(groups, truth)
+        assert groups.match_edges() == predicted
+        scores = group_matching_scores(groups, truth)
+        assert scores.cluster_purity == purity
+        assert cluster_purity(groups, truth) == purity
+        assert scores == group_matching_scores(groups, canonical_edges(truth))
+
+    def test_a_mixed_group_from_the_cleanup_scores(self):
+        from repro.core.cleanup import gralmatch_cleanup
+
+        components, _ = gralmatch_cleanup([(1, "a"), ("a", "b")])
+        assert components == [{"a", "b", 1}]
+        groups = EntityGroups(components)
+        # Mixed pairs are oriented by repr: "'a'" sorts before "1".
+        assert groups.match_edges() == {("a", 1), ("b", 1), ("a", "b")}
+        scores = group_matching_scores(groups, [("b", "a"), ("a", 1)])
+        assert scores.precision == pytest.approx(2 / 3)
+        assert scores.recall == 1.0
+        assert scores.cluster_purity == pytest.approx(2 / 3)
+
+    def test_string_scores_are_unchanged(self):
+        from repro.datagen.config import GenerationConfig
+        from repro.datagen.generator import generate_benchmark
+
+        companies = generate_benchmark(
+            GenerationConfig(num_entities=60, num_sources=4, seed=3)
+        ).companies
+        truth = companies.true_matches()
+        ids = [record.record_id for record in companies.records]
+        groups = EntityGroups([ids[start:start + 3] for start in range(0, len(ids), 3)])
+        predicted, purity = _reference_group_scores(groups, truth)
+        assert groups.match_edges() == predicted
+        scores = group_matching_scores(groups, canonical_edges(truth))
+        assert scores.cluster_purity == purity
+        assert scores == group_matching_scores(groups, truth)
+        assert pairwise_scores(predicted, canonical_edges(truth)) == pairwise_scores(
+            predicted, truth
+        )
+
+    def test_canonical_edges_orients_once(self):
+        edges = canonical_edges([("b", "a"), ("a", "c")])
+        assert isinstance(edges, CanonicalEdges)
+        assert edges == {("a", "b"), ("a", "c")}
+        assert canonical_edges(edges) is edges

@@ -15,6 +15,8 @@ pickle to the same bytes.
 """
 
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.datagen.identifiers import SECURITY_ID_FIELDS
 from repro.datagen.records import CompanyRecord, ProductRecord, Record, SecurityRecord
-from repro.matching.features import PairFeatureExtractor, _pack_pairs, slice_bounds
+from repro.matching.features import PairFeatureExtractor
 from repro.matching.logistic import LogisticRegressionMatcher
 from repro.matching.pairs import as_record_pairs, build_labeled_pairs
 from repro.matching.profiles import (
@@ -35,7 +37,8 @@ from repro.matching.profiles import (
     KIND_SECURITY,
     ProfileStore,
 )
-from repro.text.batch_similarity import PAD_LEFT, PAD_RIGHT
+from repro.text import batch_similarity
+from repro.text.batch_similarity import StringTable, pair_scores
 from repro.text.normalize import normalize_identifier, normalize_text, strip_corporate_terms
 from repro.text.similarity import (
     jaccard_similarity,
@@ -45,7 +48,6 @@ from repro.text.similarity import (
     overlap_coefficient,
 )
 from repro.text.tokenize import word_tokenize
-from tests.text.test_batch_similarity import pack_codepoints
 
 
 # -- the oracle: the historical pairwise-recompute extractor -----------------
@@ -458,15 +460,16 @@ class TestRepeatedIds:
 class _ReferenceExtractor(PairFeatureExtractor):
     """Scores id pairs with the per-pair oracle instead of the store.
 
-    Overrides :meth:`~PairFeatureExtractor.extract_sliced`, the method
-    fitting calls, and resolves the ids through the records it was given.
+    Overrides :meth:`~PairFeatureExtractor.extract_batch_profiles`, the
+    method fitting calls, and resolves the ids through the records it was
+    given.
     """
 
     def __init__(self, records) -> None:
         self.by_id = {record.record_id: record for record in records}
         self.calls = 0
 
-    def extract_sliced(self, profiles, id_pairs) -> np.ndarray:
+    def extract_batch_profiles(self, profiles, id_pairs) -> np.ndarray:
         self.calls += 1
         return reference_matrix(
             [(self.by_id[left], self.by_id[right]) for left, right in id_pairs]
@@ -500,20 +503,6 @@ class TestSingleFeaturePath:
                 reference, attribute
             ).tobytes()
         assert np.float64(columnar._bias).tobytes() == np.float64(reference._bias).tobytes()
-
-    def test_extract_batch_across_slice_boundaries(self, companies, securities):
-        records = companies.records + securities.records
-        count = 1100
-        pairs = [
-            (records[index % len(records)], records[(7 * index + 1) % len(records)])
-            for index in range(count)
-        ]
-        assert slice_count(pairs) >= 2
-        matrix = PairFeatureExtractor().extract_batch(pairs)
-        assert matrix.shape == (count, PairFeatureExtractor().num_features)
-        for row, (left, right) in zip(matrix, pairs):
-            assert row.tobytes() == reference_extract(left, right).tobytes()
-
 
     def test_fit_profiled_on_a_corpus_store_equals_fit(self, companies):
         first_records = {record.record_id for record in companies.records[:200]}
@@ -570,15 +559,10 @@ class TestSingleFeaturePath:
             )
 
 
-def slice_count(pairs) -> int:
-    """How many slices ``extract_sliced`` cuts the pairs into."""
-    store = ProfileStore.prepare(record for pair in pairs for record in pair)
-    left_rows, right_rows = store.row_indices(
-        [(left.record_id, right.record_id) for left, right in pairs]
-    )
-    name_lengths = store.codepoints.lengths(store.name_ids)
-    widths = np.maximum(name_lengths[left_rows], name_lengths[right_rows])
-    return len(slice_bounds(np.sort(widths)))
+@pytest.fixture
+def small_kernel_slices(monkeypatch):
+    """A kernel slice budget small enough to cut ~1k pairs into many slices."""
+    monkeypatch.setattr(batch_similarity, "KERNEL_SLICE_CELLS", 2048)
 
 
 def _mixed_length_pairs(records, count: int, seed: int):
@@ -600,15 +584,15 @@ def _mixed_length_pairs(records, count: int, seed: int):
     ]
 
 
-class TestNameLengthOrder:
-    """Slices are taken in name-length order; rows land where their pairs are."""
+class TestKernelSlicing:
+    """The kernels cut an extraction's distinct string pairs into slices;
+    neither the cut nor the pair order changes a value."""
 
-    def test_shuffled_pairs_give_the_same_rows(self, companies):
+    def test_shuffled_pairs_give_the_same_rows(self, companies, small_kernel_slices):
         count = 1553
         pairs = _mixed_length_pairs(companies.records, count, seed=1)
         lengths = [max(len(left.name), len(right.name)) for left, right in pairs]
         assert min(lengths) < 20 and max(lengths) > 63
-        assert slice_count(pairs) >= 3
         extractor = PairFeatureExtractor()
         matrix = extractor.extract_batch(pairs)
         permutation = np.random.default_rng(2).permutation(count)
@@ -619,32 +603,22 @@ class TestNameLengthOrder:
             left, right = pairs[row]
             assert matrix[row].tobytes() == reference_extract(left, right).tobytes()
 
-    def test_sliced_equals_one_unsliced_call(self, companies):
-        pairs = _mixed_length_pairs(companies.records, 1029, seed=3)
-        assert slice_count(pairs) >= 2
-        extractor = PairFeatureExtractor()
+    def test_many_slices_equal_one(self, companies, securities, monkeypatch):
+        records = companies.records + securities.records
+        pairs = _mixed_length_pairs(records, 1100, seed=3)
         store = ProfileStore.prepare(record for pair in pairs for record in pair)
         id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
-        assert (
-            extractor.extract_sliced(store, id_pairs).tobytes()
-            == extractor.extract_batch_profiles(store, id_pairs).tobytes()
-        )
-
-    def test_slice_bounds_fill_the_cell_budget(self):
-        widths = np.array([0, 2, 2, 3, 5, 40])
-        assert slice_bounds(widths, cells=10) == [(0, 3), (3, 5), (5, 6)]
-        assert slice_bounds(widths[:0], cells=10) == []
-
-    def test_empty(self):
-        store = ProfileStore.prepare([])
-        assert PairFeatureExtractor().extract_sliced(store, []).shape == (
-            0,
-            PairFeatureExtractor().num_features,
-        )
+        extractor = PairFeatureExtractor()
+        matrices = []
+        for cells in (1 << 30, 2048, 64):
+            monkeypatch.setattr(batch_similarity, "KERNEL_SLICE_CELLS", cells)
+            matrices.append(extractor.extract_batch_profiles(store, id_pairs).tobytes())
+        assert matrices[0] == matrices[1] == matrices[2]
+        assert matrices[0] == reference_matrix(pairs).tobytes()
 
 
-#: The keys of the pickled store payload — the derived ``codepoints``
-#: column is not one of them.
+#: The keys of the pickled store payload — the derived kernel tables are
+#: not among them.
 PAYLOAD_KEYS = {
     "format", "record_ids", "strings", "kind_codes", "source_ids", "name_ids",
     "stripped_ids", "has_description", "attr_ids", "identifier_ids",
@@ -652,37 +626,26 @@ PAYLOAD_KEYS = {
 }
 
 
-def _assert_packs_like_pack_codepoints(store: ProfileStore) -> None:
-    """``_pack_pairs`` on every string id, both sides, equals fresh packing."""
-    ids = np.arange(len(store.strings), dtype=np.int64)
-    for left_ids, right_ids in (
-        (ids, ids[::-1].copy()),
-        (ids[:1], ids[:1]),
-        (ids[1:2], ids[:1]),
-    ):
-        packed = _pack_pairs(store.codepoints, left_ids, right_ids)
-        left_codes, left_lengths = pack_codepoints(
-            [store.strings[index] for index in left_ids], fill=PAD_LEFT
-        )
-        right_codes, right_lengths = pack_codepoints(
-            [store.strings[index] for index in right_ids], fill=PAD_RIGHT
-        )
-        expected = (left_codes, left_lengths, right_codes, right_lengths)
-        for got, want in zip(packed[:4], expected):
-            assert got.dtype == want.dtype
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert packed[4].tobytes() == (left_ids == right_ids).tobytes()
+def _kernel_outputs(store: ProfileStore) -> bytes:
+    """Every kernel output over all ordered pairs of the store's name and
+    stripped-name strings, keyed by interned string id."""
+    ids = np.unique(np.concatenate((store.name_ids, store.stripped_ids)))
+    left = np.repeat(ids, len(ids))
+    right = np.tile(ids, len(ids))
+    rows = store.kernel_rows
+    scores = pair_scores(
+        store.kernel_strings, rows[left], rows[right], np.ones(len(left), dtype=np.bool_)
+    )
+    return b"".join(column.tobytes() for column in (ids, *scores))
 
 
-class TestPackedCodepoints:
-    """The store packs each interned string once; gathers equal fresh packing."""
+class TestKernelTables:
+    """The store's kernel tables: the name and stripped-name strings, as a
+    fresh table of them has them, however the store was built."""
 
     @staticmethod
     def records():
         return [
-            # Names and attributes are normalised to ASCII; the source is
-            # interned as given, so it carries the non-BMP codepoints.
             CompanyRecord(record_id="a", source="S𝔘𝔫𝔦", entity_id="e", name="Acme Inc",
                           city="Zürich", description="Makes 🚀 parts"),
             CompanyRecord(record_id="b", source="S2", entity_id="e", name="!!!"),
@@ -690,52 +653,66 @@ class TestPackedCodepoints:
                           name="International Business Machines Corporation of New York " * 2),
             SecurityRecord(record_id="d", source="S3", entity_id="e", name="Acme stock",
                            isin="US0378331005", ticker="ACM"),
+            ProductRecord(record_id="p", source="S3", entity_id="e", title="漢字 Wireless Mouse"),
         ]
 
-    def test_pack_pairs_equals_pack_codepoints(self):
+    def test_rows_hold_the_name_strings(self):
         store = ProfileStore.prepare(self.records())
-        assert store.strings[0] == "" and store.codepoints.lengths(np.array([0]))[0] == 0
-        assert max(len(value) for value in store.strings) > 63
+        kernel_ids = np.unique(np.concatenate((store.name_ids, store.stripped_ids)))
+        assert len(store.kernel_rows) == len(store.strings)
+        assert store.kernel_rows[kernel_ids].tolist() == list(range(len(kernel_ids)))
+        others = np.setdiff1d(np.arange(len(store.strings)), kernel_ids)
+        assert (store.kernel_rows[others] == -1).all()
+        fresh = StringTable([store.strings[index] for index in kernel_ids.tolist()])
+        for name in ("lengths", "chars", "masks"):
+            assert getattr(store.kernel_strings, name).tobytes() == getattr(fresh, name).tobytes()
+        assert max(store.kernel_strings.lengths) > 63
         assert any(ord(char) > 0xFFFF for value in store.strings for char in value)
-        assert len(store.codepoints) == len(store.strings)
-        _assert_packs_like_pack_codepoints(store)
 
-    def test_a_lone_surrogate_in_an_interned_string_packs_by_codepoint(self):
-        # The source is interned as given and never compared by the kernels;
-        # packing it must not fail the profiling step.
+    def test_a_lone_surrogate_in_a_record_profiles(self):
+        # Normalisation drops the surrogate from the name; the source keeps
+        # it, and a table counts it as one codepoint.
         store = ProfileStore.prepare(
-            [CompanyRecord(record_id="a", source="S\ud800x", entity_id="e", name="Acme")]
+            [CompanyRecord(record_id="a", source="S\ud800x", entity_id="e", name="Acme\ud800")]
         )
-        source_id = np.asarray(store.source_ids[:1], dtype=np.int64)
-        codes, lengths = store.codepoints.padded_rows(source_id, PAD_LEFT)
-        assert codes.tolist() == [[ord("S"), 0xD800, ord("x")]] and lengths.tolist() == [3]
+        assert store.string_at(store.name_ids[0]) == "acme"
+        assert StringTable(["S\ud800x"]).lengths.tolist() == [3]
 
-    def test_empty_id_arrays_pack_to_width_one(self):
-        store = ProfileStore.prepare([])
-        none = np.zeros(0, dtype=np.int64)
-        packed = _pack_pairs(store.codepoints, none, none)
-        assert packed[0].shape == pack_codepoints([], fill=PAD_LEFT)[0].shape == (0, 1)
-
-    def test_a_grown_store_packs_the_new_strings(self):
+    def test_a_grown_store_scores_like_a_fresh_one(self):
         first, *rest = self.records()
         store = ProfileStore.prepare([first])
-        before = len(store.codepoints)
+        before = len(store.kernel_strings)
         assert store.add_records(rest) == len(rest)
-        assert len(store.codepoints) == len(store.strings) > before
-        _assert_packs_like_pack_codepoints(store)
+        assert len(store.kernel_strings) > before
+        # Rows follow growth ("" joins at its first name, not as id 0), but
+        # every output is the fresh store's.
         fresh = ProfileStore.prepare(self.records())
-        assert store.codepoints.values.tobytes() == fresh.codepoints.values.tobytes()
-        assert store.codepoints.offsets.tobytes() == fresh.codepoints.offsets.tobytes()
+        assert store.kernel_rows.tobytes() != fresh.kernel_rows.tobytes()
+        assert _kernel_outputs(store) == _kernel_outputs(fresh)
 
-    def test_pickle_round_trip_rebuilds_the_column_outside_the_payload(self):
+    @given(st.lists(any_record, min_size=1, max_size=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_grown_and_unpickled_stores_score_like_a_fresh_one(self, records, data):
+        fresh = ProfileStore.prepare(records)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=3)))
+        grown = ProfileStore.prepare([])
+        start = 0
+        for cut in cuts + [len(records)]:
+            grown.add_records(records[start:max(start, cut)])
+            start = max(start, cut)
+        clone = pickle.loads(pickle.dumps(grown))
+        expected = _kernel_outputs(fresh)
+        assert _kernel_outputs(grown) == expected
+        assert _kernel_outputs(clone) == expected
+
+    def test_pickle_round_trip_rebuilds_the_tables_outside_the_payload(self):
         store = ProfileStore.prepare(self.records())
         payload = store.__getstate__()
         assert set(payload) == PAYLOAD_KEYS
         clone = pickle.loads(pickle.dumps(store))
         assert pickle.dumps(clone.__getstate__()) == pickle.dumps(payload)
-        assert clone.codepoints.values.tobytes() == store.codepoints.values.tobytes()
-        assert clone.codepoints.offsets.tobytes() == store.codepoints.offsets.tobytes()
-        _assert_packs_like_pack_codepoints(clone)
+        assert clone.kernel_rows.tobytes() == store.kernel_rows.tobytes()
+        assert _kernel_outputs(clone) == _kernel_outputs(store)
 
     def test_a_payload_without_the_format_marker_is_refused(self):
         payload = ProfileStore.prepare(self.records()).__getstate__()
@@ -744,6 +721,29 @@ class TestPackedCodepoints:
         for unmarked in (payload, {"a": object()}, None):
             with pytest.raises(ValueError, match="'profile-store-columnar-v1'"):
                 ProfileStore.__new__(ProfileStore).__setstate__(unmarked)
+
+
+class TestThreadsShareOneStore:
+    """Scoring only reads the store, so threads may share it."""
+
+    def test_threads_scoring_one_store_give_the_serial_matrix(self, companies):
+        pairs = _mixed_length_pairs(companies.records, 600, seed=5)
+        store = ProfileStore.prepare(record for pair in pairs for record in pair)
+        id_pairs = [(left.record_id, right.record_id) for left, right in pairs]
+        extractor = PairFeatureExtractor()
+        serial = extractor.extract_batch_profiles(store, id_pairs).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(extractor.extract_batch_profiles, store, id_pairs)
+                    for _ in range(8)
+                ]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result.tobytes() == serial for result in results)
 
 
 class TestColumnarBatchEquivalence:

@@ -3,17 +3,17 @@
 The batch kernels are the matching hot path's arithmetic core; their
 contract is *bitwise* agreement with the scalar functions in
 :mod:`repro.text.similarity` for every input, on every internal code path.
-The kernels pick a path by batch width — Myers bit-vector Levenshtein and
-the bit-parallel Jaro matcher when every string fits in 63 bits, array-DP
-fallbacks beyond — so the strategies here are width-banded: a batch drawn
-from one band stays on one path, and the 63/64 boundary is pinned
-explicitly.  The interned-id fast path (deduplicating kernel tables by
-string identity) is exercised against the id-less path on batches with
-forced duplicates.
+The kernels pick a path per slice of pairs — Myers bit-vector Levenshtein,
+the bit-parallel Jaro matcher and LCS by levels when every string of the
+slice fits in 63 codepoints, array-DP fallbacks beyond — so the strategies
+here are width-banded, a mixed band puts both kinds of slice in one call,
+and the 63/64 boundary is pinned explicitly.
 
-The string-list wrappers below pack each call's strings and run the
-packed kernels; the library packs through ``ProfileStore.codepoints``
-instead, so they live here, next to the tests that use them.
+The string-list wrappers below build a
+:class:`~repro.text.batch_similarity.StringTable` of each call's distinct
+strings, the same builder the profile store uses, and run the kernels on
+its rows; the library scores rows of the store's table instead, so they
+live here, next to the tests that use them.
 """
 
 from collections.abc import Sequence
@@ -23,16 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.text import batch_similarity
 from repro.text.batch_similarity import (
     _BIT_WIDTH,
-    _equality_bitmasks,
-    PAD_LEFT,
-    PAD_RIGHT,
-    jaro_winkler_similarity_packed,
-    levenshtein_distance_packed,
-    levenshtein_similarity_packed,
-    longest_common_substring_packed,
-    longest_common_substring_similarity_packed,
+    StringTable,
+    _bit_slice,
+    _wide_slice,
+    kernel_slices,
+    pair_scores,
+    pair_similarities,
 )
 from repro.text.similarity import (
     jaro_winkler_similarity,
@@ -43,127 +42,63 @@ from repro.text.similarity import (
 )
 
 
-# -- string-list wrappers over the packed kernels -------------------------
+# -- string-list wrappers over the kernels --------------------------------
 
 
-def pack_codepoints(
-    strings: Sequence[str], width: int | None = None, fill: int = PAD_LEFT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack strings into an ``(n, width)`` int32 codepoint matrix + lengths.
-
-    Padding uses ``fill`` (negative, so it never equals a real codepoint).
-    ``width`` defaults to the longest string; ``width=0`` still yields a
-    well-formed ``(n, 1)`` matrix so downstream reductions stay simple.
-    """
-    lengths = np.fromiter(
-        (len(s) for s in strings), dtype=np.int64, count=len(strings)
-    )
-    if width is None:
-        width = int(lengths.max()) if len(strings) else 0
-    width = max(width, 1)
-    codes = np.full((len(strings), width), fill, dtype=np.int32)
-    for i, s in enumerate(strings):
-        if s:
-            codes[i, : len(s)] = np.frombuffer(
-                s.encode("utf-32-le"), dtype=np.uint32
-            ).astype(np.int32)
-    return codes, lengths
-
-
-def _pack_pairs(
+def table_rows(
     lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[StringTable, np.ndarray, np.ndarray]:
+    """A table of the distinct strings and each side's rows in it."""
     if len(lefts) != len(rights):
         raise ValueError("lefts and rights must have the same length")
-    a_codes, a_lengths = pack_codepoints(lefts, fill=PAD_LEFT)
-    b_codes, b_lengths = pack_codepoints(rights, fill=PAD_RIGHT)
-    return a_codes, a_lengths, b_codes, b_lengths
+    distinct = list(dict.fromkeys([*lefts, *rights]))
+    row_of = {value: row for row, value in enumerate(distinct)}
+    rows = lambda strings: np.asarray([row_of[value] for value in strings], dtype=np.int64)
+    return StringTable(distinct), rows(lefts), rows(rights)
 
 
-def _equal_and_empty(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(lefts)
-    equal = np.fromiter(
-        (a == b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
-    )
-    either_empty = np.fromiter(
-        (not a or not b for a, b in zip(lefts, rights)), dtype=np.bool_, count=n
-    )
-    return equal, either_empty
+def _scores(lefts, rights, edit: bool):
+    table, left, right = table_rows(lefts, rights)
+    return pair_scores(table, left, right, np.full(len(left), edit))
 
 
+def _similarities(lefts, rights, edit: bool):
+    table, left, right = table_rows(lefts, rights)
+    return pair_similarities(table, left, right, np.full(len(left), edit))
 
 
-def levenshtein_distance_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
+def levenshtein_distance_batch(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
     """Edit distances for parallel string sequences (int64, exact)."""
-    if len(lefts) != len(rights):
-        raise ValueError("lefts and rights must have the same length")
-    if not len(lefts):
-        return np.zeros(0, dtype=np.int64)
-    return levenshtein_distance_packed(*_pack_pairs(lefts, rights))
+    return _scores(lefts, rights, True)[1]
 
 
-
-
-def levenshtein_similarity_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
+def levenshtein_similarity_batch(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
     """Batched :func:`~repro.text.similarity.levenshtein_similarity`."""
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return levenshtein_similarity_packed(*_pack_pairs(lefts, rights), equal)
+    return _similarities(lefts, rights, True)[1]
 
 
-
-
-def longest_common_substring_batch(
-    lefts: Sequence[str], rights: Sequence[str]
-) -> np.ndarray:
+def longest_common_substring_batch(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
     """Longest common contiguous substring lengths (int64, exact)."""
-    if len(lefts) != len(rights):
-        raise ValueError("lefts and rights must have the same length")
-    if not len(lefts):
-        return np.zeros(0, dtype=np.int64)
-    return longest_common_substring_packed(*_pack_pairs(lefts, rights))
-
-
+    return _scores(lefts, rights, True)[2]
 
 
 def longest_common_substring_similarity_batch(
     lefts: Sequence[str], rights: Sequence[str]
 ) -> np.ndarray:
     """Batched :func:`~repro.text.similarity.longest_common_substring_similarity`."""
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return longest_common_substring_similarity_packed(
-        *_pack_pairs(lefts, rights), equal
-    )
+    return _similarities(lefts, rights, True)[2]
 
 
-
-
-def jaro_winkler_similarity_batch(
-    lefts: Sequence[str], rights: Sequence[str], prefix_weight: float = 0.1
-) -> np.ndarray:
+def jaro_winkler_similarity_batch(lefts: Sequence[str], rights: Sequence[str]) -> np.ndarray:
     """Batched :func:`~repro.text.similarity.jaro_winkler_similarity`."""
-    if not 0.0 <= prefix_weight <= 0.25:
-        raise ValueError("prefix_weight must be in [0, 0.25]")
-    if not len(lefts):
-        return np.empty(0, dtype=np.float64)
-    equal, _ = _equal_and_empty(lefts, rights)
-    return jaro_winkler_similarity_packed(
-        *_pack_pairs(lefts, rights), equal, prefix_weight=prefix_weight
-    )
+    return _scores(lefts, rights, False)[0]
 
 
 # A small alphabet maximises collisions (shared characters, equal strings,
-# shared prefixes) — the interesting regime for every kernel.
-ALPHABET = "abAB ü-"
+# shared prefixes) — the interesting regime for every kernel.  The astral
+# codepoint checks that characters are numbered by codepoint, not by
+# UTF-16 unit.
+ALPHABET = "abAB ü-\U0001d518"
 
 # Width bands: "bit" stays under the 63-codepoint bit-kernel limit for the
 # whole batch; "boundary" straddles it; "wide" forces the array fallbacks.
@@ -175,14 +110,14 @@ BANDS = [
     st.one_of(st.just(""), short_text),
     st.one_of(st.just(""), boundary_text),
     st.one_of(st.just(""), wide_text),
-    st.one_of(st.just(""), short_text, wide_text),  # mixed: wide rows force the fallback for all
+    st.one_of(st.just(""), short_text, wide_text),  # mixed: bit and wide slices in one call
 ]
 
 
 def pair_batches(band):
     """Batches of string pairs from one width band, duplicates forced."""
     return st.lists(st.tuples(band, band), max_size=10).map(
-        lambda pairs: pairs + pairs[:2]  # duplicated pairs hit the memo/dedup paths
+        lambda pairs: pairs + pairs[:2]  # duplicated pairs share table rows
     )
 
 
@@ -191,6 +126,19 @@ def unzip(pairs):
         return [], []
     lefts, rights = zip(*pairs)
     return list(lefts), list(rights)
+
+
+def _scalar_rows(lefts, rights):
+    """The scalar functions' (jw, distance, lcs, lev sim, lcs sim) per pair."""
+    return (
+        np.asarray([jaro_winkler_similarity(a, b) for a, b in zip(lefts, rights)]),
+        [levenshtein_distance(a, b) for a, b in zip(lefts, rights)],
+        [longest_common_substring(a, b) for a, b in zip(lefts, rights)],
+        np.asarray([levenshtein_similarity(a, b) for a, b in zip(lefts, rights)]),
+        np.asarray(
+            [longest_common_substring_similarity(a, b) for a, b in zip(lefts, rights)]
+        ),
+    )
 
 
 class TestBatchEqualsScalar:
@@ -245,61 +193,112 @@ class TestBatchEqualsScalar:
         assert np.array_equal(batch, expected)
 
 
-class TestInternedIdPath:
-    """The id-deduplicated kernel tables must change nothing but speed."""
+class TestOneCallAcrossThePaths:
+    """One call with some pairs edit-scored and widths around 63 and 64."""
 
-    @pytest.mark.parametrize("band", BANDS)
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_ids_do_not_change_results(self, band, data):
-        lefts, rights = unzip(data.draw(pair_batches(band)))
-        if not lefts:
-            return
-        # Intern: equal strings <-> equal ids, the ProfileStore invariant.
-        table: dict[str, int] = {}
-        ids = lambda strings: np.asarray(
-            [table.setdefault(s, len(table)) for s in strings], dtype=np.int64
-        )
-        a_codes, a_lengths, b_codes, b_lengths = _pack_pairs(lefts, rights)
-        a_ids, b_ids = ids(lefts), ids(rights)
-        equal = np.asarray([a == b for a, b in zip(lefts, rights)])
+    lengths = st.sampled_from(
+        [0, 1, 2, _BIT_WIDTH - 1, _BIT_WIDTH, _BIT_WIDTH + 1, _BIT_WIDTH + 9]
+    )
 
-        plain = levenshtein_similarity_packed(a_codes, a_lengths, b_codes, b_lengths, equal)
-        with_ids = levenshtein_similarity_packed(
-            a_codes, a_lengths, b_codes, b_lengths, equal, a_ids=a_ids, b_ids=b_ids
-        )
-        assert np.array_equal(plain, with_ids)
-
-        plain = jaro_winkler_similarity_packed(a_codes, a_lengths, b_codes, b_lengths, equal)
-        with_ids = jaro_winkler_similarity_packed(
-            a_codes, a_lengths, b_codes, b_lengths, equal, a_ids=a_ids, b_ids=b_ids
-        )
-        assert np.array_equal(plain, with_ids)
-
+    @st.composite
+    def sized_text(draw, lengths=lengths):
+        size = draw(lengths)
+        return draw(st.text(alphabet=ALPHABET, min_size=size, max_size=size))
 
     @given(
-        st.lists(st.text("abcéz\U0001d518", max_size=_BIT_WIDTH), min_size=1, max_size=12),
-        st.lists(st.integers(0, 11), min_size=1, max_size=30),
-        st.lists(st.integers(0, 11), min_size=1, max_size=30),
+        st.lists(st.tuples(sized_text(), sized_text(), st.booleans()), max_size=14),
+        st.sampled_from([64, 200, 1 << 18]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_widths_and_edit_pairs(self, rows, cells):
+        lefts = [left for left, _, _ in rows]
+        rights = [right for _, right, _ in rows]
+        edit = np.asarray([flag for _, _, flag in rows], dtype=np.bool_)
+        table, left, right = table_rows(lefts, rights)
+        # Small slice budgets cut the call into many slices of each kind.
+        saved = batch_similarity.KERNEL_SLICE_CELLS
+        batch_similarity.KERNEL_SLICE_CELLS = cells
+        try:
+            jw, distances, substrings = pair_scores(table, left, right, edit)
+            _, lev, lcs = pair_similarities(table, left, right, edit)
+        finally:
+            batch_similarity.KERNEL_SLICE_CELLS = saved
+        jw_s, dist_s, lcs_s, lev_sim_s, lcs_sim_s = _scalar_rows(lefts, rights)
+        assert jw.tobytes() == jw_s.astype(np.float64).tobytes()
+        assert distances.tolist() == [d if e else -1 for d, e in zip(dist_s, edit)]
+        assert substrings.tolist() == [s if e else -1 for s, e in zip(lcs_s, edit)]
+        assert lev[edit].tobytes() == lev_sim_s[edit].tobytes()
+        assert lcs[edit].tobytes() == lcs_sim_s[edit].tobytes()
+        assert np.isnan(lev[~edit]).all() and np.isnan(lcs[~edit]).all()
+
+    def test_slices_split_at_the_bit_width_and_fit_the_budget(self):
+        widths = np.array([1, 2, 2, 3, 5, 63, 64, 64, 70])
+        assert kernel_slices(widths, cells=10) == [
+            (0, 3), (3, 5), (5, 6), (6, 7), (7, 8), (8, 9),
+        ]
+        assert kernel_slices(widths, cells=1000) == [(0, 6), (6, 9)]
+        assert kernel_slices(widths[:0], cells=10) == []
+
+
+class TestStringTable:
+    """The shared equality table and the tables a growing list keeps."""
+
+    @given(
+        st.lists(st.text(ALPHABET + "cé", max_size=_BIT_WIDTH), min_size=1, max_size=12),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=30),
     )
     @settings(max_examples=100, deadline=None)
-    def test_deduplicated_table_equals_the_direct_table(self, strings, patterns, texts):
-        # The id path scatters each distinct pattern's bits once; the direct
-        # path compares every row's pattern with every row's text.
-        rows = min(len(patterns), len(texts))
-        pattern_strings = [strings[index % len(strings)] for index in patterns[:rows]]
-        text_strings = [strings[index % len(strings)] for index in texts[:rows]]
-        pattern_codes, _ = pack_codepoints(pattern_strings, fill=PAD_RIGHT)
-        text_codes, _ = pack_codepoints(text_strings, fill=PAD_LEFT)
-        ids = {value: index for index, value in enumerate(dict.fromkeys(strings))}
-        direct = _equality_bitmasks(pattern_codes, text_codes)
-        deduplicated = _equality_bitmasks(
-            pattern_codes,
-            text_codes,
-            np.asarray([ids[value] for value in pattern_strings]),
-            np.asarray([ids[value] for value in text_strings]),
-        )
-        assert deduplicated.tobytes() == direct.tobytes()
+    def test_equality_table_equals_direct_comparison(self, strings, pairs):
+        table = StringTable(strings)
+        left = np.asarray([a % len(strings) for a, _ in pairs], dtype=np.int64)
+        right = np.asarray([b % len(strings) for _, b in pairs], dtype=np.int64)
+        steps = max(len(strings[row]) for row in left.tolist())
+        equality = table.equality_table(table.chars[left, :steps], right)
+        assert equality.shape == (steps, len(pairs)) and equality.dtype == np.uint64
+        for r, (a, b) in enumerate(zip(left.tolist(), right.tolist())):
+            text, pattern = strings[a], strings[b]
+            for i in range(steps):
+                expected = sum(
+                    1 << j
+                    for j, char in enumerate(pattern)
+                    if i < len(text) and char == text[i]
+                )
+                assert int(equality[i, r]) == expected
+
+    @given(
+        st.lists(st.text(ALPHABET + "cé", max_size=_BIT_WIDTH + 5), max_size=16),
+        st.lists(st.integers(0, 16), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_growing_equals_building_at_once(self, strings, cuts):
+        grown = StringTable()
+        start = 0
+        for cut in sorted(cuts) + [len(strings)]:
+            grown.extend(strings[start:max(start, cut)])
+            start = max(start, cut)
+        fresh = StringTable(strings)
+        assert len(grown) == len(fresh) == len(strings)
+        assert grown.lengths.tolist() == [len(value) for value in strings]
+        for name in ("lengths", "chars", "masks"):
+            got, want = getattr(grown, name), getattr(fresh, name)
+            width = want.shape[1] if want.ndim == 2 else None
+            assert got[..., :width].tobytes() == want.tobytes()
+
+    def test_masks_and_characters(self):
+        table = StringTable(["abca", "", "\U0001d518b"])
+        assert table.lengths.tolist() == [4, 0, 2]
+        # Characters are numbered from 1 in order of first appearance.
+        assert table.chars.tolist() == [[1, 2, 3, 1], [0, 0, 0, 0], [4, 2, 0, 0]]
+        assert table.masks.tolist() == [
+            [0, 0b1001, 0b0010, 0b0100, 0],
+            [0, 0, 0, 0, 0],
+            [0, 0, 0b10, 0, 0b01],
+        ]
+
+    def test_masks_cover_the_first_63_positions(self):
+        table = StringTable(["a" * (_BIT_WIDTH + 5)])
+        assert int(table.masks[0, 1]) == (1 << _BIT_WIDTH) - 1
+        assert table.chars.shape == (1, _BIT_WIDTH + 5)
 
 
 class TestPathBoundary:
@@ -313,33 +312,30 @@ class TestPathBoundary:
                 assert levenshtein_distance_batch([left], [right])[0] == (
                     levenshtein_distance(left, right)
                 )
+                assert longest_common_substring_batch([left], [right])[0] == (
+                    longest_common_substring(left, right)
+                )
                 assert jaro_winkler_similarity_batch([left], [right])[0] == (
                     jaro_winkler_similarity(left, right)
                 )
 
     def test_bit_and_wide_paths_agree(self):
-        # The same pairs scored once on the bit path (batch width <= 63)
-        # and once on the fallback path (a wide row widens the batch) must
-        # produce bitwise-identical rows.
+        # The same non-equal, non-empty narrow pairs scored by both slice
+        # kernels must produce bitwise-identical rows.
         pairs = [
             ("acme holdings", "acme hldgs"),
-            ("", "nonempty"),
-            ("same", "same"),
             ("a" * 60, "a" * 59 + "b"),
             ("üü-ab", "ab-üü"),
+            ("\U0001d518x", "x\U0001d518"),
+            ("ab", "ba" * 20),
         ]
         lefts, rights = unzip(pairs)
-        narrow_lev = levenshtein_distance_batch(lefts, rights)
-        narrow_jw = jaro_winkler_similarity_batch(lefts, rights)
-        wide_row = ("x" * (_BIT_WIDTH + 5), "y" * (_BIT_WIDTH + 5))
-        wide_lev = levenshtein_distance_batch(
-            lefts + [wide_row[0]], rights + [wide_row[1]]
-        )
-        wide_jw = jaro_winkler_similarity_batch(
-            lefts + [wide_row[0]], rights + [wide_row[1]]
-        )
-        assert np.array_equal(narrow_lev, wide_lev[:-1])
-        assert np.array_equal(narrow_jw, wide_jw[:-1])
+        table, left, right = table_rows(lefts, rights)
+        edit = np.array([True, False, True, True, True])
+        bit = _bit_slice(table, left, right, edit)
+        wide = _wide_slice(table, left, right, edit)
+        for got, want in zip(bit, wide):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEdges:
@@ -355,7 +351,3 @@ class TestEdges:
             levenshtein_distance_batch(["a"], [])
         with pytest.raises(ValueError):
             longest_common_substring_batch(["a"], [])
-
-    def test_prefix_weight_validation(self):
-        with pytest.raises(ValueError):
-            jaro_winkler_similarity_batch(["a"], ["b"], prefix_weight=0.3)
