@@ -166,10 +166,6 @@ class TokenIndex:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if "record_tokens" in state:
-            # Pickled by format 4 and earlier, as dictionaries.
-            self.__dict__.update(vars(_from_dict_form(state)))
-            return
         self.__dict__.update(state)
         self.__dict__.update(_lookups(state["ids"], state["tokens"], state["rank"]))
 
@@ -338,33 +334,6 @@ def _merged_ranks(
         # Two sorted runs: sorting merges them in linear time.
         sorted(sorted_ids + batch_sorted),
         np.concatenate([rank + np.searchsorted(before, rank, side="right"), new_rank]),
-    )
-
-
-def _from_dict_form(state: dict) -> TokenIndex:
-    """The index pickled as dictionaries (format 4 and earlier) as
-    ``state``: ``record_tokens`` (id -> sorted tokens, in dataset order),
-    ``document_frequency``, ``token_index`` (the surviving tokens' ids),
-    ``sources`` (id -> source name) and ``num_tokenised``.
-
-    The dictionaries do not record the cutoff fraction, so survival is read
-    from ``token_index``; everything else is rebuilt as ``prepare`` builds
-    it.
-    """
-    record_tokens = state["record_tokens"]
-    ids = list(record_tokens)
-    index = _append(
-        _empty_index(),
-        ids,
-        [state["sources"][record_id] for record_id in ids],
-        [record_tokens[record_id] for record_id in ids],
-        max_token_frequency=1.0,
-    )
-    surviving = state["token_index"]
-    return replace(
-        index,
-        survives=np.fromiter(map(surviving.__contains__, index.tokens), bool, len(index.tokens)),
-        memo=state.get("memo"),
     )
 
 

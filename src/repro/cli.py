@@ -580,13 +580,8 @@ def _command_state(args: argparse.Namespace) -> int:
             "cleanup_strategy", "blocking_parts", "matcher_type",
         ):
             print(f"  {key}: {manifest.get(key)}")
-        # Version 3 manifests name the payload directory only.
         segments = manifest.get("segments", [])
-        base_bytes = manifest.get("base_bytes")
-        print(
-            f"  base: {manifest.get('payload_dir')}"
-            + ("" if base_bytes is None else f", {base_bytes} bytes")
-        )
+        print(f"  base: {manifest.get('payload_dir')}, {manifest.get('base_bytes')} bytes")
         print(
             f"  journal: {len(segments)} segments, "
             f"{sum(segment['bytes'] for segment in segments)} bytes"

@@ -30,9 +30,7 @@ indexes forward over the records the journal appended
 lists or the report's removed edges: an ingest accepts only a
 ``component_local`` clean-up strategy, whose memo holds one entry per kept
 component, so loading derives them from the memo and the pre-cleanup
-removals.  A version 3 base, and a version 4 payload an earlier build
-wrote under a strategy without the marker, hold both group lists whole;
-loading takes them as they are.
+removals.
 
 A save appends a segment when its target still holds the manifest this
 state last committed or was loaded from, and the journal's bytes would not
@@ -45,17 +43,10 @@ by a save that crashed before its commit is not in the manifest, so
 loading ignores it and the next save overwrites it; a compaction's
 leftover directory is swept by the next save.
 
-Loading reads :data:`STATE_FORMAT_VERSION`, reads version 4 (the same
-layout, with token overlap's index pickled as dictionaries) with its
-journal, loads version 3 (the same base layout, always written whole) as a
-base with an empty journal, and converts version 2 once at load; an older
-index becomes the array index as it unpickles, and the first save of any
-older state writes a version 5 base.  Any other version, a missing file or
-a payload that fails to unpickle raises :class:`MatchStateError` naming
-the path.  So does
-saving a loaded state whose memo does not give back the whole group lists
-it was loaded with (a state kept under a strategy without the marker)
-before an ingest has rebuilt the memo.
+Loading reads :data:`STATE_FORMAT_VERSION` only.  Any other version, a
+missing file or a payload that fails to unpickle raises
+:class:`MatchStateError` naming the path; the version error says how to
+carry an older state forward.
 """
 
 from __future__ import annotations
@@ -67,7 +58,6 @@ import shutil
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any
 
 from repro.blocking.base import Blocking
@@ -83,30 +73,10 @@ from repro.runtime import RuntimeConfig
 
 #: Format marker written to (and demanded from) every state manifest.
 STATE_FORMAT = "repro-match-state"
-#: The on-disk layout this build writes; bump when it changes incompatibly.
-#: Version 2 stored the decision cache as an array-backed
-#: :class:`DecisionCache`; version 3 stores owned candidate lists as plain
-#: :data:`OwnedPair` tuples and drops the kept-edge set and union-find;
-#: version 4 adds the journal, and its base leaves out what loading derives
-#: from the clean-up memo; version 5 pickles token overlap's index as
-#: integer arrays instead of dictionaries.
+#: The on-disk layout this build writes and the only one it reads: a base
+#: plus a journal, with token overlap's index pickled as integer arrays.
+#: Bump it when the layout changes incompatibly.
 STATE_FORMAT_VERSION = 5
-#: The older version :meth:`MatchState.load` reads with its journal (the
-#: same layout; token overlap's dictionary indexes convert as they
-#: unpickle, as they do in every older version).
-_JOURNAL_FORMAT_VERSION = 4
-#: The older version :meth:`MatchState.load` reads as a base (the same
-#: layout, every result written whole, no journal).
-_BASE_FORMAT_VERSION = 3
-#: The older version :meth:`MatchState.load` converts.
-_CONVERTED_FORMAT_VERSION = 2
-#: Every version :meth:`MatchState.load` reads, newest first.
-_READ_FORMAT_VERSIONS = (
-    STATE_FORMAT_VERSION,
-    _JOURNAL_FORMAT_VERSION,
-    _BASE_FORMAT_VERSION,
-    _CONVERTED_FORMAT_VERSION,
-)
 
 #: One owned candidate pair as stored: ``(left_id, right_id, blocking)``,
 #: the fields of a :class:`~repro.blocking.base.CandidatePair`.
@@ -179,7 +149,7 @@ class Journal:
     """
 
     #: The directory the committed base lives in (resolved); None when the
-    #: state was never saved, or was loaded from an older version.
+    #: state was never saved.
     state_dir: Path | None = None
     #: Bytes of the committed base and of each committed segment.
     base_bytes: int = 0
@@ -272,9 +242,6 @@ class MatchState:
     #: Set by a load that left both group lists to derive from the memo
     #: (never saved).
     _groups_pending: bool = field(default=False, compare=False, repr=False)
-    #: Set by a load that took whole group lists the memo does not give
-    #: back; cleared when an ingest sets the groups (never saved).
-    _memo_stale: bool = field(default=False, compare=False, repr=False)
     cleanup_report: CleanupReport = field(default_factory=CleanupReport)
     pre_cleanup_removed: set[Edge] = field(default_factory=set)
     num_candidates: int = 0
@@ -320,7 +287,7 @@ class MatchState:
     @groups.setter
     def groups(self, groups: EntityGroups | None) -> None:
         self._groups = groups
-        self._groups_pending = self._memo_stale = False
+        self._groups_pending = False
 
     @property
     def pre_cleanup_groups(self) -> EntityGroups | None:
@@ -332,7 +299,7 @@ class MatchState:
     @pre_cleanup_groups.setter
     def pre_cleanup_groups(self, groups: EntityGroups | None) -> None:
         self._pre_cleanup_groups = groups
-        self._groups_pending = self._memo_stale = False
+        self._groups_pending = False
 
     def dataset(self) -> Dataset:
         """The corpus as a :class:`Dataset` (records in ingestion order)."""
@@ -414,13 +381,6 @@ class MatchState:
         manifest rename is the single commit point (see the module
         docstring), and the change tracking starts afresh only after it.
         """
-        if self._memo_stale:
-            raise MatchStateError(
-                "cannot save this state: its clean-up memo does not give back "
-                "the group lists it was loaded with (it was kept under a "
-                "clean-up strategy without component_local); ingest a batch, "
-                "an empty one will do, to rebuild the memo first"
-            )
         state_dir = Path(state_dir)
         journal = self.journal
         committed = _committed_manifest(state_dir)
@@ -444,15 +404,17 @@ class MatchState:
                 (state_dir / payload_dir / _segment_file(len(segments))).write_bytes(data)
                 self._commit(state_dir, self.payload_rev, journal.base_bytes, segments)
                 return state_dir
-        self._write_base(state_dir, _payload_rev(committed))
+        self._write_base(state_dir)
         return state_dir
 
-    def _write_base(self, state_dir: Path, committed_rev: int) -> None:
-        """Compaction: the whole state into a ``rev<N>`` past both this
-        state's and the one ``state_dir`` has committed."""
+    def _write_base(self, state_dir: Path) -> None:
+        """Compaction: the whole state into a ``rev<N>`` numbered past this
+        state's own and every one ``state_dir`` holds, so that it never
+        writes into a directory a manifest there names, even a manifest this
+        build refuses."""
         state_dir.mkdir(parents=True, exist_ok=True)
         self.catch_up_indexes(len(self.records))
-        rev = max(self.payload_rev, committed_rev) + 1
+        rev = max([self.payload_rev, *_payload_revs(state_dir)]) + 1
         payloads: dict[str, Any] = {
             _COMPONENTS_FILE: {
                 "matcher": self.matcher,
@@ -481,8 +443,6 @@ class MatchState:
             },
         }
         payload_dir = state_dir / f"{_PAYLOAD_DIR_PREFIX}{rev}"
-        if payload_dir.exists():  # leftover from an interrupted save
-            shutil.rmtree(payload_dir)
         payload_dir.mkdir()
         base_bytes = 0
         for file_name, payload in payloads.items():  # repro-lint: disable=unordered-iteration -- dict literal; fixed source order
@@ -536,8 +496,6 @@ class MatchState:
 
     def _take_results(self, payload: dict[str, Any]) -> None:
         """Adopt the graph results of a base or a segment."""
-        self.groups = payload["groups"]
-        self.pre_cleanup_groups = payload["pre_cleanup_groups"]
         self.cleanup_report = payload["cleanup_report"]
         self.num_candidates = payload["num_candidates"]
         self.num_ingests = payload["num_ingests"]
@@ -631,13 +589,12 @@ class MatchState:
         then its committed journal segments in order.
 
         Payload keys this build does not read are ignored, so a state saved
-        by an earlier build that stored more still loads.  A version 2
-        state has its owned :class:`~repro.blocking.base.CandidatePair`
-        lists converted to :data:`OwnedPair` tuples.
+        by an earlier build that stored more still loads.  The group lists
+        and the report's removed edges are derived from the clean-up memo:
+        the lists when first read, the edges here.
         """
         state_dir = Path(state_dir)
         manifest = read_manifest(state_dir)
-        version = manifest["format_version"]
         payload_dir = state_dir / str(manifest.get("payload_dir", ""))
         if not payload_dir.is_dir():
             raise MatchStateError(
@@ -669,18 +626,6 @@ class MatchState:
             payload_rev=graph["payload_rev"],
         )
         state._take_results(graph)
-        if version == _CONVERTED_FORMAT_VERSION:
-            state.owned_pairs = [
-                {
-                    record.record_id: tuple(
-                        (pair.left_id, pair.right_id, pair.blocking)
-                        for pair in owned[record.record_id]
-                    )
-                    for record in state.records
-                    if record.record_id in owned
-                }
-                for owned in state.owned_pairs
-            ]
         parts = state.parts()
         if (state.part_states or state.owned_pairs) and not (
             len(state.part_states) == len(state.owned_pairs) == len(parts)
@@ -695,37 +640,25 @@ class MatchState:
 
         journal = state.journal
         state.indexed_records = len(state.records)
-        if version in (STATE_FORMAT_VERSION, _JOURNAL_FORMAT_VERSION):
-            entries = manifest.get("segments", [])
-            record_of = (
-                {record.record_id: record for record in state.records} if entries else {}
+        entries = manifest.get("segments", [])
+        record_of = (
+            {record.record_id: record for record in state.records} if entries else {}
+        )
+        for entry in entries:
+            state._apply_segment(
+                _read_payload(state_dir, payload_dir / entry["file"]), record_of
             )
-            for entry in entries:
-                state._apply_segment(
-                    _read_payload(state_dir, payload_dir / entry["file"]), record_of
-                )
-        if version == STATE_FORMAT_VERSION:
-            # Only a current base takes more segments: an older state's
-            # first save writes a base.
-            journal.segments = [entry["bytes"] for entry in entries]
-            journal.state_dir = state_dir.resolve()
-            journal.base_bytes = manifest.get("base_bytes", 0)
-        # Results exist from the first ingest on; a payload that left the
-        # groups out left the report's removed edges out too.  One that held
-        # them whole (see the module docstring) keeps them.
-        if state._groups is None and state.num_ingests:
-            state._groups_pending = True
-            memo = state.cleanup_memo
-            state.cleanup_report = replace(
-                state.cleanup_report,
-                removed_edges=set().union(*(memo[key].removed_edges for key in memo)),
-            )
-        elif state._groups is not None:
-            final, positive = state._memo_groups()
-            state._memo_stale = (final.groups, positive.groups) != (
-                state._groups.groups,
-                state._pre_cleanup_groups.groups,
-            )
+        journal.segments = [entry["bytes"] for entry in entries]
+        journal.state_dir = state_dir.resolve()
+        journal.base_bytes = manifest.get("base_bytes", 0)
+        # No payload holds the group lists or the report's removed edges;
+        # the lists exist from the first ingest on.
+        state._groups_pending = state.num_ingests > 0
+        memo = state.cleanup_memo
+        state.cleanup_report = replace(
+            state.cleanup_report,
+            removed_edges=set().union(*(memo[key].removed_edges for key in memo)),
+        )
         if manifest.get("num_records") != len(state.records):
             raise MatchStateError(
                 f"match state at {state_dir} is inconsistent: manifest says "
@@ -764,17 +697,6 @@ def _segment_file(index: int) -> str:
     return f"segment-{index:06d}.pkl"
 
 
-class _PayloadUnpickler(pickle.Unpickler):
-    """Unpickles a payload an earlier version may have written with an
-    instance of a class the library no longer has: the logistic matcher's
-    loss history, which the matcher drops when it is restored."""
-
-    def find_class(self, module: str, name: str) -> Any:
-        if (module, name) == ("repro.matching.logistic", "LogisticTrainingHistory"):
-            return SimpleNamespace
-        return super().find_class(module, name)
-
-
 def _read_payload(state_dir: Path, path: Path) -> Any:
     """Unpickle one committed file, naming it in any failure."""
     if not path.exists():
@@ -784,7 +706,7 @@ def _read_payload(state_dir: Path, path: Path) -> Any:
         )
     try:
         with path.open("rb") as handle:
-            return _PayloadUnpickler(handle).load()
+            return pickle.load(handle)
     # Unpickling runs the payload classes' own restore code, so a damaged
     # file can fail with any exception type.
     except Exception as error:
@@ -811,12 +733,15 @@ def _committed_manifest(state_dir: Path) -> dict[str, Any] | None:
         return None
 
 
-def _payload_rev(manifest: dict[str, Any] | None) -> int:
-    """The revision of the payload directory ``manifest`` names (0 when
-    there is none)."""
-    name = str((manifest or {}).get("payload_dir", ""))
-    digits = name[len(_PAYLOAD_DIR_PREFIX):]
-    return int(digits) if name.startswith(_PAYLOAD_DIR_PREFIX) and digits.isdigit() else 0
+def _payload_revs(state_dir: Path) -> list[int]:
+    """The revisions of the ``rev<N>`` directories ``state_dir`` holds,
+    committed or not."""
+    start = len(_PAYLOAD_DIR_PREFIX)
+    return [
+        int(path.name[start:])
+        for path in state_dir.glob(f"{_PAYLOAD_DIR_PREFIX}*")
+        if path.name[start:].isdecimal() and path.is_dir()
+    ]
 
 
 def is_state_dir(state_dir: str | Path) -> bool:
@@ -845,10 +770,13 @@ def read_manifest(state_dir: str | Path) -> dict[str, Any]:
             f"(format={manifest.get('format')!r})"
         )
     version = manifest.get("format_version")
-    if version not in _READ_FORMAT_VERSIONS:
-        *newer, oldest = _READ_FORMAT_VERSIONS
+    if version != STATE_FORMAT_VERSION:
         raise MatchStateError(
-            f"match state at {state_dir} has format version {version!r}; "
-            f"this build reads versions {', '.join(map(str, newer))} and {oldest}"
+            f"match state at {state_dir} has format version {version!r}; this "
+            f"build reads version {STATE_FORMAT_VERSION} only.  To carry a version "
+            "2-4 state forward, open it with a build of any commit from 3ecba85 "
+            "to 634e084, ingest an empty batch and save it: that build's "
+            "`repro ingest EMPTY.csv --state DIR`, with EMPTY.csv holding only "
+            "a header row, does all three"
         )
     return manifest

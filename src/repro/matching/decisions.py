@@ -16,7 +16,7 @@ store of every decision ever scored, keyed by canonical id pair and backed
 by the same parallel arrays.  A delta ingest appends the arrays of the
 newly scored :class:`DecisionVector` and gathers the candidate-order
 vector by row index — no per-pair objects on either side, and none on
-disk: state format v2 pickles the arrays.
+disk: the match state pickles the arrays.
 
 Bitwise contract (pinned by the engine's oracle suite): a vector's
 materialised decisions equal ``matcher.decide`` on the record pairs byte

@@ -95,11 +95,6 @@ class LogisticRegressionMatcher(TrainablePairwiseMatcher):
         self._feature_means: np.ndarray | None = None
         self._feature_scales: np.ndarray | None = None
 
-    def __setstate__(self, state: dict) -> None:
-        # A matcher pickled before the loss history was dropped carries it.
-        state.pop("history", None)
-        self.__dict__.update(state)
-
     # -- training ---------------------------------------------------------------
 
     def fit(

@@ -5,8 +5,7 @@ arrays, ``prepare`` built dictionaries: each record's sorted token tuple,
 every token's document frequency, and the ids of the records carrying each
 token that survives the frequency cutoff.  :func:`dict_index` builds them
 from a dataset as that code did.  The scorer tests walk them with
-``reference_candidates_for``, and the state tests pickle them in the layout
-that state formats 4 and earlier wrote (:class:`DictFormIndex`).
+``reference_candidates_for``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from types import SimpleNamespace
 
-from repro.blocking.token_overlap import TokenIndex, TokenOverlapBlocking, TopNMemo
+from repro.blocking.token_overlap import TokenOverlapBlocking
 from repro.datagen.records import Dataset
 
 
@@ -43,16 +42,3 @@ def dict_index(blocking: TokenOverlapBlocking, dataset: Dataset) -> SimpleNamesp
         num_tokenised=num_tokenised,
     )
 
-
-class DictFormIndex:
-    """Pickles as a :class:`TokenIndex` of state format 4 and earlier: the
-    dictionaries of :func:`dict_index`, and the memo when there is one (an
-    index pickled before the memo existed has no such key)."""
-
-    def __init__(self, index: SimpleNamespace, memo: TopNMemo | None = None) -> None:
-        self.state = dict(vars(index))
-        if memo is not None:
-            self.state["memo"] = memo
-
-    def __reduce__(self):
-        return TokenIndex.__new__, (TokenIndex,), self.state

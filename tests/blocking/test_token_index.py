@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.blocking import TokenOverlapBlocking
 from repro.blocking.token_overlap import TokenIndex
 from repro.datagen.records import CompanyRecord, Dataset
-from tests.blocking.reference import DictFormIndex, dict_index
+from tests.blocking.reference import dict_index
 
 
 def company(record_id, source, name):
@@ -137,25 +137,3 @@ def test_tokens_cross_the_cutoff_both_ways():
         survival.append(bool(shared.survives[shared.token_of["acme"]]))
     assert survival == [False, True, False]
 
-
-def test_a_dictionary_index_converts_as_it_unpickles():
-    # State formats 4 and earlier pickled the index as dictionaries; the
-    # memo comes through as it was.
-    records = [
-        company("b2", "S0", "Crowdstrike Holdings"),
-        company("a1", "S1", "Crowdstrike"),
-        company("c", "S2", ""),
-        company("d", "S1", "Crowdstreet Holdings"),
-    ]
-    dataset = Dataset("legacy", records)
-    blocking = TokenOverlapBlocking(top_n=1, max_token_frequency=0.5)
-    prepared = blocking.prepare(dataset)
-    shared = blocking.note_rescored(prepared, [blocking.rescore(prepared, records)[1]])
-    legacy = DictFormIndex(dict_index(blocking, dataset), shared.memo)
-    loaded = pickle.loads(pickle.dumps(legacy, protocol=pickle.HIGHEST_PROTOCOL))
-    assert_same_index(loaded, prepared)
-    assert not loaded.survives[loaded.token_of["holdings"]]
-    assert np.array_equal(loaded.memo.tops, shared.memo.tops)
-    assert blocking.owned_candidates(loaded, records) == blocking.owned_candidates(
-        prepared, records
-    )

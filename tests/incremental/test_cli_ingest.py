@@ -20,7 +20,7 @@ from repro.datagen.records import Dataset
 from repro.incremental import IncrementalMatcher, read_manifest
 from repro.obs import read_trace_jsonl
 from repro.registry import CLEANUPS
-from tests.incremental.test_state_io import corrupt_payload
+from tests.incremental.test_state_io import corrupt_payload, file_bytes, set_format_version
 
 CONFIG_TOML = """
 [experiment]
@@ -343,3 +343,30 @@ class TestCorruptState:
         err = capsys.readouterr().err
         assert err.startswith(f"error: match state at {state}")
         assert f"{payload_dir}/{file_name}" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "state show"])
+    def test_an_older_version_exits_2_before_writing(
+        self, workspace, pristine_state, tmp_path, capsys, command
+    ):
+        # This build reads version 5 only.  Both commands print the refusal,
+        # which says how to carry the state forward, and write nothing.
+        _, _, paths = workspace
+        state = shutil.copytree(pristine_state, tmp_path / "state")
+        set_format_version(state, 4)
+        before = file_bytes(state)
+        groups_out = tmp_path / "groups.json"
+        argv = (
+            ["ingest", str(paths["batch2"]), "--state", str(state)]
+            if command == "ingest"
+            else ["state", "show", str(state)]
+        )
+        capsys.readouterr()
+        assert main([*argv, "--groups-out", str(groups_out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: match state at {state} has format version 4; this build "
+            "reads version 5 only.  To carry a version 2-4 state forward"
+        )
+        assert "ingest an empty batch and save it" in err
+        assert file_bytes(state) == before
+        assert not groups_out.exists()

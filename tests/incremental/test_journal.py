@@ -426,9 +426,11 @@ class TestChangedDirectory:
         # The new base went to rev3, past the committed rev2.
         assert (state_dir / "rev3").is_dir()
         assert_same_state(IncrementalMatcher.load(state_dir).state, committed)
+        # The retry numbers its base past the leftover rev3 as well, and its
+        # commit sweeps that directory.
         matcher.save(state_dir)
-        assert read_manifest(state_dir)["payload_dir"] == "rev3"
-        assert [path.name for path in state_dir.glob("rev*")] == ["rev3"]
+        assert read_manifest(state_dir)["payload_dir"] == "rev4"
+        assert [path.name for path in state_dir.glob("rev*")] == ["rev4"]
         assert_same_state(IncrementalMatcher.load(state_dir).state, matcher.state)
 
 

@@ -8,7 +8,7 @@ pickling (worker-shipping) path.
 import json
 import pickle
 import re
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +16,31 @@ import pytest
 from repro.incremental import (
     STATE_FORMAT_VERSION,
     IncrementalMatcher,
+    MatchState,
     MatchStateError,
     is_state_dir,
     read_manifest,
 )
 from repro.incremental.state import MANIFEST_FILE
-from repro.matching import logistic
 from repro.matching.profiles import ProfileStore
 from repro.runtime import PipelineRuntime, RuntimeConfig
-from tests.incremental.legacy_state import downgrade_to_v4, save_v3
+
+
+def set_format_version(state_dir, version) -> None:
+    """Rewrite ``state_dir``'s manifest to claim format ``version``."""
+    manifest_path = state_dir / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def file_bytes(state_dir) -> dict[str, bytes]:
+    """Every file under ``state_dir``, keyed by its relative path."""
+    return {
+        str(path.relative_to(state_dir)): path.read_bytes()
+        for path in sorted(state_dir.rglob("*"))
+        if path.is_file()
+    }
 
 
 def corrupt_payload(path, keep: float) -> None:
@@ -78,10 +94,7 @@ class TestManifest:
 
     def test_future_format_version_is_rejected(self, saved_state):
         _, state_dir = saved_state
-        manifest_path = state_dir / MANIFEST_FILE
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = STATE_FORMAT_VERSION + 1
-        manifest_path.write_text(json.dumps(manifest))
+        set_format_version(state_dir, STATE_FORMAT_VERSION + 1)
         with pytest.raises(MatchStateError, match="format version"):
             IncrementalMatcher.load(state_dir)
 
@@ -213,6 +226,35 @@ class TestCrashResilience:
             companies.records
         )
 
+    @pytest.mark.parametrize("version", [1, 4])
+    def test_a_failed_compaction_leaves_a_refused_state_untouched(
+        self, golden_setup, pipeline_factory, saved_state, monkeypatch, version
+    ):
+        # A save into a directory whose state this build refuses cannot
+        # append to it, so it writes a new base.  That base must go past
+        # every rev<N> the directory holds: until the commit, the refused
+        # manifest still names its own payload directory.
+        companies, _ = golden_setup
+        _, state_dir = saved_state
+        set_format_version(state_dir, version)
+        before = file_bytes(state_dir)
+        other = IncrementalMatcher.from_pipeline(pipeline_factory(), name="other")
+        other.ingest(companies.records[:30])
+
+        def crash(self, *args):
+            raise OSError("simulated crash at the commit")
+
+        monkeypatch.setattr(MatchState, "_commit", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            other.save(state_dir)
+        monkeypatch.undo()
+
+        after = file_bytes(state_dir)
+        assert {path: after.get(path) for path in before} == before
+        assert "rev2/records.pkl" in after
+        set_format_version(state_dir, STATE_FORMAT_VERSION)
+        assert len(IncrementalMatcher.load(state_dir).state.records) == 100
+
     def test_failed_ingest_poisons_the_matcher(
         self, golden_setup, pipeline_factory, monkeypatch
     ):
@@ -251,164 +293,21 @@ class TestCrashResilience:
 
 
 class TestFormatMigration:
-    def test_v1_manifest_is_refused_by_version(self, saved_state):
-        # Format v1 stored the decisions as a dict of decision objects; this
-        # build reads versions 5 to 2 only.
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6])
+    def test_v1_manifest_is_refused_by_version(self, saved_state, version):
+        # This build reads version 5 only; the refusal names the version
+        # found and how to carry an older state forward.
         _, state_dir = saved_state
-        manifest_path = state_dir / MANIFEST_FILE
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(
-            MatchStateError,
-            match="format version 1; this build reads versions 5, 4, 3 and 2",
-        ):
+        set_format_version(state_dir, version)
+        with pytest.raises(MatchStateError) as info:
             IncrementalMatcher.load(state_dir)
-
-    def test_a_v3_state_loads_as_a_base_and_ingests_identically(
-        self, golden_setup, pipeline_factory, batch_result, tmp_path
-    ):
-        # Format v3 pickled each part's prepared index and kept no journal:
-        # it loads with its indexes, and its next save writes a v4 base.
-        from tests.incremental.oracle import ingest_checked
-        from tests.incremental.test_batch_equivalence import assert_equals_batch
-
-        companies, _ = golden_setup
-        records = companies.records
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
-        matcher.ingest(records[:90])
-        state_dir = save_v3(matcher.state, tmp_path / "state")
-
-        reloaded = IncrementalMatcher.load(state_dir)
-        assert reloaded.state.part_states == matcher.state.part_states
-        assert reloaded.state.journal.state_dir is None
-        # Version 3 wrote both group lists whole; loading takes them as
-        # they are.
-        assert reloaded.groups.groups == matcher.groups.groups
-        assert (
-            reloaded.state.pre_cleanup_groups.groups
-            == matcher.state.pre_cleanup_groups.groups
+        message = str(info.value)
+        assert message.startswith(
+            f"match state at {state_dir} has format version {version}; "
+            "this build reads version 5 only.  To carry a version 2-4 state "
+            "forward, open it with a build of any commit from 3ecba85 to 634e084, "
+            "ingest an empty batch and save it"
         )
-        first = ingest_checked(reloaded, records[90:120])
-        # The pickled indexes carry the top-n memo: the same rescoring as in
-        # the process that saved the state.
-        assert first.records_rescored == matcher.ingest(records[90:120]).records_rescored
-        reloaded.save(state_dir)
-        manifest = read_manifest(state_dir)
-        assert manifest["format_version"] == STATE_FORMAT_VERSION
-        assert manifest["payload_dir"] == "rev2" and manifest["segments"] == []
-        assert [p.name for p in state_dir.glob("rev*")] == ["rev2"]
-        reopened = IncrementalMatcher.load(state_dir)
-        ingest_checked(reopened, records[120:])
-        assert_equals_batch(reopened, batch_result)
-
-    def test_a_v4_journal_converts_at_load_and_ingests_identically(
-        self, golden_setup, pipeline_factory, batch_result, tmp_path
-    ):
-        # Format v4 had v5's layout, base and journal, but pickled the
-        # token-overlap index as dictionaries.  Its base's index converts
-        # to arrays as it loads, the journal's records and notes follow at
-        # the first ingest, and the first save writes a v5 base.
-        from tests.incremental.oracle import ingest_checked
-        from tests.incremental.test_batch_equivalence import assert_equals_batch
-
-        records = golden_setup[0].records
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
-        state_dir = tmp_path / "state"
-        matcher.ingest(records[:90])
-        matcher.save(state_dir)
-        base_states = list(matcher.state.part_states)
-        for start in (90, 100):
-            matcher.ingest(records[start:start + 10])
-            matcher.save(state_dir)
-        assert len(read_manifest(state_dir)["segments"]) == 2
-        downgrade_to_v4(state_dir)
-
-        reloaded = IncrementalMatcher.load(state_dir)
-        assert reloaded.state.part_states == base_states
-        assert reloaded.state.indexed_records == 90
-        assert reloaded.state.journal.state_dir is None
-        first = ingest_checked(reloaded, records[110:120])
-        # The same rescoring as in the process that saved the state.
-        assert first.records_rescored == matcher.ingest(records[110:120]).records_rescored
-        reloaded.save(state_dir)
-        manifest = read_manifest(state_dir)
-        assert manifest["format_version"] == STATE_FORMAT_VERSION
-        assert manifest["segments"] == []
-        reopened = IncrementalMatcher.load(state_dir)
-        ingest_checked(reopened, records[120:])
-        assert_equals_batch(reopened, batch_result)
-
-    def test_whole_groups_without_a_memo_save_only_after_an_ingest(
-        self, golden_setup, pipeline_factory, batch_result, tmp_path
-    ):
-        # A state kept under a strategy without component_local was written
-        # with both group lists whole and an empty clean-up memo.  It loads
-        # with its groups and ingests like any other, but a save before the
-        # first ingest, which would leave loading nothing to derive the
-        # groups from, is refused.
-        from tests.incremental.oracle import ingest_checked
-        from tests.incremental.test_batch_equivalence import assert_equals_batch
-
-        records = golden_setup[0].records
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
-        matcher.ingest(records[:90])
-        groups = matcher.groups.groups
-        matcher.state.cleanup_memo = {}
-        state_dir = save_v3(matcher.state, tmp_path / "state")
-
-        reloaded = IncrementalMatcher.load(state_dir)
-        assert reloaded.groups.groups == groups
-        with pytest.raises(MatchStateError, match="ingest a batch"):
-            reloaded.save(tmp_path / "copy")
-        assert ingest_checked(reloaded, []).components_reused == 0
-        assert reloaded.groups.groups == groups
-        reloaded.save(state_dir)
-        reopened = IncrementalMatcher.load(state_dir)
-        assert reopened.groups.groups == groups
-        ingest_checked(reopened, records[90:])
-        assert_equals_batch(reopened, batch_result)
-
-    def test_a_v2_state_converts_at_load_and_ingests_identically(
-        self, golden_setup, pipeline_factory, batch_result, tmp_path
-    ):
-        # Format v2 stored each owned list as CandidatePair objects, and the
-        # kept-edge set and union-find next to the clean-up memo.
-        from repro.blocking.base import CandidatePair
-        from tests.incremental.oracle import ingest_checked
-        from tests.incremental.test_batch_equivalence import assert_equals_batch
-
-        companies, _ = golden_setup
-        records = companies.records
-        matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
-        matcher.ingest(records[:90])
-        state_dir = save_v3(matcher.state, tmp_path / "state")
-        payload_dir = state_dir / read_manifest(state_dir)["payload_dir"]
-        blocking_path = payload_dir / "blocking_state.pkl"
-        blocking = pickle.loads(blocking_path.read_bytes())
-        blocking["owned_pairs"] = [
-            {
-                record_id: tuple(CandidatePair(*entry) for entry in owned[record_id])
-                for record_id in owned
-            }
-            for owned in blocking["owned_pairs"]
-        ]
-        blocking_path.write_bytes(pickle.dumps(blocking, protocol=pickle.HIGHEST_PROTOCOL))
-        graph_path = payload_dir / "graph_state.pkl"
-        graph = pickle.loads(graph_path.read_bytes())
-        graph.update(kept_edges=set(), kept_dsu=None)
-        graph_path.write_bytes(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
-        manifest_path = state_dir / MANIFEST_FILE
-        manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 2
-        manifest_path.write_text(json.dumps(manifest))
-
-        reloaded = IncrementalMatcher.load(state_dir)
-        assert reloaded.state.owned_pairs == matcher.state.owned_pairs
-        ingest_checked(reloaded, records[90:])
-        assert_equals_batch(reloaded, batch_result)
-        reloaded.save(state_dir)
-        assert read_manifest(state_dir)["format_version"] == STATE_FORMAT_VERSION
 
     def test_stale_runtime_fields_open_and_ingest_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path
@@ -487,16 +386,19 @@ class TestFormatMigration:
     def test_a_state_saved_without_the_top_n_memo_ingests_identically(
         self, golden_setup, pipeline_factory, batch_result, tmp_path
     ):
-        # Builds before the token-overlap memo pickled a TokenIndex without
-        # it.  The first ingest after loading rescores every tokenised
-        # record; the ingests after it are narrowed again.
+        # A base can hold a token-overlap index without its memo: one an
+        # earlier build unpickled from a state older than the memo and saved
+        # without an ingest.  The first ingest after loading rescores every
+        # tokenised record; the ingests after it are narrowed again.
         from tests.incremental.test_batch_equivalence import assert_equals_batch
 
         companies, _ = golden_setup
         records = companies.records
         matcher = IncrementalMatcher.from_pipeline(pipeline_factory(), name="golden")
         matcher.ingest(records[:90])
-        state_dir = save_v3(matcher.state, tmp_path / "state", with_memo=False)
+        matcher.state.part_states[1] = replace(matcher.state.part_states[1], memo=None)
+        state_dir = matcher.save(tmp_path / "state")
+        assert read_manifest(state_dir)["format_version"] == STATE_FORMAT_VERSION
 
         reloaded = IncrementalMatcher.load(state_dir)
         assert reloaded.state.part_states[1].memo is None
@@ -557,36 +459,6 @@ class TestTracePath:
         assert reloaded.state.runtime_config == RuntimeConfig(batch_size=64)
         assert not reloaded.runtime.recorder.enabled
         assert not stale.exists()
-
-
-class TestRetiredPayloadClasses:
-    def test_a_matcher_saved_with_its_loss_history_loads_without_it(
-        self, saved_state, tmp_path, monkeypatch
-    ):
-        # Earlier builds pickled the logistic matcher's per-iteration loss
-        # history, an instance of a class the library no longer has.
-        @dataclass
-        class LogisticTrainingHistory:
-            train_loss: list[float] = field(default_factory=list)
-            validation_loss: list[float] = field(default_factory=list)
-
-        LogisticTrainingHistory.__module__ = "repro.matching.logistic"
-        LogisticTrainingHistory.__qualname__ = "LogisticTrainingHistory"
-        matcher, _ = saved_state
-        fitted = matcher.state.matcher
-        monkeypatch.setattr(
-            logistic, "LogisticTrainingHistory", LogisticTrainingHistory, raising=False
-        )
-        monkeypatch.setattr(
-            fitted, "history", LogisticTrainingHistory([0.7, 0.5], [0.8]), raising=False
-        )
-        state_dir = matcher.save(tmp_path / "fresh")
-        monkeypatch.undo()
-        assert not hasattr(logistic, "LogisticTrainingHistory")
-
-        loaded = IncrementalMatcher.load(state_dir).state.matcher
-        assert not hasattr(loaded, "history")
-        assert loaded._weights.tobytes() == fitted._weights.tobytes()
 
 
 class TestProfileStoreRoundTrip:

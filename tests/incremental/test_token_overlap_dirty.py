@@ -21,7 +21,6 @@ from repro.blocking import TokenOverlapBlocking
 from repro.blocking.token_overlap import _carried, _cell_tokens, _contiguous_cells
 from repro.datagen import GenerationConfig, generate_benchmark
 from repro.datagen.records import CompanyRecord, Dataset
-from tests.blocking.reference import DictFormIndex, dict_index
 
 
 def company(record_id, source, name):
@@ -257,15 +256,6 @@ class TestMemoFallback:
         assert delta.dirty_record_ids == oracle_dirty(
             blocking, blocking.prepare(prefix), batches[1]
         )
-
-    def test_an_index_pickled_before_the_memo_existed_loads_without_one(self):
-        # Such an index was pickled as dictionaries, without a memo key.
-        blocking = TokenOverlapBlocking(top_n=1, max_token_frequency=1.0)
-        prefix = Dataset("prefix", flip_without_a_candidate_case()[0])
-        shared = blocking.prepare(prefix)
-        loaded = pickle.loads(pickle.dumps(DictFormIndex(dict_index(blocking, prefix))))
-        assert loaded.memo is None
-        assert loaded == shared
 
     def test_a_stream_narrows_the_dirty_set(self):
         blocking = TokenOverlapBlocking(top_n=1, max_token_frequency=1.0)
